@@ -45,8 +45,9 @@ from .oracle import (
     DEFAULT_ORACLE_CAP,
     NotLieNilpotentDetected,
     OracleCapExceeded,
-    t_lower_direct,
-    t_upper_direct,
+    build_algebra,
+    lower_lie_chain,
+    upper_lie_chain,
 )
 from .pcgroup import PresentationError
 from .subgroups import DEFAULT_CAP, CapExceeded
@@ -151,8 +152,9 @@ def cmd_oracle(args) -> int:
     entry = _load_entry(args)
     G = entry.group
     cap = _oracle_cap(args)
-    upper = t_upper_direct(G, cap=cap)
-    lower = t_lower_direct(G, cap=cap)
+    A = build_algebra(G, cap)
+    upper = upper_lie_chain(A).t
+    lower = lower_lie_chain(A).t
     formula = upper_index(G, _env_int(CAP_ENV) or DEFAULT_CAP)
     agree = (upper == formula) and (lower <= upper)
     if args.json:

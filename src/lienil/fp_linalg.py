@@ -1,13 +1,20 @@
 """Exact dense linear algebra over the prime field GF(p).
 
 Everything here works on numpy int64 arrays holding least non-negative
-residues, reduced eagerly after every arithmetic step.  Subspaces are kept
-in reduced row-echelon form, which makes equality, hashing and membership
-structural operations.
+residues.  Subspaces are kept in reduced row-echelon form, which makes
+equality, hashing and membership structural operations.
 
 Matrix products route through float64 BLAS when ``(p-1)^2 * inner_dim``
 fits a double exactly (< 2**53); the result is exact and is folded back to
-int64.  Otherwise plain int64 matmul is used.
+int64.  Otherwise int64 matmul is used while ``(p-1)^2 * inner_dim`` stays
+below 2**63, and Python integers beyond that.
+
+EchelonAccumulator reduces each incoming block against its basis in one
+fused pass: it keeps a float64 copy of its rows, computes
+``blk - blk[:, pivots] @ rows`` with a single BLAS product while
+``(p-1)^2 * rank + p < 2**53``, shifts the int64 result by a multiple of p
+so that every entry is non-negative, and applies one integer ``np.mod``.
+Larger products take the exact int64 route through matmul_mod.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ import numpy as np
 # vectors (v -> v @ M) or a callable mapping a (k, n) block to a (k, n) block.
 LinearOperator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
-_FLOAT_EXACT_LIMIT = float(2**53)
+_FLOAT_EXACT_LIMIT = 2**53
+_INT64_LIMIT = 2**63
 
 
 def check_prime(p: int) -> int:
@@ -57,14 +65,24 @@ def _as_residues(mat, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 residue matrices."""
+    """Exact (a @ b) mod p for int64 residue matrices.
+
+    Raises:
+        ValueError: if residues mod p do not fit int64 (p > 2**63).
+    """
+    p = int(p)
+    if p > _INT64_LIMIT:
+        raise ValueError(f"residues mod {p} do not fit int64")
     inner = a.shape[1]
     if inner == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < _FLOAT_EXACT_LIMIT:
-        prod = np.rint(a.astype(np.float64) @ b.astype(np.float64))
-        return np.mod(prod, p).astype(np.int64)
-    return np.mod(a @ b, p)
+    bound = (p - 1) * (p - 1) * inner
+    if bound < _FLOAT_EXACT_LIMIT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return np.mod(prod.astype(np.int64), p)
+    if bound < _INT64_LIMIT:
+        return np.mod(a @ b, p)
+    return np.mod(a.astype(object) @ b.astype(object), p).astype(np.int64)
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, int]:
@@ -211,11 +229,6 @@ def _check_same_space(a: FpSubspace, b: FpSubspace) -> None:
         raise ValueError(f"ambient mismatch: {a.ambient_dim} vs {b.ambient_dim}")
 
 
-def subspace_contains(s: FpSubspace, v) -> bool:
-    """Functional alias for FpSubspace.contains."""
-    return s.contains(v)
-
-
 def subspace_join(a: FpSubspace, b: FpSubspace) -> FpSubspace:
     """Smallest subspace containing both a and b."""
     _check_same_space(a, b)
@@ -254,15 +267,28 @@ class EchelonAccumulator:
     """
 
     def __init__(self, p: int, ambient_dim: int):
-        check_prime(p)
-        self.p = p
+        self.p = check_prime(p)
         self.ambient_dim = ambient_dim
         self._rows = np.zeros((0, ambient_dim), dtype=np.int64)
         self._pivots: list[int] = []
+        # float64 copy of _rows while the fused reduction is exact, else None
+        self._rows_f: Optional[np.ndarray] = self._rows.astype(np.float64)
 
     @property
     def dim(self) -> int:
         return self._rows.shape[0]
+
+    def _reduce(self, blk: np.ndarray) -> np.ndarray:
+        """Residual (blk - blk[:, pivots] @ rows) mod p of a residue block."""
+        p = self.p
+        coeffs = blk[:, self._pivots]
+        if self._rows_f is None:
+            return np.mod(blk - matmul_mod(coeffs, self._rows, p), p)
+        # The product lies in [0, (p-1)^2 * rank] and is exact in float64;
+        # adding p*(p-1)*rank makes every entry non-negative.
+        prod = (coeffs.astype(np.float64) @ self._rows_f).astype(np.int64)
+        shift = p * (p - 1) * len(self._pivots)
+        return np.mod(np.subtract(blk + shift, prod, out=prod), p)
 
     def add_block(self, block) -> np.ndarray:
         """Add a (k, n) block of residues; return the newly added RREF rows.
@@ -270,30 +296,32 @@ class EchelonAccumulator:
         The returned array is empty when the block lies in the current span.
         """
         blk = np.asarray(block, dtype=np.int64)
-        if blk.size == 0:
-            return np.zeros((0, self.ambient_dim), dtype=np.int64)
         if blk.ndim == 1:
             blk = blk.reshape(1, -1)
-        blk = np.mod(blk, self.p)
-        if self._pivots:
-            coeffs = blk[:, self._pivots]
-            blk = (blk - matmul_mod(coeffs, self._rows, self.p)) % self.p
+        # Blocks of residues, the usual input, skip the full-size np.mod.
+        if blk.size and (blk.min() < 0 or blk.max() >= self.p):
+            blk = np.mod(blk, self.p)
         blk = blk[blk.any(axis=1)]
+        if blk.shape[0] and self._pivots:
+            blk = self._reduce(blk)
+            blk = blk[blk.any(axis=1)]
         if blk.shape[0] == 0:
             return np.zeros((0, self.ambient_dim), dtype=np.int64)
         reduced, new_pivots = _rref_inplace(blk, self.p)
         new_rows = reduced[: len(new_pivots)]
+        rows = self._rows
         if self._pivots:
             # Clear old rows' entries over the new pivot columns, then merge.
-            coeffs = self._rows[:, new_pivots]
+            coeffs = rows[:, new_pivots]
             if coeffs.any():
-                self._rows = (self._rows - matmul_mod(coeffs, new_rows, self.p)) % self.p
-        merged = sorted(
-            list(zip(self._pivots, self._rows)) + list(zip(new_pivots, new_rows)),
-            key=lambda t: t[0],
-        )
-        self._pivots = [piv for piv, _ in merged]
-        self._rows = np.array([row for _, row in merged], dtype=np.int64)
+                rows = np.mod(rows - matmul_mod(coeffs, new_rows, self.p), self.p)
+        pivots = np.array(self._pivots + new_pivots)
+        order = np.argsort(pivots)
+        self._pivots = pivots[order].tolist()
+        self._rows = np.vstack([rows, new_rows])[order]
+        rank = len(self._pivots)
+        exact = (self.p - 1) ** 2 * rank + self.p < _FLOAT_EXACT_LIMIT
+        self._rows_f = self._rows.astype(np.float64) if exact else None
         return new_rows
 
     def snapshot(self) -> FpSubspace:
@@ -303,7 +331,7 @@ class EchelonAccumulator:
 
 def _apply_operator(op: LinearOperator, block: np.ndarray, p: int) -> np.ndarray:
     if callable(op):
-        return np.mod(np.asarray(op(block), dtype=np.int64), p)
+        return op(block)  # add_block reduces the image mod p
     return matmul_mod(block, np.mod(np.asarray(op, dtype=np.int64), p), p)
 
 

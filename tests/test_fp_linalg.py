@@ -21,6 +21,9 @@ from lienil.fp_linalg import (
 )
 
 PRIMES = (2, 3, 5)
+# Above 2**26 products leave the float64 route; at 2**31 - 1 a single
+# (p-1)^2 * inner sum no longer fits int64 once inner >= 2.
+LARGE_PRIMES = (67108859, 2**31 - 1)
 
 
 def naive_rref(rows, p):
@@ -150,15 +153,31 @@ def test_meet_matches_elementwise_intersection():
 
 
 @settings(max_examples=80, deadline=None)
-@given(mat=small_matrix, p=st.sampled_from(PRIMES),
-       split=st.integers(min_value=0, max_value=6))
-def test_accumulator_agrees_with_batch_reduction(mat, p, split):
+@given(mat=small_matrix, p=st.sampled_from(PRIMES + LARGE_PRIMES),
+       cuts=st.lists(st.integers(min_value=0, max_value=9), max_size=6),
+       zeros=st.lists(st.integers(min_value=0, max_value=6), max_size=3),
+       scale=st.integers(min_value=1, max_value=2**40))
+def test_accumulator_agrees_with_batch_reduction(mat, p, cuts, zeros, scale):
+    """Many small blocks, some empty and some with rows that vanish mod p.
+
+    Rescaling row i by scale^(i+1) keeps the span but spreads the entries
+    over all of GF(p), so large primes reach products beyond 2**53.  The
+    appended combination must reduce to exactly zero.
+    """
     n = len(mat[0])
+    rows = [[x * (pow(scale, i + 1, p) or 1) % p for x in row]
+            for i, row in enumerate(mat)]
+    rows.append([sum(scale * r[j] for r in rows) % p for j in range(n)])
+    for z in zeros:
+        rows.insert(min(z, len(rows)), [p * z] * n)
+    bounds = sorted(min(c, len(rows)) for c in cuts)
     acc = EchelonAccumulator(p, n)
-    cut = min(split, len(mat))
-    acc.add_block(mat[:cut])
-    acc.add_block(mat[cut:])
-    assert acc.snapshot() == FpSubspace.from_vectors(p, n, mat)
+    for lo, hi in zip([0] + bounds, bounds + [len(rows)]):
+        acc.add_block(rows[lo:hi])
+    want = FpSubspace.from_vectors(p, n, mat)
+    got = acc.snapshot()
+    assert got == want
+    assert got.pivots == want.pivots
 
 
 def test_accumulator_reports_only_new_rows():
@@ -209,14 +228,19 @@ def test_close_under_is_minimal_against_iteration():
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(PRIMES), seed=st.integers(0, 2**16))
+@given(p=st.sampled_from(PRIMES + LARGE_PRIMES), seed=st.integers(0, 2**16))
 def test_matmul_mod_matches_integer_arithmetic(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(4, 6))
     b = rng.integers(0, p, size=(6, 3))
     got = matmul_mod(a.astype(np.int64), b.astype(np.int64), p)
     want = (a.astype(object) @ b.astype(object)) % p
+    assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
+    # 3 * (q-1)^2 >= 2**63: plain int64 matmul would wrap here.
+    q = 2**31 - 1
+    top = np.full((1, 3), q - 1, dtype=np.int64)
+    assert matmul_mod(top, top.T, q).tolist() == [[3]]
 
 
 def test_check_prime_accepts_and_rejects():

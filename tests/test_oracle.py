@@ -92,13 +92,30 @@ def test_chain_dimensions_decrease_strictly():
 def test_generator_seeding_spans_the_same_ideals():
     for make in (lambda: build_dihedral(16).group,
                  lambda: build_heisenberg(3).group,
-                 lambda: build_quaternion(16).group):
+                 lambda: build_quaternion(16).group,
+                 lambda: build_heisenberg(5).group,
+                 lambda: build_free_class2(3, 2).group):
         A = build_algebra(make())
-        full = upper_lie_chain(A)
-        reduced = upper_lie_chain(A, seed_generators_only=True)
+        full = upper_lie_chain(A, seed_generators_only=False)
+        reduced = upper_lie_chain(A)
         assert full.t == reduced.t
         assert [s.basis.tobytes() for s in full.spaces] == \
                [s.basis.tobytes() for s in reduced.spaces]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_dihedral(16).group,
+    lambda: build_heisenberg(3).group,
+], ids=["D16", "H3"])
+def test_bracket_gathers_match_multiplication_scatters(make):
+    A = build_algebra(make())
+    rng = np.random.default_rng(5)
+    block = rng.integers(0, A.p, size=(7, A.dim)).astype(np.int64)
+    for b in range(A.dim):
+        want = (A.right_mult_op(b)(block) - A.left_mult_op(b)(block)) % A.p
+        got = A.bracket_with_basis(block, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_direct_and_formula_routes_agree_on_small_corpus():
