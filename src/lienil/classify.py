@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional
 
 from .conditions import (ConditionRecord, eval_abelian, eval_value,
                          get_conditions, p_applies)
-from .dimension import jennings_index, d_sequence, upper_index
+from .dimension import upper_index
 from .pcgroup import PcGroup
 from .subgroups import (DEFAULT_CAP, IsoType, Subgroup, center,
                         derived_subgroup, fingerprint, intersection,

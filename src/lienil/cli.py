@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -33,13 +32,13 @@ from .catalog import (
     DATA_DIR,
     CatalogEntry,
     build_named,
-    computed_columns,
     import_presentation,
     standard_catalog,
     table_entries,
+    verify_tables,
 )
 from .classify import verify_theorem
-from .dimension import NotLieNilpotent, d_sequence, jennings_index, lie_dimension_chain, upper_index
+from .dimension import NotLieNilpotent, d_sequence_of_chain, jennings_index, lie_dimension_chain, upper_index
 from .dvectors import REPORT_PRIMES, enumerate_admissible
 from .oracle import (
     DEFAULT_ORACLE_CAP,
@@ -126,7 +125,7 @@ def cmd_index(args) -> int:
     cap = _structure_cap(args)
     G = entry.group
     chain = lie_dimension_chain(G, cap)
-    seq = d_sequence(G, cap)
+    seq = d_sequence_of_chain(chain)
     t = jennings_index(seq)
     if args.json:
         _emit_json({
@@ -252,48 +251,34 @@ def cmd_enumerate_d(args) -> int:
     return 0
 
 
-def _check_row(entry: CatalogEntry, cap: int):
-    computed = computed_columns(entry, entry.expected.keys(), cap)
-    details = tuple((key, entry.expected[key], computed[key])
-                    for key in sorted(entry.expected))
-    passed = all(want == got for _, want, got in details)
-    return entry.name, passed, details
-
-
 def cmd_verify_tables(args) -> int:
     base = Path(args.dir) if args.dir else DATA_DIR
     if not base.is_dir():
         raise InputProblem(f"no such directory: {base}")
-    entries = [e for e in table_entries(base) if e.expected]
-    if not entries:
+    report = verify_tables(table_entries(base), _structure_cap(args))
+    if not report.rows:
         raise InputProblem(f"no presentation files with expectations in {base}")
-    cap = _structure_cap(args)
-    workers = min(len(entries), os.cpu_count() or 2)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda e: _check_row(e, cap), entries))
-    rows.sort(key=lambda r: r[0])
-    all_passed = all(passed for _, passed, _ in rows)
     if args.json:
         _emit_json({
             "rows": [
-                {"name": name,
-                 "passed": passed,
+                {"name": row.name,
+                 "passed": row.passed,
                  "columns": {key: {"expected": want, "computed": got}
-                             for key, want, got in details}}
-                for name, passed, details in rows
+                             for key, want, got in row.details}}
+                for row in report.rows
             ],
-            "passed": all_passed,
+            "passed": report.passed,
         })
-        return 0 if all_passed else 1
-    for name, passed, details in rows:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        if not passed:
-            for key, want, got in details:
+        return 0 if report.passed else 1
+    for row in report.rows:
+        print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}")
+        if not row.passed:
+            for key, want, got in row.details:
                 if want != got:
                     print(f"      {key}: expected {want}, computed {got}")
-    good = sum(1 for _, passed, _ in rows if passed)
-    print(f"{good}/{len(rows)} rows passed")
-    return 0 if all_passed else 1
+    good = sum(1 for row in report.rows if row.passed)
+    print(f"{good}/{len(report.rows)} rows passed")
+    return 0 if report.passed else 1
 
 
 def cmd_catalog(args) -> int:

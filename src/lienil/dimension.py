@@ -127,8 +127,12 @@ def lie_dimension_chain(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
 
 def d_sequence(G: PcGroup, cap: int = DEFAULT_CAP) -> DSequence:
     """The Jennings d-sequence of F_p[G] for p the group prime."""
-    chain = lie_dimension_chain(G, cap)
-    p = G.p
+    return d_sequence_of_chain(lie_dimension_chain(G, cap))
+
+
+def d_sequence_of_chain(chain: list[Subgroup]) -> DSequence:
+    """d_(m) = log_p |D_(m) : D_(m+1)| read off a lie_dimension_chain."""
+    p = chain[0].group.p
     values: dict[int, int] = {}
     for idx in range(len(chain) - 1):
         m = idx + 2
@@ -148,17 +152,18 @@ def jennings_index(d: DSequence) -> int:
 
 
 def upper_index(G: PcGroup, cap: int = DEFAULT_CAP) -> int:
-    """t^L of F_p[G]; checks the Lie nilpotency preconditions first.
+    """t^L of F_p[G]; checks the Lie nilpotency preconditions on the way.
 
     For a consistent pc p-group presentation the preconditions (G nilpotent,
-    |G'| a p-power) always hold; they are still verified so the function
-    fails loudly on anything else that may get wired in.
+    |G'| a p-power) always hold; they are still verified, on the dimension
+    chain (D_(2) = G', and the chain descends to 1 only if G is nilpotent),
+    so the function fails loudly on anything else that may get wired in.
     """
-    series = lower_central_series(G, cap)
-    if not series[-1].is_trivial():
+    chain = lie_dimension_chain(G, cap)
+    if not chain[-1].is_trivial():
         raise NotLieNilpotent("group is not nilpotent")
     try:
-        _log_p(series[1].order if len(series) > 1 else 1, G.p)
+        _log_p(chain[0].order, G.p)
     except ValueError as exc:
         raise NotLieNilpotent(f"|G'| is not a power of {G.p}") from exc
-    return jennings_index(d_sequence(G, cap))
+    return jennings_index(d_sequence_of_chain(chain))

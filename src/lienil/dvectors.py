@@ -26,8 +26,6 @@ realizable: deeper structural arguments can still rule them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from lienil.dimension import DSequence
 
 
@@ -40,40 +38,8 @@ def theta_p_prime(p: int, x: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class DVector:
-    """Candidate d-sequence for the admissibility filter (same shape as DSequence)."""
-
-    p: int
-    d: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_dict(cls, p: int, values: dict[int, int]) -> "DVector":
-        return cls(p, tuple(sorted((m, v) for m, v in values.items() if v)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.d)
-
-    def get(self, m: int) -> int:
-        for mm, v in self.d:
-            if mm == m:
-                return v
-        return 0
-
-    def weight(self) -> int:
-        return sum((m - 1) * v for m, v in self.d)
-
-    def __str__(self) -> str:
-        if not self.d:
-            return "{}"
-        return "{" + ", ".join(f"d_({m})={v}" for m, v in self.d) + "}"
-
-
-def lemma_constraints_ok(vec) -> tuple[bool, list[str]]:
-    """Check the two admissibility constraints; returns (ok, violations).
-
-    Accepts a DVector or DSequence (anything with .p, .get(m), .weight()).
-    """
+def lemma_constraints_ok(vec: DSequence) -> tuple[bool, list[str]]:
+    """Check the two admissibility constraints; returns (ok, violations)."""
     p = vec.p
     weight = vec.weight()
     violations: list[str] = []
@@ -111,7 +77,7 @@ def enumerate_raw(weight: int) -> list[dict[int, int]]:
 
     Returned in lexicographic order on (f(1), f(2), ...), largest first.
     Keys of the returned dicts are in the d_(m) convention (key m+1 holds
-    f(m)), matching DVector.
+    f(m)), matching DSequence.
     """
     if weight < 0:
         raise ValueError("weight must be nonnegative")
@@ -133,11 +99,11 @@ def enumerate_raw(weight: int) -> list[dict[int, int]]:
     return out
 
 
-def enumerate_admissible(p: int, weight: int) -> list[DVector]:
+def enumerate_admissible(p: int, weight: int) -> list[DSequence]:
     """All admissible d-vectors of the given weight, deterministic order."""
     survivors = []
     for values in enumerate_raw(weight):
-        vec = DVector.from_dict(p, values)
+        vec = DSequence.from_dict(p, values)
         ok, _ = lemma_constraints_ok(vec)
         if ok:
             survivors.append(vec)
@@ -147,6 +113,6 @@ def enumerate_admissible(p: int, weight: int) -> list[DVector]:
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def proof_case_report(weight: int, primes=REPORT_PRIMES) -> dict[int, list[DVector]]:
+def proof_case_report(weight: int, primes=REPORT_PRIMES) -> dict[int, list[DSequence]]:
     """Admissible vectors of the given weight for each prime of interest."""
     return {p: enumerate_admissible(p, weight) for p in primes}

@@ -2,7 +2,9 @@
 
 Everything here works on numpy int64 arrays holding least non-negative
 residues.  Subspaces are kept in reduced row-echelon form, which makes
-equality, hashing and membership structural operations.
+equality, hashing and membership structural operations.  Row elimination
+multiplies two residues in int64, so rref, FpSubspace and
+EchelonAccumulator accept only primes with ``(p-1)^2 < 2**63``.
 
 Matrix products route through float64 BLAS when ``(p-1)^2 * inner_dim``
 fits a double exactly (< 2**53); the result is exact and is folded back to
@@ -57,6 +59,14 @@ def check_prime(p: int) -> int:
     return int(p)
 
 
+def _check_field(p: int) -> int:
+    """check_prime, plus (p-1)^2 < 2**63 for elimination's int64 products."""
+    # the bound comes first, so huge p fails without trial division
+    if isinstance(p, (int, np.integer)) and (int(p) - 1) ** 2 >= _INT64_LIMIT:
+        raise ValueError(f"GF({p}) elimination needs (p-1)^2 < 2**63")
+    return check_prime(p)
+
+
 def _as_residues(mat, p: int) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim == 1:
@@ -96,7 +106,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, int]:
         (R, rank) where R is the RREF with leading coefficients 1 and zero
         rows (if any) at the bottom, and rank is the number of nonzero rows.
     """
-    check_prime(p)
+    _check_field(p)
     a = _as_residues(mat, p)
     reduced, pivots = _rref_inplace(a, p)
     return reduced, len(pivots)
@@ -149,19 +159,19 @@ class FpSubspace:
 
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "FpSubspace":
-        check_prime(p)
+        _check_field(p)
         return cls(p, ambient_dim, np.zeros((0, ambient_dim), dtype=np.int64), ())
 
     @classmethod
     def full(cls, p: int, ambient_dim: int) -> "FpSubspace":
-        check_prime(p)
+        _check_field(p)
         return cls(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64),
                    tuple(range(ambient_dim)))
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "FpSubspace":
         """Span of the given row vectors."""
-        check_prime(p)
+        _check_field(p)
         a = np.asarray(vectors, dtype=np.int64)
         if a.size == 0:
             return cls.zero(p, ambient_dim)
@@ -214,13 +224,6 @@ class FpSubspace:
         residual = (other.basis - matmul_mod(coeffs, self.basis, self.p)) % self.p
         return not residual.any()
 
-    def reduce_rows(self, block: np.ndarray) -> np.ndarray:
-        """Residual of a (k, n) residue block after projection onto self."""
-        if self.dim == 0:
-            return block
-        coeffs = block[:, list(self.pivots)]
-        return (block - matmul_mod(coeffs, self.basis, self.p)) % self.p
-
 
 def _check_same_space(a: FpSubspace, b: FpSubspace) -> None:
     if a.p != b.p:
@@ -267,7 +270,7 @@ class EchelonAccumulator:
     """
 
     def __init__(self, p: int, ambient_dim: int):
-        self.p = check_prime(p)
+        self.p = _check_field(p)
         self.ambient_dim = ambient_dim
         self._rows = np.zeros((0, ambient_dim), dtype=np.int64)
         self._pivots: list[int] = []

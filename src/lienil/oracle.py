@@ -60,25 +60,18 @@ class GroupAlgebra:
 
     def left_mult_op(self, b: int) -> Callable[[np.ndarray], np.ndarray]:
         """Operator v -> e_b * v on coefficient row blocks."""
-        dest = self.table[b, :]
-
-        def op(block: np.ndarray) -> np.ndarray:
-            out = np.empty_like(block)
-            out[:, dest] = block
-            return out
-
-        return op
+        return _scatter_op(self.table[b, :])
 
     def right_mult_op(self, b: int) -> Callable[[np.ndarray], np.ndarray]:
         """Operator v -> v * e_b on coefficient row blocks."""
-        dest = self.table[:, b]
+        return _scatter_op(self.table[:, b])
 
-        def op(block: np.ndarray) -> np.ndarray:
-            out = np.empty_like(block)
-            out[:, dest] = block
-            return out
+    @cached_property
+    def chain_bound(self) -> int:
+        """|G'| + 2, the a-priori stopping bound for both Lie chains."""
+        from lienil.subgroups import derived_subgroup, whole_group
 
-        return op
+        return derived_subgroup(whole_group(self.group), self.dim).order + 2
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
@@ -110,6 +103,17 @@ class GroupAlgebra:
             ops.append(self.left_mult_op(g))
             ops.append(self.right_mult_op(g))
         return ops
+
+
+def _scatter_op(dest: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Operator sending coordinate x of each row to coordinate dest[x]."""
+
+    def op(block: np.ndarray) -> np.ndarray:
+        out = np.empty_like(block)
+        out[:, dest] = block
+        return out
+
+    return op
 
 
 def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
@@ -189,13 +193,6 @@ def _seed_brackets(A: GroupAlgebra, basis_block: np.ndarray,
     return acc.snapshot()
 
 
-def _chain_bound(A: GroupAlgebra) -> int:
-    """|G'| + 2, the a-priori stopping bound for both chains."""
-    from lienil.subgroups import derived_subgroup, whole_group
-
-    return derived_subgroup(whole_group(A.group), A.dim).order + 2
-
-
 def upper_lie_chain(A: GroupAlgebra, seed_generators_only: bool = True,
                     max_terms: Optional[int] = None) -> LiePowerChain:
     """The chain M^(n): each term is the ideal generated by brackets of the
@@ -212,7 +209,7 @@ def upper_lie_chain(A: GroupAlgebra, seed_generators_only: bool = True,
     against = (A.generator_indices if seed_generators_only
                else tuple(range(A.dim)))
     ops = A.ideal_operators()
-    bound = _chain_bound(A) if max_terms is None else max_terms
+    bound = A.chain_bound if max_terms is None else max_terms
     full = FpSubspace.full(A.p, A.dim)
     spaces = [full]
     while True:
@@ -246,7 +243,7 @@ def lower_lie_chain(A: GroupAlgebra,
     """
     all_basis = tuple(range(A.dim))
     ops = A.ideal_operators()
-    bound = _chain_bound(A) if max_terms is None else max_terms
+    bound = A.chain_bound if max_terms is None else max_terms
     full = FpSubspace.full(A.p, A.dim)
     v_current = full
     spaces = [full]

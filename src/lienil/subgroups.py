@@ -10,9 +10,9 @@ their lower central series, derived subgroup and power subgroups computed.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from lienil.pcgroup import Element, PcGroup
 
@@ -141,28 +141,45 @@ def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subg
     return Subgroup(G, frozenset(seen), gens if gens else ())
 
 
-def normal_closure(G: PcGroup, gens: Iterable[Element],
-                   cap: int = DEFAULT_CAP) -> Subgroup:
-    """Smallest normal subgroup of G containing gens.
+def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
+    """The non-identity brackets [gens[b], gens[a]] for a < b."""
+    for a in range(len(gens)):
+        for b in range(a + 1, len(gens)):
+            c = G.commutator(gens[b], gens[a])
+            if c != G.identity:
+                yield c
 
-    Alternates closure with conjugation of the generating set by the pc
-    generators of G until stable; conjugating a generating set by a
-    generating set of G suffices because (xy)^g = x^g y^g.
+
+def _conjugation_closure(G: PcGroup, gens: Iterable[Element],
+                         conjugators: Sequence[Element], cap: int) -> Subgroup:
+    """Smallest subgroup containing gens and closed under conjugation by
+    every element of `conjugators`.
+
+    Alternates closure with conjugation of the generating set until stable;
+    conjugating a generating set suffices because (xy)^g = x^g y^g.
     """
     work = list(dict.fromkeys(g for g in gens if g != G.identity))
-    parent = G.generators()
     sub = closure(G, work, cap)
     changed = True
     while changed:
         changed = False
         for x in list(work):
-            for g in parent:
+            for g in conjugators:
                 y = G.conjugate(x, g)
                 if y not in sub:
                     work.append(y)
                     sub = closure(G, work, cap)
                     changed = True
     return sub
+
+
+def normal_closure(G: PcGroup, gens: Iterable[Element],
+                   cap: int = DEFAULT_CAP) -> Subgroup:
+    """Smallest normal subgroup of G containing gens.
+
+    Conjugating by the pc generators of G suffices, since they generate G.
+    """
+    return _conjugation_closure(G, gens, G.generators(), cap)
 
 
 def subgroup_product(H: Subgroup, K: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
@@ -213,30 +230,11 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
 
 def derived_subgroup(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
     """Commutator subgroup of H (normal closure in H of generator brackets)."""
-    if H._derived is not None:
-        return H._derived
-    G = H.group
-    gens = H.generators
-    seeds = []
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            c = G.commutator(gens[b], gens[a])
-            if c != G.identity:
-                seeds.append(c)
-    work = list(dict.fromkeys(seeds))
-    sub = closure(G, work, cap)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(work):
-            for g in gens:
-                y = G.conjugate(x, g)
-                if y not in sub:
-                    work.append(y)
-                    sub = closure(G, work, cap)
-                    changed = True
-    H._derived = sub
-    return sub
+    if H._derived is None:
+        G = H.group
+        H._derived = _conjugation_closure(
+            G, _generator_commutators(G, H.generators), H.generators, cap)
+    return H._derived
 
 
 def center(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
@@ -262,15 +260,9 @@ def center(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
 def lower_central_series(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
     """[gamma_1 = G, gamma_2, ..., 1]; gamma_1 is the whole-group marker."""
     series = [whole_group(G)]
-    gens = G.generators()
-    seeds = []
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            c = G.commutator(gens[b], gens[a])
-            if c != G.identity:
-                seeds.append(c)
-    current = normal_closure(G, seeds, cap)
+    current = derived_subgroup(series[0], cap)
     series.append(current)
+    gens = G.generators()
     while not current.is_trivial():
         brackets = []
         for x in current.generators:
@@ -287,13 +279,7 @@ def lower_central_series(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
 
 
 def is_abelian(H: Subgroup) -> bool:
-    G = H.group
-    gens = H.generators
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            if G.commutator(gens[b], gens[a]) != G.identity:
-                return False
-    return True
+    return next(_generator_commutators(H.group, H.generators), None) is None
 
 
 def _log_p(n: int, p: int) -> int:
@@ -306,13 +292,26 @@ def _log_p(n: int, p: int) -> int:
     return k
 
 
-def abelian_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
-    """Invariant factors [p^l1, p^l2, ...] (descending) of an abelian H.
+def _factors_from_power_orders(s: list[int], p: int) -> list[int]:
+    """Invariant factors (descending) of an abelian p-group from
+    s_j = log_p |A^(p^j)|, j = 0, 1, ... down to the trivial term.
 
-    Derived from the orders of the power subgroups H^(p^j): with
-    s_j = log_p |H^(p^j)|, the count of factors of order >= p^(j+1) is
-    s_j - s_(j+1), which pins the factor multiset uniquely.
+    The count of factors of order > p^j is s_j - s_(j+1), which pins the
+    factor multiset uniquely.
     """
+    counts = [s[j] - s[j + 1] for j in range(len(s) - 1)]
+    rank = counts[0] if counts else 0
+    factors = []
+    for i in range(1, rank + 1):
+        lam = max(j + 1 for j in range(len(counts)) if counts[j] >= i)
+        factors.append(p**lam)
+    assert sum(_log_p(f, p) for f in factors) == s[0]
+    return sorted(factors, reverse=True)
+
+
+def abelian_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
+    """Invariant factors [p^l1, p^l2, ...] (descending) of an abelian H,
+    derived from the orders of the power subgroups H^(p^j)."""
     if not is_abelian(H):
         raise ValueError("subgroup is not abelian")
     H = H.enumerated(cap)
@@ -322,15 +321,7 @@ def abelian_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
     while current.order > 1:
         current = power_subgroup(current, p, cap)
         s.append(_log_p(current.order, p))
-    counts = [s[j] - s[j + 1] for j in range(len(s) - 1)]  # factors with order > p^j
-    factors: list[int] = []
-    total = s[0]
-    rank = counts[0] if counts else 0
-    for i in range(1, rank + 1):
-        lam = max(j + 1 for j in range(len(counts)) if counts[j] >= i)
-        factors.append(p**lam)
-    assert sum(_log_p(f, p) for f in factors) == total
-    return sorted(factors, reverse=True)
+    return _factors_from_power_orders(s, p)
 
 
 @dataclass(frozen=True)
@@ -376,13 +367,7 @@ def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
         if quotient_order == 1:
             break
         j += 1
-    counts = [s[j] - s[j + 1] for j in range(len(s) - 1)]
-    rank = counts[0] if counts else 0
-    factors = []
-    for i in range(1, rank + 1):
-        lam = max(j + 1 for j in range(len(counts)) if counts[j] >= i)
-        factors.append(p**lam)
-    return sorted(factors, reverse=True)
+    return _factors_from_power_orders(s, p)
 
 
 def fingerprint(H: Subgroup, cap: int = DEFAULT_CAP) -> IsoType:
@@ -420,13 +405,12 @@ def order_histogram(H: Subgroup) -> dict[int, int]:
     return hist
 
 
-def conjugacy_class_sizes(H: Subgroup) -> list[int]:
-    """Sorted conjugacy class sizes of an enumerated subgroup."""
+def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
+    """The conjugacy classes of an enumerated subgroup, as element sets."""
     H._require_elements()
     G = H.group
     gens = H.generators if H.generators else tuple(H.elements)
     left: set[Element] = set(H.elements)
-    sizes = []
     while left:
         x = left.pop()
         orbit = {x}
@@ -439,5 +423,35 @@ def conjugacy_class_sizes(H: Subgroup) -> list[int]:
                     orbit.add(z)
                     frontier.append(z)
         left -= orbit
-        sizes.append(len(orbit))
-    return sorted(sizes)
+        yield orbit
+
+
+def conjugacy_class_sizes(H: Subgroup) -> list[int]:
+    """Sorted conjugacy class sizes of an enumerated subgroup."""
+    return sorted(len(orbit) for orbit in _conjugacy_classes(H))
+
+
+def joint_order_class_histogram(H: Subgroup) -> tuple:
+    """Sorted ((element order, class size), count) pairs, counted by element."""
+    G = H.group
+    pairs: Counter = Counter()
+    for orbit in _conjugacy_classes(H):
+        pairs[(G.element_order(next(iter(orbit))), len(orbit))] += len(orbit)
+    return tuple(sorted(pairs.items()))
+
+
+def pth_power_in_commutator_closure_count(H: Subgroup) -> int:
+    """#{x in H : x^p lies in the normal closure in H of [x, H]}.
+
+    An isomorphism invariant that separates groups the class and order
+    statistics cannot.
+    """
+    H._require_elements()
+    G = H.group
+    count = 0
+    for x in H.elements:
+        image = _conjugation_closure(G, (G.commutator(x, g) for g in H.generators),
+                                     H.generators, H.order)  # stays inside H
+        if G.power(x, G.p) in image:
+            count += 1
+    return count

@@ -11,7 +11,7 @@ import pytest
 from lienil.catalog import build_dihedral, build_free_class2, build_heisenberg, standard_catalog, table_entries, verify_tables
 from lienil.classify import verify_theorem
 from lienil.dimension import DSequence, d_sequence, jennings_index
-from lienil.dvectors import DVector, enumerate_admissible, enumerate_raw, lemma_constraints_ok
+from lienil.dvectors import enumerate_admissible, enumerate_raw, lemma_constraints_ok
 from lienil.oracle import t_lower_direct, t_upper_direct
 from lienil.subgroups import abelian_invariants, derived_subgroup, lower_central_series, whole_group
 
@@ -128,12 +128,12 @@ def test_check5_weight_10_survivor_inventory(capsys):
     assert len(raw) == 42
     problems = []
     for p in (2, 3, 5, 7, 11):
-        golden = {DVector.from_dict(p, d) for d in GENERIC_10 + EXTRA_10[p]}
+        golden = {DSequence.from_dict(p, d) for d in GENERIC_10 + EXTRA_10[p]}
         survivors = set(enumerate_admissible(p, 10))
         if survivors != golden:
             problems.append(f"p={p}: {survivors ^ golden}")
         for d in raw:
-            vec = DVector.from_dict(p, d)
+            vec = DSequence.from_dict(p, d)
             ok, violations = lemma_constraints_ok(vec)
             if ok != (vec in golden) or (not ok and not violations):
                 problems.append(f"p={p}, {d}: constraint check disagrees")
@@ -143,11 +143,11 @@ def test_check5_weight_10_survivor_inventory(capsys):
     if d8_primes != {7}:
         problems.append(f"d_(8) support {d8_primes}")
     if {p for p in (2, 3, 5, 7, 11)
-            if DVector.from_dict(p, {2: 5, 6: 1})
+            if DSequence.from_dict(p, {2: 5, 6: 1})
             in set(enumerate_admissible(p, 10))} != {5}:
         problems.append("{d2=5, d6=1} support wrong")
     if {p for p in (2, 3, 5, 7, 11)
-            if DVector.from_dict(p, {2: 4, 3: 1, 5: 1})
+            if DSequence.from_dict(p, {2: 4, 3: 1, 5: 1})
             in set(enumerate_admissible(p, 10))} != {2}:
         problems.append("{d2=4, d3=1, d5=1} support wrong")
     report(capsys, 5, "weight-10 survivors match the reviewed golden lists",
@@ -176,8 +176,7 @@ def test_check7_catalog_sequences_satisfy_lemma_constraints(capsys):
     bad = []
     for e in standard_catalog():
         seq = d_sequence(e.group)
-        vec = DVector.from_dict(e.group.p, seq.as_dict())
-        ok, violations = lemma_constraints_ok(vec)
+        ok, violations = lemma_constraints_ok(seq)
         if not ok or violations:
             bad.append((e.name, violations))
     report(capsys, 7, "every realized d-sequence is admissible", not bad,

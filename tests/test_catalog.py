@@ -25,8 +25,8 @@ from lienil.catalog import (
 )
 from lienil.subgroups import (
     center,
-    normal_closure,
-    order_histogram,
+    joint_order_class_histogram,
+    pth_power_in_commutator_closure_count,
     whole_group,
 )
 
@@ -177,43 +177,6 @@ def test_reference_fingerprints():
 # rows sharing all published column values must still be non-isomorphic
 
 
-def joint_order_class_histogram(G):
-    """Multiset of (element order, conjugacy class size) pairs."""
-    W = whole_group(G).enumerated()
-    gens = G.generators()
-    left = set(W.elements)
-    pairs = Counter()
-    while left:
-        x = left.pop()
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = G.conjugate(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        left -= orbit
-        for y in orbit:
-            pairs[(G.element_order(y), len(orbit))] += 1
-    return tuple(sorted(pairs.items()))
-
-
-def pth_power_in_commutator_closure_count(G):
-    """#{x : x^p lies in the normal closure of [x, G]}; an isomorphism
-    invariant that separates groups the class/order statistics cannot."""
-    W = whole_group(G).enumerated()
-    gens = G.generators()
-    count = 0
-    for x in W.elements:
-        seeds = [c for g in gens if (c := G.commutator(x, g)) != G.identity]
-        sub = normal_closure(G, seeds)
-        if G.power(x, G.p) in sub:
-            count += 1
-    return count
-
-
 TWIN_BLOCKS = (("13", "14", "15"), ("16", "19"), ("38", "39"),
                ("41", "42"), ("56", "57"))
 
@@ -228,7 +191,8 @@ def test_twin_blocks_share_their_column_values():
 @pytest.mark.parametrize("block", TWIN_BLOCKS, ids=["-".join(b) for b in TWIN_BLOCKS])
 def test_twin_blocks_are_pairwise_nonisomorphic(block):
     by_name = {e.name: e for e in table_entries()}
-    groups = {n: by_name[f"S(243,{n})"].group for n in block}
+    groups = {n: whole_group(by_name[f"S(243,{n})"].group).enumerated()
+              for n in block}
     hists = {n: joint_order_class_histogram(G) for n, G in groups.items()}
     for i, a in enumerate(block):
         for b in block[i + 1:]:

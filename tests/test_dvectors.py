@@ -9,9 +9,8 @@ up as a diff against known-good output.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil.dimension import d_sequence
+from lienil.dimension import DSequence, d_sequence
 from lienil.dvectors import (
-    DVector,
     REPORT_PRIMES,
     enumerate_admissible,
     enumerate_raw,
@@ -45,7 +44,7 @@ EXTRA_10 = {
 
 
 def golden(p):
-    return {DVector.from_dict(p, d) for d in GENERIC_10 + EXTRA_10[p]}
+    return {DSequence.from_dict(p, d) for d in GENERIC_10 + EXTRA_10[p]}
 
 
 def test_theta_p_prime():
@@ -58,12 +57,12 @@ def test_theta_p_prime():
 
 
 def test_dvector_round_trip():
-    v = DVector.from_dict(7, {8: 1, 2: 3})
+    v = DSequence.from_dict(7, {8: 1, 2: 3})
     assert v.as_dict() == {2: 3, 8: 1}
     assert v.get(8) == 1 and v.get(5) == 0
     assert v.weight() == 10
     assert str(v) == "{d_(2)=3, d_(8)=1}"
-    assert str(DVector.from_dict(2, {})) == "{}"
+    assert str(DSequence.from_dict(2, {})) == "{}"
 
 
 def test_raw_enumeration_counts_are_partition_numbers():
@@ -102,10 +101,10 @@ def test_top_index_support_is_prime_specific():
         assert any(v.get(6) for v in survivors) == (p == 5)
         # The d_(5) vectors with no d_(4) support survive only at p = 2
         # ({d_(2)=1, d_(3)=1, d_(4)=1, d_(5)=1} is generic and always there).
-        assert (DVector.from_dict(p, {2: 4, 3: 1, 5: 1}) in survivors) == (p == 2)
-        assert (DVector.from_dict(p, {2: 2, 3: 2, 5: 1}) in survivors) == (p == 2)
-        assert (DVector.from_dict(p, {2: 5, 6: 1}) in survivors) == (p == 5)
-        assert (DVector.from_dict(p, {2: 3, 8: 1}) in survivors) == (p == 7)
+        assert (DSequence.from_dict(p, {2: 4, 3: 1, 5: 1}) in survivors) == (p == 2)
+        assert (DSequence.from_dict(p, {2: 2, 3: 2, 5: 1}) in survivors) == (p == 2)
+        assert (DSequence.from_dict(p, {2: 5, 6: 1}) in survivors) == (p == 5)
+        assert (DSequence.from_dict(p, {2: 3, 8: 1}) in survivors) == (p == 7)
 
 
 def test_named_discards_are_absent():
@@ -120,7 +119,7 @@ def test_named_discards_are_absent():
         (2, {11: 1}),        # single huge entry: every intermediate vanishes
     ]
     for p, values in rejected:
-        vec = DVector.from_dict(p, values)
+        vec = DSequence.from_dict(p, values)
         ok, violations = lemma_constraints_ok(vec)
         assert not ok, vec
         assert violations
@@ -130,7 +129,7 @@ def test_constraint_one_is_scoped_to_vanishing_entries():
     # {d_(2)=1, d_(4)=3} at p = 3: d_(3) = 0 but 3*1+1 = 4 has d_(4) != 0
     # only under the over-wide premise; the sequence is admissible (and
     # group-realizable), so the filter must keep it.
-    vec = DVector.from_dict(3, {2: 1, 4: 3})
+    vec = DSequence.from_dict(3, {2: 1, 4: 3})
     ok, violations = lemma_constraints_ok(vec)
     assert ok, violations
 
@@ -146,7 +145,7 @@ def test_lemma_constraints_accept_real_group_sequences():
 @settings(max_examples=30, deadline=None)
 @given(p=st.sampled_from(REPORT_PRIMES), w=st.integers(1, 8))
 def test_survivors_are_a_subset_of_raw_with_right_weight(p, w):
-    raw = {DVector.from_dict(p, v) for v in enumerate_raw(w)}
+    raw = {DSequence.from_dict(p, v) for v in enumerate_raw(w)}
     for vec in enumerate_admissible(p, w):
         assert vec in raw
         assert vec.weight() == w

@@ -243,6 +243,23 @@ def test_matmul_mod_matches_integer_arithmetic(p, seed):
     assert matmul_mod(top, top.T, q).tolist() == [[3]]
 
 
+def test_elimination_rejects_primes_whose_products_overflow_int64():
+    # (p-1)^2 < 2**63 holds up to q = 3037000493; from the next prime on,
+    # one product of two residues wraps int64.
+    q = 3037000493
+    rows = [[3, q - 2], [5, 7]]
+    reduced, rank = rref(rows, q)
+    assert reduced[:rank].tolist() == naive_rref(rows, q)
+    for p in (3037000507, 2**32 + 15):
+        with pytest.raises(ValueError):
+            rref([[3, p - 2]], p)
+        with pytest.raises(ValueError):
+            FpSubspace.from_vectors(p, 2, [[3, p - 2]])
+        with pytest.raises(ValueError):
+            EchelonAccumulator(p, 2)
+        assert check_prime(p) == p  # presentations still accept it
+
+
 def test_check_prime_accepts_and_rejects():
     for p in (2, 3, 5, 7, 11, 13, 17, 101):
         assert check_prime(p) == p

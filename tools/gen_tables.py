@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -41,13 +40,13 @@ sys.path.insert(0, str(REPO / "src"))
 from lienil.catalog import DATA_DIR, CatalogEntry, computed_columns, verify_tables, table_entries
 from lienil.pcgroup import PcGroup, PresentationError, PresentationMeta
 from lienil.subgroups import (
-    Subgroup,
     center,
     closure,
     derived_subgroup,
     fingerprint,
-    normal_closure,
+    joint_order_class_histogram,
     power_subgroup,
+    pth_power_in_commutator_closure_count,
     subgroup_product,
     whole_group,
 )
@@ -60,43 +59,6 @@ T23_KEYS = ("Gp3", "expGp", "zeta", "Gpp", "GppcapGp3", "Gp3capZeta")
 
 # ---------------------------------------------------------------------------
 # invariants used to separate same-profile entries
-
-
-def _elements(G: PcGroup) -> list:
-    return sorted(whole_group(G).enumerated(CAP))
-
-
-def joint_order_class_histogram(G: PcGroup) -> tuple:
-    """Multiset of (element order, conjugacy class size), counted by element."""
-    gens = list(G.generators())
-    seen: set = set()
-    hist: Counter = Counter()
-    for x in _elements(G):
-        if x in seen:
-            continue
-        cls = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = G.conjugate(y, g)
-                if z not in cls:
-                    cls.add(z)
-                    frontier.append(z)
-        seen |= cls
-        hist[(G.element_order(x), len(cls))] += len(cls)
-    return tuple(sorted(hist.items()))
-
-
-def cube_in_commutator_image_count(G: PcGroup) -> int:
-    """Number of x whose cube lies in the subgroup generated by [x, G]."""
-    gens = list(G.generators())
-    count = 0
-    for x in _elements(G):
-        image = normal_closure(G, [G.commutator(x, g) for g in gens], CAP)
-        if G.power(x, 3) in image:
-            count += 1
-    return count
 
 
 def central_cube_count(G: PcGroup) -> int:
@@ -142,9 +104,10 @@ def maximal_subgroup_fingerprints(G: PcGroup) -> tuple:
 
 
 def strong_invariant(G: PcGroup) -> tuple:
+    W = whole_group(G).enumerated(CAP)
     return (
-        joint_order_class_histogram(G),
-        cube_in_commutator_image_count(G),
+        joint_order_class_histogram(W),
+        pth_power_in_commutator_closure_count(W),
         central_cube_count(G),
         maximal_subgroup_fingerprints(G),
     )
