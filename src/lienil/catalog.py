@@ -17,14 +17,14 @@ row by row (see the repository README for the exact claim).
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .pcgroup import PcGroup, PresentationMeta, Word, parse_presentation_with_meta
-from .subgroups import (DEFAULT_CAP, IsoType, Subgroup, center,
-                        derived_subgroup, fingerprint, intersection,
-                        power_subgroup, whole_group)
+from .pcgroup import PcGroup, PresentationError, Word, parse_presentation_with_meta
+from .subgroups import (DEFAULT_CAP, IsoType, center, derived_subgroup,
+                        fingerprint, intersection, power_subgroup, whole_group)
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "tables"
 
@@ -313,16 +313,19 @@ def standard_catalog(include_large: bool = True) -> list[CatalogEntry]:
 
 
 def import_presentation(path: str | Path) -> CatalogEntry:
-    """Load a .pres file into a consistency-checked entry."""
+    """Load a .pres file into a consistency-checked entry.
+
+    Raises PresentationError, prefixed with the file name, for text that
+    does not parse (or is not UTF-8).
+    """
     path = Path(path)
-    group, meta = parse_presentation_with_meta(path.read_text(encoding="utf-8"))
+    try:
+        group, meta = parse_presentation_with_meta(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise PresentationError(f"{path.name}: {exc}") from None
     name = path.stem
     if meta.small_group_id:
         order, number = meta.small_group_id
-        if group.order != order:
-            raise ValueError(
-                f"{path.name}: declared id order {order} but the "
-                f"presentation has order {group.order}")
         name = f"S({order},{number})"
     return CatalogEntry(name, group, declared_id=meta.small_group_id,
                         expected=dict(meta.expect),
@@ -337,8 +340,15 @@ def table_entries(data_dir: Optional[str | Path] = None) -> list[CatalogEntry]:
     return entries
 
 
-def _iso_str(sub: Subgroup, cap: int) -> str:
-    return str(fingerprint(sub, cap))
+# every table column key; <q> is a positive integer exponent
+_COLUMN_KEY = re.compile(
+    r"expGp|zeta|Gpp|GppcapZeta|GppcapGp[1-9][0-9]*|Gp[1-9][0-9]*(capZeta)?")
+
+
+def _check_column_keys(name: str, keys: Iterable[str]) -> None:
+    for key in keys:
+        if not _COLUMN_KEY.fullmatch(key):
+            raise PresentationError(f"{name}: unknown expectation key {key!r}")
 
 
 def computed_columns(entry: CatalogEntry, keys: Iterable[str],
@@ -348,47 +358,30 @@ def computed_columns(entry: CatalogEntry, keys: Iterable[str],
     The group itself plays the derived-subgroup role, so `Gp5`/`Gp3`
     mean its own fifth/cube power subgroup, `Gpp` its derived subgroup,
     `zeta` its centre, and the cap keys the pairwise intersections.
+    Unknown keys raise PresentationError before any column is computed.
     """
+    keys = list(keys)
+    _check_column_keys(entry.name, keys)
     W = whole_group(entry.group).enumerated(cap)
-    cache: dict[str, Subgroup] = {}
-
-    def power_of(q: int) -> Subgroup:
-        key = f"^{q}"
-        if key not in cache:
-            cache[key] = power_subgroup(W, q, cap)
-        return cache[key]
-
-    def zeta() -> Subgroup:
-        if "z" not in cache:
-            cache["z"] = center(W, cap)
-        return cache["z"]
-
-    def derived() -> Subgroup:
-        if "d" not in cache:
-            cache["d"] = derived_subgroup(W, cap)
-        return cache["d"]
-
     out: dict[str, str] = {}
     for key in keys:
+        q = int(re.sub(r"\D", "", key) or 0)  # the <q> of a power key
         if key == "expGp":
             out[key] = str(W.exponent())
-        elif key == "zeta":
-            out[key] = _iso_str(zeta(), cap)
+            continue
+        if key == "zeta":
+            sub = center(W, cap)
         elif key == "Gpp":
-            out[key] = _iso_str(derived(), cap)
-        elif key.startswith("GppcapGp"):
-            q = int(key[len("GppcapGp"):])
-            out[key] = _iso_str(intersection(derived(), power_of(q)), cap)
+            sub = derived_subgroup(W, cap)
         elif key == "GppcapZeta":
-            out[key] = _iso_str(intersection(derived(), zeta()), cap)
-        elif key.startswith("Gp") and key.endswith("capZeta"):
-            q = int(key[2:-len("capZeta")])
-            out[key] = _iso_str(intersection(power_of(q), zeta()), cap)
-        elif key.startswith("Gp"):
-            q = int(key[2:])
-            out[key] = _iso_str(power_of(q), cap)
+            sub = intersection(derived_subgroup(W, cap), center(W, cap))
+        elif key.startswith("GppcapGp"):
+            sub = intersection(derived_subgroup(W, cap), power_subgroup(W, q, cap))
+        elif key.endswith("capZeta"):
+            sub = intersection(power_subgroup(W, q, cap), center(W, cap))
         else:
-            raise ValueError(f"unknown expectation key {key!r}")
+            sub = power_subgroup(W, q, cap)
+        out[key] = str(fingerprint(sub, cap))
     return out
 
 
@@ -422,13 +415,16 @@ class TableReport:
 
 def verify_tables(entries: Optional[Iterable[CatalogEntry]] = None,
                   cap: int = DEFAULT_CAP) -> TableReport:
-    """Diff expected column values against computed ones, row by row."""
-    if entries is None:
-        entries = table_entries()
+    """Diff expected column values against computed ones, row by row.
+
+    Every row's keys are checked before any column is computed.
+    """
+    entries = [e for e in (table_entries() if entries is None else entries)
+               if e.expected]
+    for entry in entries:
+        _check_column_keys(entry.name, entry.expected)
     rows: list[RowCheck] = []
     for entry in entries:
-        if not entry.expected:
-            continue
         computed = computed_columns(entry, entry.expected.keys(), cap)
         details = tuple((key, entry.expected[key], computed[key])
                         for key in sorted(entry.expected))

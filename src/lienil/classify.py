@@ -18,7 +18,6 @@ ambiguous rather than silently matched or dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Callable, Mapping, Optional
 
 from .conditions import (ConditionRecord, eval_abelian, eval_value,
@@ -95,14 +94,6 @@ class StructureProfile:
             raise KeyError(f"power subgroup for exponent {q} not profiled")
 
 
-def _power_of_derived(derived: Subgroup, q: int, p: int, cap: int) -> Subgroup:
-    # q coprime to p makes the q-th power map surjective on a p-group,
-    # so the generated subgroup is the whole of it; skip the enumeration.
-    if q % p != 0:
-        return derived
-    return power_subgroup(derived, q, cap)
-
-
 def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
             cap: int = DEFAULT_CAP) -> StructureProfile:
     """Compute the structure profile of a pc group."""
@@ -130,7 +121,7 @@ def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
 
     powers: dict[int, PowerInfo] = {}
     for q in sorted({2, 3, p, p * p}):
-        P = _power_of_derived(derived, q, p, cap).enumerated(cap)
+        P = power_subgroup(derived, q, cap)
         powers[q] = PowerInfo(
             q=q,
             order=P.order,
@@ -144,7 +135,7 @@ def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
             in_centre=P <= zeta,
         )
 
-    u = subgroup_product(_power_of_derived(derived, p * p, p, cap),
+    u = subgroup_product(power_subgroup(derived, p * p, cap),
                          power_subgroup(g3, p, cap), cap)
 
     inv = None

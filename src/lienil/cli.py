@@ -98,8 +98,8 @@ def _load_entry(args) -> CatalogEntry:
             raise InputProblem(f"no such file: {path}")
         try:
             entry = import_presentation(path)
-        except (PresentationError, ValueError) as exc:
-            raise InputProblem(f"{path.name}: {exc}")
+        except PresentationError as exc:
+            raise InputProblem(str(exc))
     else:
         raise InputProblem("need a presentation file or --builder name:params")
     if args.p is not None and entry.group.p != args.p:
@@ -255,7 +255,10 @@ def cmd_verify_tables(args) -> int:
     base = Path(args.dir) if args.dir else DATA_DIR
     if not base.is_dir():
         raise InputProblem(f"no such directory: {base}")
-    report = verify_tables(table_entries(base), _structure_cap(args))
+    try:
+        report = verify_tables(table_entries(base), _structure_cap(args))
+    except PresentationError as exc:
+        raise InputProblem(str(exc))
     if not report.rows:
         raise InputProblem(f"no presentation files with expectations in {base}")
     if args.json:
@@ -270,12 +273,8 @@ def cmd_verify_tables(args) -> int:
             "passed": report.passed,
         })
         return 0 if report.passed else 1
-    for row in report.rows:
-        print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}")
-        if not row.passed:
-            for key, want, got in row.details:
-                if want != got:
-                    print(f"      {key}: expected {want}, computed {got}")
+    for line in report.lines():
+        print(line)
     good = sum(1 for row in report.rows if row.passed)
     print(f"{good}/{len(report.rows)} rows passed")
     return 0 if report.passed else 1

@@ -71,23 +71,16 @@ class NotLieNilpotent(ValueError):
     """F_p[G] is not Lie nilpotent for the requested (G, p)."""
 
 
-def _gamma_power(cache: dict, series: list[Subgroup], i: int, j: int,
-                 cap: int) -> Subgroup:
-    key = (i, j)
-    if key not in cache:
-        p = series[0].group.p
-        cache[key] = power_subgroup(series[i - 1], p**j, cap)
-    return cache[key]
-
-
 def lie_dimension_subgroup(G: PcGroup, m: int, cap: int = DEFAULT_CAP,
-                           _series: Optional[list[Subgroup]] = None,
-                           _cache: Optional[dict] = None) -> Subgroup:
-    """The m-th Lie dimension subgroup, m >= 2, by the product formula."""
+                           _series: Optional[list[Subgroup]] = None) -> Subgroup:
+    """The m-th Lie dimension subgroup, m >= 2, by the product formula.
+
+    The powers gamma_i^(p^j) are memoized on the series terms, so a chain
+    that passes its series in computes each of them once.
+    """
     if m < 2:
         raise ValueError(f"Lie dimension subgroups start at m = 2, got {m}")
     series = lower_central_series(G, cap) if _series is None else _series
-    cache = {} if _cache is None else _cache
     p = G.p
     result = trivial_subgroup(G)
     for i in range(2, len(series) + 1):
@@ -96,7 +89,7 @@ def lie_dimension_subgroup(G: PcGroup, m: int, cap: int = DEFAULT_CAP,
             break
         j = 0
         while True:
-            piece = _gamma_power(cache, series, i, j, cap)
+            piece = power_subgroup(gamma_i, p**j, cap)
             if (i - 1) * p**j >= m - 1:
                 result = subgroup_product(result, piece, cap)
             if piece.is_trivial():
@@ -112,11 +105,10 @@ def lie_dimension_chain(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
     as a cross-check on the subgroup products.
     """
     series = lower_central_series(G, cap)
-    cache: dict = {}
     chain: list[Subgroup] = []
     m = 2
     while True:
-        dm = lie_dimension_subgroup(G, m, cap, _series=series, _cache=cache)
+        dm = lie_dimension_subgroup(G, m, cap, _series=series)
         if chain:
             assert dm <= chain[-1], f"D_({m}) not contained in D_({m-1})"
         chain.append(dm)

@@ -60,8 +60,7 @@ class PcGroup:
 
     def __init__(self, p: int, ngens: int,
                  powers: dict[int, Word],
-                 comms: dict[tuple[int, int], Word],
-                 check: bool = True):
+                 comms: dict[tuple[int, int], Word]):
         """Build a presentation from relation dictionaries (0-based indices).
 
         Args:
@@ -70,8 +69,6 @@ class PcGroup:
             powers: map i -> normal word for g_i^p; missing i means g_i^p = 1.
             comms: map (j, i) with j > i -> normal word for [g_j, g_i];
                 missing pairs commute; trivial words may be omitted.
-            check: run the overlap consistency check (skippable only by
-                callers that already checked an identical presentation).
         """
         check_prime(p)
         if ngens < 1:
@@ -108,8 +105,7 @@ class PcGroup:
             tuple(sorted(js)) for js in partners
         ]
         self.identity: Element = (0,) * ngens
-        if check:
-            self._consistency_check()
+        self._consistency_check()
 
     # -- word validation ------------------------------------------------
 
@@ -309,7 +305,7 @@ def format_word(w: Word) -> str:
     return " ".join(f"g{gen+1}^{exp}" for gen, exp in w)
 
 
-def _parse_word(token: str, p: int, lineno: int) -> Word:
+def _parse_word(token: str, lineno: int) -> Word:
     token = token.strip()
     if token == "1":
         return ()
@@ -369,7 +365,7 @@ def parse_presentation_with_meta(text: str) -> tuple[PcGroup, PresentationMeta]:
             if i in seen_pow:
                 raise PresentationError(f"line {lineno}: duplicate pow {i}")
             seen_pow.add(i)
-            powers[i - 1] = _parse_word(word_s, p, lineno)
+            powers[i - 1] = _parse_word(word_s, lineno)
         elif key == "comm":
             if p is None or ngens is None:
                 raise PresentationError(f"line {lineno}: comm before p/gens")
@@ -390,12 +386,15 @@ def parse_presentation_with_meta(text: str) -> tuple[PcGroup, PresentationMeta]:
             if (j, i) in seen_comm:
                 raise PresentationError(f"line {lineno}: duplicate comm {j} {i}")
             seen_comm.add((j, i))
-            comms[(j - 1, i - 1)] = _parse_word(word_s, p, lineno)
+            comms[(j - 1, i - 1)] = _parse_word(word_s, lineno)
         elif key == "id":
             vals = rest.split()
-            if len(vals) != 2:
-                raise PresentationError(f"line {lineno}: id needs order and number")
-            meta.small_group_id = (int(vals[0]), int(vals[1]))
+            try:
+                order, number = map(int, vals)
+            except ValueError:
+                raise PresentationError(
+                    f"line {lineno}: id needs an integer order and number") from None
+            meta.small_group_id = (order, number)
         elif key == "expect":
             vals = rest.split(None, 1)
             if len(vals) != 2:

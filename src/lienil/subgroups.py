@@ -1,11 +1,17 @@
 """Subgroup-level computations on enumerated finite p-groups.
 
-Subgroups are explicit element sets (tuples of exponents) plus the
-generators that produced them.  The one exception is the whole-group
-marker returned by whole_group(), which carries its order without
-enumerating elements; series computations only ever enumerate the
-subgroups themselves, so groups far above the enumeration cap still get
-their lower central series, derived subgroup and power subgroups computed.
+A subgroup H is an explicit element set (tuples of exponents) plus a
+generating sequence of at most log_p |H| elements.  closure() builds every
+non-trivial subgroup and keeps that bound, whatever it is handed: centres,
+intersections and power subgroups are closures of their element sets.
+The centre, derived subgroup and power subgroups of H are memoized on H,
+so they live as long as H does.
+
+The one exception is the whole-group marker returned by whole_group(),
+which carries its order and the pc generators without enumerating
+elements; series computations only ever enumerate the subgroups
+themselves, so groups far above the enumeration cap still get their lower
+central series, derived subgroup and power subgroups computed.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ class Subgroup:
     """A subgroup of a pc group, as an explicit closed element set."""
 
     __slots__ = ("group", "elements", "generators", "_whole_order",
-                 "_exponent", "_center", "_derived")
+                 "_exponent", "_center", "_derived", "_powers")
 
     def __init__(self, group: PcGroup, elements: Optional[frozenset],
                  generators: tuple[Element, ...],
@@ -39,6 +45,7 @@ class Subgroup:
         self._exponent: Optional[int] = None
         self._center: Optional["Subgroup"] = None
         self._derived: Optional["Subgroup"] = None
+        self._powers: dict[int, "Subgroup"] = {}
 
     @property
     def order(self) -> int:
@@ -119,26 +126,39 @@ def trivial_subgroup(G: PcGroup) -> Subgroup:
 
 
 def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subgroup:
-    """Subgroup generated by gens, by breadth-first right multiplication.
+    """Subgroup H generated by gens, keeping at most log_p |H| of them.
 
-    In a finite group the multiplicative closure of a set containing the
-    identity is already a subgroup, so no inverses are taken.
+    A generator that already lies in the subgroup S built so far is
+    dropped.  A kept generator g lies outside S, so the coset S*g is new
+    and |<S, g>| >= p |S|; hence the bound, and a cap below p |S| is
+    reported before the coset is built.  S*g is taken once; then only the
+    new elements are closed under the kept generators by right
+    multiplication.  In a finite group the multiplicative closure of a set
+    containing the identity is already a subgroup, so no inverses are
+    taken.
     """
-    gens = tuple(dict.fromkeys(g for g in gens if g != G.identity))
+    kept: list[Element] = []
     seen: set[Element] = {G.identity}
-    frontier: list[Element] = [G.identity]
-    while frontier:
-        new: list[Element] = []
-        for x in frontier:
-            for g in gens:
-                y = G.multiply(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"subgroup larger than cap {cap}")
-                    new.append(y)
-        frontier = new
-    return Subgroup(G, frozenset(seen), gens if gens else ())
+    for g in gens:
+        if g in seen:
+            continue
+        if len(seen) * G.p > cap:
+            raise CapExceeded(f"subgroup larger than cap {cap}")
+        kept.append(g)
+        frontier = [G.multiply(x, g) for x in seen]
+        seen.update(frontier)
+        while frontier:
+            new: list[Element] = []
+            for x in frontier:
+                for h in kept:
+                    y = G.multiply(x, h)
+                    if y not in seen:
+                        seen.add(y)
+                        if len(seen) > cap:
+                            raise CapExceeded(f"subgroup larger than cap {cap}")
+                        new.append(y)
+            frontier = new
+    return Subgroup(G, frozenset(seen), tuple(kept))
 
 
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
@@ -158,17 +178,15 @@ def _conjugation_closure(G: PcGroup, gens: Iterable[Element],
     Alternates closure with conjugation of the generating set until stable;
     conjugating a generating set suffices because (xy)^g = x^g y^g.
     """
-    work = list(dict.fromkeys(g for g in gens if g != G.identity))
-    sub = closure(G, work, cap)
+    sub = closure(G, gens, cap)
     changed = True
     while changed:
         changed = False
-        for x in list(work):
+        for x in sub.generators:
             for g in conjugators:
                 y = G.conjugate(x, g)
                 if y not in sub:
-                    work.append(y)
-                    sub = closure(G, work, cap)
+                    sub = closure(G, sub.generators + (y,), cap)
                     changed = True
     return sub
 
@@ -206,26 +224,28 @@ def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
     if K.elements is None:
         return H
     common = H.elements & K.elements
-    return Subgroup(H.group, common, tuple(sorted(common)))
+    return closure(H.group, sorted(common), len(common))
 
 
 def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
-    """Subgroup generated by the q-th powers of all elements of H.
+    """Subgroup H^q generated by the q-th powers of all elements of H.
 
     q is normally a power of the group prime; arbitrary positive q is
     accepted because a handful of condition transcriptions need literal
-    non-p-power exponents (for which the result is still the subgroup
-    generated by q-th powers).
+    non-p-power exponents.  For q coprime to p the q-th power map is a
+    bijection of the p-group H, so H itself is returned.  Otherwise H^q is
+    the closure of the q-th powers (at most log_p |H^q| generators) and is
+    memoized on H, keyed by q.
     """
     if q < 1:
         raise ValueError(f"bad power {q}")
-    if q == 1:
-        return H
-    H._require_elements()
     G = H.group
-    powers = {G.power(x, q) for x in H.elements}
-    powers.discard(G.identity)
-    return closure(G, sorted(powers), cap)
+    if q % G.p:
+        return H
+    if q not in H._powers:
+        H._require_elements()
+        H._powers[q] = closure(G, sorted({G.power(x, q) for x in H.elements}), cap)
+    return H._powers[q]
 
 
 def derived_subgroup(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
@@ -243,18 +263,13 @@ def center(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
     An element commutes with all of H iff it commutes with a generating
     set, so the scan is |H| * len(generators) commutator tests.
     """
-    if H._center is not None:
-        return H._center
-    H2 = H.enumerated(cap)
-    G = H.group
-    gens = H2.generators
-    central = [x for x in H2.elements
-               if all(G.multiply(x, g) == G.multiply(g, x) for g in gens)]
-    result = Subgroup(G, frozenset(central), tuple(sorted(central)))
-    H._center = result
-    if H2 is not H:
-        H2._center = result
-    return result
+    if H._center is None:
+        H2 = H.enumerated(cap)
+        G = H.group
+        central = [x for x in H2.elements
+                   if all(G.multiply(x, g) == G.multiply(g, x) for g in H2.generators)]
+        H._center = H2._center = closure(G, sorted(central), len(central))
+    return H._center
 
 
 def lower_central_series(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
@@ -409,7 +424,6 @@ def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
     """The conjugacy classes of an enumerated subgroup, as element sets."""
     H._require_elements()
     G = H.group
-    gens = H.generators if H.generators else tuple(H.elements)
     left: set[Element] = set(H.elements)
     while left:
         x = left.pop()
@@ -417,7 +431,7 @@ def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
         frontier = [x]
         while frontier:
             y = frontier.pop()
-            for g in gens:
+            for g in H.generators:
                 z = G.conjugate(y, g)
                 if z not in orbit:
                     orbit.add(z)

@@ -159,11 +159,26 @@ def test_verify_tables_json(tmp_path, capsys):
                for col in row["columns"].values())
 
 
-def test_verify_tables_input_errors(tmp_path, capsys):
+def test_verify_tables_input_errors(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, ["verify-tables", str(tmp_path / "missing")])
     assert code == 2 and "no such directory" in err
     code, _, err = run(capsys, ["verify-tables", str(tmp_path)])
     assert code == 2 and "no presentation files" in err
+    shutil.copy(DATA_DIR / "s243_13.pres", tmp_path / "s243_13.pres")
+    (tmp_path / "broken.pres").write_text("p 3\ngens 1\nbogus line\n")
+    code, _, err = run(capsys, ["verify-tables", str(tmp_path)])
+    assert code == 2 and "broken.pres: line 3: unknown directive" in err
+    # the bad key sits in the later row, so checking row by row would
+    # compute S(243,13) first
+    (tmp_path / "broken.pres").write_text(
+        (DATA_DIR / "s2187_5867.pres").read_text() + "expect nonsense C3\n")
+
+    def no_columns(*args, **kwargs):
+        raise AssertionError("a column was computed before the keys were checked")
+
+    monkeypatch.setattr("lienil.catalog.computed_columns", no_columns)
+    code, _, err = run(capsys, ["verify-tables", str(tmp_path)])
+    assert code == 2 and "unknown expectation key 'nonsense'" in err
 
 
 def test_catalog_list(capsys):

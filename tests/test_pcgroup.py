@@ -198,6 +198,7 @@ def test_parse_rejects_malformed_input():
         ("p 3\ngens 2\ncomm 2 1 : g2", "bad word factor"),
         ("p 3\ngens 2\nfrobnicate 1", "unknown directive"),
         ("p 3\ngens 2\nid 27 1", "declared id order"),
+        ("p 3\ngens 2\nid x y", "line 3: id needs an integer"),
         ("p 3\npow 1 : 1\ngens 2", "pow before"),
     ]
     for text, needle in bad_cases:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lienil.catalog import (
+    DATA_DIR,
     build_abelian,
     build_dihedral,
     build_free_class2,
     build_heisenberg,
     build_quaternion,
+    import_presentation,
 )
 from lienil.subgroups import (
     CapExceeded,
@@ -49,6 +51,68 @@ def test_closure_of_rotation_in_dihedral(d16):
     full = closure(d16, d16.generators())
     assert full.order == 16
     assert cyc <= full
+
+
+def _naive_closure(G, gens):
+    """Right-multiply every element by every generator until stable."""
+    elements = {G.identity}
+    while True:
+        grown = elements | {G.multiply(x, g) for x in elements for g in gens}
+        if grown == elements:
+            return elements
+        elements = grown
+
+
+CONTRACT_GROUPS = {
+    "D16": build_dihedral(16).group,
+    "heisenberg-3": build_heisenberg(3).group,
+    "free_class2(3,3)": build_free_class2(3, 3).group,
+}
+
+
+@st.composite
+def group_and_generators(draw):
+    name = draw(st.sampled_from(sorted(CONTRACT_GROUPS)))
+    G = CONTRACT_GROUPS[name]
+    element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
+                       max_size=G.ngens).map(G.element)
+    return G, draw(st.lists(element, max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=group_and_generators())
+def test_closure_matches_naive_fixpoint_with_few_generators(drawn):
+    G, gens = drawn
+    H = closure(G, gens)
+    assert H.elements == _naive_closure(G, gens)
+    assert G.p ** len(H.generators) <= H.order  # at most log_p |H| generators
+    assert set(H.generators) <= set(gens)
+    assert closure(G, H.generators) == H
+
+
+@pytest.mark.parametrize("stem", ["s3125_76", "s2187_5868", "s243_13", "s243_55"])
+def test_derived_constructions_keep_a_short_generating_sequence(stem):
+    G = import_presentation(DATA_DIR / f"{stem}.pres").group
+    W = whole_group(G).enumerated()
+    der, zc = derived_subgroup(W), center(W)
+    built = [zc, power_subgroup(W, G.p), power_subgroup(der, G.p),
+             intersection(der, zc), intersection(der, power_subgroup(W, G.p)),
+             intersection(power_subgroup(W, G.p), zc)]
+    for H in built:
+        assert G.p ** len(H.generators) <= H.order, H
+        assert closure(G, H.generators) == H
+
+
+def test_power_subgroups_are_memoized(d16, heis3):
+    W = whole_group(d16).enumerated()
+    assert power_subgroup(W, 2) is power_subgroup(W, 2)
+    assert power_subgroup(W, 4) is not power_subgroup(W, 2)
+    # q coprime to p: the q-th power map is a bijection, so H itself
+    assert power_subgroup(W, 3) is W
+    assert power_subgroup(W, 1) is W
+    H = whole_group(heis3).enumerated()
+    assert power_subgroup(H, 2) is H
+    assert power_subgroup(H, 3) is power_subgroup(H, 3)
 
 
 def test_closure_respects_cap(d16):
