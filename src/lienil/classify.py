@@ -95,10 +95,11 @@ class StructureProfile:
 
 
 def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
-            cap: int = DEFAULT_CAP) -> StructureProfile:
+            cap: int = DEFAULT_CAP,
+            _series: Optional[list[Subgroup]] = None) -> StructureProfile:
     """Compute the structure profile of a pc group."""
     p = G.p
-    series = lower_central_series(G, cap)
+    series = lower_central_series(G, cap) if _series is None else _series
     triv = trivial_subgroup(G)
 
     def gamma_term(i: int) -> Subgroup:
@@ -372,9 +373,11 @@ def verify_theorem(G: PcGroup, corrected: bool = False,
                    oracle_cap: Optional[int] = None) -> TheoremReport:
     """Check one group against the index-(10p-8) classification."""
     p = G.p
-    t = upper_index(G, cap)
+    # one series, so the power subgroups memoized on its terms serve both
+    series = lower_central_series(G, cap)
+    t = upper_index(G, cap, _series=series)
     expected = 10 * p - 8
-    prof = profile(G, declared_derived_id, cap)
+    prof = profile(G, declared_derived_id, cap, _series=series)
     rep = match_conditions(prof, corrected=corrected, db=db, ref=ref)
     notes = list(rep.notes)
 

@@ -40,6 +40,7 @@ from .catalog import (
 from .classify import verify_theorem
 from .dimension import NotLieNilpotent, d_sequence_of_chain, jennings_index, lie_dimension_chain, upper_index
 from .dvectors import REPORT_PRIMES, enumerate_admissible
+from .fp_linalg import check_prime
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     NotLieNilpotentDetected,
@@ -67,6 +68,10 @@ def _env_int(name: str) -> Optional[int]:
         value = int(raw)
     except ValueError:
         raise InputProblem(f"{name} must be an integer, got {raw!r}")
+    return _positive(name, value)
+
+
+def _positive(name: str, value: int) -> int:
     if value < 1:
         raise InputProblem(f"{name} must be positive, got {value}")
     return value
@@ -74,13 +79,13 @@ def _env_int(name: str) -> Optional[int]:
 
 def _structure_cap(args) -> int:
     if getattr(args, "cap", None) is not None:
-        return args.cap
+        return _positive("--cap", args.cap)
     return _env_int(CAP_ENV) or DEFAULT_CAP
 
 
 def _oracle_cap(args) -> int:
     if getattr(args, "cap", None) is not None:
-        return args.cap
+        return _positive("--cap", args.cap)
     return _env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP
 
 
@@ -121,8 +126,8 @@ def _dvec_payload(vec) -> dict:
 
 
 def cmd_index(args) -> int:
-    entry = _load_entry(args)
     cap = _structure_cap(args)
+    entry = _load_entry(args)
     G = entry.group
     chain = lie_dimension_chain(G, cap)
     seq = d_sequence_of_chain(chain)
@@ -148,13 +153,14 @@ def cmd_index(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    cap = _oracle_cap(args)
+    structure_cap = _env_int(CAP_ENV) or DEFAULT_CAP
     entry = _load_entry(args)
     G = entry.group
-    cap = _oracle_cap(args)
     A = build_algebra(G, cap)
     upper = upper_lie_chain(A).t
     lower = lower_lie_chain(A).t
-    formula = upper_index(G, _env_int(CAP_ENV) or DEFAULT_CAP)
+    formula = upper_index(G, structure_cap)
     agree = (upper == formula) and (lower <= upper)
     if args.json:
         _emit_json({
@@ -180,13 +186,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    cap = _structure_cap(args)
+    oracle_cap = _env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP
     entry = _load_entry(args)
     report = verify_theorem(
         entry.group,
         corrected=args.corrected_conditions,
-        cap=_structure_cap(args),
+        cap=cap,
         with_oracle=args.with_oracle,
-        oracle_cap=_env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP,
+        oracle_cap=oracle_cap,
     )
     if args.json:
         _emit_json({
@@ -229,7 +237,10 @@ def cmd_enumerate_d(args) -> int:
     if args.all_p:
         primes = list(REPORT_PRIMES)
     elif args.p is not None:
-        primes = [args.p]
+        try:
+            primes = [check_prime(args.p)]
+        except ValueError as exc:
+            raise InputProblem(str(exc))
     else:
         raise InputProblem("need -p <prime> or --all-p")
     weight = args.weight
@@ -255,8 +266,9 @@ def cmd_verify_tables(args) -> int:
     base = Path(args.dir) if args.dir else DATA_DIR
     if not base.is_dir():
         raise InputProblem(f"no such directory: {base}")
+    cap = _structure_cap(args)
     try:
-        report = verify_tables(table_entries(base), _structure_cap(args))
+        report = verify_tables(table_entries(base), cap)
     except PresentationError as exc:
         raise InputProblem(str(exc))
     if not report.rows:

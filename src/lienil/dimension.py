@@ -98,13 +98,14 @@ def lie_dimension_subgroup(G: PcGroup, m: int, cap: int = DEFAULT_CAP,
     return result
 
 
-def lie_dimension_chain(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
+def lie_dimension_chain(G: PcGroup, cap: int = DEFAULT_CAP,
+                        _series: Optional[list[Subgroup]] = None) -> list[Subgroup]:
     """[D_(2), D_(3), ...], ending at the first trivial term.
 
     The descending-chain property D_(m+1) <= D_(m) is asserted; it doubles
     as a cross-check on the subgroup products.
     """
-    series = lower_central_series(G, cap)
+    series = lower_central_series(G, cap) if _series is None else _series
     chain: list[Subgroup] = []
     m = 2
     while True:
@@ -143,7 +144,8 @@ def jennings_index(d: DSequence) -> int:
     return 2 + (d.p - 1) * d.weight()
 
 
-def upper_index(G: PcGroup, cap: int = DEFAULT_CAP) -> int:
+def upper_index(G: PcGroup, cap: int = DEFAULT_CAP,
+                _series: Optional[list[Subgroup]] = None) -> int:
     """t^L of F_p[G]; checks the Lie nilpotency preconditions on the way.
 
     For a consistent pc p-group presentation the preconditions (G nilpotent,
@@ -151,7 +153,7 @@ def upper_index(G: PcGroup, cap: int = DEFAULT_CAP) -> int:
     chain (D_(2) = G', and the chain descends to 1 only if G is nilpotent),
     so the function fails loudly on anything else that may get wired in.
     """
-    chain = lie_dimension_chain(G, cap)
+    chain = lie_dimension_chain(G, cap, _series)
     if not chain[-1].is_trivial():
         raise NotLieNilpotent("group is not nilpotent")
     try:

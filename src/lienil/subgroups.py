@@ -7,6 +7,13 @@ intersections and power subgroups are closures of their element sets.
 The centre, derived subgroup and power subgroups of H are memoized on H,
 so they live as long as H does.
 
+Power subgroups and the exponent come from H's structure, never from a
+power of every element (see power_subgroup): only the p-part p^j of an
+exponent q matters; for abelian H the power map is a homomorphism, so
+H^(p^j) is closed from the p^j-th powers of H's generators; otherwise
+(xz)^p = x^p z^p for central z, so one p-th power per coset of Z(H) and
+step, together with the powers of Z(H)'s generators, generate H^(p^j).
+
 The one exception is the whole-group marker returned by whole_group(),
 which carries its order and the pc generators without enumerating
 elements; series computations only ever enumerate the subgroups
@@ -33,7 +40,7 @@ class Subgroup:
     """A subgroup of a pc group, as an explicit closed element set."""
 
     __slots__ = ("group", "elements", "generators", "_whole_order",
-                 "_exponent", "_center", "_derived", "_powers")
+                 "_center", "_derived", "_powers", "_coset_images")
 
     def __init__(self, group: PcGroup, elements: Optional[frozenset],
                  generators: tuple[Element, ...],
@@ -42,10 +49,10 @@ class Subgroup:
         self.elements = elements
         self.generators = generators
         self._whole_order = whole_order
-        self._exponent: Optional[int] = None
         self._center: Optional["Subgroup"] = None
         self._derived: Optional["Subgroup"] = None
         self._powers: dict[int, "Subgroup"] = {}
+        self._coset_images: list[frozenset] = []
 
     @property
     def order(self) -> int:
@@ -101,11 +108,19 @@ class Subgroup:
         return closure(self.group, self.generators, cap)
 
     def exponent(self) -> int:
-        if self._exponent is None:
-            self._require_elements()
-            G = self.group
-            self._exponent = max((G.element_order(x) for x in self.elements), default=1)
-        return self._exponent
+        """exp(H), read off H's structure (see power_subgroup).
+
+        Abelian H: the largest order of a generator.  Otherwise the larger
+        of exp(Z(H)) and p^k for the first k at which the p^k-th powers of
+        the centre-coset representatives are all trivial.
+        """
+        G = self.group
+        if is_abelian(self):
+            return max((G.element_order(g) for g in self.generators), default=1)
+        k = 0
+        while _coset_power_images(self, k):
+            k += 1
+        return max(G.p ** k, center(self).exponent())
 
     def _require_elements(self) -> None:
         if self.elements is None:
@@ -232,20 +247,61 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
 
     q is normally a power of the group prime; arbitrary positive q is
     accepted because a handful of condition transcriptions need literal
-    non-p-power exponents.  For q coprime to p the q-th power map is a
-    bijection of the p-group H, so H itself is returned.  Otherwise H^q is
-    the closure of the q-th powers (at most log_p |H^q| generators) and is
-    memoized on H, keyed by q.
+    non-p-power exponents.  H^q is built from H's structure, never from
+    every element, by three rules:
+
+    1. Only the p-part of q matters.  For q = p^j m with m coprime to p,
+       x -> x^m is a bijection of the p-group H, so {x^q} = {x^(p^j)}.
+       H^q is memoized on H keyed by j, and j = 0 returns H itself.
+    2. For abelian H the power map is a homomorphism, so H^(p^j) is the
+       closure of the p^j-th powers of H's generators.
+    3. Otherwise each x in H is r z, with r one representative per coset
+       of the centre Z = Z(H) and z in Z, and (xz)^p = x^p z^p for
+       central z.  So {x^(p^j)} = {r^(p^j)} * Z^(p^j): one p-th power per
+       coset and step (the chain is extended lazily on H), times the set
+       Z^(p^j), which rule 2 gives from Z's generators.  H^(p^j) is the
+       closure of both.
     """
     if q < 1:
         raise ValueError(f"bad power {q}")
     G = H.group
-    if q % G.p:
+    j = 0
+    while q % G.p == 0:
+        q //= G.p
+        j += 1
+    if j == 0:
         return H
-    if q not in H._powers:
+    if j not in H._powers:
+        q = G.p ** j
+        if is_abelian(H):
+            gens = [G.power(g, q) for g in H.generators]
+        else:
+            gens = sorted(_coset_power_images(H, j, cap))
+            gens += [G.power(z, q) for z in center(H, cap).generators]
+        H._powers[j] = closure(G, gens, cap)
+    return H._powers[j]
+
+
+def _coset_power_images(H: Subgroup, j: int, cap: int = DEFAULT_CAP) -> frozenset:
+    """The non-identity p^j-th powers of one representative per coset of
+    Z(H), for a non-abelian enumerated H; the chain j = 0, 1, ... is
+    memoized on H and extended by one p-th power per image and step."""
+    G = H.group
+    images = H._coset_images
+    if not images:
         H._require_elements()
-        H._powers[q] = closure(G, sorted({G.power(x, q) for x in H.elements}), cap)
-    return H._powers[q]
+        Z = center(H, cap)
+        covered = set(Z.elements)
+        reps = []
+        for x in sorted(H.elements):
+            if x not in covered:
+                reps.append(x)
+                covered.update(G.multiply(x, z) for z in Z.elements)
+        images.append(frozenset(reps))
+    while len(images) <= j:
+        images.append(frozenset(
+            y for y in (G.power(x, G.p) for x in images[-1]) if y != G.identity))
+    return images[j]
 
 
 def derived_subgroup(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:

@@ -101,6 +101,21 @@ def test_witness_matches_exactly_one_condition():
         assert rep.corrected is corrected
 
 
+def test_classify_builds_one_lower_central_series(monkeypatch, capsys):
+    from lienil import classify, cli, dimension, subgroups
+    calls = []
+
+    def counted(G, cap=subgroups.DEFAULT_CAP):
+        calls.append(G)
+        return subgroups.lower_central_series(G, cap)
+
+    for module in (classify, dimension):
+        monkeypatch.setattr(module, "lower_central_series", counted)
+    assert cli.main(["classify", "--builder", "dihedral:16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_abelian_group_is_trivially_consistent():
     rep = verify_theorem(build_abelian(2, [4, 2]).group)
     assert rep.index == 2

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from lienil import cli
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
 from lienil.pcgroup import parse_presentation_with_meta
@@ -118,6 +119,10 @@ def test_enumerate_requires_a_prime(capsys):
     code, _, err = run(capsys, ["enumerate-d"])
     assert code == 2
     assert "need -p <prime> or --all-p" in err
+    for bad in ("0", "1", "4", "-3"):
+        code, out, err = run(capsys, ["enumerate-d", "-p", bad])
+        assert code == 2 and out == ""
+        assert f"not a prime: {bad}" in err
 
 
 def test_enumerate_rejects_bad_weight(capsys):
@@ -226,6 +231,22 @@ def test_structure_cap_env_and_flag_precedence(monkeypatch, capsys):
     code, _, _ = run(capsys, ["index", "--builder", "dihedral:16",
                               "--cap", "65536"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--builder", "dihedral:16", "--cap", "0"],
+    ["classify", "--builder", "dihedral:16", "--cap", "0"],
+    ["oracle", "--builder", "dihedral:16", "--cap", "-1"],
+    ["verify-tables", "--cap", "0"],
+], ids=["index", "classify", "oracle", "verify-tables"])
+def test_non_positive_cap_is_rejected_before_any_work(argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --cap was checked")
+    monkeypatch.setattr(cli, "_load_entry", no_work)
+    monkeypatch.setattr(cli, "table_entries", no_work)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"--cap must be positive, got {argv[-1]}" in err
 
 
 def test_oracle_cap_env(monkeypatch, capsys):

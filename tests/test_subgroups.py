@@ -32,6 +32,7 @@ from lienil.subgroups import (
     trivial_subgroup,
     whole_group,
 )
+from lienil.pcgroup import parse_presentation
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +104,59 @@ def test_derived_constructions_keep_a_short_generating_sequence(stem):
         assert closure(G, H.generators) == H
 
 
+# D8 x C8 with the C8 letters first.  Every coset of the centre
+# Z = <r^2> x C8 has a representative in D8, and those representatives
+# have squares in <r^2> and orders at most 4: the factor Z^2 ~ C4 and
+# exp(Z) = 8 must come from the centre itself.
+D8_X_C8 = parse_presentation(
+    "p 2\ngens 6\npow 1 : g2^1\npow 2 : g3^1\npow 3 : 1\npow 4 : 1\n"
+    "pow 5 : g6^1\npow 6 : 1\ncomm 5 4 : g6^1\n")
+
+DIFFERENTIAL_GROUPS = {
+    **CONTRACT_GROUPS,
+    "D8xC8": D8_X_C8,
+    "s3125_41": import_presentation(DATA_DIR / "s3125_41.pres").group,  # |Z| = 125
+    "s243_19": import_presentation(DATA_DIR / "s243_19.pres").group,
+}
+
+
+def _assert_powers_match_element_scan(H):
+    """The slow reference: the q-th power of every element of H, and the
+    largest element order.  closure itself is checked against a naive
+    fixpoint above."""
+    G = H.group
+    p = G.p
+    for q in (p, p**2, p**3, 2 * p, 6):
+        powers = sorted({G.power(x, q) for x in H.elements})
+        assert power_subgroup(H, q).elements == closure(G, powers).elements, q
+    assert H.exponent() == max(G.element_order(x) for x in H.elements)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPS))
+def test_power_subgroups_of_whole_groups_match_element_scan(name):
+    _assert_powers_match_element_scan(whole_group(DIFFERENTIAL_GROUPS[name]).enumerated())
+
+
+@st.composite
+def random_subgroup(draw):
+    G = DIFFERENTIAL_GROUPS[draw(st.sampled_from(sorted(DIFFERENTIAL_GROUPS)))]
+    element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
+                       max_size=G.ngens).map(G.element)
+    return closure(G, draw(st.lists(element, min_size=1, max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(H=random_subgroup())
+def test_power_subgroups_of_random_subgroups_match_element_scan(H):
+    _assert_powers_match_element_scan(H)
+
+
 def test_power_subgroups_are_memoized(d16, heis3):
     W = whole_group(d16).enumerated()
     assert power_subgroup(W, 2) is power_subgroup(W, 2)
     assert power_subgroup(W, 4) is not power_subgroup(W, 2)
+    # only the p-part of q matters: x -> x^3 is a bijection of a 2-group
+    assert power_subgroup(W, 6) is power_subgroup(W, 2)
     # q coprime to p: the q-th power map is a bijection, so H itself
     assert power_subgroup(W, 3) is W
     assert power_subgroup(W, 1) is W
@@ -237,7 +287,6 @@ def test_fingerprint_on_order_8_groups():
 def test_fingerprint_is_presentation_independent():
     # The same abstract group through two different pc chains.
     a = build_abelian(2, [4, 2]).group
-    from lienil.pcgroup import parse_presentation
     b = parse_presentation("p 2\ngens 3\npow 1 : 1\npow 2 : g3^1\npow 3 : 1\n")
     fa = fingerprint(whole_group(a).enumerated())
     fb = fingerprint(whole_group(b).enumerated())
