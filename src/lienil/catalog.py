@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .fp_linalg import check_prime
 from .pcgroup import PcGroup, PresentationError, Word, parse_presentation_with_meta
 from .subgroups import (DEFAULT_CAP, IsoType, center, derived_subgroup,
                         fingerprint, intersection, power_subgroup, whole_group)
@@ -58,6 +59,7 @@ def _is_p_power(n: int, p: int) -> bool:
 
 def build_abelian(p: int, invariant_factors: Iterable[int]) -> CatalogEntry:
     """Direct product of cyclic p-groups with the given invariant factors."""
+    check_prime(p)
     factors = sorted(invariant_factors, reverse=True)
     if not factors:
         raise ValueError("need at least one invariant factor")

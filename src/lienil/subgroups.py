@@ -7,12 +7,14 @@ intersections and power subgroups are closures of their element sets.
 The centre, derived subgroup and power subgroups of H are memoized on H,
 so they live as long as H does.
 
-Power subgroups and the exponent come from H's structure, never from a
-power of every element (see power_subgroup): only the p-part p^j of an
-exponent q matters; for abelian H the power map is a homomorphism, so
-H^(p^j) is closed from the p^j-th powers of H's generators; otherwise
-(xz)^p = x^p z^p for central z, so one p-th power per coset of Z(H) and
-step, together with the powers of Z(H)'s generators, generate H^(p^j).
+Power subgroups come from H's structure by one rule, never from a power
+of every element (see power_subgroup): only the p-part p^j of an exponent
+q matters, and (xz)^p = x^p z^p for central z, so one p-th power per coset
+of Z(H) and step, together with the p^j-th powers of Z(H)'s generators,
+generate H^(p^j).  Z(H) = H for abelian H, so there the rule leaves just
+the generator powers.  Everything else about powers is read off that one
+memoized chain: exp(H) is p^k for the first trivial H^(p^k), and the
+invariant factors and fingerprint power orders are the orders |H^(p^j)|.
 
 The one exception is the whole-group marker returned by whole_group(),
 which carries its order and the pc generators without enumerating
@@ -108,19 +110,12 @@ class Subgroup:
         return closure(self.group, self.generators, cap)
 
     def exponent(self) -> int:
-        """exp(H), read off H's structure (see power_subgroup).
-
-        Abelian H: the largest order of a generator.  Otherwise the larger
-        of exp(Z(H)) and p^k for the first k at which the p^k-th powers of
-        the centre-coset representatives are all trivial.
-        """
-        G = self.group
-        if is_abelian(self):
-            return max((G.element_order(g) for g in self.generators), default=1)
-        k = 0
-        while _coset_power_images(self, k):
-            k += 1
-        return max(G.p ** k, center(self).exponent())
+        """exp(H) = p^k for the first k with H^(p^k) trivial (see
+        power_subgroup); the whole-group marker raises CapExceeded."""
+        q = 1
+        while not power_subgroup(self, q).is_trivial():
+            q *= self.group.p
+        return q
 
     def _require_elements(self) -> None:
         if self.elements is None:
@@ -248,19 +243,21 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
     q is normally a power of the group prime; arbitrary positive q is
     accepted because a handful of condition transcriptions need literal
     non-p-power exponents.  H^q is built from H's structure, never from
-    every element, by three rules:
+    every element:
 
     1. Only the p-part of q matters.  For q = p^j m with m coprime to p,
        x -> x^m is a bijection of the p-group H, so {x^q} = {x^(p^j)}.
        H^q is memoized on H keyed by j, and j = 0 returns H itself.
-    2. For abelian H the power map is a homomorphism, so H^(p^j) is the
-       closure of the p^j-th powers of H's generators.
-    3. Otherwise each x in H is r z, with r one representative per coset
-       of the centre Z = Z(H) and z in Z, and (xz)^p = x^p z^p for
-       central z.  So {x^(p^j)} = {r^(p^j)} * Z^(p^j): one p-th power per
+    2. Each x in H is r z, with r one representative per coset of the
+       centre Z = Z(H) and z in Z, and (xz)^p = x^p z^p for central z.
+       So {x^(p^j)} = {r^(p^j)} * Z^(p^j): one p-th power per non-central
        coset and step (the chain is extended lazily on H), times the set
-       Z^(p^j), which rule 2 gives from Z's generators.  H^(p^j) is the
-       closure of both.
+       Z^(p^j), which, as the power map is a homomorphism on the abelian
+       Z, is the closure of the p^j-th powers of Z's generators.  H^(p^j)
+       is the closure of both.  Z(H) = H for abelian H, so there no coset
+       is non-central and H^(p^j) is closed from H's generator powers.
+
+    The whole-group marker raises CapExceeded for j > 0.
     """
     if q < 1:
         raise ValueError(f"bad power {q}")
@@ -273,27 +270,25 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
         return H
     if j not in H._powers:
         q = G.p ** j
-        if is_abelian(H):
-            gens = [G.power(g, q) for g in H.generators]
-        else:
-            gens = sorted(_coset_power_images(H, j, cap))
-            gens += [G.power(z, q) for z in center(H, cap).generators]
+        gens = sorted(_coset_power_images(H, j, cap))
+        gens += [G.power(z, q) for z in center(H, cap).generators]
         H._powers[j] = closure(G, gens, cap)
     return H._powers[j]
 
 
 def _coset_power_images(H: Subgroup, j: int, cap: int = DEFAULT_CAP) -> frozenset:
-    """The non-identity p^j-th powers of one representative per coset of
-    Z(H), for a non-abelian enumerated H; the chain j = 0, 1, ... is
-    memoized on H and extended by one p-th power per image and step."""
+    """The non-identity p^j-th powers of one representative per
+    non-central coset of Z(H), for an enumerated H (none when H is
+    abelian); the chain j = 0, 1, ... is memoized on H and extended by one
+    p-th power per image and step."""
     G = H.group
     images = H._coset_images
     if not images:
         H._require_elements()
         Z = center(H, cap)
-        covered = set(Z.elements)
+        covered: set[Element] = set()
         reps = []
-        for x in sorted(H.elements):
+        for x in sorted(H.elements - Z.elements):
             if x not in covered:
                 reps.append(x)
                 covered.update(G.multiply(x, z) for z in Z.elements)
@@ -314,12 +309,15 @@ def derived_subgroup(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
 
 
 def center(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
-    """Center of H by scanning elements against H's generators.
+    """Center of H: H itself when H is abelian, otherwise by scanning
+    elements against H's generators.
 
     An element commutes with all of H iff it commutes with a generating
     set, so the scan is |H| * len(generators) commutator tests.
     """
-    if H._center is None:
+    if H._center is None and is_abelian(H):
+        H._center = H
+    elif H._center is None:
         H2 = H.enumerated(cap)
         G = H.group
         central = [x for x in H2.elements
@@ -381,18 +379,14 @@ def _factors_from_power_orders(s: list[int], p: int) -> list[int]:
 
 
 def abelian_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
-    """Invariant factors [p^l1, p^l2, ...] (descending) of an abelian H,
-    derived from the orders of the power subgroups H^(p^j)."""
+    """Invariant factors [p^l1, p^l2, ...] (descending) of an abelian H.
+
+    H' is trivial, so these are abelianization_invariants(H), read off the
+    orders |H^(p^j)| of power_subgroup's chain.
+    """
     if not is_abelian(H):
         raise ValueError("subgroup is not abelian")
-    H = H.enumerated(cap)
-    p = H.group.p
-    s = [_log_p(H.order, p)]
-    current = H
-    while current.order > 1:
-        current = power_subgroup(current, p, cap)
-        s.append(_log_p(current.order, p))
-    return _factors_from_power_orders(s, p)
+    return abelianization_invariants(H, cap)
 
 
 @dataclass(frozen=True)
@@ -422,8 +416,9 @@ class IsoType:
 def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
     """Invariant factors of H/H' without building the quotient.
 
-    |(H/H')^(p^j)| = |H^(p^j) * H'| / |H'|, and the factor profile follows
-    as in abelian_invariants.
+    |(H/H')^(p^j)| = |H^(p^j) * H'| / |H'|, and the count of factors of
+    order > p^j is log_p of the ratio of consecutive terms (see
+    _factors_from_power_orders).
     """
     H = H.enumerated(cap)
     p = H.group.p
@@ -449,16 +444,10 @@ def fingerprint(H: Subgroup, cap: int = DEFAULT_CAP) -> IsoType:
     p = H.group.p
     zc = center(H, cap)
     dv = derived_subgroup(H, cap)
-    powers = []
-    current = H
-    j = 1
-    while True:
-        current = power_subgroup(H, p**j, cap)
-        powers.append(current.order)
-        if current.order == 1:
-            break
-        j += 1
-    fp = (H.order, H.exponent(), zc.order, str(fingerprint(zc, cap)),
+    exponent = H.exponent()
+    powers = [power_subgroup(H, p**j, cap).order
+              for j in range(1, _log_p(exponent, p) + 1)]
+    fp = (H.order, exponent, zc.order, str(fingerprint(zc, cap)),
           dv.order, str(fingerprint(dv, cap)),
           str(IsoType("abelian", tuple(abelianization_invariants(H, cap)))),
           tuple(powers))

@@ -23,6 +23,7 @@ from lienil.catalog import (
     table_entries,
     verify_tables,
 )
+from lienil.conditions import get_conditions
 from lienil.subgroups import (
     center,
     joint_order_class_histogram,
@@ -51,6 +52,10 @@ def test_builder_argument_validation():
         build_heisenberg(2)
     with pytest.raises(ValueError):
         build_abelian(3, [4])
+    # p = 0 first: without the prime check p = 1 never returns
+    for bad_p in (0, 1, -2):
+        with pytest.raises(ValueError, match="not a prime"):
+            build_abelian(bad_p, [4])
     with pytest.raises(ValueError):
         build_free_class2(7, 2)
     with pytest.raises(ValueError):
@@ -201,6 +206,25 @@ def test_twin_blocks_are_pairwise_nonisomorphic(block):
             assert (pth_power_in_commutator_closure_count(groups[a])
                     != pth_power_in_commutator_closure_count(groups[b])), \
                 (a, b)
+
+
+def test_no_condition_splits_a_fingerprint_collision_block():
+    # The fingerprint collisions in the database are exactly the twin
+    # blocks, and no "sg" id list, literal or corrected, holds part of a
+    # block, so shipped data never reaches classify's ambiguous status.
+    by_iso: dict = {}
+    for key, iso in fingerprint_db().items():
+        by_iso.setdefault(iso, set()).add(key)
+    blocks = [ids for ids in by_iso.values() if len(ids) > 1]
+    assert sorted(map(sorted, blocks)) == [
+        [(243, int(n)) for n in block] for block in TWIN_BLOCKS]
+    for table in (get_conditions(False), get_conditions(True)):
+        for rec in table:
+            if rec.gprime[0] != "sg":
+                continue
+            listed = {(rec.gprime[1], n) for n in rec.gprime[2]}
+            for ids in blocks:
+                assert ids <= listed or not ids & listed, (rec.id, sorted(ids))
 
 
 def test_all_shipped_rows_verify():

@@ -125,6 +125,14 @@ def test_enumerate_requires_a_prime(capsys):
         assert f"not a prime: {bad}" in err
 
 
+def test_abelian_builder_requires_a_prime(capsys):
+    # p = 0 first: without the prime check p = 1 never returns
+    for bad in ("0", "1"):
+        code, out, err = run(capsys, ["index", "--builder", "abelian:4", "-p", bad])
+        assert code == 2 and out == ""
+        assert f"not a prime: {bad}" in err
+
+
 def test_enumerate_rejects_bad_weight(capsys):
     code, _, err = run(capsys, ["enumerate-d", "-p", "2", "--weight", "0"])
     assert code == 2

@@ -1,5 +1,10 @@
 """Subgroup enumeration, series, and isomorphism-invariant computations."""
 
+import functools
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,19 +122,69 @@ DIFFERENTIAL_GROUPS = {
     "D8xC8": D8_X_C8,
     "s3125_41": import_presentation(DATA_DIR / "s3125_41.pres").group,  # |Z| = 125
     "s243_19": import_presentation(DATA_DIR / "s243_19.pres").group,
+    # abelian: Z(H) = H, so the power rule reduces to generator powers
+    "C8xC4xC2": build_abelian(2, [8, 4, 2]).group,
+    "C25xC5": build_abelian(5, [25, 5]).group,
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _regular_action(G):
+    """Index of every element of G, and for each pc generator g_i the
+    (p, |G|) array whose row e maps the index of x to that of x * g_i^e."""
+    elements = sorted(whole_group(G).enumerated().elements)
+    index = {x: k for k, x in enumerate(elements)}
+    tables = []
+    for g in G.generators():
+        step = np.array([index[G.multiply(x, g)] for x in elements])
+        rows = [np.arange(len(elements))]
+        for _ in range(G.p - 1):
+            rows.append(step[rows[-1]])
+        tables.append(np.array(rows))
+    return index, tables
+
+
+def _naive_center(H):
+    """The x in H that commute with every element of H: all |H|^2 pairs are
+    compared, each product x * y read off the regular action along y's
+    normal form g_1^e_1 ... g_n^e_n (collecting them takes about 20 s at
+    order 3125)."""
+    index, tables = _regular_action(H.group)
+    members = sorted(H.elements)
+    exponents = np.array(members)
+    positions = np.array([index[y] for y in members])
+    central = set()
+    for x in members:
+        xy = np.full(len(members), index[x])
+        yx = positions
+        for i, table in enumerate(tables):
+            xy = table[exponents[:, i], xy]
+            yx = table[x[i]][yx]
+        if np.array_equal(xy, yx):
+            central.add(x)
+    return central
+
+
 def _assert_powers_match_element_scan(H):
-    """The slow reference: the q-th power of every element of H, and the
-    largest element order.  closure itself is checked against a naive
-    fixpoint above."""
+    """The slow references: the q-th power of every element of H, the
+    largest element order, the centre by commuting every pair, and for
+    abelian H the element-order counts #{x : x^q = 1} = prod_i min(f_i, q)
+    over the invariant factors f_i, for each element order q.  closure
+    itself is checked against a naive fixpoint above."""
     G = H.group
     p = G.p
     for q in (p, p**2, p**3, 2 * p, 6):
         powers = sorted({G.power(x, q) for x in H.elements})
         assert power_subgroup(H, q).elements == closure(G, powers).elements, q
     assert H.exponent() == max(G.element_order(x) for x in H.elements)
+    assert center(H).elements == _naive_center(H)
+    assert (center(H) is H) == is_abelian(H)
+    if is_abelian(H):
+        factors = abelian_invariants(H)
+        orders = Counter(G.element_order(x) for x in H.elements)
+        for q in sorted(orders):
+            killed = sum(n for order, n in orders.items() if order <= q)
+            assert killed == math.prod(min(f, q) for f in factors), q
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPS))
