@@ -158,9 +158,10 @@ def cmd_oracle(args) -> int:
     entry = _load_entry(args)
     G = entry.group
     A = build_algebra(G, cap)
+    # the structure cap is checked before the dense chains, not after them
+    formula = upper_index(G, structure_cap)
     upper = upper_lie_chain(A).t
     lower = lower_lie_chain(A).t
-    formula = upper_index(G, structure_cap)
     agree = (upper == formula) and (lower <= upper)
     if args.json:
         _emit_json({

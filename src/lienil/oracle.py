@@ -8,9 +8,14 @@ dim x dim multiplication table of basis indices, the upper chain
 and the lower chain (left-normed bracket spans, then the ideals they
 generate) are computed as explicit subspaces, and the nilpotency
 indices are read off as the first chain index whose term vanishes.
-Everything here is exact arithmetic mod p on numpy arrays; nothing is
-shared with the Jennings-style computation in lienil.dimension, so the
-two routes cross-check each other.
+The upper chain brackets against the group generators alone; the lower
+chain brackets each span against one element per orbit of the
+non-central elements under conjugation and central translation
+(x -> h^-1 x h z), found from the multiplication table alone
+(`lower_lie_chain` gives the argument).  Everything here is exact
+arithmetic mod p on numpy arrays; nothing is shared with the
+Jennings-style computation in lienil.dimension, so the two routes
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -124,50 +129,47 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
         )
     p = G.p
     gens = list(G.generators())
-    # BFS enumeration by right multiplication; identity first.
+    # BFS enumeration by right multiplication; identity first.  Every element
+    # is expanded once, so the search meets each product x * g exactly once:
+    # right[k, x] = index(elements[x] * gens[k]) is the generator's column.
     elements: list[Element] = [G.identity]
     index: dict[Element, int] = {G.identity: 0}
-    frontier = [G.identity]
+    right = np.empty((len(gens), G.order), dtype=np.int32)
+    frontier = [0]
     while frontier:
-        nxt: list[Element] = []
-        for x in frontier:
-            for g in gens:
+        nxt: list[int] = []
+        for xi in frontier:
+            x = elements[xi]
+            for k, g in enumerate(gens):
                 y = G.multiply(x, g)
-                if y not in index:
-                    index[y] = len(elements)
+                yi = index.get(y)
+                if yi is None:
+                    yi = index[y] = len(elements)
                     elements.append(y)
-                    nxt.append(y)
+                    nxt.append(yi)
+                right[k, xi] = yi
         frontier = nxt
     dim = len(elements)
     assert dim == G.order, "enumeration does not match the declared order"
 
     # Column for element y: col_y[x] = index(elements[x] * y).  Columns for
-    # the generators are computed directly; every other column is a
+    # the generators come from the search; every other column is a
     # composition col_{h*g} = col_g[col_h], filled in BFS discovery order so
     # col_h always exists before col_{h*g} is needed.
     cols = np.empty((dim, dim), dtype=np.int32)
     cols[:, 0] = np.arange(dim, dtype=np.int32)
-    gen_cols: dict[int, np.ndarray] = {}
-    for g in gens:
-        gi = index[g]
-        col = np.empty(dim, dtype=np.int32)
-        for xi, x in enumerate(elements):
-            col[xi] = index[G.multiply(x, g)]
-        gen_cols[gi] = col
-        cols[:, gi] = col
-    done = {0} | set(gen_cols)
-    order_of_discovery = list(range(dim))
-    # Re-walk products in the same BFS order to fill the rest.
-    for hi in order_of_discovery:
-        for g in gens:
-            gi = index[g]
-            yi = int(gen_cols[gi][hi])
+    gen_indices = tuple(int(right[k, 0]) for k in range(len(gens)))
+    for k, gi in enumerate(gen_indices):
+        cols[:, gi] = right[k]
+    done = {0, *gen_indices}
+    for hi in range(dim):
+        for k in range(len(gens)):
+            yi = int(right[k, hi])
             if yi in done:
                 continue
-            cols[:, yi] = gen_cols[gi][cols[:, hi]]
+            cols[:, yi] = right[k][cols[:, hi]]
             done.add(yi)
     assert len(done) == dim
-    gen_indices = tuple(index[g] for g in gens)
     return GroupAlgebra(group=G, p=p, elements=elements, table=cols,
                         generator_indices=gen_indices, index=index)
 
@@ -231,17 +233,69 @@ def upper_lie_chain(A: GroupAlgebra, seed_generators_only: bool = True,
             )
 
 
-def lower_lie_chain(A: GroupAlgebra,
+def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
+    """One basis index per orbit of the non-central elements of G under
+    x -> h^-1 x h z (h in G, z in Z(G)), the least index of each orbit.
+
+    Read from the multiplication table alone: x is central iff it commutes
+    with every generator, and conjugation by a generator g is
+    x -> g^-1 (x g).  Conjugation permutes the cosets xZ, so the orbit of
+    x is the union of the cosets yZ over the conjugates y of x.
+    """
+    table, inv = A.table, A.inverse_indices
+    gens = A.generator_indices
+    central = np.ones(A.dim, dtype=bool)
+    for g in gens:
+        central &= table[:, g] == table[g, :]
+    centre = np.flatnonzero(central)
+    conj = [table[inv[g], table[:, g]] for g in gens]
+    seen = central.copy()
+    reps: list[int] = []
+    for x in range(A.dim):
+        if seen[x]:
+            continue
+        reps.append(x)
+        cls = {x}
+        frontier = [x]
+        while frontier:
+            frontier = [y for c in conj for y in c[frontier].tolist()
+                        if y not in cls]
+            cls.update(frontier)
+        seen[table[np.fromiter(cls, dtype=np.int64)][:, centre]] = True
+    return tuple(reps)
+
+
+def lower_lie_chain(A: GroupAlgebra, seed_orbit_representatives: bool = True,
                     max_terms: Optional[int] = None) -> LiePowerChain:
     """The chain of ideals generated by left-normed brackets.
 
     V_1 = F_p[G]; V_{n+1} = span of [v, e_b] over v in a basis of V_n and
-    every basis element e_b (no generator reduction is valid here: the
-    spans, unlike the ideals they generate, do not absorb products).  The
-    reported chain term is the ideal generated by V_n; it vanishes exactly
-    when V_n does.
+    the basis elements e_b.  The reported chain term is the ideal generated
+    by V_n; it vanishes exactly when V_n does.  The spans, unlike the ideals
+    they generate, do not absorb products, so no generator reduction is
+    valid here.
+
+    By default b runs over one representative per orbit of the non-central
+    elements of G under x -> h^-1 x h z (h in G, z in Z(G)); central
+    elements bracket to 0.  Let W be the span of [V_n, b] over the
+    representatives.  Then W = V_{n+1}:
+
+    1. For central z, [v, b] z = [v z, b] and V_m z = V_m, so W z = W and
+       [u, b z] = [u z, b] lies in W for u in V_m, m >= n.
+    2. For u in V_m, m >= n, and a = h^-1 b: b^h = b + [a, h], so
+       [u, b^h] = [u, b] + [u, [a, h]], and by Jacobi
+       [u, [a, h]] = [[u, a], h] - [[u, h], a] lies in V_{m+2}.
+    3. V_m lies in V_n, so [u, b] lies in W; by 1 and 2, V_{m+1} is in
+       W + V_{m+2} for every m >= n.
+    4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
+       hence V_{n+1} is in W, and W is in V_{n+1} trivially.
+
+    With `seed_orbit_representatives=False` b runs over every basis
+    element; that slow route is the reference a test compares the default
+    against, term by term.
     """
-    all_basis = tuple(range(A.dim))
+    against = (_orbit_representatives(A) if seed_orbit_representatives
+               else tuple(range(A.dim)))
     ops = A.ideal_operators()
     bound = A.chain_bound if max_terms is None else max_terms
     full = FpSubspace.full(A.p, A.dim)
@@ -250,7 +304,7 @@ def lower_lie_chain(A: GroupAlgebra,
     while True:
         if v_current.is_zero():
             return LiePowerChain("lower", spaces, t=len(spaces))
-        v_next = _seed_brackets(A, v_current.basis, all_basis)
+        v_next = _seed_brackets(A, v_current.basis, against)
         if v_next == v_current:
             raise NotLieNilpotentDetected(
                 "lower bracket spans went stationary at nonzero dimension "

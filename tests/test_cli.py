@@ -257,6 +257,28 @@ def test_non_positive_cap_is_rejected_before_any_work(argv, monkeypatch, capsys)
     assert f"--cap must be positive, got {argv[-1]}" in err
 
 
+def test_oracle_structure_cap_is_checked_before_the_chains(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("Lie chains started before the structure cap was checked")
+    monkeypatch.setattr(cli, "upper_lie_chain", no_work)
+    monkeypatch.setattr(cli, "lower_lie_chain", no_work)
+    monkeypatch.setenv("LIENIL_CAP", "1")
+    code, out, err = run(capsys, ["oracle", "--builder", "condition-quotient:65",
+                                  "-p", "3"])
+    assert code == 2 and out == ""
+    assert "subgroup larger than cap 1" in err
+
+
+def test_oracle_cap_is_checked_before_the_formula(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("formula started before the oracle cap was checked")
+    monkeypatch.setattr(cli, "upper_index", no_work)
+    code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16",
+                                  "--cap", "8"])
+    assert code == 2 and out == ""
+    assert "oracle cap 8" in err
+
+
 def test_oracle_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("LIENIL_ORACLE_CAP", "8")
     code, _, err = run(capsys, ["oracle", "--builder", "dihedral:16"])

@@ -4,22 +4,35 @@ import numpy as np
 import pytest
 
 from lienil.catalog import (
+    DATA_DIR,
     build_abelian,
+    build_condition_quotient,
     build_dihedral,
     build_free_class2,
     build_heisenberg,
     build_quaternion,
+    import_presentation,
 )
 from lienil.dimension import upper_index
 from lienil.oracle import (
     OracleCapExceeded,
+    _orbit_representatives,
     build_algebra,
     lower_lie_chain,
     t_lower_direct,
     t_upper_direct,
     upper_lie_chain,
 )
-from lienil.subgroups import derived_subgroup, whole_group
+from lienil.pcgroup import PcGroup
+from lienil.subgroups import center, derived_subgroup, whole_group
+
+
+def _table_group(stem):
+    return import_presentation(DATA_DIR / f"{stem}.pres").group
+
+
+# the order-243 table rows, the largest groups the default oracle cap admits
+TABLE_243 = sorted(f.stem for f in DATA_DIR.glob("s243_*.pres"))
 
 
 def test_algebra_table_is_a_group_table():
@@ -40,6 +53,20 @@ def test_algebra_table_is_a_group_table():
     for i in range(8):
         assert sorted(A.table[i, :]) == list(range(8))
         assert sorted(A.table[:, i]) == list(range(8))
+
+
+def test_algebra_multiplies_each_element_by_each_generator_once(monkeypatch):
+    G = build_heisenberg(3).group
+    calls = []
+    multiply = PcGroup.multiply
+
+    def counted(self, x, y):
+        calls.append(y)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "multiply", counted)
+    build_algebra(G)
+    assert len(calls) == G.order * G.ngens
 
 
 def test_oracle_refuses_groups_above_cap():
@@ -149,3 +176,70 @@ def test_index_bounds_on_nonabelian_groups():
         assert G.p + 1 <= lower <= upper <= dorder + 1
         if G.p > 3:
             assert lower == upper
+
+
+ORBIT_CASES = {
+    "D16": lambda: build_dihedral(16).group,
+    "Q16": lambda: build_quaternion(16).group,
+    "H3": lambda: build_heisenberg(3).group,
+    "H5": lambda: build_heisenberg(5).group,
+    "free_class2-3-p2": lambda: build_free_class2(3, 2).group,
+    # large centre: 8 representatives for 243 elements
+    "cond65-quotient": lambda: build_condition_quotient(65, 3).group,
+    # every element central: no representatives, t = 2
+    "C9xC3": lambda: build_abelian(3, [9, 3]).group,
+    # the longest lower chain of the table rows, t = 10
+    "s243_22": lambda: _table_group("s243_22"),
+}
+
+
+@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
+def test_orbit_seeding_spans_the_same_lower_terms(make):
+    A = build_algebra(make())
+    full = lower_lie_chain(A, seed_orbit_representatives=False)
+    reduced = lower_lie_chain(A)
+    assert full.t == reduced.t
+    assert [s.basis.tobytes() for s in full.spaces] == \
+           [s.basis.tobytes() for s in reduced.spaces]
+
+
+@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
+def test_orbit_representatives_match_pc_orbits(make):
+    G = make()
+    A = build_algebra(G)
+    Z = center(whole_group(G)).enumerated().elements
+    central = {A.index[z] for z in Z}
+    orbits = []
+    covered = set(central)
+    for x in A.elements:
+        if A.index[x] not in covered:
+            conjugates = {G.conjugate(x, h) for h in A.elements}
+            orbits.append({A.index[G.multiply(c, z)]
+                           for c in conjugates for z in Z})
+            covered |= orbits[-1]
+    reps = _orbit_representatives(A)
+    assert central.isdisjoint(reps)
+    assert [len(orbit.intersection(reps)) for orbit in orbits] == [1] * len(orbits)
+    assert len(reps) == len(orbits)
+
+
+NONABELIAN_ORACLE = {
+    **{name: (lambda name=name: _table_group(name)) for name in TABLE_243},
+    "D64": lambda: build_dihedral(64).group,
+    "Q64": lambda: build_quaternion(64).group,
+    "D128": lambda: build_dihedral(128).group,
+    "Q128": lambda: build_quaternion(128).group,
+}
+
+
+@pytest.mark.parametrize("make", NONABELIAN_ORACLE.values(),
+                         ids=NONABELIAN_ORACLE.keys())
+def test_both_chains_on_larger_nonabelian_groups(make):
+    # the two routes agree on t^L, and p + 1 <= t_L <= t^L <= |G'| + 1
+    G = make()
+    A = build_algebra(G)
+    upper = upper_lie_chain(A).t
+    lower = lower_lie_chain(A).t
+    assert upper == upper_index(G)
+    dorder = derived_subgroup(whole_group(G)).order
+    assert G.p + 1 <= lower <= upper <= dorder + 1
