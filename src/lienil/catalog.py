@@ -236,7 +236,13 @@ def build_named(spec: str, p: Optional[int] = None) -> CatalogEntry:
     if name == "abelian":
         if p is None:
             raise ValueError("abelian builder needs -p")
-        factors = [int(tok) for tok in params.replace(",", "x").split("x") if tok]
+        factors = []
+        for tok in params.replace(",", "x").split("x"):
+            try:
+                factors.append(int(tok))
+            except ValueError:
+                raise ValueError(f"builder spec {spec!r}: invariant factor {tok!r} "
+                                 "is not an integer") from None
         return build_abelian(p, factors)
     if name in ("free_class2", "free-class2"):
         if p is None:

@@ -139,6 +139,20 @@ class PcGroup:
     def generators(self) -> list[Element]:
         return [self.generator(i) for i in range(self.ngens)]
 
+    def power_relation(self, i: int) -> Element:
+        """g_i^p, read off the presentation (no collection)."""
+        return self._word_element(self._powers[i])
+
+    def commutator_relation(self, j: int, i: int) -> Element:
+        """[g_j, g_i] for j > i, read off the presentation (no collection)."""
+        return self._word_element(self._comms.get((j, i), ()))
+
+    def _word_element(self, w: Word) -> Element:
+        e = list(self.identity)
+        for gen, exp in w:
+            e[gen] = exp
+        return tuple(e)
+
     def _mul_letters(self, x: Element, letters: Iterable[int]) -> Element:
         """Normal form of x * (product of the given generator letters)."""
         cur = list(x)

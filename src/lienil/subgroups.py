@@ -7,6 +7,14 @@ intersections and power subgroups are closures of their element sets.
 The centre, derived subgroup and power subgroups of H are memoized on H,
 so they live as long as H does.
 
+closure() never grows an element set to test membership.  It sifts each
+generator through an induced polycyclic sequence, one entry per depth
+(first non-zero exponent).  The pc series G_i = <g_i, ..., g_n> is
+central, so the exponent at depth d is a homomorphism on G_d, and x lies
+in the subgroup exactly when sifting leaves 1.  The sequence gives
+|H| = p^(entries) before any element is formed.  So the cap is checked
+first, and only then is H enumerated, each element once.
+
 Power subgroups come from H's structure by one rule, never from a power
 of every element (see power_subgroup): only the p-part p^j of an exponent
 q matters, and (xz)^p = x^p z^p for central z, so one p-th power per coset
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from lienil.pcgroup import Element, PcGroup
@@ -135,40 +144,134 @@ def trivial_subgroup(G: PcGroup) -> Subgroup:
     return Subgroup(G, frozenset([G.identity]), ())
 
 
+class _PcSequence:
+    """Induced polycyclic sequence of a subgroup S: at most one entry per
+    depth, where the depth of x != 1 is its first non-zero exponent.
+
+    The entry t at depth d has t[d] = 1.  Sifting x runs through its
+    depths in order; at a depth d with exponent e and an entry t it
+    replaces x by t^(p-e) x, which has exponent 0 at d.  A pc-generator
+    entry g_d needs no product: it replaces x by g_d^-e x, which is x with
+    position d cleared.  When every depth of S holds an entry (see
+    closure), x lies in S exactly when it sifts to the identity.
+    """
+
+    __slots__ = ("group", "entries", "_powers")
+
+    def __init__(self, G: PcGroup):
+        self.group = G
+        self.entries: list[Optional[Element]] = [None] * G.ngens
+        # d -> [1, t, ..., t^(p-1)] for each entry t that is not g_d itself
+        self._powers: dict[int, list[Element]] = {}
+
+    def sift(self, x: Element) -> Element:
+        """x reduced through the entries; a non-identity result has no
+        entry at its depth."""
+        G = self.group
+        for d in range(G.ngens):
+            e = x[d]
+            if not e:
+                continue
+            t = self.entries[d]
+            if t is None:
+                return x
+            if d in self._powers:
+                x = G.multiply(self._powers[d][G.p - e], x)
+            else:
+                x = G.identity[:d + 1] + x[d + 1:]
+        return x
+
+    def add(self, r: Element) -> list[Element]:
+        """Enter a sifted r != 1 at its depth; return the new entry's p-th
+        power and its commutators with the other entries, which lie in S
+        and still need sifting."""
+        G = self.group
+        d = next(i for i, e in enumerate(r) if e)
+        t = r if r[d] == 1 else G.power(r, pow(r[d], -1, G.p))
+        self.entries[d] = t
+        pc = not any(t[d + 1:])
+        if pc:
+            found = [G.power_relation(d)]
+        else:
+            powers = self._powers[d] = [G.identity, t]
+            for _ in range(G.p - 1):
+                powers.append(G.multiply(powers[-1], t))
+            found = [powers.pop()]
+        for c, s in enumerate(self.entries):
+            if s is None or c == d:
+                continue
+            if pc and c not in self._powers:
+                found.append(G.commutator_relation(max(c, d), min(c, d)))
+                continue
+            ts, st = G.multiply(t, s), G.multiply(s, t)
+            if ts != st:
+                found.append(G.multiply(G.inverse(st), ts))  # [t, s]
+        return found
+
+    def elements(self) -> frozenset:
+        """Every t_1^e_1 ... t_k^e_k (entries by depth), built deepest
+        entry first with one left multiplication per element; a
+        pc-generator entry g_d only writes e into position d."""
+        G = self.group
+        out = [G.identity]
+        for d in reversed(range(G.ngens)):
+            if self.entries[d] is None:
+                continue
+            m = len(out)
+            if d in self._powers:
+                powers = self._powers[d]
+                out.extend(G.multiply(powers[e], y)
+                           for e in range(1, G.p) for y in islice(out, m))
+            else:
+                out.extend(G.identity[:d] + (e,) + y[d + 1:]
+                           for e in range(1, G.p) for y in islice(out, m))
+        return frozenset(out)
+
+
 def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subgroup:
     """Subgroup H generated by gens, keeping at most log_p |H| of them.
 
-    A generator that already lies in the subgroup S built so far is
-    dropped.  A kept generator g lies outside S, so the coset S*g is new
-    and |<S, g>| >= p |S|; hence the bound, and a cap below p |S| is
-    reported before the coset is built.  S*g is taken once; then only the
-    new elements are closed under the kept generators by right
-    multiplication.  In a finite group the multiplicative closure of a set
-    containing the identity is already a subgroup, so no inverses are
-    taken.
+    A generator is kept when it does not lie in the subgroup S of the
+    generators kept before it; then |<S, g>| >= p |S|, hence the bound.
+    Membership is decided by sifting through an induced polycyclic
+    sequence of S (_PcSequence), not by an element set.
+
+    Sifting is exact because the pc series G_i = <g_i, ..., g_n> is
+    central: every relation word for g_j^p and [g_j, g_i] lies strictly
+    after j.  So reading the exponent at depth d is a homomorphism
+    G_d -> Z/p, and an entry t of depth d with t[d] = 1 cancels the
+    exponent at d without touching earlier ones.  The sequence is closed
+    by sifting, after each new entry, its p-th power and its commutators
+    with every other entry, and entering what does not sift to 1.  With
+    entries t_1, ..., t_k by depth d_1 < ... < d_k, t_i^p lies in G_(d_i+1)
+    and [t_j, t_i] (i < j) in G_(d_j+1), so each sifts through deeper
+    entries only: t_i^p lies in <t_(i+1), ..., t_k>, and t_i normalises
+    that subgroup.  By induction from the deepest entry,
+    <t_i, ..., t_k> = {t_i^e_i ... t_k^e_k} has order p^(k-i+1), so a
+    closed sequence has an entry at every depth of S's elements.
+
+    So |H| = p^k for k entries.  The cap is checked against that count
+    as entries are added, and H is enumerated only afterwards, once per
+    element.  CapExceeded is raised exactly when |H| > cap.
     """
+    seq = _PcSequence(G)
     kept: list[Element] = []
-    seen: set[Element] = {G.identity}
+    size = 1
     for g in gens:
-        if g in seen:
+        r = seq.sift(g)
+        if r == G.identity:
             continue
-        if len(seen) * G.p > cap:
-            raise CapExceeded(f"subgroup larger than cap {cap}")
         kept.append(g)
-        frontier = [G.multiply(x, g) for x in seen]
-        seen.update(frontier)
-        while frontier:
-            new: list[Element] = []
-            for x in frontier:
-                for h in kept:
-                    y = G.multiply(x, h)
-                    if y not in seen:
-                        seen.add(y)
-                        if len(seen) > cap:
-                            raise CapExceeded(f"subgroup larger than cap {cap}")
-                        new.append(y)
-            frontier = new
-    return Subgroup(G, frozenset(seen), tuple(kept))
+        pending = [r]
+        while pending:
+            r = seq.sift(pending.pop())
+            if r == G.identity:
+                continue
+            size *= G.p
+            if size > cap:
+                raise CapExceeded(f"subgroup larger than cap {cap}")
+            pending.extend(seq.add(r))
+    return Subgroup(G, seq.elements(), tuple(kept))
 
 
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:

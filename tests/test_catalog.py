@@ -62,6 +62,10 @@ def test_builder_argument_validation():
         build_condition_group(46, 3)
     with pytest.raises(ValueError):
         build_condition_group(1, 5)
+    # an empty or non-integer factor is an error, not a dropped factor
+    for spec in ("abelian:4x", "abelian:4,,2", "abelian:4xa", "abelian:"):
+        with pytest.raises(ValueError, match=f"builder spec '{spec}'"):
+            build_named(spec, p=2)
 
 
 def test_build_named_dispatch():

@@ -8,7 +8,7 @@ import pytest
 from lienil import cli
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
-from lienil.pcgroup import parse_presentation_with_meta
+from lienil.pcgroup import PcGroup, parse_presentation_with_meta
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +131,30 @@ def test_abelian_builder_requires_a_prime(capsys):
         code, out, err = run(capsys, ["index", "--builder", "abelian:4", "-p", bad])
         assert code == 2 and out == ""
         assert f"not a prime: {bad}" in err
+
+
+def test_abelian_builder_rejects_empty_or_non_integer_factors(capsys):
+    for spec in ("abelian:4x", "abelian:4,,2", "abelian:4xa"):
+        code, out, err = run(capsys, ["index", "--builder", spec, "-p", "2"])
+        assert code == 2 and out == ""
+        assert f"builder spec '{spec}'" in err
+
+
+def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
+    # G' of the rank-5 free class-2 group at p = 5 has order 5^10 > 2^20;
+    # its size is known from the sifted sequence, so it is never enumerated
+    calls = []
+    multiply = PcGroup.multiply
+
+    def counted(self, x, y):
+        calls.append(y)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "multiply", counted)
+    code, out, err = run(capsys, ["index", "--builder", "free_class2:5", "-p", "5"])
+    assert code == 2 and out == ""
+    assert err == "error: subgroup larger than cap 1048576\n"
+    assert len(calls) < 2**20
 
 
 def test_enumerate_rejects_bad_weight(capsys):

@@ -20,6 +20,7 @@ from lienil.catalog import (
 from lienil.subgroups import (
     CapExceeded,
     IsoType,
+    Subgroup,
     abelian_invariants,
     abelianization_invariants,
     center,
@@ -37,7 +38,7 @@ from lienil.subgroups import (
     trivial_subgroup,
     whole_group,
 )
-from lienil.pcgroup import parse_presentation
+from lienil.pcgroup import PcGroup, parse_presentation
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,56 @@ def group_and_generators(draw):
     return G, draw(st.lists(element, max_size=5))
 
 
+def _bfs_closure(G, gens, cap):
+    """The breadth-first closure that the sifting closure replaced, kept as
+    the reference: the coset S*g of each kept generator, then every new
+    element times every kept generator, |H| * len(generators) products."""
+    kept = []
+    seen = {G.identity}
+    for g in gens:
+        if g in seen:
+            continue
+        if len(seen) * G.p > cap:
+            raise CapExceeded(f"subgroup larger than cap {cap}")
+        kept.append(g)
+        frontier = [G.multiply(x, g) for x in seen]
+        seen.update(frontier)
+        while frontier:
+            new = []
+            for x in frontier:
+                for h in kept:
+                    y = G.multiply(x, h)
+                    if y not in seen:
+                        seen.add(y)
+                        if len(seen) > cap:
+                            raise CapExceeded(f"subgroup larger than cap {cap}")
+                        new.append(y)
+            frontier = new
+    return Subgroup(G, frozenset(seen), tuple(kept))
+
+
+def _capped(build, G, gens, cap):
+    try:
+        return build(G, gens, cap).elements
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def _assert_closure_matches_bfs(G, gens):
+    """Same elements, the same kept generators in the same order, and
+    CapExceeded exactly when |H| > cap, with the same message."""
+    gens = list(gens)
+    ref = _bfs_closure(G, gens, 2**20)
+    H = closure(G, gens)
+    assert H.elements == ref.elements
+    assert H.generators == ref.generators
+    for cap in (H.order - 1, H.order):
+        assert _capped(closure, G, gens, cap) == _capped(_bfs_closure, G, gens, cap)
+    if H.order > 1:
+        with pytest.raises(CapExceeded, match=f"^subgroup larger than cap {H.order - 1}$"):
+            closure(G, gens, H.order - 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(drawn=group_and_generators())
 def test_closure_matches_naive_fixpoint_with_few_generators(drawn):
@@ -94,6 +145,95 @@ def test_closure_matches_naive_fixpoint_with_few_generators(drawn):
     assert G.p ** len(H.generators) <= H.order  # at most log_p |H| generators
     assert set(H.generators) <= set(gens)
     assert closure(G, H.generators) == H
+    _assert_closure_matches_bfs(G, gens)
+
+
+def _word(G, *letters):
+    """The product g_i^e ... of the given (i, e) pairs, left to right."""
+    x = G.identity
+    for i, e in letters:
+        x = G.multiply(x, G.power(G.generator(i), e))
+    return x
+
+
+def _non_pc_sequences():
+    """Generating sequences that are not pc generators, so the sequence
+    has entries with a non-zero tail: diagonals, products of letters."""
+    d16 = build_dihedral(16).group
+    h5 = build_heisenberg(5).group
+    f33 = build_free_class2(3, 3).group
+    s3125 = import_presentation(DATA_DIR / "s3125_41.pres").group
+    return {
+        "D16 <g1 g2>": (d16, [_word(d16, (0, 1), (1, 1))]),
+        "D16 <g2 g3>": (d16, [_word(d16, (1, 1), (2, 1))]),
+        "H5 <g1 g2, g3>": (h5, [_word(h5, (0, 1), (1, 1)), h5.generator(2)]),
+        "H5 <g1 g2^2, g2 g3>": (h5, [_word(h5, (0, 1), (1, 2)), _word(h5, (1, 1), (2, 1))]),
+        "free_class2(3,3) <g1 g2, g2 g3>": (
+            f33, [_word(f33, (0, 1), (1, 1)), _word(f33, (1, 1), (2, 1))]),
+        "s3125_41 <g1 g2^3, g2 g5>": (
+            s3125, [_word(s3125, (0, 1), (1, 3)), _word(s3125, (1, 1), (4, 1))]),
+    }
+
+
+NON_PC_SEQUENCES = _non_pc_sequences()
+
+
+@pytest.mark.parametrize("name", sorted(NON_PC_SEQUENCES))
+def test_closure_of_non_pc_sequences_matches_breadth_first_reference(name):
+    _assert_closure_matches_bfs(*NON_PC_SEQUENCES[name])
+
+
+@pytest.mark.parametrize("stem", ["s3125_41", "s2187_5868", "s243_13"])
+def test_closure_matches_breadth_first_reference_on_table_groups(stem):
+    G = import_presentation(DATA_DIR / f"{stem}.pres").group
+    _assert_closure_matches_bfs(G, G.generators())
+    W = whole_group(G).enumerated()
+    der, zc = derived_subgroup(W), center(W)
+    for H in (W, der, zc, power_subgroup(W, G.p), power_subgroup(der, G.p),
+              power_subgroup(W, G.p**2)):
+        _assert_closure_matches_bfs(G, H.generators)
+        _assert_closure_matches_bfs(G, sorted(H.elements))
+        _assert_closure_matches_bfs(G, sorted(H.elements, reverse=True))
+
+
+@pytest.fixture
+def multiply_calls(monkeypatch):
+    calls = []
+    multiply = PcGroup.multiply
+
+    def counted(self, x, y):
+        calls.append(y)
+        return multiply(self, x, y)
+
+    monkeypatch.setattr(PcGroup, "multiply", counted)
+    return calls
+
+
+def test_whole_group_enumeration_makes_no_products(multiply_calls):
+    # every entry of the sequence is a pc generator: elements are spliced
+    G = import_presentation(DATA_DIR / "s3125_41.pres").group
+    multiply_calls.clear()
+    assert whole_group(G).enumerated().order == 3125
+    assert multiply_calls == []
+
+
+def test_derived_subgroup_of_free_class2_closes_without_products(multiply_calls):
+    G = build_free_class2(4, 5).group
+    der = derived_subgroup(whole_group(G))
+    multiply_calls.clear()
+    assert closure(G, der.generators) == der
+    assert der.order == 5**6 and multiply_calls == []
+
+
+@pytest.mark.parametrize("name", ["H5 <g1 g2^2, g2 g3>", "s3125_41 <g1 g2^3, g2 g5>"])
+def test_non_pc_closure_makes_one_product_per_element_plus_sifting(name, multiply_calls):
+    # breadth-first closure makes |H| * len(generators) products here
+    G, gens = NON_PC_SEQUENCES[name]
+    multiply_calls.clear()
+    H = closure(G, gens)
+    k = round(math.log(H.order, G.p))
+    assert len(H.generators) == 2
+    assert len(multiply_calls) <= H.order + G.p * k * k
 
 
 @pytest.mark.parametrize("stem", ["s3125_76", "s2187_5868", "s243_13", "s243_55"])
