@@ -216,7 +216,7 @@ def reference_fingerprint(key: str, p: int) -> IsoType:
     except KeyError:
         raise ValueError(f"unknown reference construction {key!r}") from None
     G = builder(p)
-    return fingerprint(whole_group(G).enumerated(G.order))
+    return fingerprint(whole_group(G, G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +370,7 @@ def computed_columns(entry: CatalogEntry, keys: Iterable[str],
     """
     keys = list(keys)
     _check_column_keys(entry.name, keys)
-    W = whole_group(entry.group).enumerated(cap)
+    W = whole_group(entry.group, cap)
     out: dict[str, str] = {}
     for key in keys:
         q = int(re.sub(r"\D", "", key) or 0)  # the <q> of a power key
@@ -378,15 +378,15 @@ def computed_columns(entry: CatalogEntry, keys: Iterable[str],
             out[key] = str(W.exponent())
             continue
         if key == "zeta":
-            sub = center(W, cap)
+            sub = center(W)
         elif key == "Gpp":
             sub = derived_subgroup(W, cap)
         elif key == "GppcapZeta":
-            sub = intersection(derived_subgroup(W, cap), center(W, cap))
+            sub = intersection(derived_subgroup(W, cap), center(W))
         elif key.startswith("GppcapGp"):
             sub = intersection(derived_subgroup(W, cap), power_subgroup(W, q, cap))
         elif key.endswith("capZeta"):
-            sub = intersection(power_subgroup(W, q, cap), center(W, cap))
+            sub = intersection(power_subgroup(W, q, cap), center(W))
         else:
             sub = power_subgroup(W, q, cap)
         out[key] = str(fingerprint(sub, cap))
@@ -453,6 +453,5 @@ def fingerprint_db() -> dict[tuple[int, int], IsoType]:
     for entry in table_entries():
         if entry.declared_id is None:
             continue
-        W = whole_group(entry.group).enumerated(DEFAULT_CAP)
-        db[entry.declared_id] = fingerprint(W, DEFAULT_CAP)
+        db[entry.declared_id] = fingerprint(whole_group(entry.group))
     return db

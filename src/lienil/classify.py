@@ -107,17 +107,17 @@ def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
             return series[i - 1]
         return triv
 
-    derived = gamma_term(2).enumerated(cap)
-    g3 = gamma_term(3).enumerated(cap)
-    g4 = gamma_term(4).enumerated(cap)
+    derived = gamma_term(2)
+    g3 = gamma_term(3)
+    g4 = gamma_term(4)
 
     gamma: dict[int, TermInfo] = {}
     top = max(6, len(series))
     for i in range(3, top + 1):
-        term = gamma_term(i).enumerated(cap)
+        term = gamma_term(i)
         gamma[i] = TermInfo(term.order, fingerprint(term, cap))
 
-    zeta = center(derived, cap)
+    zeta = center(derived)
     second = derived_subgroup(derived, cap)
 
     powers: dict[int, PowerInfo] = {}

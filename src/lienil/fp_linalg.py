@@ -33,8 +33,15 @@ _FLOAT_EXACT_LIMIT = 2**53
 _INT64_LIMIT = 2**63
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below _PRIME_TEST_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def check_prime(p: int) -> int:
-    """Validate that p is a prime usable as a field characteristic.
+    """Validate that p is a prime usable as a field characteristic, by
+    deterministic Miller-Rabin over _PRIME_BASES.
 
     Args:
         p: candidate modulus.
@@ -43,25 +50,26 @@ def check_prime(p: int) -> int:
         p itself, for call chaining.
 
     Raises:
-        ValueError: if p is not a prime number.
+        ValueError: if p is not a prime number, or not below _PRIME_TEST_BOUND.
     """
     if not isinstance(p, (int, np.integer)) or p < 2:
         raise ValueError(f"not a prime: {p!r}")
-    if p in (2, 3, 5, 7, 11, 13):
-        return int(p)
-    if p % 2 == 0:
-        raise ValueError(f"not a prime: {p}")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError(f"not a prime: {p}")
-        d += 2
-    return int(p)
+    n = int(p)
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"primes must be below {_PRIME_TEST_BOUND}")
+    if n in _PRIME_BASES:
+        return n
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 2**r, n) for r in range(s)):
+            raise ValueError(f"not a prime: {n}")
+    return n
 
 
 def _check_field(p: int) -> int:
     """check_prime, plus (p-1)^2 < 2**63 for elimination's int64 products."""
-    # the bound comes first, so huge p fails without trial division
     if isinstance(p, (int, np.integer)) and (int(p) - 1) ** 2 >= _INT64_LIMIT:
         raise ValueError(f"GF({p}) elimination needs (p-1)^2 < 2**63")
     return check_prime(p)

@@ -1,19 +1,24 @@
-"""Subgroup-level computations on enumerated finite p-groups.
+"""Subgroup-level computations on finite p-groups given by pc presentations.
 
-A subgroup H is an explicit element set (tuples of exponents) plus a
-generating sequence of at most log_p |H| elements.  closure() builds every
-non-trivial subgroup and keeps that bound, whatever it is handed: centres,
-intersections and power subgroups are closures of their element sets.
+A subgroup H is its group, a generating sequence of at most log_p |H|
+elements, and an induced polycyclic sequence of H in canonical form:
+one entry per depth of H's elements (the depth of x != 1 is its first
+non-zero exponent), where the entry at depth d has exponent 1 at d and 0
+at the depth of every other entry.  That sequence is unique for its
+subgroup, so it decides |H| = p^(entries), membership (x lies in H
+exactly when sifting leaves 1), inclusion and equality without any
+element set.  closure() builds every subgroup, the whole group
+included: centres, intersections and power subgroups are closures too.
 The centre, derived subgroup and power subgroups of H are memoized on H,
 so they live as long as H does.
 
-closure() never grows an element set to test membership.  It sifts each
-generator through an induced polycyclic sequence, one entry per depth
-(first non-zero exponent).  The pc series G_i = <g_i, ..., g_n> is
-central, so the exponent at depth d is a homomorphism on G_d, and x lies
-in the subgroup exactly when sifting leaves 1.  The sequence gives
-|H| = p^(entries) before any element is formed.  So the cap is checked
-first, and only then is H enumerated, each element once.
+The element set is enumerated from the sequence on first use, once per
+element.  The cap is checked twice: closure() refuses a sequence longer
+than log_p(cap) before any element is formed, and enumeration refuses a
+subgroup larger than its cap.  whole_group(G, cap) is the one subgroup
+whose sequence is not capped, so groups far above the cap still get
+their lower central series, derived subgroup and dimension subgroups, as
+long as no step needs G's own elements.
 
 Power subgroups come from H's structure by one rule, never from a power
 of every element (see power_subgroup): only the p-part p^j of an exponent
@@ -23,12 +28,6 @@ generate H^(p^j).  Z(H) = H for abelian H, so there the rule leaves just
 the generator powers.  Everything else about powers is read off that one
 memoized chain: exp(H) is p^k for the first trivial H^(p^k), and the
 invariant factors and fingerprint power orders are the orders |H^(p^j)|.
-
-The one exception is the whole-group marker returned by whole_group(),
-which carries its order and the pc generators without enumerating
-elements; series computations only ever enumerate the subgroups
-themselves, so groups far above the enumeration cap still get their lower
-central series, derived subgroup and power subgroups computed.
 """
 
 from __future__ import annotations
@@ -44,104 +43,7 @@ DEFAULT_CAP = 2**20
 
 
 class CapExceeded(RuntimeError):
-    """A subgroup enumeration outgrew the caller's cap."""
-
-
-class Subgroup:
-    """A subgroup of a pc group, as an explicit closed element set."""
-
-    __slots__ = ("group", "elements", "generators", "_whole_order",
-                 "_center", "_derived", "_powers", "_coset_images")
-
-    def __init__(self, group: PcGroup, elements: Optional[frozenset],
-                 generators: tuple[Element, ...],
-                 whole_order: Optional[int] = None):
-        self.group = group
-        self.elements = elements
-        self.generators = generators
-        self._whole_order = whole_order
-        self._center: Optional["Subgroup"] = None
-        self._derived: Optional["Subgroup"] = None
-        self._powers: dict[int, "Subgroup"] = {}
-        self._coset_images: list[frozenset] = []
-
-    @property
-    def order(self) -> int:
-        if self.elements is not None:
-            return len(self.elements)
-        assert self._whole_order is not None
-        return self._whole_order
-
-    @property
-    def is_whole_marker(self) -> bool:
-        return self.elements is None
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def __contains__(self, x: Element) -> bool:
-        if self.elements is None:
-            return True
-        return x in self.elements
-
-    def __le__(self, other: "Subgroup") -> bool:
-        if other.elements is None:
-            return True
-        if self.elements is None:
-            return self.order <= other.order and other.order == self.group.order
-        return self.elements <= other.elements
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        if self.group is not other.group:
-            return False
-        if self.elements is None or other.elements is None:
-            return self.order == other.order == self.group.order
-        return self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((id(self.group), self.order,
-                     None if self.elements is None else self.elements))
-
-    def __iter__(self) -> Iterator[Element]:
-        if self.elements is None:
-            raise CapExceeded("whole-group marker is not enumerated; call enumerated()")
-        return iter(self.elements)
-
-    def enumerated(self, cap: int = DEFAULT_CAP) -> "Subgroup":
-        """Materialize the element set (no-op when already explicit)."""
-        if self.elements is not None:
-            return self
-        if self.group.order > cap:
-            raise CapExceeded(
-                f"group order {self.group.order} exceeds enumeration cap {cap}")
-        return closure(self.group, self.generators, cap)
-
-    def exponent(self) -> int:
-        """exp(H) = p^k for the first k with H^(p^k) trivial (see
-        power_subgroup); the whole-group marker raises CapExceeded."""
-        q = 1
-        while not power_subgroup(self, q).is_trivial():
-            q *= self.group.p
-        return q
-
-    def _require_elements(self) -> None:
-        if self.elements is None:
-            raise CapExceeded("operation needs an enumerated subgroup")
-
-    def __repr__(self) -> str:
-        tag = "whole" if self.elements is None else "enum"
-        return f"Subgroup(order={self.order}, gens={len(self.generators)}, {tag})"
-
-
-def whole_group(G: PcGroup) -> Subgroup:
-    """Marker subgroup for G itself; never enumerated implicitly."""
-    return Subgroup(G, None, tuple(G.generators()), whole_order=G.order)
-
-
-def trivial_subgroup(G: PcGroup) -> Subgroup:
-    return Subgroup(G, frozenset([G.identity]), ())
+    """A subgroup outgrew the caller's cap."""
 
 
 class _PcSequence:
@@ -158,11 +60,13 @@ class _PcSequence:
 
     __slots__ = ("group", "entries", "_powers")
 
-    def __init__(self, G: PcGroup):
+    def __init__(self, G: PcGroup, base: Optional["_PcSequence"] = None):
+        """An empty sequence, or a copy of base to grow."""
         self.group = G
-        self.entries: list[Optional[Element]] = [None] * G.ngens
+        self.entries: list[Optional[Element]] = (
+            list(base.entries) if base else [None] * G.ngens)
         # d -> [1, t, ..., t^(p-1)] for each entry t that is not g_d itself
-        self._powers: dict[int, list[Element]] = {}
+        self._powers: dict[int, list[Element]] = dict(base._powers) if base else {}
 
     def sift(self, x: Element) -> Element:
         """x reduced through the entries; a non-identity result has no
@@ -181,6 +85,16 @@ class _PcSequence:
                 x = G.identity[:d + 1] + x[d + 1:]
         return x
 
+    def _set(self, d: int, t: Element) -> None:
+        """Make t the entry at depth d, with its powers unless t is g_d."""
+        G = self.group
+        self.entries[d] = t
+        self._powers.pop(d, None)
+        if any(t[d + 1:]):
+            powers = self._powers[d] = [G.identity, t]
+            for _ in range(G.p - 2):
+                powers.append(G.multiply(powers[-1], t))
+
     def add(self, r: Element) -> list[Element]:
         """Enter a sifted r != 1 at its depth; return the new entry's p-th
         power and its commutators with the other entries, which lie in S
@@ -188,25 +102,48 @@ class _PcSequence:
         G = self.group
         d = next(i for i, e in enumerate(r) if e)
         t = r if r[d] == 1 else G.power(r, pow(r[d], -1, G.p))
-        self.entries[d] = t
-        pc = not any(t[d + 1:])
-        if pc:
-            found = [G.power_relation(d)]
-        else:
-            powers = self._powers[d] = [G.identity, t]
-            for _ in range(G.p - 1):
-                powers.append(G.multiply(powers[-1], t))
-            found = [powers.pop()]
+        self._set(d, t)
+        found = [G.multiply(self._powers[d][-1], t) if d in self._powers
+                 else G.power_relation(d)]
         for c, s in enumerate(self.entries):
             if s is None or c == d:
                 continue
-            if pc and c not in self._powers:
+            if d not in self._powers and c not in self._powers:
                 found.append(G.commutator_relation(max(c, d), min(c, d)))
                 continue
             ts, st = G.multiply(t, s), G.multiply(s, t)
             if ts != st:
                 found.append(G.multiply(G.inverse(st), ts))  # [t, s]
         return found
+
+    def reduce(self) -> None:
+        """Canonical form of a closed sequence: each entry gets exponent 0
+        at every other entry's depth, which makes it unique for S.
+
+        The series is central, so left multiplication by an element of G_c
+        keeps every exponent before c and adds at c: the depths c > d of
+        an entry are cleared in increasing order by powers of their
+        entries.  When every depth from `full` on holds an entry, G_full
+        lies in S, so those positions are just zeroed, and an entry there
+        becomes the pc generator g_d without a product.
+        """
+        G = self.group
+        full = G.ngens
+        while full and self.entries[full - 1] is not None:
+            full -= 1
+        depths = [d for d in range(full) if self.entries[d] is not None]
+        for d, t in enumerate(self.entries):
+            if t is None:
+                continue
+            for c in depths:
+                if c > d and t[c]:
+                    power = (self._powers[c][G.p - t[c]] if c in self._powers
+                             else G.identity[:c] + (G.p - t[c],) + G.identity[c + 1:])
+                    t = G.multiply(power, t)
+            keep = max(d + 1, full)
+            t = t[:keep] + G.identity[keep:]
+            if t != self.entries[d]:
+                self._set(d, t)
 
     def elements(self) -> frozenset:
         """Every t_1^e_1 ... t_k^e_k (entries by depth), built deepest
@@ -226,6 +163,111 @@ class _PcSequence:
                 out.extend(G.identity[:d] + (e,) + y[d + 1:]
                            for e in range(1, G.p) for y in islice(out, m))
         return frozenset(out)
+
+
+class Subgroup:
+    """A subgroup of a pc group: kept generators and a closed induced
+    sequence in canonical form (see _PcSequence.reduce); built only by
+    closure().  The element set is formed on first use."""
+
+    __slots__ = ("group", "generators", "entries", "order", "_seq", "_cap",
+                 "_elements", "_center", "_derived", "_powers", "_coset_images")
+
+    def __init__(self, group: PcGroup, generators: tuple[Element, ...],
+                 seq: _PcSequence, cap: int):
+        self.group = group
+        self.generators = generators
+        self.entries = tuple(t for t in seq.entries if t is not None)
+        self.order = group.p ** len(self.entries)
+        self._seq = seq
+        self._cap = cap
+        self._elements: Optional[frozenset] = None
+        self._center: Optional["Subgroup"] = None
+        self._derived: Optional["Subgroup"] = None
+        self._powers: dict[int, "Subgroup"] = {}
+        self._coset_images: list[frozenset] = []
+
+    @property
+    def elements(self) -> frozenset:
+        """The element set, enumerated on first use under H's own cap."""
+        return self.enumerated(self._cap)._elements
+
+    def enumerated(self, cap: int = DEFAULT_CAP) -> "Subgroup":
+        """H, with its element set formed on the first call; that call
+        raises CapExceeded when |H| > cap."""
+        if self._elements is None:
+            if self.order > cap:
+                raise CapExceeded(f"subgroup larger than cap {cap}")
+            self._elements = self._seq.elements()
+        return self
+
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
+    def __contains__(self, x: Element) -> bool:
+        return self._seq.sift(x) == self.group.identity
+
+    def __le__(self, other: "Subgroup") -> bool:
+        return all(g in other for g in self.generators)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.group is other.group and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((id(self.group), self.entries))
+
+    def exponent(self) -> int:
+        """exp(H) = p^k for the first k with H^(p^k) trivial (see
+        power_subgroup)."""
+        q = 1
+        while not power_subgroup(self, q).is_trivial():
+            q *= self.group.p
+        return q
+
+    def __repr__(self) -> str:
+        return f"Subgroup(order={self.order}, gens={len(self.generators)})"
+
+
+def whole_group(G: PcGroup, cap: int = DEFAULT_CAP) -> Subgroup:
+    """G itself, closed from its pc generators with no cap on the sequence;
+    cap bounds only the enumeration of its elements."""
+    W = closure(G, G.generators(), G.order)
+    W._cap = cap
+    return W
+
+
+def trivial_subgroup(G: PcGroup) -> Subgroup:
+    return Subgroup(G, (), _PcSequence(G), 1)
+
+
+def _grow(H: Subgroup, gens: Iterable[Element], cap: int) -> Subgroup:
+    """<H, gens>, keeping H's generators and then each g that does not lie
+    in the subgroup of those kept before it; H itself, memos and all,
+    when every g sifts to 1 through H."""
+    G = H.group
+    seq = _PcSequence(G, H._seq)
+    kept = list(H.generators)
+    size = H.order
+    for g in gens:
+        r = seq.sift(g)
+        if r == G.identity:
+            continue
+        kept.append(g)
+        pending = [r]
+        while pending:
+            r = seq.sift(pending.pop())
+            if r == G.identity:
+                continue
+            size *= G.p
+            if size > cap:
+                raise CapExceeded(f"subgroup larger than cap {cap}")
+            pending.extend(seq.add(r))
+    if len(kept) == len(H.generators):
+        return H
+    seq.reduce()
+    return Subgroup(G, tuple(kept), seq, cap)
 
 
 def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subgroup:
@@ -251,27 +293,10 @@ def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subg
     closed sequence has an entry at every depth of S's elements.
 
     So |H| = p^k for k entries.  The cap is checked against that count
-    as entries are added, and H is enumerated only afterwards, once per
-    element.  CapExceeded is raised exactly when |H| > cap.
+    as entries are added, before any element is formed, and CapExceeded
+    is raised exactly when |H| > cap.
     """
-    seq = _PcSequence(G)
-    kept: list[Element] = []
-    size = 1
-    for g in gens:
-        r = seq.sift(g)
-        if r == G.identity:
-            continue
-        kept.append(g)
-        pending = [r]
-        while pending:
-            r = seq.sift(pending.pop())
-            if r == G.identity:
-                continue
-            size *= G.p
-            if size > cap:
-                raise CapExceeded(f"subgroup larger than cap {cap}")
-            pending.extend(seq.add(r))
-    return Subgroup(G, seq.elements(), tuple(kept))
+    return _grow(trivial_subgroup(G), gens, cap)
 
 
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
@@ -288,19 +313,17 @@ def _conjugation_closure(G: PcGroup, gens: Iterable[Element],
     """Smallest subgroup containing gens and closed under conjugation by
     every element of `conjugators`.
 
-    Alternates closure with conjugation of the generating set until stable;
-    conjugating a generating set suffices because (xy)^g = x^g y^g.
+    Grows the closure by the conjugates of its generators until stable;
+    conjugating a generating set suffices because (xy)^g = x^g y^g.  Each
+    round conjugates only the generators the last round added: the
+    conjugates of the older ones already lie in the subgroup.
     """
     sub = closure(G, gens, cap)
-    changed = True
-    while changed:
-        changed = False
-        for x in sub.generators:
-            for g in conjugators:
-                y = G.conjugate(x, g)
-                if y not in sub:
-                    sub = closure(G, sub.generators + (y,), cap)
-                    changed = True
+    new = sub.generators
+    while new:
+        grown = _grow(sub, [G.conjugate(x, g) for x in new for g in conjugators], cap)
+        new = grown.generators[len(sub.generators):]
+        sub = grown
     return sub
 
 
@@ -314,28 +337,21 @@ def normal_closure(G: PcGroup, gens: Iterable[Element],
 
 
 def subgroup_product(H: Subgroup, K: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
-    """Closure of H union K (equals the set product when both are normal)."""
+    """Closure of H union K (equals the set product when both are normal):
+    H itself when K <= H, K itself when H <= K, else H grown by K's
+    generators."""
     if H.group is not K.group:
         raise ValueError("subgroup product across different groups")
-    if H.is_trivial():
-        return K
-    if K.is_trivial():
+    if K <= H:
         return H
-    if H.elements is not None and K.elements is not None:
-        if H.elements >= K.elements:
-            return H
-        if K.elements >= H.elements:
-            return K
-    return closure(H.group, H.generators + K.generators, cap)
+    if H <= K:
+        return K
+    return _grow(H, K.generators, cap)
 
 
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
     if H.group is not K.group:
         raise ValueError("intersection across different groups")
-    if H.elements is None:
-        return K
-    if K.elements is None:
-        return H
     common = H.elements & K.elements
     return closure(H.group, sorted(common), len(common))
 
@@ -359,8 +375,6 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
        Z, is the closure of the p^j-th powers of Z's generators.  H^(p^j)
        is the closure of both.  Z(H) = H for abelian H, so there no coset
        is non-central and H^(p^j) is closed from H's generator powers.
-
-    The whole-group marker raises CapExceeded for j > 0.
     """
     if q < 1:
         raise ValueError(f"bad power {q}")
@@ -373,22 +387,21 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
         return H
     if j not in H._powers:
         q = G.p ** j
-        gens = sorted(_coset_power_images(H, j, cap))
-        gens += [G.power(z, q) for z in center(H, cap).generators]
+        gens = sorted(_coset_power_images(H, j))
+        gens += [G.power(z, q) for z in center(H).generators]
         H._powers[j] = closure(G, gens, cap)
     return H._powers[j]
 
 
-def _coset_power_images(H: Subgroup, j: int, cap: int = DEFAULT_CAP) -> frozenset:
+def _coset_power_images(H: Subgroup, j: int) -> frozenset:
     """The non-identity p^j-th powers of one representative per
-    non-central coset of Z(H), for an enumerated H (none when H is
-    abelian); the chain j = 0, 1, ... is memoized on H and extended by one
-    p-th power per image and step."""
+    non-central coset of Z(H) (none when H is abelian); the chain
+    j = 0, 1, ... is memoized on H and extended by one p-th power per
+    image and step."""
     G = H.group
     images = H._coset_images
     if not images:
-        H._require_elements()
-        Z = center(H, cap)
+        Z = center(H)
         covered: set[Element] = set()
         reps = []
         for x in sorted(H.elements - Z.elements):
@@ -411,9 +424,9 @@ def derived_subgroup(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
     return H._derived
 
 
-def center(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
+def center(H: Subgroup) -> Subgroup:
     """Center of H: H itself when H is abelian, otherwise by scanning
-    elements against H's generators.
+    H's elements (under H's own cap) against its generators.
 
     An element commutes with all of H iff it commutes with a generating
     set, so the scan is |H| * len(generators) commutator tests.
@@ -421,17 +434,16 @@ def center(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
     if H._center is None and is_abelian(H):
         H._center = H
     elif H._center is None:
-        H2 = H.enumerated(cap)
         G = H.group
-        central = [x for x in H2.elements
-                   if all(G.multiply(x, g) == G.multiply(g, x) for g in H2.generators)]
-        H._center = H2._center = closure(G, sorted(central), len(central))
+        central = [x for x in H.elements
+                   if all(G.multiply(x, g) == G.multiply(g, x) for g in H.generators)]
+        H._center = closure(G, sorted(central), len(central))
     return H._center
 
 
 def lower_central_series(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
-    """[gamma_1 = G, gamma_2, ..., 1]; gamma_1 is the whole-group marker."""
-    series = [whole_group(G)]
+    """[gamma_1 = G, gamma_2, ..., 1]; gamma_1 is whole_group(G, cap)."""
+    series = [whole_group(G, cap)]
     current = derived_subgroup(series[0], cap)
     series.append(current)
     gens = G.generators()
@@ -443,8 +455,7 @@ def lower_central_series(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
                 if c != G.identity:
                     brackets.append(c)
         nxt = normal_closure(G, brackets, cap)
-        if current.elements is not None and nxt.elements is not None:
-            assert nxt.elements <= current.elements, "lower central series not descending"
+        assert nxt <= current, "lower central series not descending"
         series.append(nxt)
         current = nxt
     return series
@@ -523,7 +534,6 @@ def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
     order > p^j is log_p of the ratio of consecutive terms (see
     _factors_from_power_orders).
     """
-    H = H.enumerated(cap)
     p = H.group.p
     derived = derived_subgroup(H, cap)
     d = _log_p(derived.order, p)
@@ -541,11 +551,10 @@ def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
 
 def fingerprint(H: Subgroup, cap: int = DEFAULT_CAP) -> IsoType:
     """IsoType of H: exact invariants when abelian, fingerprint otherwise."""
-    H = H.enumerated(cap)
     if is_abelian(H):
         return IsoType("abelian", tuple(abelian_invariants(H, cap)))
     p = H.group.p
-    zc = center(H, cap)
+    zc = center(H)
     dv = derived_subgroup(H, cap)
     exponent = H.exponent()
     powers = [power_subgroup(H, p**j, cap).order
@@ -559,7 +568,6 @@ def fingerprint(H: Subgroup, cap: int = DEFAULT_CAP) -> IsoType:
 
 def order_histogram(H: Subgroup) -> dict[int, int]:
     """Map element order -> count; a cheap isomorphism invariant."""
-    H._require_elements()
     G = H.group
     hist: dict[int, int] = {}
     for x in H.elements:
@@ -569,8 +577,7 @@ def order_histogram(H: Subgroup) -> dict[int, int]:
 
 
 def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
-    """The conjugacy classes of an enumerated subgroup, as element sets."""
-    H._require_elements()
+    """The conjugacy classes of H, as element sets."""
     G = H.group
     left: set[Element] = set(H.elements)
     while left:
@@ -589,7 +596,7 @@ def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
 
 
 def conjugacy_class_sizes(H: Subgroup) -> list[int]:
-    """Sorted conjugacy class sizes of an enumerated subgroup."""
+    """Sorted conjugacy class sizes of H."""
     return sorted(len(orbit) for orbit in _conjugacy_classes(H))
 
 
@@ -608,7 +615,6 @@ def pth_power_in_commutator_closure_count(H: Subgroup) -> int:
     An isomorphism invariant that separates groups the class and order
     statistics cannot.
     """
-    H._require_elements()
     G = H.group
     count = 0
     for x in H.elements:

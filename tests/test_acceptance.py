@@ -29,7 +29,7 @@ def small_entries():
 
 
 def derived_of(entry):
-    return derived_subgroup(whole_group(entry.group).enumerated())
+    return derived_subgroup(whole_group(entry.group))
 
 
 def test_check1_direct_oracle_agrees_with_jennings_formula(capsys):

@@ -1,6 +1,9 @@
 """Builders, the built-in corpus, shipped table data, and its verification."""
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -84,12 +87,12 @@ def test_condition_group_centres():
     # Row 65's group: two free factors plus one extraspecial block, so the
     # centre keeps five of the seven generators.
     G65 = build_condition_group(65, 3).group
-    assert center(whole_group(G65).enumerated()).order == 3**5
+    assert center(whole_group(G65)).order == 3**5
     # Row 66's group as presented: both commutators land on the same
     # generator, which couples the two blocks and cuts the centre to
     # <e, f, g> of order 27.
     G66 = build_condition_group(66, 3).group
-    assert center(whole_group(G66).enumerated()).order == 27
+    assert center(whole_group(G66)).order == 27
 
 
 def test_standard_catalog_shape():
@@ -138,6 +141,18 @@ def test_shipped_tables_inventory():
     # six columns for the p = 3 tables, seven for the p = 5 one
     for e in entries:
         assert len(e.expected) == (7 if e.order == 3125 else 6)
+
+
+def test_table_generator_reproduces_the_shipped_files(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "gen_tables.py"
+    done = subprocess.run([sys.executable, str(tool), "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    written = sorted(f.name for f in tmp_path.glob("*.pres"))
+    shipped = sorted(f.name for f in DATA_DIR.glob("*.pres"))
+    assert len(written) == 30 and written == shipped
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
 
 
 def test_verify_tables_on_a_sample():
@@ -200,7 +215,7 @@ def test_twin_blocks_share_their_column_values():
 @pytest.mark.parametrize("block", TWIN_BLOCKS, ids=["-".join(b) for b in TWIN_BLOCKS])
 def test_twin_blocks_are_pairwise_nonisomorphic(block):
     by_name = {e.name: e for e in table_entries()}
-    groups = {n: whole_group(by_name[f"S(243,{n})"].group).enumerated()
+    groups = {n: whole_group(by_name[f"S(243,{n})"].group)
               for n in block}
     hists = {n: joint_order_class_histogram(G) for n, G in groups.items()}
     for i, a in enumerate(block):

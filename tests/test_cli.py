@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from lienil import cli
+from lienil import cli, subgroups
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
 from lienil.pcgroup import PcGroup, parse_presentation_with_meta
@@ -155,6 +155,32 @@ def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err == "error: subgroup larger than cap 1048576\n"
     assert len(calls) < 2**20
+
+
+def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
+    # |G| = 127^3 > 2^20: G is known from its sequence and never enumerated
+    orders = []
+    elements = subgroups._PcSequence.elements
+
+    def counted(self):
+        out = elements(self)
+        orders.append(len(out))
+        return out
+
+    monkeypatch.setattr(subgroups._PcSequence, "elements", counted)
+    code, out, err = run(capsys, ["index", "--builder", "heisenberg:127"])
+    assert code == 0 and err == ""
+    assert out == ("group heisenberg-127: order 2048383, p = 127\n"
+                   "dimension subgroups: |D_(2)| = 127, |D_(3)| = 1\n"
+                   "d-sequence: {d_(2)=1}\n"
+                   "upper index t^L = 128\n")
+    assert orders and max(orders) <= subgroups.DEFAULT_CAP
+
+
+def test_verify_tables_refuses_a_group_above_the_cap(capsys):
+    code, out, err = run(capsys, ["verify-tables", "--cap", "1000"])
+    assert code == 2 and out == ""
+    assert err == "error: subgroup larger than cap 1000\n"
 
 
 def test_enumerate_rejects_bad_weight(capsys):

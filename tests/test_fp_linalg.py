@@ -5,6 +5,9 @@ plain Python lists; rref and the subspace lattice are verified against it
 rather than against themselves.
 """
 
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +269,36 @@ def test_check_prime_accepts_and_rejects():
     for bad in (0, 1, 4, 9, 15, 21, -3, "5"):
         with pytest.raises(ValueError):
             check_prime(bad)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _accepts(n):
+    try:
+        return check_prime(n) == n
+    except ValueError:
+        return False
+
+
+def test_check_prime_agrees_with_trial_division():
+    for n in range(10**5):
+        assert _accepts(n) == _is_prime_by_trial_division(n), n
+
+
+def test_check_prime_rejects_strong_pseudoprimes_and_undecided_sizes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    for spsp in (3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match=f"^not a prime: {spsp}$"):
+            check_prime(spsp)
+    start = time.perf_counter()
+    assert check_prime(10000000000000061) == 10000000000000061
+    assert check_prime(2**61 - 1) == 2**61 - 1  # Mersenne prime
+    assert time.perf_counter() - start < 0.5
+    # a prime, but above the bound where the bases are proven exact
+    with pytest.raises(ValueError, match="^cannot decide whether"):
+        check_prime(2**89 - 1)
 
 
 def test_zero_and_full_subspaces():

@@ -207,7 +207,7 @@ def test_orbit_seeding_spans_the_same_lower_terms(make):
 def test_orbit_representatives_match_pc_orbits(make):
     G = make()
     A = build_algebra(G)
-    Z = center(whole_group(G)).enumerated().elements
+    Z = center(whole_group(G)).elements
     central = {A.index[z] for z in Z}
     orbits = []
     covered = set(central)

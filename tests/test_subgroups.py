@@ -20,7 +20,6 @@ from lienil.catalog import (
 from lienil.subgroups import (
     CapExceeded,
     IsoType,
-    Subgroup,
     abelian_invariants,
     abelianization_invariants,
     center,
@@ -89,7 +88,8 @@ def group_and_generators(draw):
 def _bfs_closure(G, gens, cap):
     """The breadth-first closure that the sifting closure replaced, kept as
     the reference: the coset S*g of each kept generator, then every new
-    element times every kept generator, |H| * len(generators) products."""
+    element times every kept generator, |H| * len(generators) products.
+    Returns the element set and the kept generators."""
     kept = []
     seen = {G.identity}
     for g in gens:
@@ -111,12 +111,12 @@ def _bfs_closure(G, gens, cap):
                             raise CapExceeded(f"subgroup larger than cap {cap}")
                         new.append(y)
             frontier = new
-    return Subgroup(G, frozenset(seen), tuple(kept))
+    return frozenset(seen), tuple(kept)
 
 
-def _capped(build, G, gens, cap):
+def _capped(build):
     try:
-        return build(G, gens, cap).elements
+        return build()
     except CapExceeded as exc:
         return str(exc)
 
@@ -125,12 +125,11 @@ def _assert_closure_matches_bfs(G, gens):
     """Same elements, the same kept generators in the same order, and
     CapExceeded exactly when |H| > cap, with the same message."""
     gens = list(gens)
-    ref = _bfs_closure(G, gens, 2**20)
     H = closure(G, gens)
-    assert H.elements == ref.elements
-    assert H.generators == ref.generators
+    assert (H.elements, H.generators) == _bfs_closure(G, gens, 2**20)
     for cap in (H.order - 1, H.order):
-        assert _capped(closure, G, gens, cap) == _capped(_bfs_closure, G, gens, cap)
+        assert (_capped(lambda: closure(G, gens, cap).elements)
+                == _capped(lambda: _bfs_closure(G, gens, cap)[0]))
     if H.order > 1:
         with pytest.raises(CapExceeded, match=f"^subgroup larger than cap {H.order - 1}$"):
             closure(G, gens, H.order - 1)
@@ -146,6 +145,43 @@ def test_closure_matches_naive_fixpoint_with_few_generators(drawn):
     assert set(H.generators) <= set(gens)
     assert closure(G, H.generators) == H
     _assert_closure_matches_bfs(G, gens)
+
+
+@st.composite
+def two_closures(draw):
+    name = draw(st.sampled_from(sorted(CONTRACT_GROUPS)))
+    G = CONTRACT_GROUPS[name]
+    element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
+                       max_size=G.ngens).map(G.element)
+    H, K = (closure(G, draw(st.lists(element, max_size=4))) for _ in range(2))
+    return G, H, K
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=two_closures())
+def test_canonical_sequence_decides_equality_inclusion_and_membership(drawn):
+    G, H, K = drawn
+    assert (H == K) == (H.elements == K.elements)
+    if H == K:
+        assert hash(H) == hash(K)
+    # the same subgroup from another generating sequence has the same entries
+    same = closure(G, sorted(H.elements, reverse=True))
+    assert same == H and hash(same) == hash(H) and same.entries == H.entries
+    assert (H <= K) == (H.elements <= K.elements)
+    for x in whole_group(G).elements:
+        assert (x in H) == (x in H.elements)
+    depths = [next(i for i, e in enumerate(t) if e) for t in H.entries]
+    for d, t in zip(depths, H.entries):
+        assert [t[c] for c in depths] == [int(c == d) for c in depths]
+    if K <= H:
+        assert subgroup_product(H, K) is H
+
+
+def test_whole_group_entries_are_the_pc_generators():
+    for G in CONTRACT_GROUPS.values():
+        W = whole_group(G)
+        assert W == closure(G, G.generators())
+        assert W.entries == tuple(G.generators())
 
 
 def _word(G, *letters):
@@ -187,7 +223,7 @@ def test_closure_of_non_pc_sequences_matches_breadth_first_reference(name):
 def test_closure_matches_breadth_first_reference_on_table_groups(stem):
     G = import_presentation(DATA_DIR / f"{stem}.pres").group
     _assert_closure_matches_bfs(G, G.generators())
-    W = whole_group(G).enumerated()
+    W = whole_group(G)
     der, zc = derived_subgroup(W), center(W)
     for H in (W, der, zc, power_subgroup(W, G.p), power_subgroup(der, G.p),
               power_subgroup(W, G.p**2)):
@@ -213,7 +249,7 @@ def test_whole_group_enumeration_makes_no_products(multiply_calls):
     # every entry of the sequence is a pc generator: elements are spliced
     G = import_presentation(DATA_DIR / "s3125_41.pres").group
     multiply_calls.clear()
-    assert whole_group(G).enumerated().order == 3125
+    assert len(whole_group(G).elements) == 3125
     assert multiply_calls == []
 
 
@@ -239,7 +275,7 @@ def test_non_pc_closure_makes_one_product_per_element_plus_sifting(name, multipl
 @pytest.mark.parametrize("stem", ["s3125_76", "s2187_5868", "s243_13", "s243_55"])
 def test_derived_constructions_keep_a_short_generating_sequence(stem):
     G = import_presentation(DATA_DIR / f"{stem}.pres").group
-    W = whole_group(G).enumerated()
+    W = whole_group(G)
     der, zc = derived_subgroup(W), center(W)
     built = [zc, power_subgroup(W, G.p), power_subgroup(der, G.p),
              intersection(der, zc), intersection(der, power_subgroup(W, G.p)),
@@ -272,7 +308,7 @@ DIFFERENTIAL_GROUPS = {
 def _regular_action(G):
     """Index of every element of G, and for each pc generator g_i the
     (p, |G|) array whose row e maps the index of x to that of x * g_i^e."""
-    elements = sorted(whole_group(G).enumerated().elements)
+    elements = sorted(whole_group(G).elements)
     index = {x: k for k, x in enumerate(elements)}
     tables = []
     for g in G.generators():
@@ -329,7 +365,7 @@ def _assert_powers_match_element_scan(H):
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPS))
 def test_power_subgroups_of_whole_groups_match_element_scan(name):
-    _assert_powers_match_element_scan(whole_group(DIFFERENTIAL_GROUPS[name]).enumerated())
+    _assert_powers_match_element_scan(whole_group(DIFFERENTIAL_GROUPS[name]))
 
 
 @st.composite
@@ -347,7 +383,7 @@ def test_power_subgroups_of_random_subgroups_match_element_scan(H):
 
 
 def test_power_subgroups_are_memoized(d16, heis3):
-    W = whole_group(d16).enumerated()
+    W = whole_group(d16)
     assert power_subgroup(W, 2) is power_subgroup(W, 2)
     assert power_subgroup(W, 4) is not power_subgroup(W, 2)
     # only the p-part of q matters: x -> x^3 is a bijection of a 2-group
@@ -355,7 +391,7 @@ def test_power_subgroups_are_memoized(d16, heis3):
     # q coprime to p: the q-th power map is a bijection, so H itself
     assert power_subgroup(W, 3) is W
     assert power_subgroup(W, 1) is W
-    H = whole_group(heis3).enumerated()
+    H = whole_group(heis3)
     assert power_subgroup(H, 2) is H
     assert power_subgroup(H, 3) is power_subgroup(H, 3)
 
@@ -365,13 +401,14 @@ def test_closure_respects_cap(d16):
         closure(d16, d16.generators(), cap=7)
 
 
-def test_whole_group_marker_defers_enumeration(d16):
-    W = whole_group(d16)
-    assert W.is_whole_marker
+def test_whole_group_defers_enumeration(d16, multiply_calls):
+    W = whole_group(d16, cap=15)
+    multiply_calls.clear()
     assert W.order == 16
-    with pytest.raises(CapExceeded):
-        iter(W)
-    assert not W.enumerated().is_whole_marker
+    with pytest.raises(CapExceeded, match="^subgroup larger than cap 15$"):
+        W.elements
+    assert multiply_calls == []
+    assert len(whole_group(d16, cap=16).elements) == 16
 
 
 def test_lower_central_series_dihedral(d16):
@@ -385,7 +422,7 @@ def test_lower_central_series_heisenberg(heis3):
 
 
 def test_derived_and_center_of_dihedral(d16):
-    W = whole_group(d16).enumerated()
+    W = whole_group(d16)
     der = derived_subgroup(W)
     assert der.order == 4
     assert abelian_invariants(der) == [4]
@@ -395,18 +432,18 @@ def test_derived_and_center_of_dihedral(d16):
 
 def test_center_of_quaternion_is_the_unique_involution():
     q8 = build_quaternion(8).group
-    W = whole_group(q8).enumerated()
+    W = whole_group(q8)
     z = center(W)
     assert z.order == 2
     assert order_histogram(W) == {1: 1, 2: 1, 4: 6}
 
 
 def test_power_subgroup_squares_and_cubes(d16, heis3):
-    W = whole_group(d16).enumerated()
+    W = whole_group(d16)
     squares = power_subgroup(W, 2)
     assert squares.order == 4
     assert abelian_invariants(squares) == [4]
-    H = whole_group(heis3).enumerated()
+    H = whole_group(heis3)
     assert power_subgroup(H, 3).is_trivial()
     # exponent coprime to p: cube map is onto a 2-group
     assert power_subgroup(W, 3).order == 16
@@ -421,7 +458,7 @@ def test_normal_closure_of_a_reflection(d16):
 
 
 def test_product_and_intersection_identities(d16):
-    W = whole_group(d16).enumerated()
+    W = whole_group(d16)
     der = derived_subgroup(W)
     zc = center(W)
     prod = subgroup_product(der, zc)
@@ -444,13 +481,13 @@ def test_abelian_invariants_round_trip(p, exps):
     if max(factors) ** len(factors) > 2**12:
         factors = factors[:2]
     entry = build_abelian(p, factors)
-    W = whole_group(entry.group).enumerated()
+    W = whole_group(entry.group)
     assert is_abelian(W)
     assert abelian_invariants(W) == sorted(factors, reverse=True)
 
 
 def test_abelian_invariants_rejects_nonabelian(heis3):
-    W = whole_group(heis3).enumerated()
+    W = whole_group(heis3)
     with pytest.raises(ValueError):
         abelian_invariants(W)
 
@@ -463,7 +500,7 @@ def test_fingerprint_on_order_8_groups():
         "D8": build_dihedral(8),
         "Q8": build_quaternion(8),
     }
-    prints = {name: fingerprint(whole_group(e.group).enumerated())
+    prints = {name: fingerprint(whole_group(e.group))
               for name, e in kinds.items()}
     assert str(prints["C8"]) == "C8"
     assert str(prints["C4xC2"]) == "C4xC2"
@@ -474,8 +511,8 @@ def test_fingerprint_on_order_8_groups():
     # Sharper invariants (e.g. order_histogram) tell them apart.
     assert prints["D8"].kind == prints["Q8"].kind == "fingerprint"
     assert prints["D8"] == prints["Q8"]
-    h_d8 = order_histogram(whole_group(kinds["D8"].group).enumerated())
-    h_q8 = order_histogram(whole_group(kinds["Q8"].group).enumerated())
+    h_d8 = order_histogram(whole_group(kinds["D8"].group))
+    h_q8 = order_histogram(whole_group(kinds["Q8"].group))
     assert h_d8 != h_q8
 
 
@@ -483,14 +520,14 @@ def test_fingerprint_is_presentation_independent():
     # The same abstract group through two different pc chains.
     a = build_abelian(2, [4, 2]).group
     b = parse_presentation("p 2\ngens 3\npow 1 : 1\npow 2 : g3^1\npow 3 : 1\n")
-    fa = fingerprint(whole_group(a).enumerated())
-    fb = fingerprint(whole_group(b).enumerated())
+    fa = fingerprint(whole_group(a))
+    fb = fingerprint(whole_group(b))
     assert fa == fb == IsoType("abelian", (4, 2))
 
 
 def test_free_class2_structure():
     G = build_free_class2(3, 3).group
-    W = whole_group(G).enumerated()
+    W = whole_group(G)
     der = derived_subgroup(W)
     assert der.order == 27
     assert abelian_invariants(der) == [3, 3, 3]
@@ -499,7 +536,7 @@ def test_free_class2_structure():
 
 
 def test_order_histogram_and_classes_of_d8():
-    W = whole_group(build_dihedral(8).group).enumerated()
+    W = whole_group(build_dihedral(8).group)
     assert order_histogram(W) == {1: 1, 2: 5, 4: 2}
     assert conjugacy_class_sizes(W) == [1, 1, 2, 2, 2]
 
@@ -513,5 +550,5 @@ def test_series_works_above_enumeration_cap():
 
 
 def test_exponent_values():
-    assert whole_group(build_heisenberg(5).group).enumerated().exponent() == 5
-    assert whole_group(build_dihedral(16).group).enumerated().exponent() == 8
+    assert whole_group(build_heisenberg(5).group).exponent() == 5
+    assert whole_group(build_dihedral(16).group).exponent() == 8

@@ -62,14 +62,14 @@ T23_KEYS = ("Gp3", "expGp", "zeta", "Gpp", "GppcapGp3", "Gp3capZeta")
 
 
 def central_cube_count(G: PcGroup) -> int:
-    W = whole_group(G).enumerated(CAP)
-    zeta = center(W, CAP)
-    return sum(1 for x in W if G.power(x, G.p) in zeta)
+    W = whole_group(G, CAP)
+    zeta = center(W)
+    return sum(1 for x in W.elements if G.power(x, G.p) in zeta)
 
 
 def maximal_subgroup_fingerprints(G: PcGroup) -> tuple:
     """Sorted multiset of fingerprints of the index-p subgroups."""
-    W = whole_group(G).enumerated(CAP)
+    W = whole_group(G, CAP)
     frat = subgroup_product(derived_subgroup(W, CAP), power_subgroup(W, G.p, CAP), CAP)
     basis = []
     span = frat
@@ -104,7 +104,7 @@ def maximal_subgroup_fingerprints(G: PcGroup) -> tuple:
 
 
 def strong_invariant(G: PcGroup) -> tuple:
-    W = whole_group(G).enumerated(CAP)
+    W = whole_group(G, CAP)
     return (
         joint_order_class_histogram(W),
         pth_power_in_commutator_closure_count(W),
