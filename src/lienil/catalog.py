@@ -380,16 +380,16 @@ def computed_columns(entry: CatalogEntry, keys: Iterable[str],
         if key == "zeta":
             sub = center(W)
         elif key == "Gpp":
-            sub = derived_subgroup(W, cap)
+            sub = derived_subgroup(W)
         elif key == "GppcapZeta":
-            sub = intersection(derived_subgroup(W, cap), center(W))
+            sub = intersection(derived_subgroup(W), center(W))
         elif key.startswith("GppcapGp"):
-            sub = intersection(derived_subgroup(W, cap), power_subgroup(W, q, cap))
+            sub = intersection(derived_subgroup(W), power_subgroup(W, q))
         elif key.endswith("capZeta"):
-            sub = intersection(power_subgroup(W, q, cap), center(W))
+            sub = intersection(power_subgroup(W, q), center(W))
         else:
-            sub = power_subgroup(W, q, cap)
-        out[key] = str(fingerprint(sub, cap))
+            sub = power_subgroup(W, q)
+        out[key] = str(fingerprint(sub))
     return out
 
 

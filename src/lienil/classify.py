@@ -27,7 +27,7 @@ from .pcgroup import PcGroup
 from .subgroups import (DEFAULT_CAP, IsoType, Subgroup, center,
                         derived_subgroup, fingerprint, intersection,
                         lower_central_series, power_subgroup,
-                        subgroup_product, trivial_subgroup)
+                        subgroup_product, whole_group)
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,15 @@ class StructureProfile:
             raise KeyError(f"power subgroup for exponent {q} not profiled")
 
 
-def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
-            cap: int = DEFAULT_CAP,
-            _series: Optional[list[Subgroup]] = None) -> StructureProfile:
-    """Compute the structure profile of a pc group."""
+def profile(W: Subgroup,
+            declared_derived_id: Optional[tuple[int, int]] = None) -> StructureProfile:
+    """Compute the structure profile of a pc group G from its whole group W."""
+    G = W.group
     p = G.p
-    series = lower_central_series(G, cap) if _series is None else _series
-    triv = trivial_subgroup(G)
+    series = lower_central_series(W)
 
-    def gamma_term(i: int) -> Subgroup:
-        if i - 1 < len(series):
-            return series[i - 1]
-        return triv
+    def gamma_term(i: int) -> Subgroup:  # the series ends at its trivial term
+        return series[min(i, len(series)) - 1]
 
     derived = gamma_term(2)
     g3 = gamma_term(3)
@@ -115,18 +112,18 @@ def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
     top = max(6, len(series))
     for i in range(3, top + 1):
         term = gamma_term(i)
-        gamma[i] = TermInfo(term.order, fingerprint(term, cap))
+        gamma[i] = TermInfo(term.order, fingerprint(term))
 
     zeta = center(derived)
-    second = derived_subgroup(derived, cap)
+    second = derived_subgroup(derived)
 
     powers: dict[int, PowerInfo] = {}
     for q in sorted({2, 3, p, p * p}):
-        P = power_subgroup(derived, q, cap)
+        P = power_subgroup(derived, q)
         powers[q] = PowerInfo(
             q=q,
             order=P.order,
-            iso=fingerprint(P, cap),
+            iso=fingerprint(P),
             cap_gamma3=intersection(P, g3).order,
             cap_gamma4=intersection(P, g4).order,
             in_gamma3=P <= g3,
@@ -136,11 +133,10 @@ def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
             in_centre=P <= zeta,
         )
 
-    u = subgroup_product(power_subgroup(derived, p * p, cap),
-                         power_subgroup(g3, p, cap), cap)
+    u = subgroup_product(power_subgroup(derived, p * p), power_subgroup(g3, p))
 
     inv = None
-    derived_iso = fingerprint(derived, cap)
+    derived_iso = fingerprint(derived)
     if derived_iso.kind == "abelian":
         inv = derived_iso.invariants
 
@@ -155,10 +151,10 @@ def profile(G: PcGroup, declared_derived_id: Optional[tuple[int, int]] = None,
         gamma=gamma,
         powers=powers,
         u_order=u.order,
-        u_iso=fingerprint(u, cap),
+        u_iso=fingerprint(u),
         gamma4_in_u=g4 <= u,
         centre_order=zeta.order,
-        second_derived=TermInfo(second.order, fingerprint(second, cap)),
+        second_derived=TermInfo(second.order, fingerprint(second)),
         second_derived_in_centre=second <= zeta,
         nilpotency_class=max(1, len(series) - 1),
     )
@@ -373,11 +369,11 @@ def verify_theorem(G: PcGroup, corrected: bool = False,
                    oracle_cap: Optional[int] = None) -> TheoremReport:
     """Check one group against the index-(10p-8) classification."""
     p = G.p
-    # one series, so the power subgroups memoized on its terms serve both
-    series = lower_central_series(G, cap)
-    t = upper_index(G, cap, _series=series)
+    # one whole group, so its memoized series and powers serve both
+    W = whole_group(G, cap)
+    t = upper_index(W)
     expected = 10 * p - 8
-    prof = profile(G, declared_derived_id, cap, _series=series)
+    prof = profile(W, declared_derived_id)
     rep = match_conditions(prof, corrected=corrected, db=db, ref=ref)
     notes = list(rep.notes)
 

@@ -50,7 +50,7 @@ from .oracle import (
     upper_lie_chain,
 )
 from .pcgroup import PresentationError
-from .subgroups import DEFAULT_CAP, CapExceeded
+from .subgroups import DEFAULT_CAP, CapExceeded, whole_group
 
 CAP_ENV = "LIENIL_CAP"
 ORACLE_CAP_ENV = "LIENIL_ORACLE_CAP"
@@ -129,7 +129,7 @@ def cmd_index(args) -> int:
     cap = _structure_cap(args)
     entry = _load_entry(args)
     G = entry.group
-    chain = lie_dimension_chain(G, cap)
+    chain = lie_dimension_chain(whole_group(G, cap))
     seq = d_sequence_of_chain(chain)
     t = jennings_index(seq)
     if args.json:
@@ -159,7 +159,7 @@ def cmd_oracle(args) -> int:
     G = entry.group
     A = build_algebra(G, cap)
     # the structure cap is checked before the dense chains, not after them
-    formula = upper_index(G, structure_cap)
+    formula = upper_index(whole_group(G, structure_cap))
     upper = upper_lie_chain(A).t
     lower = lower_lie_chain(A).t
     agree = (upper == formula) and (lower <= upper)

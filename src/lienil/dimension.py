@@ -15,11 +15,8 @@ nilpotency index then comes out of the weighted sum
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from lienil.pcgroup import PcGroup
 from lienil.subgroups import (
-    DEFAULT_CAP,
     Subgroup,
     lower_central_series,
     power_subgroup,
@@ -71,45 +68,36 @@ class NotLieNilpotent(ValueError):
     """F_p[G] is not Lie nilpotent for the requested (G, p)."""
 
 
-def lie_dimension_subgroup(G: PcGroup, m: int, cap: int = DEFAULT_CAP,
-                           _series: Optional[list[Subgroup]] = None) -> Subgroup:
-    """The m-th Lie dimension subgroup, m >= 2, by the product formula.
-
-    The powers gamma_i^(p^j) are memoized on the series terms, so a chain
-    that passes its series in computes each of them once.
-    """
+def lie_dimension_subgroup(W: Subgroup, m: int) -> Subgroup:
+    """The m-th Lie dimension subgroup of the whole group W, m >= 2, by the
+    product formula; the series and its terms' powers are memoized."""
     if m < 2:
         raise ValueError(f"Lie dimension subgroups start at m = 2, got {m}")
-    series = lower_central_series(G, cap) if _series is None else _series
-    p = G.p
-    result = trivial_subgroup(G)
-    for i in range(2, len(series) + 1):
-        gamma_i = series[i - 1] if i - 1 < len(series) else None
-        if gamma_i is None or gamma_i.is_trivial():
-            break
+    p = W.group.p
+    result = trivial_subgroup(W.group)
+    # gamma_2, gamma_3, ...: every term but the last, the one trivial term
+    for i, gamma_i in enumerate(lower_central_series(W)[1:-1], start=2):
         j = 0
         while True:
-            piece = power_subgroup(gamma_i, p**j, cap)
+            piece = power_subgroup(gamma_i, p**j)
             if (i - 1) * p**j >= m - 1:
-                result = subgroup_product(result, piece, cap)
+                result = subgroup_product(result, piece)
             if piece.is_trivial():
                 break
             j += 1
     return result
 
 
-def lie_dimension_chain(G: PcGroup, cap: int = DEFAULT_CAP,
-                        _series: Optional[list[Subgroup]] = None) -> list[Subgroup]:
-    """[D_(2), D_(3), ...], ending at the first trivial term.
+def lie_dimension_chain(W: Subgroup) -> list[Subgroup]:
+    """[D_(2), D_(3), ...] of W, ending at the first trivial term.
 
     The descending-chain property D_(m+1) <= D_(m) is asserted; it doubles
     as a cross-check on the subgroup products.
     """
-    series = lower_central_series(G, cap) if _series is None else _series
     chain: list[Subgroup] = []
     m = 2
     while True:
-        dm = lie_dimension_subgroup(G, m, cap, _series=series)
+        dm = lie_dimension_subgroup(W, m)
         if chain:
             assert dm <= chain[-1], f"D_({m}) not contained in D_({m-1})"
         chain.append(dm)
@@ -118,9 +106,9 @@ def lie_dimension_chain(G: PcGroup, cap: int = DEFAULT_CAP,
         m += 1
 
 
-def d_sequence(G: PcGroup, cap: int = DEFAULT_CAP) -> DSequence:
-    """The Jennings d-sequence of F_p[G] for p the group prime."""
-    return d_sequence_of_chain(lie_dimension_chain(G, cap))
+def d_sequence(W: Subgroup) -> DSequence:
+    """The Jennings d-sequence of F_p[G] for W = G and p the group prime."""
+    return d_sequence_of_chain(lie_dimension_chain(W))
 
 
 def d_sequence_of_chain(chain: list[Subgroup]) -> DSequence:
@@ -144,20 +132,19 @@ def jennings_index(d: DSequence) -> int:
     return 2 + (d.p - 1) * d.weight()
 
 
-def upper_index(G: PcGroup, cap: int = DEFAULT_CAP,
-                _series: Optional[list[Subgroup]] = None) -> int:
-    """t^L of F_p[G]; checks the Lie nilpotency preconditions on the way.
+def upper_index(W: Subgroup) -> int:
+    """t^L of F_p[G] for W = G; checks the Lie nilpotency preconditions.
 
     For a consistent pc p-group presentation the preconditions (G nilpotent,
     |G'| a p-power) always hold; they are still verified, on the dimension
     chain (D_(2) = G', and the chain descends to 1 only if G is nilpotent),
     so the function fails loudly on anything else that may get wired in.
     """
-    chain = lie_dimension_chain(G, cap, _series)
+    chain = lie_dimension_chain(W)
     if not chain[-1].is_trivial():
         raise NotLieNilpotent("group is not nilpotent")
     try:
-        _log_p(chain[0].order, G.p)
+        _log_p(chain[0].order, W.group.p)
     except ValueError as exc:
-        raise NotLieNilpotent(f"|G'| is not a power of {G.p}") from exc
+        raise NotLieNilpotent(f"|G'| is not a power of {W.group.p}") from exc
     return jennings_index(d_sequence_of_chain(chain))

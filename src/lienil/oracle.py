@@ -76,7 +76,7 @@ class GroupAlgebra:
         """|G'| + 2, the a-priori stopping bound for both Lie chains."""
         from lienil.subgroups import derived_subgroup, whole_group
 
-        return derived_subgroup(whole_group(self.group), self.dim).order + 2
+        return derived_subgroup(whole_group(self.group, self.dim)).order + 2
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:

@@ -71,6 +71,10 @@ class PcGroup:
                 missing pairs commute; trivial words may be omitted.
         """
         check_prime(p)
+        if p > 2 * _COLLECTION_STEP_LIMIT:  # g^p by squaring collects > p/2 letters
+            raise PresentationError(f"p = {p} is too large for the letter collector: a "
+                                    f"p-th power takes more than its limit of "
+                                    f"{_COLLECTION_STEP_LIMIT} steps")
         if ngens < 1:
             raise PresentationError("need at least one generator")
         self.p = p
@@ -162,7 +166,9 @@ class PcGroup:
         while pend:
             steps += 1
             if steps > _COLLECTION_STEP_LIMIT:
-                raise PresentationError("collection did not terminate (inconsistent presentation?)")
+                raise PresentationError(f"collection exceeded {_COLLECTION_STEP_LIMIT} steps: the "
+                                        "presentation is inconsistent, or its exponents are "
+                                        "too large for the letter collector")
             i = pend.popleft()
             blockers = [j for j in self._noncomm_above[i] if cur[j]]
             if not blockers:

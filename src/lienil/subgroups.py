@@ -10,15 +10,17 @@ exactly when sifting leaves 1), inclusion and equality without any
 element set.  closure() builds every subgroup, the whole group
 included: centres, intersections and power subgroups are closures too.
 The centre, derived subgroup and power subgroups of H are memoized on H,
-so they live as long as H does.
+and the lower central series on the whole group W, so they live as long
+as their subgroup does.
 
-The element set is enumerated from the sequence on first use, once per
-element.  The cap is checked twice: closure() refuses a sequence longer
-than log_p(cap) before any element is formed, and enumeration refuses a
-subgroup larger than its cap.  whole_group(G, cap) is the one subgroup
-whose sequence is not capped, so groups far above the cap still get
-their lower central series, derived subgroup and dimension subgroups, as
-long as no step needs G's own elements.
+The cap is fixed where a subgroup is built from G (whole_group, closure,
+normal_closure); every subgroup derived from H inherits H's cap.  It is
+checked twice: closure() refuses a sequence longer than log_p(cap) before
+any element is formed, and the element set, enumerated from the sequence
+on first use, refuses a subgroup larger than the cap.  whole_group(G, cap)
+is the one subgroup whose sequence is not capped, so groups far above the
+cap still get their lower central series, derived subgroup and dimension
+subgroups, as long as no step needs G's own elements.
 
 Power subgroups come from H's structure by one rule, never from a power
 of every element (see power_subgroup): only the p-part p^j of an exponent
@@ -170,8 +172,8 @@ class Subgroup:
     sequence in canonical form (see _PcSequence.reduce); built only by
     closure().  The element set is formed on first use."""
 
-    __slots__ = ("group", "generators", "entries", "order", "_seq", "_cap",
-                 "_elements", "_center", "_derived", "_powers", "_coset_images")
+    __slots__ = ("group", "generators", "entries", "order", "_seq", "_cap", "_elements",
+                 "_center", "_derived", "_powers", "_coset_images", "_lower_central")
 
     def __init__(self, group: PcGroup, generators: tuple[Element, ...],
                  seq: _PcSequence, cap: int):
@@ -186,18 +188,19 @@ class Subgroup:
         self._derived: Optional["Subgroup"] = None
         self._powers: dict[int, "Subgroup"] = {}
         self._coset_images: list[frozenset] = []
+        self._lower_central: Optional[list["Subgroup"]] = None
 
     @property
     def elements(self) -> frozenset:
         """The element set, enumerated on first use under H's own cap."""
-        return self.enumerated(self._cap)._elements
+        return self.enumerated()._elements
 
-    def enumerated(self, cap: int = DEFAULT_CAP) -> "Subgroup":
+    def enumerated(self) -> "Subgroup":
         """H, with its element set formed on the first call; that call
-        raises CapExceeded when |H| > cap."""
+        raises CapExceeded when |H| exceeds H's cap."""
         if self._elements is None:
-            if self.order > cap:
-                raise CapExceeded(f"subgroup larger than cap {cap}")
+            if self.order > self._cap:
+                raise CapExceeded(f"subgroup larger than cap {self._cap}")
             self._elements = self._seq.elements()
         return self
 
@@ -336,27 +339,27 @@ def normal_closure(G: PcGroup, gens: Iterable[Element],
     return _conjugation_closure(G, gens, G.generators(), cap)
 
 
-def subgroup_product(H: Subgroup, K: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
+def subgroup_product(H: Subgroup, K: Subgroup) -> Subgroup:
     """Closure of H union K (equals the set product when both are normal):
     H itself when K <= H, K itself when H <= K, else H grown by K's
-    generators."""
+    generators under H's cap."""
     if H.group is not K.group:
         raise ValueError("subgroup product across different groups")
     if K <= H:
         return H
     if H <= K:
         return K
-    return _grow(H, K.generators, cap)
+    return _grow(H, K.generators, H._cap)
 
 
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
     if H.group is not K.group:
         raise ValueError("intersection across different groups")
     common = H.elements & K.elements
-    return closure(H.group, sorted(common), len(common))
+    return closure(H.group, sorted(common), H._cap)
 
 
-def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
+def power_subgroup(H: Subgroup, q: int) -> Subgroup:
     """Subgroup H^q generated by the q-th powers of all elements of H.
 
     q is normally a power of the group prime; arbitrary positive q is
@@ -373,8 +376,9 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
        coset and step (the chain is extended lazily on H), times the set
        Z^(p^j), which, as the power map is a homomorphism on the abelian
        Z, is the closure of the p^j-th powers of Z's generators.  H^(p^j)
-       is the closure of both.  Z(H) = H for abelian H, so there no coset
-       is non-central and H^(p^j) is closed from H's generator powers.
+       is the closure of both, under H's cap.  Z(H) = H for abelian H, so
+       there no coset is non-central and H^(p^j) is closed from H's
+       generator powers.
     """
     if q < 1:
         raise ValueError(f"bad power {q}")
@@ -389,22 +393,22 @@ def power_subgroup(H: Subgroup, q: int, cap: int = DEFAULT_CAP) -> Subgroup:
         q = G.p ** j
         gens = sorted(_coset_power_images(H, j))
         gens += [G.power(z, q) for z in center(H).generators]
-        H._powers[j] = closure(G, gens, cap)
+        H._powers[j] = closure(G, gens, H._cap)
     return H._powers[j]
 
 
 def _coset_power_images(H: Subgroup, j: int) -> frozenset:
     """The non-identity p^j-th powers of one representative per
-    non-central coset of Z(H) (none when H is abelian); the chain
-    j = 0, 1, ... is memoized on H and extended by one p-th power per
-    image and step."""
+    non-central coset of Z(H) (none, and no element of H formed, when H
+    is abelian); the chain j = 0, 1, ... is memoized on H and extended by
+    one p-th power per image and step."""
     G = H.group
     images = H._coset_images
     if not images:
         Z = center(H)
         covered: set[Element] = set()
         reps = []
-        for x in sorted(H.elements - Z.elements):
+        for x in ([] if Z is H else sorted(H.elements - Z.elements)):
             if x not in covered:
                 reps.append(x)
                 covered.update(G.multiply(x, z) for z in Z.elements)
@@ -415,12 +419,12 @@ def _coset_power_images(H: Subgroup, j: int) -> frozenset:
     return images[j]
 
 
-def derived_subgroup(H: Subgroup, cap: int = DEFAULT_CAP) -> Subgroup:
+def derived_subgroup(H: Subgroup) -> Subgroup:
     """Commutator subgroup of H (normal closure in H of generator brackets)."""
     if H._derived is None:
         G = H.group
         H._derived = _conjugation_closure(
-            G, _generator_commutators(G, H.generators), H.generators, cap)
+            G, _generator_commutators(G, H.generators), H.generators, H._cap)
     return H._derived
 
 
@@ -437,28 +441,32 @@ def center(H: Subgroup) -> Subgroup:
         G = H.group
         central = [x for x in H.elements
                    if all(G.multiply(x, g) == G.multiply(g, x) for g in H.generators)]
-        H._center = closure(G, sorted(central), len(central))
+        H._center = closure(G, sorted(central), H._cap)
     return H._center
 
 
-def lower_central_series(G: PcGroup, cap: int = DEFAULT_CAP) -> list[Subgroup]:
-    """[gamma_1 = G, gamma_2, ..., 1]; gamma_1 is whole_group(G, cap)."""
-    series = [whole_group(G, cap)]
-    current = derived_subgroup(series[0], cap)
-    series.append(current)
-    gens = G.generators()
-    while not current.is_trivial():
-        brackets = []
-        for x in current.generators:
-            for g in gens:
-                c = G.commutator(x, g)
-                if c != G.identity:
-                    brackets.append(c)
-        nxt = normal_closure(G, brackets, cap)
-        assert nxt <= current, "lower central series not descending"
-        series.append(nxt)
-        current = nxt
-    return series
+def lower_central_series(W: Subgroup) -> list[Subgroup]:
+    """[gamma_1 = W, gamma_2, ..., 1] for the whole group W, each term from
+    the last by brackets with G's pc generators; memoized on W."""
+    if W._lower_central is None:
+        G = W.group
+        assert W.order == G.order, "lower central series of a proper subgroup"
+        current = derived_subgroup(W)
+        series = [W, current]
+        gens = G.generators()
+        while not current.is_trivial():
+            brackets = []
+            for x in current.generators:
+                for g in gens:
+                    c = G.commutator(x, g)
+                    if c != G.identity:
+                        brackets.append(c)
+            nxt = normal_closure(G, brackets, W._cap)
+            assert nxt <= current, "lower central series not descending"
+            series.append(nxt)
+            current = nxt
+        W._lower_central = series
+    return W._lower_central
 
 
 def is_abelian(H: Subgroup) -> bool:
@@ -492,7 +500,7 @@ def _factors_from_power_orders(s: list[int], p: int) -> list[int]:
     return sorted(factors, reverse=True)
 
 
-def abelian_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
+def abelian_invariants(H: Subgroup) -> list[int]:
     """Invariant factors [p^l1, p^l2, ...] (descending) of an abelian H.
 
     H' is trivial, so these are abelianization_invariants(H), read off the
@@ -500,7 +508,7 @@ def abelian_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
     """
     if not is_abelian(H):
         raise ValueError("subgroup is not abelian")
-    return abelianization_invariants(H, cap)
+    return abelianization_invariants(H)
 
 
 @dataclass(frozen=True)
@@ -527,7 +535,7 @@ class IsoType:
                 f"ab={abtype},pow={'.'.join(str(n) for n in powers)}]")
 
 
-def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
+def abelianization_invariants(H: Subgroup) -> list[int]:
     """Invariant factors of H/H' without building the quotient.
 
     |(H/H')^(p^j)| = |H^(p^j) * H'| / |H'|, and the count of factors of
@@ -535,13 +543,13 @@ def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
     _factors_from_power_orders).
     """
     p = H.group.p
-    derived = derived_subgroup(H, cap)
+    derived = derived_subgroup(H)
     d = _log_p(derived.order, p)
     s = []
     j = 0
     while True:
-        hp = power_subgroup(H, p**j, cap)
-        quotient_order = subgroup_product(hp, derived, cap).order // derived.order
+        hp = power_subgroup(H, p**j)
+        quotient_order = subgroup_product(hp, derived).order // derived.order
         s.append(_log_p(quotient_order, p))
         if quotient_order == 1:
             break
@@ -549,19 +557,19 @@ def abelianization_invariants(H: Subgroup, cap: int = DEFAULT_CAP) -> list[int]:
     return _factors_from_power_orders(s, p)
 
 
-def fingerprint(H: Subgroup, cap: int = DEFAULT_CAP) -> IsoType:
+def fingerprint(H: Subgroup) -> IsoType:
     """IsoType of H: exact invariants when abelian, fingerprint otherwise."""
     if is_abelian(H):
-        return IsoType("abelian", tuple(abelian_invariants(H, cap)))
+        return IsoType("abelian", tuple(abelian_invariants(H)))
     p = H.group.p
     zc = center(H)
-    dv = derived_subgroup(H, cap)
+    dv = derived_subgroup(H)
     exponent = H.exponent()
-    powers = [power_subgroup(H, p**j, cap).order
+    powers = [power_subgroup(H, p**j).order
               for j in range(1, _log_p(exponent, p) + 1)]
-    fp = (H.order, exponent, zc.order, str(fingerprint(zc, cap)),
-          dv.order, str(fingerprint(dv, cap)),
-          str(IsoType("abelian", tuple(abelianization_invariants(H, cap)))),
+    fp = (H.order, exponent, zc.order, str(fingerprint(zc)),
+          dv.order, str(fingerprint(dv)),
+          str(IsoType("abelian", tuple(abelianization_invariants(H)))),
           tuple(powers))
     return IsoType("fingerprint", fingerprint=fp)
 

@@ -46,7 +46,7 @@ def test_check1_direct_oracle_agrees_with_jennings_formula(capsys):
     mismatches = []
     for e in entries:
         direct = t_upper_direct(e.group, cap=ORACLE_CAP)
-        formula = jennings_index(d_sequence(e.group))
+        formula = jennings_index(d_sequence(whole_group(e.group)))
         if direct != formula:
             mismatches.append((e.name, direct, formula))
     elapsed = time.perf_counter() - start
@@ -60,7 +60,7 @@ def test_check2_d_sequence_mass_equals_derived_subgroup_log(capsys):
     entries = standard_catalog()
     bad = []
     for e in entries:
-        seq = d_sequence(e.group)
+        seq = d_sequence(whole_group(e.group))
         if e.group.p ** seq.total() != derived_of(e).order:
             bad.append(e.name)
     report(capsys, 2, "d-sequence mass equals log_p|G'|", not bad,
@@ -92,8 +92,8 @@ def test_check4_headline_witness_and_d8_branch(capsys):
     witness = build_free_class2(5, 2)
     derived = derived_of(witness)
     assert abelian_invariants(derived) == [2] * 10
-    assert lower_central_series(witness.group)[2].order == 1
-    seq = d_sequence(witness.group)
+    assert lower_central_series(whole_group(witness.group))[2].order == 1
+    seq = d_sequence(whole_group(witness.group))
     assert seq.as_dict() == {2: 10}
     t = jennings_index(seq)
     rep = verify_theorem(witness.group)
@@ -175,7 +175,7 @@ def test_check6_shipped_tables_verify_exactly(capsys):
 def test_check7_catalog_sequences_satisfy_lemma_constraints(capsys):
     bad = []
     for e in standard_catalog():
-        seq = d_sequence(e.group)
+        seq = d_sequence(whole_group(e.group))
         ok, violations = lemma_constraints_ok(seq)
         if not ok or violations:
             bad.append((e.name, violations))

@@ -22,12 +22,12 @@ from lienil.classify import (
     verify_theorem,
 )
 from lienil.conditions import ConditionRecord, ab_lit, lit
-from lienil.subgroups import IsoType
+from lienil.subgroups import IsoType, whole_group
 
 
 @pytest.fixture(scope="module")
 def heis3_profile():
-    return profile(build_heisenberg(3).group)
+    return profile(whole_group(build_heisenberg(3).group))
 
 
 def test_profile_of_heisenberg(heis3_profile):
@@ -55,7 +55,7 @@ def test_evaluate_clause_vocabulary(heis3_profile):
     assert evaluate_clause(("cap3", lit(2), lit(1)), prof)
     assert evaluate_clause(("P_in_zeta", ("p", 1)), prof)
     assert evaluate_clause(("gpp_in_zeta",), prof)
-    d16 = profile(build_dihedral(16).group)
+    d16 = profile(whole_group(build_dihedral(16).group))
     assert evaluate_clause(("g_iso", 3, ab_lit(2)), d16)
     assert not evaluate_clause(("g_iso", 3, ab_lit(4)), d16)
     assert evaluate_clause(("g_in_P", 3, lit(2)), d16)
@@ -102,18 +102,22 @@ def test_witness_matches_exactly_one_condition():
 
 
 def test_classify_builds_one_lower_central_series(monkeypatch, capsys):
+    # the series is memoized on the whole group, so every call, from the
+    # profile and from the dimension chain, returns the same list
     from lienil import classify, cli, dimension, subgroups
-    calls = []
+    returned = []
 
-    def counted(G, cap=subgroups.DEFAULT_CAP):
-        calls.append(G)
-        return subgroups.lower_central_series(G, cap)
+    def recorded(W):
+        series = subgroups.lower_central_series(W)
+        returned.append(series)
+        return series
 
     for module in (classify, dimension):
-        monkeypatch.setattr(module, "lower_central_series", counted)
+        monkeypatch.setattr(module, "lower_central_series", recorded)
     assert cli.main(["classify", "--builder", "dihedral:16"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(returned) > 1
+    assert all(series is returned[0] for series in returned)
 
 
 def test_abelian_group_is_trivially_consistent():

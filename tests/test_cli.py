@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 
 import pytest
 
@@ -158,7 +159,8 @@ def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
 
 
 def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
-    # |G| = 127^3 > 2^20: G is known from its sequence and never enumerated
+    # |G| = 127^3 > 2^20: G is known from its sequence and never enumerated,
+    # and the power chain of the abelian G' enumerates nothing either
     orders = []
     elements = subgroups._PcSequence.elements
 
@@ -174,7 +176,19 @@ def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
                    "dimension subgroups: |D_(2)| = 127, |D_(3)| = 1\n"
                    "d-sequence: {d_(2)=1}\n"
                    "upper index t^L = 128\n")
-    assert orders and max(orders) <= subgroups.DEFAULT_CAP
+    assert orders == []
+    assert len(subgroups.whole_group(PcGroup(2, 2, {}, {})).elements) == 4
+    assert orders == [4]
+
+
+def test_index_refuses_a_prime_beyond_the_collector(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["index", "--builder", "heisenberg:1000000000000000003"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: p = 1000000000000000003 is too large for the letter "
+                   "collector: a p-th power takes more than its limit of "
+                   "10000000 steps\n")
 
 
 def test_verify_tables_refuses_a_group_above_the_cap(capsys):

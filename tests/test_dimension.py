@@ -17,6 +17,7 @@ from lienil.dimension import (
     lie_dimension_subgroup,
     upper_index,
 )
+from lienil.subgroups import whole_group
 
 
 def test_dsequence_basics():
@@ -44,42 +45,42 @@ def test_jennings_index_from_sequences():
 
 def test_dihedral_8_chain():
     G = build_dihedral(8).group
-    chain = lie_dimension_chain(G)
+    chain = lie_dimension_chain(whole_group(G))
     assert [s.order for s in chain] == [2, 1]
-    assert d_sequence(G).as_dict() == {2: 1}
-    assert upper_index(G) == 3
+    assert d_sequence(whole_group(G)).as_dict() == {2: 1}
+    assert upper_index(whole_group(G)) == 3
 
 
 def test_dihedral_16_chain():
     G = build_dihedral(16).group
-    chain = lie_dimension_chain(G)
+    chain = lie_dimension_chain(whole_group(G))
     assert [s.order for s in chain] == [4, 2, 1]
-    assert d_sequence(G).as_dict() == {2: 1, 3: 1}
-    assert upper_index(G) == 5
+    assert d_sequence(whole_group(G)).as_dict() == {2: 1, 3: 1}
+    assert upper_index(whole_group(G)) == 5
 
 
 def test_quaternion_groups():
-    assert upper_index(build_quaternion(8).group) == 3
-    assert d_sequence(build_quaternion(16).group).as_dict() == {2: 1, 3: 1}
+    assert upper_index(whole_group(build_quaternion(8).group)) == 3
+    assert d_sequence(whole_group(build_quaternion(16).group)).as_dict() == {2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_heisenberg_index_is_p_plus_one(p):
     G = build_heisenberg(p).group
-    assert d_sequence(G).as_dict() == {2: 1}
-    assert upper_index(G) == p + 1
+    assert d_sequence(whole_group(G)).as_dict() == {2: 1}
+    assert upper_index(whole_group(G)) == p + 1
 
 
 def test_abelian_groups_have_index_two():
     for p, factors in ((2, [4, 2]), (3, [9]), (5, [5, 5])):
         G = build_abelian(p, factors).group
-        assert d_sequence(G).as_dict() == {}
-        assert upper_index(G) == 2
+        assert d_sequence(whole_group(G)).as_dict() == {}
+        assert upper_index(whole_group(G)) == 2
 
 
 def test_headline_witness_sequence():
     G = build_free_class2(5, 2).group
-    seq = d_sequence(G)
+    seq = d_sequence(whole_group(G))
     assert seq.as_dict() == {2: 10}
     assert jennings_index(seq) == 12
 
@@ -87,21 +88,21 @@ def test_headline_witness_sequence():
 def test_chain_descends_to_trivial_with_gaps_allowed():
     # D_(4) = D_(5) here, so the d-sequence skips index 4.
     G = build_dihedral(32).group
-    chain = lie_dimension_chain(G)
+    chain = lie_dimension_chain(whole_group(G))
     orders = [s.order for s in chain]
     assert orders == [8, 4, 2, 2, 1]
     assert all(a >= b for a, b in zip(orders, orders[1:]))
-    assert d_sequence(G).as_dict() == {2: 1, 3: 1, 5: 1}
-    assert upper_index(G) == 9  # one more than |G'|
+    assert d_sequence(whole_group(G)).as_dict() == {2: 1, 3: 1, 5: 1}
+    assert upper_index(whole_group(G)) == 9  # one more than |G'|
 
 
 def test_single_subgroup_matches_chain():
     G = build_dihedral(16).group
-    chain = lie_dimension_chain(G)
+    chain = lie_dimension_chain(whole_group(G))
     for m, sub in enumerate(chain, start=2):
-        assert lie_dimension_subgroup(G, m) == sub
+        assert lie_dimension_subgroup(whole_group(G), m) == sub
     with pytest.raises(ValueError):
-        lie_dimension_subgroup(G, 1)
+        lie_dimension_subgroup(whole_group(G), 1)
 
 
 def test_mass_check_equals_derived_order():
@@ -109,6 +110,6 @@ def test_mass_check_equals_derived_order():
     for entry_group in (build_dihedral(16).group,
                         build_heisenberg(3).group,
                         build_free_class2(4, 3).group):
-        seq = d_sequence(entry_group)
+        seq = d_sequence(whole_group(entry_group))
         der = derived_subgroup(whole_group(entry_group))
         assert seq.total() == _log_p(der.order, entry_group.p)

@@ -18,6 +18,7 @@ from lienil.dvectors import (
     proof_case_report,
     theta_p_prime,
 )
+from lienil.subgroups import whole_group
 
 # Survivors common to every prime at weight 10.
 GENERIC_10 = (
@@ -137,7 +138,7 @@ def test_constraint_one_is_scoped_to_vanishing_entries():
 def test_lemma_constraints_accept_real_group_sequences():
     from lienil.catalog import build_dihedral, build_heisenberg
     for G in (build_dihedral(32).group, build_heisenberg(5).group):
-        seq = d_sequence(G)
+        seq = d_sequence(whole_group(G))
         ok, violations = lemma_constraints_ok(seq)
         assert ok, (str(seq), violations)
 

@@ -159,7 +159,7 @@ def test_direct_and_formula_routes_agree_on_small_corpus():
         build_free_class2(3, 2).group,
     ]
     for G in groups:
-        assert t_upper_direct(G) == upper_index(G)
+        assert t_upper_direct(G) == upper_index(whole_group(G))
 
 
 def test_index_bounds_on_nonabelian_groups():
@@ -240,6 +240,6 @@ def test_both_chains_on_larger_nonabelian_groups(make):
     A = build_algebra(G)
     upper = upper_lie_chain(A).t
     lower = lower_lie_chain(A).t
-    assert upper == upper_index(G)
+    assert upper == upper_index(whole_group(G))
     dorder = derived_subgroup(whole_group(G)).order
     assert G.p + 1 <= lower <= upper <= dorder + 1

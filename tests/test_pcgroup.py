@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lienil import pcgroup
 from lienil.pcgroup import (
     PcGroup,
     PresentationError,
@@ -148,6 +149,18 @@ def test_inconsistent_presentation_is_rejected():
     with pytest.raises(PresentationError, match="inconsistent"):
         PcGroup(2, 3, powers={0: ((1, 1),), 1: ((2, 1),)},
                 comms={(1, 0): ((2, 1),)})
+
+
+def test_primes_beyond_the_collector_step_limit(monkeypatch):
+    # g^p by squaring ends in a product of 2^7 = 128 letters for p = 197,
+    # one step each; above 2 * limit such a product is certain
+    monkeypatch.setattr(pcgroup, "_COLLECTION_STEP_LIMIT", 100)
+    with pytest.raises(PresentationError, match="^p = 211 is too large .* 100 steps$"):
+        PcGroup(211, 1, powers={}, comms={})
+    with pytest.raises(PresentationError,
+                       match="^collection exceeded 100 steps: the presentation is "
+                             "inconsistent, or its exponents are too large"):
+        PcGroup(197, 1, powers={}, comms={})
 
 
 def test_relation_word_index_discipline():

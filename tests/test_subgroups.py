@@ -37,6 +37,7 @@ from lienil.subgroups import (
     trivial_subgroup,
     whole_group,
 )
+from lienil import subgroups
 from lienil.pcgroup import PcGroup, parse_presentation
 
 
@@ -412,12 +413,37 @@ def test_whole_group_defers_enumeration(d16, multiply_calls):
 
 
 def test_lower_central_series_dihedral(d16):
-    orders = [s.order for s in lower_central_series(d16)]
+    W = whole_group(d16)
+    orders = [s.order for s in lower_central_series(W)]
     assert orders == [16, 4, 2, 1]
+    assert lower_central_series(W) is lower_central_series(W)
+
+
+def test_derived_subgroup_inherits_the_cap_of_its_group():
+    # |G'| = 64 for the dihedral group of order 256
+    W = whole_group(build_dihedral(256).group, cap=8)
+    with pytest.raises(CapExceeded, match="^subgroup larger than cap 8$"):
+        derived_subgroup(W)
+
+
+def test_abelian_power_chain_enumerates_nothing(monkeypatch):
+    # |W| = 2187 above the cap, every power subgroup at most 243
+    calls = []
+    elements = subgroups._PcSequence.elements
+
+    def counted(self):
+        calls.append(self)
+        return elements(self)
+
+    monkeypatch.setattr(subgroups._PcSequence, "elements", counted)
+    W = whole_group(build_abelian(3, [729, 3]).group, cap=243)
+    assert W.exponent() == 729
+    assert str(fingerprint(W)) == "C729xC3"
+    assert calls == []
 
 
 def test_lower_central_series_heisenberg(heis3):
-    orders = [s.order for s in lower_central_series(heis3)]
+    orders = [s.order for s in lower_central_series(whole_group(heis3))]
     assert orders == [27, 3, 1]
 
 
@@ -531,7 +557,7 @@ def test_free_class2_structure():
     der = derived_subgroup(W)
     assert der.order == 27
     assert abelian_invariants(der) == [3, 3, 3]
-    series = lower_central_series(G)
+    series = lower_central_series(whole_group(G))
     assert [s.order for s in series] == [3**6, 27, 1]
 
 
@@ -544,9 +570,9 @@ def test_order_histogram_and_classes_of_d8():
 def test_series_works_above_enumeration_cap():
     # order 2^15 with a tight cap: only the subgroups themselves enumerate
     G = build_free_class2(5, 2).group
-    series = lower_central_series(G, cap=2**11)
+    series = lower_central_series(whole_group(G, cap=2**11))
     assert [s.order for s in series] == [2**15, 2**10, 1]
-    assert abelian_invariants(series[1], cap=2**11) == [2] * 10
+    assert abelian_invariants(series[1]) == [2] * 10
 
 
 def test_exponent_values():

@@ -40,6 +40,7 @@ sys.path.insert(0, str(REPO / "src"))
 from lienil.catalog import DATA_DIR, CatalogEntry, computed_columns, verify_tables, table_entries
 from lienil.pcgroup import PcGroup, PresentationError, PresentationMeta
 from lienil.subgroups import (
+    Subgroup,
     center,
     closure,
     derived_subgroup,
@@ -61,16 +62,16 @@ T23_KEYS = ("Gp3", "expGp", "zeta", "Gpp", "GppcapGp3", "Gp3capZeta")
 # invariants used to separate same-profile entries
 
 
-def central_cube_count(G: PcGroup) -> int:
-    W = whole_group(G, CAP)
+def central_cube_count(W: Subgroup) -> int:
+    G = W.group
     zeta = center(W)
     return sum(1 for x in W.elements if G.power(x, G.p) in zeta)
 
 
-def maximal_subgroup_fingerprints(G: PcGroup) -> tuple:
-    """Sorted multiset of fingerprints of the index-p subgroups."""
-    W = whole_group(G, CAP)
-    frat = subgroup_product(derived_subgroup(W, CAP), power_subgroup(W, G.p, CAP), CAP)
+def maximal_subgroup_fingerprints(W: Subgroup) -> tuple:
+    """Sorted multiset of fingerprints of the index-p subgroups of W."""
+    G = W.group
+    frat = subgroup_product(derived_subgroup(W), power_subgroup(W, G.p))
     basis = []
     span = frat
     for i in range(G.ngens):
@@ -99,7 +100,7 @@ def maximal_subgroup_fingerprints(G: PcGroup) -> tuple:
             gens.append(elem)
         sub = closure(G, gens, CAP)
         assert sub.order * p == G.order
-        names.append(str(fingerprint(sub, CAP)))
+        names.append(str(fingerprint(sub)))
     return tuple(sorted(names))
 
 
@@ -108,8 +109,8 @@ def strong_invariant(G: PcGroup) -> tuple:
     return (
         joint_order_class_histogram(W),
         pth_power_in_commutator_closure_count(W),
-        central_cube_count(G),
-        maximal_subgroup_fingerprints(G),
+        central_cube_count(W),
+        maximal_subgroup_fingerprints(W),
     )
 
 
