@@ -412,35 +412,3 @@ def verify_theorem(G: PcGroup, corrected: bool = False,
         notes=tuple(notes),
         corrected=corrected,
     )
-
-
-def describe_profile(prof: StructureProfile) -> list[str]:
-    """Human-readable profile lines, for the command line and for logs."""
-    lines = [
-        f"p = {prof.p}, |G| = {prof.group_order}, class {prof.nilpotency_class}",
-        f"G' : order {prof.derived_order}, exponent {prof.derived_exponent}, "
-        f"type {prof.derived_iso}",
-    ]
-    if prof.declared_id is not None:
-        lines.append(f"G' declared as S{prof.declared_id}")
-    for i in sorted(prof.gamma):
-        info = prof.gamma[i]
-        if info.order == 1 and i > prof.nilpotency_class + 1:
-            continue
-        lines.append(f"gamma_{i} : order {info.order}, type {info.iso}")
-    for q in sorted(prof.powers):
-        pi = prof.powers[q]
-        rel = "= gamma_3" if pi.eq_gamma3 else (
-            "<= gamma_3" if pi.in_gamma3 else (
-                ">= gamma_3" if pi.contains_gamma3 else "|| gamma_3"))
-        lines.append(
-            f"G'^{q} : order {pi.order}, type {pi.iso}, {rel}, "
-            f"|meet gamma_3| = {pi.cap_gamma3}, "
-            f"|meet gamma_4| = {pi.cap_gamma4}")
-    lines.append(f"U = G'^(p^2) * gamma_3^p : order {prof.u_order}, "
-                 f"type {prof.u_iso}, gamma_4 <= U: {prof.gamma4_in_u}")
-    lines.append(f"centre(G') order {prof.centre_order}; "
-                 f"G'' order {prof.second_derived.order}, "
-                 f"type {prof.second_derived.iso}, "
-                 f"central in G': {prof.second_derived_in_centre}")
-    return lines

@@ -173,19 +173,6 @@ class ConditionRecord:
     branches: tuple[tuple[tuple, ...], ...]
     note: str = ""
 
-    @property
-    def citation(self) -> str:
-        """Symbolic rendering of the predicate (generated, deterministic)."""
-        parts = [f"G' ~ {format_gprime(self.gprime)}"]
-        if len(self.branches) == 1:
-            parts.extend(format_clause(c) for c in self.branches[0])
-        else:
-            alts = []
-            for br in self.branches:
-                alts.append("(" + " and ".join(format_clause(c) for c in br) + ")")
-            parts.append(" or ".join(alts))
-        return "; ".join(parts) + f"  [{format_gate(self.applicable_p)}]"
-
 
 def _rec(cid, gate, gp, *branches, note=""):
     brs = tuple(tuple(b) for b in branches)

@@ -221,54 +221,6 @@ class FpSubspace:
         residual = (w - matmul_mod(coeffs, self.basis, self.p)[0]) % self.p
         return not residual.any()
 
-    def contains_space(self, other: "FpSubspace") -> bool:
-        """True iff other is a subspace of self."""
-        _check_same_space(self, other)
-        if other.dim == 0:
-            return True
-        if self.dim == 0:
-            return False
-        coeffs = other.basis[:, list(self.pivots)]
-        residual = (other.basis - matmul_mod(coeffs, self.basis, self.p)) % self.p
-        return not residual.any()
-
-
-def _check_same_space(a: FpSubspace, b: FpSubspace) -> None:
-    if a.p != b.p:
-        raise ValueError(f"field mismatch: GF({a.p}) vs GF({b.p})")
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError(f"ambient mismatch: {a.ambient_dim} vs {b.ambient_dim}")
-
-
-def subspace_join(a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    """Smallest subspace containing both a and b."""
-    _check_same_space(a, b)
-    if a.dim == 0:
-        return b
-    if b.dim == 0:
-        return a
-    stacked = np.vstack([a.basis, b.basis])
-    return FpSubspace.from_vectors(a.p, a.ambient_dim, stacked)
-
-
-def subspace_meet(a: FpSubspace, b: FpSubspace) -> FpSubspace:
-    """Intersection of two subspaces (Zassenhaus block elimination)."""
-    _check_same_space(a, b)
-    n = a.ambient_dim
-    if a.dim == 0 or b.dim == 0:
-        return FpSubspace.zero(a.p, n)
-    top = np.hstack([a.basis, a.basis])
-    bottom = np.hstack([b.basis, np.zeros_like(b.basis)])
-    block = np.vstack([top, bottom])
-    reduced, pivots = _rref_inplace(block, a.p)
-    rows = []
-    for i in range(len(pivots)):
-        if not reduced[i, :n].any():
-            rows.append(reduced[i, n:])
-    if not rows:
-        return FpSubspace.zero(a.p, n)
-    return FpSubspace.from_vectors(a.p, n, np.array(rows, dtype=np.int64))
-
 
 class EchelonAccumulator:
     """Growable RREF basis: feed row blocks, keep a canonical echelon.

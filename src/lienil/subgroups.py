@@ -7,20 +7,20 @@ non-zero exponent), where the entry at depth d has exponent 1 at d and 0
 at the depth of every other entry.  That sequence is unique for its
 subgroup, so it decides |H| = p^(entries), membership (x lies in H
 exactly when sifting leaves 1), inclusion and equality without any
-element set.  closure() builds every subgroup, the whole group
-included: centres, intersections and power subgroups are closures too.
-The centre, derived subgroup and power subgroups of H are memoized on H,
-and the lower central series on the whole group W, so they live as long
-as their subgroup does.
+element set.  closure() builds subgroups from generators; the centre and
+intersections are kernels taken layer by layer down the central pc
+series (_kernel), so they read no element set either.  The centre,
+derived subgroup and power subgroups of H are memoized on H, and the
+lower central series on the whole group W, so they live as long as
+their subgroup does.
 
 The cap is fixed where a subgroup is built from G (whole_group, closure,
-normal_closure); every subgroup derived from H inherits H's cap.  It is
-checked twice: closure() refuses a sequence longer than log_p(cap) before
-any element is formed, and the element set, enumerated from the sequence
-on first use, refuses a subgroup larger than the cap.  whole_group(G, cap)
-is the one subgroup whose sequence is not capped, so groups far above the
-cap still get their lower central series, derived subgroup and dimension
-subgroups, as long as no step needs G's own elements.
+normal_closure); every subgroup derived from H inherits H's cap.  It
+bounds enumeration only: the element set of H, and the centre
+transversal power_subgroup takes, are refused when they would hold more
+than cap elements (_PcSequence.elements).  Sequences are never capped, so
+groups far above the cap still get their lower central series, centres,
+intersections and dimension subgroups, as long as no step enumerates.
 
 Power subgroups come from H's structure by one rule, never from a power
 of every element (see power_subgroup): only the p-part p^j of an exponent
@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from lienil.pcgroup import Element, PcGroup
 
@@ -46,6 +46,11 @@ DEFAULT_CAP = 2**20
 
 class CapExceeded(RuntimeError):
     """A subgroup outgrew the caller's cap."""
+
+
+def _depth(x: Element) -> int:
+    """Position of the first non-zero exponent of x != 1."""
+    return next(i for i, e in enumerate(x) if e)
 
 
 class _PcSequence:
@@ -102,7 +107,7 @@ class _PcSequence:
         power and its commutators with the other entries, which lie in S
         and still need sifting."""
         G = self.group
-        d = next(i for i, e in enumerate(r) if e)
+        d = _depth(r)
         t = r if r[d] == 1 else G.power(r, pow(r[d], -1, G.p))
         self._set(d, t)
         found = [G.multiply(self._powers[d][-1], t) if d in self._powers
@@ -147,11 +152,14 @@ class _PcSequence:
             if t != self.entries[d]:
                 self._set(d, t)
 
-    def elements(self) -> frozenset:
+    def elements(self, cap: int) -> frozenset:
         """Every t_1^e_1 ... t_k^e_k (entries by depth), built deepest
         entry first with one left multiplication per element; a
-        pc-generator entry g_d only writes e into position d."""
+        pc-generator entry g_d only writes e into position d.  Raises
+        CapExceeded, before any product, when there are more than cap."""
         G = self.group
+        if G.p ** (G.ngens - self.entries.count(None)) > cap:
+            raise CapExceeded(f"subgroup larger than cap {cap}")
         out = [G.identity]
         for d in reversed(range(G.ngens)):
             if self.entries[d] is None:
@@ -169,8 +177,8 @@ class _PcSequence:
 
 class Subgroup:
     """A subgroup of a pc group: kept generators and a closed induced
-    sequence in canonical form (see _PcSequence.reduce); built only by
-    closure().  The element set is formed on first use."""
+    sequence in canonical form (see _PcSequence.reduce); built by
+    closure() and _kernel().  The element set is formed on first use."""
 
     __slots__ = ("group", "generators", "entries", "order", "_seq", "_cap", "_elements",
                  "_center", "_derived", "_powers", "_coset_images", "_lower_central")
@@ -199,9 +207,7 @@ class Subgroup:
         """H, with its element set formed on the first call; that call
         raises CapExceeded when |H| exceeds H's cap."""
         if self._elements is None:
-            if self.order > self._cap:
-                raise CapExceeded(f"subgroup larger than cap {self._cap}")
-            self._elements = self._seq.elements()
+            self._elements = self._seq.elements(self._cap)
         return self
 
     def is_trivial(self) -> bool:
@@ -234,11 +240,8 @@ class Subgroup:
 
 
 def whole_group(G: PcGroup, cap: int = DEFAULT_CAP) -> Subgroup:
-    """G itself, closed from its pc generators with no cap on the sequence;
-    cap bounds only the enumeration of its elements."""
-    W = closure(G, G.generators(), G.order)
-    W._cap = cap
-    return W
+    """G itself, closed from its pc generators."""
+    return closure(G, G.generators(), cap)
 
 
 def trivial_subgroup(G: PcGroup) -> Subgroup:
@@ -252,7 +255,6 @@ def _grow(H: Subgroup, gens: Iterable[Element], cap: int) -> Subgroup:
     G = H.group
     seq = _PcSequence(G, H._seq)
     kept = list(H.generators)
-    size = H.order
     for g in gens:
         r = seq.sift(g)
         if r == G.identity:
@@ -263,9 +265,6 @@ def _grow(H: Subgroup, gens: Iterable[Element], cap: int) -> Subgroup:
             r = seq.sift(pending.pop())
             if r == G.identity:
                 continue
-            size *= G.p
-            if size > cap:
-                raise CapExceeded(f"subgroup larger than cap {cap}")
             pending.extend(seq.add(r))
     if len(kept) == len(H.generators):
         return H
@@ -295,9 +294,9 @@ def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subg
     <t_i, ..., t_k> = {t_i^e_i ... t_k^e_k} has order p^(k-i+1), so a
     closed sequence has an entry at every depth of S's elements.
 
-    So |H| = p^k for k entries.  The cap is checked against that count
-    as entries are added, before any element is formed, and CapExceeded
-    is raised exactly when |H| > cap.
+    So |H| = p^k for k entries, known without any element.  cap is kept
+    on H and bounds only the enumeration of H and of the subgroups
+    derived from it.
     """
     return _grow(trivial_subgroup(G), gens, cap)
 
@@ -352,11 +351,71 @@ def subgroup_product(H: Subgroup, K: Subgroup) -> Subgroup:
     return _grow(H, K.generators, H._cap)
 
 
+def _kernel(H: Subgroup,
+            image: Callable[[Element], list[tuple[Element, Element]]]) -> Subgroup:
+    """The x in H with a == b for every pair (a, b) in image(x); H itself
+    when that is all of H.
+
+    Let C_i be the x in H whose pairs agree before depth i.  image must
+    make x -> (a_i - b_i per pair), the depth-i exponents of b^-1 a, a
+    homomorphism C_i -> GF(p)^m; C_(i+1) is then its kernel and C_(n+1)
+    the answer.  A step reduces the vectors of C_i's entries by GF(p)
+    elimination, deepest entry first, multiplying an entry on the right by
+    powers of deeper pivots, so it keeps its depth and exponent 1 there.
+    The m - rank entries that reduce to 0 lie in C_(i+1) at distinct
+    depths, so they are an induced sequence of it, of order |C_i| / p^rank,
+    with no p-th power or commutator to sift.  Depths where all pairs
+    agree are skipped, so image runs once per term; the assert checks that
+    each term's pairs agree through the depth of the step that made it.
+    """
+    G = H.group
+    p = G.p
+    entries = list(H.entries)
+    depth = -1
+    while True:
+        images = [image(t) for t in entries]
+        lead = min((next(i for i, (u, w) in enumerate(zip(a, b)) if u != w)
+                    for pairs in images for a, b in pairs if a != b), default=G.ngens)
+        assert lead > depth, "image is not a homomorphism on the kernel"
+        if lead == G.ngens:
+            break
+        depth = lead
+        pivots: list[tuple[int, list[int], Element]] = []  # column, vector, element
+        kernel = []
+        for t, pairs in zip(reversed(entries), reversed(images)):
+            v = [(a[depth] - b[depth]) % p for a, b in pairs]
+            for col, row, pivot in pivots:
+                c = v[col]
+                if c:
+                    v = [(u - c * w) % p for u, w in zip(v, row)]
+                    t = G.multiply(t, G.power(pivot, p - c))
+            col = next((k for k, u in enumerate(v) if u), None)
+            if col is None:
+                kernel.append(t)
+            else:
+                s = pow(v[col], -1, p)
+                pivots.append((col, [u * s % p for u in v], G.power(t, s)))
+        entries = kernel[::-1]
+    if len(entries) == len(H.entries):
+        return H
+    seq = _PcSequence(G)
+    for t in entries:
+        seq._set(_depth(t), t)
+    seq.reduce()
+    return Subgroup(G, tuple(t for t in seq.entries if t is not None), seq, H._cap)
+
+
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
+    """H meet K for K normal in G, under H's cap: the kernel of
+    x -> (K's sift of x, 1).  For x in C_i = H meet K G_i the sift lies in
+    G_i, and its depth-i exponent is x's image in K G_i / K G_(i+1),
+    which is Z/p or trivial; so C_(n+1) = H meet K (see _kernel)."""
     if H.group is not K.group:
         raise ValueError("intersection across different groups")
-    common = H.elements & K.elements
-    return closure(H.group, sorted(common), H._cap)
+    G = H.group
+    if any(G.conjugate(k, g) not in K for k in K.generators for g in G.generators()):
+        raise ValueError("intersection needs its second subgroup normal in the group")
+    return _kernel(H, lambda x: [(K._seq.sift(x), G.identity)])
 
 
 def power_subgroup(H: Subgroup, q: int) -> Subgroup:
@@ -401,18 +460,25 @@ def _coset_power_images(H: Subgroup, j: int) -> frozenset:
     """The non-identity p^j-th powers of one representative per
     non-central coset of Z(H) (none, and no element of H formed, when H
     is abelian); the chain j = 0, 1, ... is memoized on H and extended by
-    one p-th power per image and step."""
+    one p-th power per image and step.
+
+    The representatives are the normal words in H's entries at the depths
+    Z(H) does not occupy, enumerated under H's cap.  Z <= H, so Z's depths
+    are some of H's; two such words differ first at a depth Z does not
+    occupy, so the quotient of the two is not in Z, and there are
+    |H : Z| of them.
+    """
     G = H.group
     images = H._coset_images
     if not images:
         Z = center(H)
-        covered: set[Element] = set()
-        reps = []
-        for x in ([] if Z is H else sorted(H.elements - Z.elements)):
-            if x not in covered:
-                reps.append(x)
-                covered.update(G.multiply(x, z) for z in Z.elements)
-        images.append(frozenset(reps))
+        transversal = _PcSequence(G, H._seq)
+        for d, z in enumerate(Z._seq.entries):
+            if z is not None:
+                transversal.entries[d] = None
+                transversal._powers.pop(d, None)
+        images.append(frozenset() if Z is H
+                      else transversal.elements(H._cap) - {G.identity})
     while len(images) <= j:
         images.append(frozenset(
             y for y in (G.power(x, G.p) for x in images[-1]) if y != G.identity))
@@ -429,19 +495,15 @@ def derived_subgroup(H: Subgroup) -> Subgroup:
 
 
 def center(H: Subgroup) -> Subgroup:
-    """Center of H: H itself when H is abelian, otherwise by scanning
-    H's elements (under H's own cap) against its generators.
-
-    An element commutes with all of H iff it commutes with a generating
-    set, so the scan is |H| * len(generators) commutator tests.
-    """
-    if H._center is None and is_abelian(H):
-        H._center = H
-    elif H._center is None:
+    """Center of H, H itself when H is abelian: the kernel of
+    x -> (x h, h x) for h in H's generators.  x h = h x [x, h], and on C_i
+    the commutators lie in G_i, where [xy, h] = [x, h]^y [y, h] agrees
+    with [x, h] [y, h] at depth i because the pc series is central (see
+    _kernel)."""
+    if H._center is None:
         G = H.group
-        central = [x for x in H.elements
-                   if all(G.multiply(x, g) == G.multiply(g, x) for g in H.generators)]
-        H._center = closure(G, sorted(central), H._cap)
+        H._center = _kernel(H, lambda x: [(G.multiply(x, h), G.multiply(h, x))
+                                          for h in H.generators])
     return H._center
 
 

@@ -15,7 +15,6 @@ from lienil.classify import (
     AmbiguousMatch,
     StructureProfile,
     TermInfo,
-    describe_profile,
     evaluate_clause,
     match_conditions,
     profile,
@@ -64,13 +63,6 @@ def test_evaluate_clause_vocabulary(heis3_profile):
         evaluate_clause(("no_such_op",), prof)
     with pytest.raises(ValueError):
         evaluate_clause(("g_in_P", 5, lit(2)), prof)
-
-
-def test_describe_profile_renders(heis3_profile):
-    lines = describe_profile(heis3_profile)
-    assert any("G'" in line for line in lines)
-    assert any("centre" in line for line in lines)
-    assert all(isinstance(line, str) for line in lines)
 
 
 def test_dihedral_16_is_consistent_without_matches():

@@ -142,8 +142,9 @@ def test_abelian_builder_rejects_empty_or_non_integer_factors(capsys):
 
 
 def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
-    # G' of the rank-5 free class-2 group at p = 5 has order 5^10 > 2^20;
-    # its size is known from the sifted sequence, so it is never enumerated
+    # G' of the rank-5 free class-2 group has order p^10 > 2^20 at p = 5 and
+    # p = 7; the cap bounds enumeration only and nothing here enumerates, so
+    # the paper's witness gets its t^L = 10p - 8
     calls = []
     multiply = PcGroup.multiply
 
@@ -152,10 +153,18 @@ def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
         return multiply(self, x, y)
 
     monkeypatch.setattr(PcGroup, "multiply", counted)
-    code, out, err = run(capsys, ["index", "--builder", "free_class2:5", "-p", "5"])
-    assert code == 2 and out == ""
-    assert err == "error: subgroup larger than cap 1048576\n"
-    assert len(calls) < 2**20
+    for p, order, derived, t in ((5, 30517578125, 9765625, 42),
+                                 (7, 4747561509943, 282475249, 62)):
+        calls.clear()
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["index", "--builder", "free_class2:5", "-p", str(p)])
+        assert time.perf_counter() - start < 1
+        assert code == 0 and err == ""
+        assert out == (f"group free-class2-rank5-p{p}: order {order}, p = {p}\n"
+                       f"dimension subgroups: |D_(2)| = {derived}, |D_(3)| = 1\n"
+                       "d-sequence: {d_(2)=10}\n"
+                       f"upper index t^L = {t}\n")
+        assert t == 10 * p - 8 and len(calls) < 2**20
 
 
 def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
@@ -164,8 +173,8 @@ def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
     orders = []
     elements = subgroups._PcSequence.elements
 
-    def counted(self):
-        out = elements(self)
+    def counted(self, cap):
+        out = elements(self, cap)
         orders.append(len(out))
         return out
 
@@ -192,9 +201,14 @@ def test_index_refuses_a_prime_beyond_the_collector(capsys):
 
 
 def test_verify_tables_refuses_a_group_above_the_cap(capsys):
-    code, out, err = run(capsys, ["verify-tables", "--cap", "1000"])
+    # the largest centre transversal the 30 rows enumerate has 625 elements;
+    # no row needs more, so a cap of 1000 changes nothing
+    _, default, _ = run(capsys, ["verify-tables", "--json"])
+    code, out, err = run(capsys, ["verify-tables", "--cap", "1000", "--json"])
+    assert code == 0 and err == "" and out == default
+    code, out, err = run(capsys, ["verify-tables", "--cap", "100"])
     assert code == 2 and out == ""
-    assert err == "error: subgroup larger than cap 1000\n"
+    assert err == "error: subgroup larger than cap 100\n"
 
 
 def test_enumerate_rejects_bad_weight(capsys):
@@ -296,13 +310,27 @@ def test_group_source_validation(tmp_path, capsys):
     assert code == 2 and "unknown builder" in err
 
 
-def test_structure_cap_env_and_flag_precedence(monkeypatch, capsys):
+# A group of order 2^7 whose derived subgroup G' (order 16, class 2) is not
+# abelian: its power chain enumerates the 4 coset representatives of Z(G').
+NONABELIAN_DERIVED = """p 2
+gens 7
+comm 2 1 : g4^1
+comm 3 1 : g5^1
+comm 4 3 : g6^1 g7^1
+comm 5 2 : g6^1
+comm 5 4 : g7^1
+comm 6 1 : g7^1
+"""
+
+
+def test_structure_cap_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g128.pres"
+    path.write_text(NONABELIAN_DERIVED)
     monkeypatch.setenv("LIENIL_CAP", "2")
-    code, _, err = run(capsys, ["index", "--builder", "dihedral:16"])
+    code, _, err = run(capsys, ["index", str(path)])
     assert code == 2 and "cap" in err
-    code, _, _ = run(capsys, ["index", "--builder", "dihedral:16",
-                              "--cap", "65536"])
-    assert code == 0
+    code, out, _ = run(capsys, ["index", str(path), "--cap", "65536"])
+    assert code == 0 and "upper index t^L = 9" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,14 +349,15 @@ def test_non_positive_cap_is_rejected_before_any_work(argv, monkeypatch, capsys)
     assert f"--cap must be positive, got {argv[-1]}" in err
 
 
-def test_oracle_structure_cap_is_checked_before_the_chains(monkeypatch, capsys):
+def test_oracle_structure_cap_is_checked_before_the_chains(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("Lie chains started before the structure cap was checked")
+    path = tmp_path / "g128.pres"
+    path.write_text(NONABELIAN_DERIVED)
     monkeypatch.setattr(cli, "upper_lie_chain", no_work)
     monkeypatch.setattr(cli, "lower_lie_chain", no_work)
     monkeypatch.setenv("LIENIL_CAP", "1")
-    code, out, err = run(capsys, ["oracle", "--builder", "condition-quotient:65",
-                                  "-p", "3"])
+    code, out, err = run(capsys, ["oracle", str(path)])
     assert code == 2 and out == ""
     assert "subgroup larger than cap 1" in err
 

@@ -53,14 +53,6 @@ def test_prime_gates():
     assert format_gate(("any",)) == "all p"
 
 
-def test_every_record_renders_a_citation():
-    for table in (get_conditions(False), get_conditions(True)):
-        for rec in table:
-            text = rec.citation
-            assert text and "G'" in text
-            assert text.endswith("]")
-
-
 def test_suspect_rows_carry_notes():
     by_id = {r.id: r for r in CONDITIONS}
     for cid in SUSPECT_IDS:

@@ -19,8 +19,6 @@ from lienil.fp_linalg import (
     close_under,
     matmul_mod,
     rref,
-    subspace_join,
-    subspace_meet,
 )
 
 PRIMES = (2, 3, 5)
@@ -50,20 +48,6 @@ def naive_rref(rows, p):
         if r == nrows:
             break
     return a[:r]
-
-
-def naive_span(rows, p):
-    """Every vector in the span, as a set of tuples (tiny ambients only)."""
-    basis = naive_rref(rows, p)
-    n = len(rows[0]) if rows else 0
-    out = {(0,) * n}
-    for coeffs in np.ndindex(*([p] * len(basis))):
-        v = [0] * n
-        for c, row in zip(coeffs, basis):
-            for j in range(n):
-                v[j] = (v[j] + c * row[j]) % p
-        out.add(tuple(v))
-    return out
 
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -123,36 +107,6 @@ def test_contains_rejects_outside_vector():
     s = FpSubspace.from_vectors(3, 3, [[1, 0, 2], [0, 1, 1]])
     assert not s.contains([0, 0, 1])
     assert s.contains([1, 1, 0])
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    p=st.sampled_from((2, 3)),
-    n=st.integers(min_value=1, max_value=6),
-    data=st.data(),
-)
-def test_join_meet_dimension_identity(p, n, data):
-    rows = st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
-                    min_size=0, max_size=n + 1)
-    a = FpSubspace.from_vectors(p, n, data.draw(rows) or [[0] * n])
-    b = FpSubspace.from_vectors(p, n, data.draw(rows) or [[0] * n])
-    join = subspace_join(a, b)
-    meet = subspace_meet(a, b)
-    assert join.dim + meet.dim == a.dim + b.dim
-    assert join.contains_space(a) and join.contains_space(b)
-    assert a.contains_space(meet) and b.contains_space(meet)
-
-
-def test_meet_matches_elementwise_intersection():
-    p, n = 3, 4
-    rows_a = [[1, 0, 1, 2], [0, 1, 0, 1]]
-    rows_b = [[1, 1, 1, 0], [0, 0, 1, 1]]
-    a = FpSubspace.from_vectors(p, n, rows_a)
-    b = FpSubspace.from_vectors(p, n, rows_b)
-    meet = subspace_meet(a, b)
-    expected = naive_span(rows_a, p) & naive_span(rows_b, p)
-    got = naive_span([list(r) for r in meet.basis] or [[0] * n], p)
-    assert got == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -306,16 +260,3 @@ def test_zero_and_full_subspaces():
     f = FpSubspace.full(5, 4)
     assert z.is_zero() and z.dim == 0
     assert f.dim == 4
-    assert f.contains_space(z)
-    assert subspace_join(z, f) == f
-    assert subspace_meet(z, f) == z
-
-
-def test_mismatched_spaces_are_rejected():
-    a = FpSubspace.full(2, 3)
-    b = FpSubspace.full(3, 3)
-    c = FpSubspace.full(2, 4)
-    with pytest.raises(ValueError):
-        subspace_join(a, b)
-    with pytest.raises(ValueError):
-        subspace_meet(a, c)

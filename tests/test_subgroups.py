@@ -124,7 +124,8 @@ def _capped(build):
 
 def _assert_closure_matches_bfs(G, gens):
     """Same elements, the same kept generators in the same order, and
-    CapExceeded exactly when |H| > cap, with the same message."""
+    CapExceeded exactly when |H| > cap, with the same message; the
+    sifting closure refuses on enumeration, not when it is built."""
     gens = list(gens)
     H = closure(G, gens)
     assert (H.elements, H.generators) == _bfs_closure(G, gens, 2**20)
@@ -132,8 +133,10 @@ def _assert_closure_matches_bfs(G, gens):
         assert (_capped(lambda: closure(G, gens, cap).elements)
                 == _capped(lambda: _bfs_closure(G, gens, cap)[0]))
     if H.order > 1:
+        capped = closure(G, gens, H.order - 1)
+        assert capped == H
         with pytest.raises(CapExceeded, match=f"^subgroup larger than cap {H.order - 1}$"):
-            closure(G, gens, H.order - 1)
+            capped.elements
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,9 +297,17 @@ D8_X_C8 = parse_presentation(
     "p 2\ngens 6\npow 1 : g2^1\npow 2 : g3^1\npow 3 : 1\npow 4 : 1\n"
     "pow 5 : g6^1\npow 6 : 1\ncomm 5 4 : g6^1\n")
 
+# Order 2^7, class 4, with a non-abelian derived subgroup G' of order 16:
+# Z(G') has order 4, larger than [G', G'], the last non-trivial term of
+# G''s own lower central series.
+NONABELIAN_DERIVED = parse_presentation(
+    "p 2\ngens 7\ncomm 2 1 : g4^1\ncomm 3 1 : g5^1\ncomm 4 3 : g6^1 g7^1\n"
+    "comm 5 2 : g6^1\ncomm 5 4 : g7^1\ncomm 6 1 : g7^1\n")
+
 DIFFERENTIAL_GROUPS = {
     **CONTRACT_GROUPS,
     "D8xC8": D8_X_C8,
+    "G' non-abelian": NONABELIAN_DERIVED,
     "s3125_41": import_presentation(DATA_DIR / "s3125_41.pres").group,  # |Z| = 125
     "s243_19": import_presentation(DATA_DIR / "s243_19.pres").group,
     # abelian: Z(H) = H, so the power rule reduces to generator powers
@@ -342,14 +353,39 @@ def _naive_center(H):
     return central
 
 
+def _marked_coset_representatives(H):
+    """One element per non-central coset of Z(H), found by marking: the
+    least uncovered element of H \\ Z(H), then its whole coset, and so on."""
+    G = H.group
+    Z = center(H)
+    covered = set()
+    reps = []
+    for x in sorted(H.elements - Z.elements):
+        if x not in covered:
+            reps.append(x)
+            covered.update(G.multiply(x, z) for z in Z.elements)
+    return reps
+
+
+def _cosets(H, reps):
+    G = H.group
+    Z = center(H).elements
+    return {frozenset(G.multiply(x, z) for z in Z) for x in reps}
+
+
 def _assert_powers_match_element_scan(H):
     """The slow references: the q-th power of every element of H, the
-    largest element order, the centre by commuting every pair, and for
-    abelian H the element-order counts #{x : x^q = 1} = prod_i min(f_i, q)
-    over the invariant factors f_i, for each element order q.  closure
-    itself is checked against a naive fixpoint above."""
+    largest element order, the centre by commuting every pair, the centre
+    transversal by marking cosets, and for abelian H the element-order
+    counts #{x : x^q = 1} = prod_i min(f_i, q) over the invariant factors
+    f_i, for each element order q.  closure itself is checked against a
+    naive fixpoint above."""
     G = H.group
     p = G.p
+    reps = subgroups._coset_power_images(H, 0)
+    marked = _marked_coset_representatives(H)
+    assert len(reps) == len(marked) == H.order // center(H).order - 1
+    assert _cosets(H, reps) == _cosets(H, marked)
     for q in (p, p**2, p**3, 2 * p, 6):
         powers = sorted({G.power(x, q) for x in H.elements})
         assert power_subgroup(H, q).elements == closure(G, powers).elements, q
@@ -398,8 +434,10 @@ def test_power_subgroups_are_memoized(d16, heis3):
 
 
 def test_closure_respects_cap(d16):
+    H = closure(d16, d16.generators(), cap=7)
+    assert H.order == 16
     with pytest.raises(CapExceeded):
-        closure(d16, d16.generators(), cap=7)
+        H.elements
 
 
 def test_whole_group_defers_enumeration(d16, multiply_calls):
@@ -422,8 +460,10 @@ def test_lower_central_series_dihedral(d16):
 def test_derived_subgroup_inherits_the_cap_of_its_group():
     # |G'| = 64 for the dihedral group of order 256
     W = whole_group(build_dihedral(256).group, cap=8)
+    der = derived_subgroup(W)
+    assert der.order == 64
     with pytest.raises(CapExceeded, match="^subgroup larger than cap 8$"):
-        derived_subgroup(W)
+        der.elements
 
 
 def test_abelian_power_chain_enumerates_nothing(monkeypatch):
@@ -431,9 +471,9 @@ def test_abelian_power_chain_enumerates_nothing(monkeypatch):
     calls = []
     elements = subgroups._PcSequence.elements
 
-    def counted(self):
+    def counted(self, cap):
         calls.append(self)
-        return elements(self)
+        return elements(self, cap)
 
     monkeypatch.setattr(subgroups._PcSequence, "elements", counted)
     W = whole_group(build_abelian(3, [729, 3]).group, cap=243)
@@ -493,6 +533,48 @@ def test_product_and_intersection_identities(d16):
     triv = trivial_subgroup(d16)
     assert subgroup_product(der, triv) == der
     assert intersection(der, triv) == triv
+
+
+def test_intersection_refuses_a_subgroup_that_is_not_normal(d16):
+    W = whole_group(d16)
+    reflection = closure(d16, [d16.generator(0)])
+    with pytest.raises(ValueError, match="normal"):
+        intersection(W, reflection)
+    assert intersection(reflection, W) == reflection
+
+
+def test_centre_of_a_subgroup_above_its_last_lower_central_term():
+    der = derived_subgroup(whole_group(NONABELIAN_DERIVED))
+    last = derived_subgroup(der)
+    assert (der.order, last.order) == (16, 2)
+    assert derived_subgroup(last).is_trivial()  # der has class 2
+    assert last <= center(der) and center(der).order == 4
+    assert center(der).elements == _naive_center(der)
+
+
+TABLE_GROUPS = sorted(f.stem for f in DATA_DIR.glob("*.pres"))
+
+
+@pytest.mark.parametrize("stem", TABLE_GROUPS)
+def test_intersections_of_normal_subgroups_match_element_sets(stem):
+    G = import_presentation(DATA_DIR / f"{stem}.pres").group
+    W = whole_group(G)
+    normal = [*lower_central_series(W)[1:], center(W),
+              power_subgroup(W, G.p), power_subgroup(W, G.p**2)]
+    for H in normal:
+        for K in normal:
+            assert intersection(H, K).elements == H.elements & K.elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=two_closures())
+def test_intersection_with_a_normal_closure_matches_element_sets(drawn):
+    G, H, K = drawn
+    N = normal_closure(G, K.generators)
+    assert intersection(H, N).elements == H.elements & N.elements
+    if N != K:
+        with pytest.raises(ValueError, match="normal"):
+            intersection(H, K)
 
 
 abelian_factor_lists = st.lists(

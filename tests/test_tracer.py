@@ -21,6 +21,7 @@ SCRIPT = """
 import contextlib, io, json, sys
 from tracer import Tracer
 import lienil.cli
+from lienil import catalog, subgroups
 
 tracer = Tracer()
 tracer.install()
@@ -28,6 +29,8 @@ codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     codes.append(lienil.cli.main(["verify-tables", sys.argv[1]]))
     codes.append(lienil.cli.main(["index", "--builder", "dihedral:16"]))
+# neither run enumerates a subgroup's element set
+subgroups.whole_group(catalog.build_dihedral(16).group).elements
 print(json.dumps({"codes": codes, "calls": tracer.report()["calls"]}))
 """
 
