@@ -124,11 +124,22 @@ def build_quaternion(order: int) -> CatalogEntry:
                         description=f"generalized quaternion group of order {order}")
 
 
+def _heisenberg_times_cp(p: int, k: int) -> PcGroup:
+    """H(p) x (Cp)^k: generators a, b, [b,a], then k free central ones."""
+    return PcGroup(p, 3 + k, powers={}, comms={(1, 0): ((2, 1),)})
+
+
+def _row66_group(p: int, k: int) -> PcGroup:
+    """<a, b, c, d, e | x^p = 1, [b,a] = e, [d,c] = e> x (Cp)^k."""
+    return PcGroup(p, 5 + k, powers={}, comms={(1, 0): ((4, 1),),
+                                               (3, 2): ((4, 1),)})
+
+
 def build_heisenberg(p: int) -> CatalogEntry:
     """Non-abelian group of order p^3 and exponent p (p odd)."""
     if p < 3:
         raise ValueError("heisenberg builder needs an odd prime")
-    group = PcGroup(p, 3, powers={}, comms={(1, 0): ((2, 1),)})
+    group = _heisenberg_times_cp(p, 0)
     return CatalogEntry(f"heisenberg-{p}", group,
                         description=f"extraspecial of order {p}^3, exponent {p}")
 
@@ -166,16 +177,15 @@ def build_condition_group(item: int, p: int) -> CatalogEntry:
         if p < 5:
             raise ValueError("row 46 is stated for p >= 5")
         # generators a, b, e, c, d; only [b,a] = e is nontrivial
-        group = PcGroup(p, 5, powers={}, comms={(1, 0): ((2, 1),)})
+        group = _heisenberg_times_cp(p, 2)
     elif item == 65:
         if p < 3:
             raise ValueError("row 65 is stated for odd p")
-        group = PcGroup(p, 7, powers={}, comms={(1, 0): ((2, 1),)})
+        group = _heisenberg_times_cp(p, 4)
     elif item == 66:
         if p < 3:
             raise ValueError("row 66 is stated for odd p")
-        group = PcGroup(p, 7, powers={}, comms={(1, 0): ((4, 1),),
-                                                (3, 2): ((4, 1),)})
+        group = _row66_group(p, 2)
     else:
         raise ValueError(f"no presented group in condition row {item}")
     return CatalogEntry(f"cond{item}-p{p}", group,
@@ -185,10 +195,9 @@ def build_condition_group(item: int, p: int) -> CatalogEntry:
 def build_condition_quotient(item: int, p: int) -> CatalogEntry:
     """Rows 65/66 with the two free direct factors dropped (order p^5)."""
     if item == 65:
-        group = PcGroup(p, 5, powers={}, comms={(1, 0): ((2, 1),)})
+        group = _heisenberg_times_cp(p, 2)
     elif item == 66:
-        group = PcGroup(p, 5, powers={}, comms={(1, 0): ((4, 1),),
-                                                (3, 2): ((4, 1),)})
+        group = _row66_group(p, 0)
     else:
         raise ValueError(f"no quotient builder for condition row {item}")
     return CatalogEntry(f"cond{item}-quotient-p{p}", group,
@@ -198,13 +207,13 @@ def build_condition_quotient(item: int, p: int) -> CatalogEntry:
 
 _REFERENCE_BUILDERS = {
     # Heisenberg x Cp (condition row 31)
-    "heis_x_cp": lambda p: PcGroup(p, 4, powers={}, comms={(1, 0): ((2, 1),)}),
+    "heis_x_cp": lambda p: _heisenberg_times_cp(p, 1),
     # (Cp x Cp) x extraspecial p^(1+2) of exponent p (condition row 46)
     "item46": lambda p: build_condition_group(46, p).group,
     "item65": lambda p: build_condition_group(65, p).group,
     "item66": lambda p: build_condition_group(66, p).group,
     # Heisenberg x (Cp)^3 (condition row 82)
-    "heis_x_cp3": lambda p: PcGroup(p, 6, powers={}, comms={(1, 0): ((2, 1),)}),
+    "heis_x_cp3": lambda p: _heisenberg_times_cp(p, 3),
 }
 
 

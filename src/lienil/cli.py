@@ -160,8 +160,8 @@ def cmd_oracle(args) -> int:
     A = build_algebra(G, cap)
     # the structure cap is checked before the dense chains, not after them
     formula = upper_index(whole_group(G, structure_cap))
-    upper = upper_lie_chain(A).t
-    lower = lower_lie_chain(A).t
+    upper = len(upper_lie_chain(A))
+    lower = len(lower_lie_chain(A))
     agree = (upper == formula) and (lower <= upper)
     if args.json:
         _emit_json({

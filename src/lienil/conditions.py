@@ -75,20 +75,6 @@ def eval_abelian(abt: tuple, p: int) -> tuple[int, ...]:
     return tuple(xs) if kind == "abl" else tuple(p**e for e in xs)
 
 
-def format_value(v: tuple) -> str:
-    kind, x = v
-    return str(x) if kind == "lit" else ("p" if x == 1 else f"p^{x}")
-
-
-def format_abelian(abt: tuple) -> str:
-    kind, xs = abt
-    if not xs:
-        return "1"
-    if kind == "abl":
-        return " x ".join(f"C{n}" for n in xs)
-    return " x ".join("Cp" if e == 1 else f"Cp^{e}" for e in xs)
-
-
 # ---------------------------------------------------------------------------
 # prime gates: ("eq", n) | ("ge", n) | ("any",)
 
@@ -101,14 +87,6 @@ def p_applies(gate: tuple, p: int) -> bool:
     return True
 
 
-def format_gate(gate: tuple) -> str:
-    if gate[0] == "eq":
-        return f"p = {gate[1]}"
-    if gate[0] == "ge":
-        return f"p >= {gate[1]}"
-    return "all p"
-
-
 # ---------------------------------------------------------------------------
 # derived-subgroup descriptions
 #   ("ab", abt)            abelian of the given type
@@ -116,51 +94,6 @@ def format_gate(gate: tuple) -> str:
 #   ("ref", key)           isomorphic to a named reference construction
 
 REF_KEYS = ("heis_x_cp", "item46", "item65", "item66", "heis_x_cp3")
-
-
-def format_gprime(gp: tuple) -> str:
-    if gp[0] == "ab":
-        return format_abelian(gp[1])
-    if gp[0] == "sg":
-        order, ids = gp[1], gp[2]
-        return "one of " + ", ".join(f"S({order},{n})" for n in ids)
-    return {
-        "heis_x_cp": "H(p) x Cp",
-        "item46": "(Cp x Cp) x H(p)",
-        "item65": "<a..g | x^p = 1, [b,a] = c>",
-        "item66": "<a..g | x^p = 1, [b,a] = e, [d,c] = e>",
-        "heis_x_cp3": "H(p) x (Cp)^3",
-    }[gp[1]]
-
-
-def format_clause(cl: tuple) -> str:
-    op = cl[0]
-    if op == "g_iso":
-        rhs = format_abelian(cl[2])
-        return f"gamma_{cl[1]} = 1" if rhs == "1" else f"gamma_{cl[1]} ~ {rhs}"
-    if op == "g_in_P":
-        return f"gamma_{cl[1]} <= G'^{format_value(cl[2])}"
-    if op == "P_in_g3":
-        return f"G'^{format_value(cl[1])} <= gamma_3"
-    if op == "P_eq_g3":
-        return f"G'^{format_value(cl[1])} = gamma_3"
-    if op == "cap3":
-        return f"|G'^{format_value(cl[1])} meet gamma_3| = {format_value(cl[2])}"
-    if op == "cap4":
-        return f"|G'^{format_value(cl[1])} meet gamma_4| = {format_value(cl[2])}"
-    if op == "P_iso":
-        return f"G'^{format_value(cl[1])} ~ {format_abelian(cl[2])}"
-    if op == "g3_iso_P":
-        return f"gamma_3 ~ G'^{format_value(cl[1])} (same type)"
-    if op == "g4_in_U":
-        return "gamma_4 <= G'^4 * gamma_3^2"
-    if op == "U_iso":
-        return f"G'^4 * gamma_3^2 ~ {format_abelian(cl[1])}"
-    if op == "P_in_zeta":
-        return f"G'^{format_value(cl[1])} <= centre(G')"
-    if op == "gpp_in_zeta":
-        return "G'' <= centre(G')"
-    raise ValueError(f"unknown clause {cl!r}")
 
 
 @dataclass(frozen=True)

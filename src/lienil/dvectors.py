@@ -112,7 +112,3 @@ def enumerate_admissible(p: int, weight: int) -> list[DSequence]:
 
 REPORT_PRIMES = (2, 3, 5, 7, 11, 13)
 
-
-def proof_case_report(weight: int, primes=REPORT_PRIMES) -> dict[int, list[DSequence]]:
-    """Admissible vectors of the given weight for each prime of interest."""
-    return {p: enumerate_admissible(p, weight) for p in primes}

@@ -21,13 +21,9 @@ Larger products take the exact int64 route through matmul_mod.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-# Linear operators for close_under: either an explicit matrix acting on row
-# vectors (v -> v @ M) or a callable mapping a (k, n) block to a (k, n) block.
-LinearOperator = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 _FLOAT_EXACT_LIMIT = 2**53
 _INT64_LIMIT = 2**63
@@ -292,35 +288,26 @@ class EchelonAccumulator:
                           tuple(self._pivots))
 
 
-def _apply_operator(op: LinearOperator, block: np.ndarray, p: int) -> np.ndarray:
-    if callable(op):
-        return op(block)  # add_block reduces the image mod p
-    return matmul_mod(block, np.mod(np.asarray(op, dtype=np.int64), p), p)
-
-
-def close_under(seed: FpSubspace, operators: Sequence[LinearOperator],
-                max_dim: Optional[int] = None) -> FpSubspace:
+def close_under(seed: FpSubspace,
+                operators: Sequence[Callable[[np.ndarray], np.ndarray]]
+                ) -> FpSubspace:
     """Smallest subspace containing seed and stable under every operator.
 
     Args:
         seed: starting subspace.
-        operators: linear maps on the ambient space, each either an (n, n)
-            matrix acting on row vectors (v -> v @ M) or a callable mapping
-            a (k, n) residue block to a (k, n) block.
-        max_dim: optional early-exit dimension (the ambient dimension is
-            always an implicit bound).
+        operators: linear maps on the ambient space, each a callable
+            mapping a (k, n) residue block to a (k, n) block of integers
+            (add_block reduces the image mod p).
 
     Returns:
         The closure, in canonical form.
     """
     acc = EchelonAccumulator(seed.p, seed.ambient_dim)
     fresh = acc.add_block(seed.basis)
-    bound = seed.ambient_dim if max_dim is None else min(max_dim, seed.ambient_dim)
-    while fresh.shape[0] > 0 and acc.dim < bound:
+    while fresh.shape[0] > 0 and acc.dim < seed.ambient_dim:
         produced = []
         for op in operators:
-            image = _apply_operator(op, fresh, seed.p)
-            added = acc.add_block(image)
+            added = acc.add_block(op(fresh))
             if added.shape[0]:
                 produced.append(added)
         fresh = np.vstack(produced) if produced else np.zeros((0, seed.ambient_dim), dtype=np.int64)

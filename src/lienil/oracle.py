@@ -5,24 +5,28 @@ dim x dim multiplication table of basis indices, the upper chain
 
     M^(1) = F_p[G],   M^(n+1) = ideal generated by [M^(n), F_p[G]]
 
-and the lower chain (left-normed bracket spans, then the ideals they
-generate) are computed as explicit subspaces, and the nilpotency
-indices are read off as the first chain index whose term vanishes.
-The upper chain brackets against the group generators alone; the lower
-chain brackets each span against one element per orbit of the
-non-central elements under conjugation and central translation
-(x -> h^-1 x h z), found from the multiplication table alone
-(`lower_lie_chain` gives the argument).  Everything here is exact
-arithmetic mod p on numpy arrays; nothing is shared with the
-Jennings-style computation in lienil.dimension, so the two routes
-cross-check each other.
+and the lower chain of left-normed bracket spans
+
+    V_1 = F_p[G],     V_(n+1) = span of [V_n, F_p[G]]
+
+are computed as explicit subspaces, and the nilpotency indices are the
+chains' lengths, the first index whose term vanishes.  The lower chain's
+terms are the spans V_n, not the ideals they generate; the two vanish
+together, so t_L is the same either way.  The upper chain brackets
+against the group generators alone; the lower chain brackets each span
+against one element per orbit of the non-central elements under
+conjugation and central translation (x -> h^-1 x h z), found from the
+multiplication table alone (`lower_lie_chain` gives the argument).
+Everything here is exact arithmetic mod p on numpy arrays; nothing is
+shared with the Jennings-style computation in lienil.dimension, so the
+two routes cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -174,63 +178,55 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
                         generator_indices=gen_indices, index=index)
 
 
-@dataclass
-class LiePowerChain:
-    """A computed chain of subspaces; spaces[k] is the (k+1)-st term."""
+def _lie_chain(A: GroupAlgebra, against: Sequence[int],
+               ideals: bool) -> list[FpSubspace]:
+    """Terms from F_p[G] down to the first zero term, so the index is the
+    length of the list.
 
-    kind: str  # "upper" or "lower"
-    spaces: list[FpSubspace]
-    t: Optional[int]  # first index with zero term, or None if not reached
+    Each term is the span of [v, e_b] over v in a basis of the previous
+    term and b in `against`, closed to the ideal it generates when
+    `ideals` is set.  The slow routes the tests compare the default
+    seedings against pass every basis index, range(A.dim).
 
-    def dims(self) -> list[int]:
-        return [s.dim for s in self.spaces]
-
-
-def _seed_brackets(A: GroupAlgebra, basis_block: np.ndarray,
-                   against: tuple[int, ...]) -> FpSubspace:
-    """Span of [v, e_b] for v in the block rows, b in `against`."""
-    acc = EchelonAccumulator(A.p, A.dim)
-    for b in against:
-        acc.add_block(A.bracket_with_basis(basis_block, b))
-    return acc.snapshot()
-
-
-def upper_lie_chain(A: GroupAlgebra, seed_generators_only: bool = True,
-                    max_terms: Optional[int] = None) -> LiePowerChain:
-    """The chain M^(n): each term is the ideal generated by brackets of the
-    previous term against the algebra.
-
-    By default brackets are seeded against the group generators alone: the
-    identity [v, xy] = [v, x]y + x[v, y] shows the ideal generated by
-    brackets against products equals the ideal generated by brackets
-    against the factors, so the closure spans the same ideal.  With
-    `seed_generators_only=False` they are seeded against every algebra
-    basis element; that slow route is the reference a test compares the
-    default against, term by term.
+    Raises:
+        NotLieNilpotentDetected: a nonzero term repeats, or the chain
+            runs past A.chain_bound terms.
     """
-    against = (A.generator_indices if seed_generators_only
-               else tuple(range(A.dim)))
+    kind = "upper" if ideals else "lower"
     ops = A.ideal_operators()
-    bound = A.chain_bound if max_terms is None else max_terms
-    full = FpSubspace.full(A.p, A.dim)
-    spaces = [full]
-    while True:
+    spaces = [FpSubspace.full(A.p, A.dim)]
+    while not spaces[-1].is_zero():
         current = spaces[-1]
-        if current.is_zero():
-            return LiePowerChain("upper", spaces, t=len(spaces))
-        seed = _seed_brackets(A, current.basis, against)
-        nxt = close_under(seed, ops)
+        acc = EchelonAccumulator(A.p, A.dim)
+        for b in against:
+            acc.add_block(A.bracket_with_basis(current.basis, b))
+        nxt = acc.snapshot()
+        if ideals:
+            nxt = close_under(nxt, ops)
         if nxt == current:
             raise NotLieNilpotentDetected(
-                "upper chain went stationary at nonzero dimension "
+                f"{kind} chain went stationary at nonzero dimension "
                 f"{current.dim}: not Lie nilpotent (or a bug)"
             )
         spaces.append(nxt)
-        if len(spaces) > bound + 1:
+        if len(spaces) > A.chain_bound + 1:
             raise NotLieNilpotentDetected(
-                f"upper chain exceeded {bound} terms without vanishing: "
-                "not Lie nilpotent (or a bug)"
+                f"{kind} chain exceeded {A.chain_bound} terms without "
+                "vanishing: not Lie nilpotent (or a bug)"
             )
+    return spaces
+
+
+def upper_lie_chain(A: GroupAlgebra) -> list[FpSubspace]:
+    """The chain M^(n): each term is the ideal generated by brackets of the
+    previous term against the algebra; its length is t^L.
+
+    Brackets are seeded against the group generators alone: the identity
+    [v, xy] = [v, x]y + x[v, y] shows the ideal generated by brackets
+    against products equals the ideal generated by brackets against the
+    factors, so the closure spans the same ideal.
+    """
+    return _lie_chain(A, A.generator_indices, ideals=True)
 
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
@@ -265,17 +261,16 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def lower_lie_chain(A: GroupAlgebra, seed_orbit_representatives: bool = True,
-                    max_terms: Optional[int] = None) -> LiePowerChain:
-    """The chain of ideals generated by left-normed brackets.
+def lower_lie_chain(A: GroupAlgebra) -> list[FpSubspace]:
+    """The left-normed bracket spans V_n; the chain's length is t_L.
 
     V_1 = F_p[G]; V_{n+1} = span of [v, e_b] over v in a basis of V_n and
-    the basis elements e_b.  The reported chain term is the ideal generated
-    by V_n; it vanishes exactly when V_n does.  The spans, unlike the ideals
-    they generate, do not absorb products, so no generator reduction is
-    valid here.
+    the basis elements e_b.  The terms are these spans themselves, not the
+    ideals they generate: an ideal vanishes exactly when its generating
+    span does, so the index is the same.  The spans do not absorb
+    products, so no generator reduction is valid here.
 
-    By default b runs over one representative per orbit of the non-central
+    Instead b runs over one representative per orbit of the non-central
     elements of G under x -> h^-1 x h z (h in G, z in Z(G)); central
     elements bracket to 0.  Let W be the span of [V_n, b] over the
     representatives.  Then W = V_{n+1}:
@@ -289,45 +284,15 @@ def lower_lie_chain(A: GroupAlgebra, seed_orbit_representatives: bool = True,
        W + V_{m+2} for every m >= n.
     4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
        hence V_{n+1} is in W, and W is in V_{n+1} trivially.
-
-    With `seed_orbit_representatives=False` b runs over every basis
-    element; that slow route is the reference a test compares the default
-    against, term by term.
     """
-    against = (_orbit_representatives(A) if seed_orbit_representatives
-               else tuple(range(A.dim)))
-    ops = A.ideal_operators()
-    bound = A.chain_bound if max_terms is None else max_terms
-    full = FpSubspace.full(A.p, A.dim)
-    v_current = full
-    spaces = [full]
-    while True:
-        if v_current.is_zero():
-            return LiePowerChain("lower", spaces, t=len(spaces))
-        v_next = _seed_brackets(A, v_current.basis, against)
-        if v_next == v_current:
-            raise NotLieNilpotentDetected(
-                "lower bracket spans went stationary at nonzero dimension "
-                f"{v_current.dim}: not Lie nilpotent (or a bug)"
-            )
-        spaces.append(close_under(v_next, ops))
-        v_current = v_next
-        if len(spaces) > bound + 1:
-            raise NotLieNilpotentDetected(
-                f"lower chain exceeded {bound} terms without vanishing: "
-                "not Lie nilpotent (or a bug)"
-            )
+    return _lie_chain(A, _orbit_representatives(A), ideals=False)
 
 
 def t_upper_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """t^L of F_p[G] read off the upper chain."""
-    chain = upper_lie_chain(build_algebra(G, cap))
-    assert chain.t is not None
-    return chain.t
+    return len(upper_lie_chain(build_algebra(G, cap)))
 
 
 def t_lower_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """t_L of F_p[G] read off the lower chain."""
-    chain = lower_lie_chain(build_algebra(G, cap))
-    assert chain.t is not None
-    return chain.t
+    return len(lower_lie_chain(build_algebra(G, cap)))

@@ -15,7 +15,6 @@ from lienil.dvectors import (
     enumerate_admissible,
     enumerate_raw,
     lemma_constraints_ok,
-    proof_case_report,
     theta_p_prime,
 )
 from lienil.subgroups import whole_group
@@ -157,8 +156,6 @@ def test_weight_one_has_single_survivor():
         assert [v.as_dict() for v in enumerate_admissible(p, 1)] == [{2: 1}]
 
 
-def test_proof_case_report_covers_report_primes():
-    report = proof_case_report(10)
-    assert set(report) == set(REPORT_PRIMES)
-    assert set(report[7]) == golden(7)
-    assert set(report[11]) == golden(11)
+def test_enumeration_matches_golden_at_p7_and_p11():
+    assert set(enumerate_admissible(7, 10)) == golden(7)
+    assert set(enumerate_admissible(11, 10)) == golden(11)

@@ -146,12 +146,17 @@ def test_accumulator_reports_only_new_rows():
     assert acc.dim == 1
 
 
+def _acting_on_rows(mat):
+    # close_under takes callables on row blocks: v -> v @ M
+    return lambda block: block @ mat
+
+
 def test_close_under_reaches_orbit_span():
     # Cyclic shift on GF(2)^4: the orbit of e1 spans everything.
     p, n = 2, 4
     shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
     seed = FpSubspace.from_vectors(p, n, [[1, 0, 0, 0]])
-    closed = close_under(seed, [shift])
+    closed = close_under(seed, [_acting_on_rows(shift)])
     assert closed.dim == n
 
 
@@ -161,7 +166,7 @@ def test_close_under_respects_invariant_subspace():
     p, n = 3, 3
     op = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 2]], dtype=np.int64)
     seed = FpSubspace.from_vectors(p, n, [[0, 0, 1]])
-    closed = close_under(seed, [op])
+    closed = close_under(seed, [_acting_on_rows(op)])
     assert closed == seed
 
 
@@ -171,7 +176,7 @@ def test_close_under_is_minimal_against_iteration():
     ops = [rng.integers(0, p, size=(n, n)) for _ in range(2)]
     seed_rows = rng.integers(0, p, size=(1, n))
     seed = FpSubspace.from_vectors(p, n, seed_rows)
-    closed = close_under(seed, ops)
+    closed = close_under(seed, [_acting_on_rows(op) for op in ops])
     # Re-derive by blunt fixpoint iteration.
     rows = [list(r) for r in seed_rows]
     while True:

@@ -14,8 +14,10 @@ from lienil.catalog import (
     import_presentation,
 )
 from lienil.dimension import upper_index
+from lienil.fp_linalg import FpSubspace
 from lienil.oracle import (
     OracleCapExceeded,
+    _lie_chain,
     _orbit_representatives,
     build_algebra,
     lower_lie_chain,
@@ -105,15 +107,16 @@ def test_abelian_algebra_has_index_two():
 
 
 def test_chain_dimensions_decrease_strictly():
-    A = build_algebra(build_dihedral(16).group)
+    G = build_dihedral(16).group
+    A = build_algebra(G)
     up = upper_lie_chain(A)
     low = lower_lie_chain(A)
     for chain in (up, low):
-        dims = chain.dims()
+        dims = [s.dim for s in chain]
         assert dims[0] == 16 and dims[-1] == 0
         assert all(a > b for a, b in zip(dims, dims[1:]))
-    assert up.t == len(up.dims())
-    assert low.t <= up.t
+    assert len(up) == upper_index(whole_group(G))
+    assert len(low) <= len(up)
 
 
 def test_generator_seeding_spans_the_same_ideals():
@@ -123,11 +126,11 @@ def test_generator_seeding_spans_the_same_ideals():
                  lambda: build_heisenberg(5).group,
                  lambda: build_free_class2(3, 2).group):
         A = build_algebra(make())
-        full = upper_lie_chain(A, seed_generators_only=False)
+        full = _lie_chain(A, range(A.dim), ideals=True)
         reduced = upper_lie_chain(A)
-        assert full.t == reduced.t
-        assert [s.basis.tobytes() for s in full.spaces] == \
-               [s.basis.tobytes() for s in reduced.spaces]
+        assert len(full) == len(reduced)
+        assert [s.basis.tobytes() for s in full] == \
+               [s.basis.tobytes() for s in reduced]
 
 
 @pytest.mark.parametrize("make", [
@@ -196,11 +199,43 @@ ORBIT_CASES = {
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
 def test_orbit_seeding_spans_the_same_lower_terms(make):
     A = build_algebra(make())
-    full = lower_lie_chain(A, seed_orbit_representatives=False)
+    full = _lie_chain(A, range(A.dim), ideals=False)
     reduced = lower_lie_chain(A)
-    assert full.t == reduced.t
-    assert [s.basis.tobytes() for s in full.spaces] == \
-           [s.basis.tobytes() for s in reduced.spaces]
+    assert len(full) == len(reduced)
+    assert [s.basis.tobytes() for s in full] == \
+           [s.basis.tobytes() for s in reduced]
+
+
+def _naive_lower_spans(A):
+    # V_(n+1) spanned by [v, e_b] = v*e_b - e_b*v over a basis of V_n and
+    # every basis element, each product scattered straight off the table
+    spaces = [FpSubspace.full(A.p, A.dim)]
+    while not spaces[-1].is_zero():
+        assert len(spaces) <= A.dim
+        rows = []
+        for v in spaces[-1].basis:
+            for b in range(A.dim):
+                w = np.zeros(A.dim, dtype=np.int64)
+                np.add.at(w, A.table[:, b], v)
+                np.subtract.at(w, A.table[b, :], v)
+                rows.append(w)
+        spaces.append(FpSubspace.from_vectors(A.p, A.dim, rows))
+    return spaces
+
+
+@pytest.mark.parametrize("make,dims", [
+    (lambda: build_dihedral(8).group, [8, 3, 0]),
+    (lambda: build_quaternion(8).group, [8, 3, 0]),
+    (lambda: build_heisenberg(3).group, [27, 16, 8, 0]),
+    (lambda: build_free_class2(3, 2).group, [64, 42, 28, 7, 0]),
+], ids=["D8", "Q8", "H3", "free_class2-3-p2"])
+def test_lower_chain_terms_are_the_bracket_spans(make, dims):
+    # the terms are the spans V_n themselves, not the ideals they generate
+    A = build_algebra(make())
+    naive = _naive_lower_spans(A)
+    chain = lower_lie_chain(A)
+    assert chain == naive
+    assert [s.dim for s in chain] == dims
 
 
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
@@ -238,8 +273,8 @@ def test_both_chains_on_larger_nonabelian_groups(make):
     # the two routes agree on t^L, and p + 1 <= t_L <= t^L <= |G'| + 1
     G = make()
     A = build_algebra(G)
-    upper = upper_lie_chain(A).t
-    lower = lower_lie_chain(A).t
+    upper = len(upper_lie_chain(A))
+    lower = len(lower_lie_chain(A))
     assert upper == upper_index(whole_group(G))
     dorder = derived_subgroup(whole_group(G)).order
     assert G.p + 1 <= lower <= upper <= dorder + 1
