@@ -92,8 +92,7 @@ def p_applies(gate: tuple, p: int) -> bool:
 #   ("ab", abt)            abelian of the given type
 #   ("sg", order, ids)     one of the listed external-library groups
 #   ("ref", key)           isomorphic to a named reference construction
-
-REF_KEYS = ("heis_x_cp", "item46", "item65", "item66", "heis_x_cp3")
+#                          (a key of catalog.reference_fingerprint)
 
 
 @dataclass(frozen=True)

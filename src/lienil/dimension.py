@@ -68,42 +68,31 @@ class NotLieNilpotent(ValueError):
     """F_p[G] is not Lie nilpotent for the requested (G, p)."""
 
 
-def lie_dimension_subgroup(W: Subgroup, m: int) -> Subgroup:
-    """The m-th Lie dimension subgroup of the whole group W, m >= 2, by the
-    product formula; the series and its terms' powers are memoized."""
-    if m < 2:
-        raise ValueError(f"Lie dimension subgroups start at m = 2, got {m}")
-    p = W.group.p
-    result = trivial_subgroup(W.group)
-    # gamma_2, gamma_3, ...: every term but the last, the one trivial term
-    for i, gamma_i in enumerate(lower_central_series(W)[1:-1], start=2):
-        j = 0
-        while True:
-            piece = power_subgroup(gamma_i, p**j)
-            if (i - 1) * p**j >= m - 1:
-                result = subgroup_product(result, piece)
-            if piece.is_trivial():
-                break
-            j += 1
-    return result
-
-
 def lie_dimension_chain(W: Subgroup) -> list[Subgroup]:
     """[D_(2), D_(3), ...] of W, ending at the first trivial term.
 
-    The descending-chain property D_(m+1) <= D_(m) is asserted; it doubles
-    as a cross-check on the subgroup products.
+    Each nontrivial piece gamma_i^(p^j) has weight (i-1) p^j and lies in
+    D_(m) exactly when its weight is at least m - 1, so
+    D_(m) = D_(m+1) * (the pieces of weight m - 1).  The chain is built
+    that way from the deepest nontrivial term up, one product per piece;
+    the series and its terms' powers are memoized.
     """
-    chain: list[Subgroup] = []
-    m = 2
-    while True:
-        dm = lie_dimension_subgroup(W, m)
-        if chain:
-            assert dm <= chain[-1], f"D_({m}) not contained in D_({m-1})"
-        chain.append(dm)
-        if dm.is_trivial():
-            return chain
-        m += 1
+    G = W.group
+    p = G.p
+    by_weight: dict[int, list[Subgroup]] = {}
+    # gamma_2, gamma_3, ...: every term but the last, the one trivial term
+    for i, gamma_i in enumerate(lower_central_series(W)[1:-1], start=2):
+        q = 1
+        while not (piece := power_subgroup(gamma_i, q)).is_trivial():
+            by_weight.setdefault((i - 1) * q, []).append(piece)
+            q *= p
+    term = trivial_subgroup(G)
+    chain = [term]
+    for m in range(max(by_weight, default=0) + 1, 1, -1):
+        for piece in by_weight.get(m - 1, ()):
+            term = subgroup_product(term, piece)
+        chain.append(term)
+    return chain[::-1]
 
 
 def d_sequence(W: Subgroup) -> DSequence:

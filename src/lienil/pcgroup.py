@@ -424,10 +424,7 @@ def parse_presentation_with_meta(text: str) -> tuple[PcGroup, PresentationMeta]:
             raise PresentationError(f"line {lineno}: unknown directive {key!r}")
     if p is None or ngens is None:
         raise PresentationError("presentation must declare p and gens")
-    try:
-        group = PcGroup(p, ngens, powers, comms)
-    except PresentationError:
-        raise
+    group = PcGroup(p, ngens, powers, comms)
     if meta.small_group_id and meta.small_group_id[0] != group.order:
         raise PresentationError(
             f"declared id order {meta.small_group_id[0]} != presentation order {group.order}")

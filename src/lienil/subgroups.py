@@ -181,7 +181,8 @@ class Subgroup:
     closure() and _kernel().  The element set is formed on first use."""
 
     __slots__ = ("group", "generators", "entries", "order", "_seq", "_cap", "_elements",
-                 "_center", "_derived", "_powers", "_coset_images", "_lower_central")
+                 "_center", "_derived", "_fingerprint", "_powers", "_coset_images",
+                 "_lower_central")
 
     def __init__(self, group: PcGroup, generators: tuple[Element, ...],
                  seq: _PcSequence, cap: int):
@@ -194,6 +195,7 @@ class Subgroup:
         self._elements: Optional[frozenset] = None
         self._center: Optional["Subgroup"] = None
         self._derived: Optional["Subgroup"] = None
+        self._fingerprint: Optional["IsoType"] = None
         self._powers: dict[int, "Subgroup"] = {}
         self._coset_images: list[frozenset] = []
         self._lower_central: Optional[list["Subgroup"]] = None
@@ -620,7 +622,14 @@ def abelianization_invariants(H: Subgroup) -> list[int]:
 
 
 def fingerprint(H: Subgroup) -> IsoType:
-    """IsoType of H: exact invariants when abelian, fingerprint otherwise."""
+    """IsoType of H: exact invariants when abelian, fingerprint otherwise;
+    memoized on H."""
+    if H._fingerprint is None:
+        H._fingerprint = _fingerprint(H)
+    return H._fingerprint
+
+
+def _fingerprint(H: Subgroup) -> IsoType:
     if is_abelian(H):
         return IsoType("abelian", tuple(abelian_invariants(H)))
     p = H.group.p

@@ -88,3 +88,19 @@ def test_every_branch_clause_is_well_formed():
             for branch in rec.branches:
                 for clause in branch:
                     assert clause[0] in known_ops, (rec.id, clause)
+
+
+def test_every_reference_key_is_built_at_each_admitted_prime():
+    from lienil.catalog import reference_fingerprint
+    checked = set()
+    for table in (CONDITIONS, corrected_records()):
+        for r in table:
+            if r.gprime[0] != "ref":
+                continue
+            for p in (3, 5, 7):
+                if p_applies(r.applicable_p, p):
+                    # raises ValueError for a key the catalog does not know;
+                    # every reference is non-abelian, as classify assumes
+                    assert reference_fingerprint(r.gprime[1], p).kind == "fingerprint"
+                    checked.add(r.gprime[1])
+    assert checked == {"heis_x_cp", "item46", "item65", "item66", "heis_x_cp3"}

@@ -3,21 +3,29 @@
 import pytest
 
 from lienil.catalog import (
+    DATA_DIR,
     build_abelian,
     build_dihedral,
     build_free_class2,
     build_heisenberg,
     build_quaternion,
+    import_presentation,
 )
 from lienil.dimension import (
     DSequence,
     d_sequence,
     jennings_index,
     lie_dimension_chain,
-    lie_dimension_subgroup,
     upper_index,
 )
-from lienil.subgroups import whole_group
+from lienil.pcgroup import parse_presentation
+from lienil.subgroups import (
+    lower_central_series,
+    power_subgroup,
+    subgroup_product,
+    trivial_subgroup,
+    whole_group,
+)
 
 
 def test_dsequence_basics():
@@ -96,13 +104,44 @@ def test_chain_descends_to_trivial_with_gaps_allowed():
     assert upper_index(whole_group(G)) == 9  # one more than |G'|
 
 
+def lie_dimension_subgroup(W, m):
+    """D_(m) of the whole group W by the product formula: the product of
+    gamma_i^(p^j) over i >= 2, j >= 0 with (i-1) p^j >= m - 1."""
+    p = W.group.p
+    result = trivial_subgroup(W.group)
+    for i, gamma_i in enumerate(lower_central_series(W)[1:-1], start=2):
+        j = 0
+        while not (piece := power_subgroup(gamma_i, p**j)).is_trivial():
+            if (i - 1) * p**j >= m - 1:
+                result = subgroup_product(result, piece)
+            j += 1
+    return result
+
+
+CHAIN_GROUPS = {
+    "D16": lambda: build_dihedral(16).group,
+    "D32": lambda: build_dihedral(32).group,  # D_(4) = D_(5)
+    "Q16": lambda: build_quaternion(16).group,
+    "heisenberg:5": lambda: build_heisenberg(5).group,
+    "free_class2:4 -p 3": lambda: build_free_class2(4, 3).group,
+    # order 2^7 with G' non-abelian (NONABELIAN_DERIVED in test_subgroups.py)
+    "G' non-abelian": lambda: parse_presentation(
+        "p 2\ngens 7\ncomm 2 1 : g4^1\ncomm 3 1 : g5^1\ncomm 4 3 : g6^1 g7^1\n"
+        "comm 5 2 : g6^1\ncomm 5 4 : g7^1\ncomm 6 1 : g7^1\n"),
+    "s3125_41": lambda: import_presentation(DATA_DIR / "s3125_41.pres").group,
+}
+
+
 def test_single_subgroup_matches_chain():
-    G = build_dihedral(16).group
-    chain = lie_dimension_chain(whole_group(G))
-    for m, sub in enumerate(chain, start=2):
-        assert lie_dimension_subgroup(whole_group(G), m) == sub
-    with pytest.raises(ValueError):
-        lie_dimension_subgroup(whole_group(G), 1)
+    for name, build in CHAIN_GROUPS.items():
+        G = build()
+        chain = lie_dimension_chain(whole_group(G))
+        reference = whole_group(G)  # own memos: nothing shared with the chain
+        assert chain == [lie_dimension_subgroup(reference, m)
+                         for m in range(2, len(chain) + 2)], name
+        # the chain stops at its first trivial term
+        assert chain[-1].is_trivial(), name
+        assert not any(term.is_trivial() for term in chain[:-1]), name
 
 
 def test_mass_check_equals_derived_order():
