@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .fp_linalg import check_prime
-from .pcgroup import PcGroup, PresentationError, Word, parse_presentation_with_meta
+from .pcgroup import PcGroup, PresentationError, Word, check_prime, parse_presentation_with_meta
 from .subgroups import (DEFAULT_CAP, IsoType, center, derived_subgroup,
                         fingerprint, intersection, power_subgroup, whole_group)
 

@@ -40,7 +40,6 @@ from .catalog import (
 from .classify import verify_theorem
 from .dimension import NotLieNilpotent, d_sequence_of_chain, jennings_index, lie_dimension_chain, upper_index
 from .dvectors import REPORT_PRIMES, enumerate_admissible
-from .fp_linalg import check_prime
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     NotLieNilpotentDetected,
@@ -49,7 +48,7 @@ from .oracle import (
     lower_lie_chain,
     upper_lie_chain,
 )
-from .pcgroup import PresentationError
+from .pcgroup import PresentationError, check_prime
 from .subgroups import DEFAULT_CAP, CapExceeded, whole_group
 
 CAP_ENV = "LIENIL_CAP"

@@ -41,9 +41,6 @@ class DSequence:
                 raise ValueError(f"bad d-sequence entry d_({m}) = {v}")
         return cls(p, items)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.d)
-
     def get(self, m: int) -> int:
         for mm, v in self.d:
             if mm == m:

@@ -13,20 +13,24 @@ are computed as explicit subspaces, and the nilpotency indices are the
 chains' lengths, the first index whose term vanishes.  The lower chain's
 terms are the spans V_n, not the ideals they generate; the two vanish
 together, so t_L is the same either way.  The upper chain brackets
-against the group generators alone; the lower chain brackets each span
-against one element per orbit of the non-central elements under
-conjugation and central translation (x -> h^-1 x h z), found from the
-multiplication table alone (`lower_lie_chain` gives the argument).
-Everything here is exact arithmetic mod p on numpy arrays; nothing is
-shared with the Jennings-style computation in lienil.dimension, so the
-two routes cross-check each other.
+against the group generators alone and closes the brackets' span under
+right multiplication by the generators: the ideal is the right ideal
+[M^(n), F_p[G]] F_p[G] (`upper_lie_chain` gives the argument).  The
+lower chain brackets each span against one element per orbit of the
+non-central elements under conjugation and central translation
+(x -> h^-1 x h z), found from the multiplication table alone
+(`lower_lie_chain` gives the argument).  Both products of an element
+with a basis element are column gathers through the table.  Everything
+here is exact arithmetic mod p on numpy arrays; nothing is shared with
+the Jennings-style computation in lienil.dimension, so the two routes
+cross-check each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,14 +71,6 @@ class GroupAlgebra:
     def dim(self) -> int:
         return len(self.elements)
 
-    def left_mult_op(self, b: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Operator v -> e_b * v on coefficient row blocks."""
-        return _scatter_op(self.table[b, :])
-
-    def right_mult_op(self, b: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Operator v -> v * e_b on coefficient row blocks."""
-        return _scatter_op(self.table[:, b])
-
     @cached_property
     def chain_bound(self) -> int:
         """|G'| + 2, the a-priori stopping bound for both Lie chains."""
@@ -98,31 +94,6 @@ class GroupAlgebra:
         out -= block[:, self.table[c, :]]
         # residues in, so out lies in (-p, p): one conditional add reduces it
         return np.add(out, self.p, out=out, where=out < 0)
-
-    def ideal_operators(self) -> list[Callable[[np.ndarray], np.ndarray]]:
-        """Left/right multiplication by each group generator.
-
-        Multiplication by an arbitrary basis element is a composition of
-        these (the table is built by exactly that composition), so closing
-        a subspace under this list closes it under the full two-sided
-        ideal operations.
-        """
-        ops: list[Callable[[np.ndarray], np.ndarray]] = []
-        for g in self.generator_indices:
-            ops.append(self.left_mult_op(g))
-            ops.append(self.right_mult_op(g))
-        return ops
-
-
-def _scatter_op(dest: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Operator sending coordinate x of each row to coordinate dest[x]."""
-
-    def op(block: np.ndarray) -> np.ndarray:
-        out = np.empty_like(block)
-        out[:, dest] = block
-        return out
-
-    return op
 
 
 def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
@@ -184,16 +155,18 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
     length of the list.
 
     Each term is the span of [v, e_b] over v in a basis of the previous
-    term and b in `against`, closed to the ideal it generates when
-    `ideals` is set.  The slow routes the tests compare the default
-    seedings against pass every basis index, range(A.dim).
+    term and b in `against`, closed under right multiplication by the
+    group generators when `ideals` is set.  The slow routes the tests
+    compare the default seedings against pass every basis index,
+    range(A.dim).
 
     Raises:
         NotLieNilpotentDetected: a nonzero term repeats, or the chain
             runs past A.chain_bound terms.
     """
     kind = "upper" if ideals else "lower"
-    ops = A.ideal_operators()
+    # coordinate y of v * e_g is v[y * g^-1]
+    right_gathers = [A.table[:, A.inverse_indices[g]] for g in A.generator_indices]
     spaces = [FpSubspace.full(A.p, A.dim)]
     while not spaces[-1].is_zero():
         current = spaces[-1]
@@ -202,7 +175,7 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
             acc.add_block(A.bracket_with_basis(current.basis, b))
         nxt = acc.snapshot()
         if ideals:
-            nxt = close_under(nxt, ops)
+            nxt = close_under(nxt, right_gathers)
         if nxt == current:
             raise NotLieNilpotentDetected(
                 f"{kind} chain went stationary at nonzero dimension "
@@ -221,10 +194,18 @@ def upper_lie_chain(A: GroupAlgebra) -> list[FpSubspace]:
     """The chain M^(n): each term is the ideal generated by brackets of the
     previous term against the algebra; its length is t^L.
 
-    Brackets are seeded against the group generators alone: the identity
-    [v, xy] = [v, x]y + x[v, y] shows the ideal generated by brackets
-    against products equals the ideal generated by brackets against the
-    factors, so the closure spans the same ideal.
+    Each term is T * F_p[G], where T is the span of [v, g] over v in a
+    basis of M^(n) and the group generators g; closing T under right
+    multiplication by the generators gives T * F_p[G], since every
+    element of G is a word in them.  With L = [M^(n), F_p[G]], this is
+    the two-sided ideal F_p[G] L F_p[G]:
+
+    1. [v, yg] = [v, y]g + [v, g]y - [[v, g], y], and [v, g] lies in the
+       ideal M^(n).  By induction on the word length of x, every
+       [v, x] with v in M^(n) lies in T * F_p[G]; so L lies in it.
+    2. L is a Lie ideal: for l in L and x in F_p[G], x l = l x - [l, x]
+       with [l, x] in L, since l lies in M^(n).  So F_p[G] L lies in
+       L * F_p[G], and F_p[G] L F_p[G] = L * F_p[G] = T * F_p[G].
     """
     return _lie_chain(A, A.generator_indices, ideals=True)
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Iterator, Optional
-
-from lienil.fp_linalg import check_prime
 
 # A normal word: ((gen_index, exponent), ...) with 0-based strictly
 # increasing gen_index and exponents in [1, p).
@@ -41,6 +40,40 @@ Word = tuple[tuple[int, int], ...]
 Element = tuple[int, ...]
 
 _COLLECTION_STEP_LIMIT = 10_000_000
+
+# Miller-Rabin with the prime bases 2..41 is exact below _PRIME_TEST_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def check_prime(p: int) -> int:
+    """Validate that p is a prime usable as a field characteristic, by
+    deterministic Miller-Rabin over _PRIME_BASES.
+
+    Args:
+        p: candidate modulus.
+
+    Returns:
+        p itself, for call chaining.
+
+    Raises:
+        ValueError: if p is not a prime number, or not below _PRIME_TEST_BOUND.
+    """
+    if not isinstance(p, Integral) or p < 2:
+        raise ValueError(f"not a prime: {p!r}")
+    n = int(p)
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"primes must be below {_PRIME_TEST_BOUND}")
+    if n in _PRIME_BASES:
+        return n
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 2**r, n) for r in range(s)):
+            raise ValueError(f"not a prime: {n}")
+    return n
 
 
 class PresentationError(ValueError):
@@ -202,16 +235,18 @@ class PcGroup:
         return self._mul_letters(x, _exps_letters(y))
 
     def inverse(self, x: Element) -> Element:
+        """Clear x's exponents left to right: x * g_k^(p - e_k) zeroes
+        position k and leaves the positions before it at 0.  The factors,
+        taken in increasing k with exponents in [1, p), are themselves a
+        normal word, so their exponents are x^-1."""
         cur = x
-        letters: list[int] = []
+        inv = [0] * self.ngens
         for k in range(self.ngens):
             e = cur[k]
             if e:
-                t = self.p - e
-                chunk = (k,) * t
-                cur = self._mul_letters(cur, chunk)
-                letters.extend(chunk)
-        return self._mul_letters(self.identity, letters)
+                inv[k] = self.p - e
+                cur = self._mul_letters(cur, (k,) * inv[k])
+        return tuple(inv)
 
     def power(self, x: Element, m: int) -> Element:
         if m < 0:
@@ -229,9 +264,8 @@ class PcGroup:
         return result
 
     def commutator(self, x: Element, y: Element) -> Element:
-        xi = self.inverse(x)
-        yi = self.inverse(y)
-        return self.multiply(self.multiply(self.multiply(xi, yi), x), y)
+        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), with one inverse."""
+        return self.multiply(self.inverse(self.multiply(y, x)), self.multiply(x, y))
 
     def conjugate(self, x: Element, g: Element) -> Element:
         """x^g = g^-1 x g."""

@@ -645,16 +645,6 @@ def _fingerprint(H: Subgroup) -> IsoType:
     return IsoType("fingerprint", fingerprint=fp)
 
 
-def order_histogram(H: Subgroup) -> dict[int, int]:
-    """Map element order -> count; a cheap isomorphism invariant."""
-    G = H.group
-    hist: dict[int, int] = {}
-    for x in H.elements:
-        o = G.element_order(x)
-        hist[o] = hist.get(o, 0) + 1
-    return hist
-
-
 def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
     """The conjugacy classes of H, as element sets."""
     G = H.group
@@ -672,11 +662,6 @@ def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
                     frontier.append(z)
         left -= orbit
         yield orbit
-
-
-def conjugacy_class_sizes(H: Subgroup) -> list[int]:
-    """Sorted conjugacy class sizes of H."""
-    return sorted(len(orbit) for orbit in _conjugacy_classes(H))
 
 
 def joint_order_class_histogram(H: Subgroup) -> tuple:

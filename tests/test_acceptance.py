@@ -94,7 +94,7 @@ def test_check4_headline_witness_and_d8_branch(capsys):
     assert abelian_invariants(derived) == [2] * 10
     assert lower_central_series(whole_group(witness.group))[2].order == 1
     seq = d_sequence(whole_group(witness.group))
-    assert seq.as_dict() == {2: 10}
+    assert dict(seq.d) == {2: 10}
     t = jennings_index(seq)
     rep = verify_theorem(witness.group)
     branch = jennings_index(DSequence.from_dict(7, {2: 3, 8: 1}))

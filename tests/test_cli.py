@@ -3,6 +3,7 @@
 import json
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,19 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDENS = json.loads((Path(__file__).resolve().parents[1]
+                      / "perfbench" / "goldens.json").read_text())
+REPLAYED = {cmd: want for workload in ("classify", "index", "oracle")
+            for cmd, want in sorted(GOLDENS[workload].items())}
+
+
+@pytest.mark.parametrize("cmd", REPLAYED)
+def test_benchmark_goldens_replay_byte_for_byte(capsys, cmd):
+    # the benchmark's recorded exit codes and stdout, read, never written
+    code, out, _ = run(capsys, cmd.split())
+    assert (code, out) == (REPLAYED[cmd]["exit"], REPLAYED[cmd]["stdout"])
 
 
 def test_index_text_output(capsys):

@@ -30,7 +30,7 @@ from lienil.subgroups import (
 
 def test_dsequence_basics():
     seq = DSequence.from_dict(7, {2: 3, 8: 1, 5: 0})
-    assert seq.as_dict() == {2: 3, 8: 1}
+    assert dict(seq.d) == {2: 3, 8: 1}
     assert seq.get(2) == 3 and seq.get(8) == 1 and seq.get(4) == 0
     assert seq.total() == 4
     assert seq.weight() == 1 * 3 + 7 * 1
@@ -55,7 +55,7 @@ def test_dihedral_8_chain():
     G = build_dihedral(8).group
     chain = lie_dimension_chain(whole_group(G))
     assert [s.order for s in chain] == [2, 1]
-    assert d_sequence(whole_group(G)).as_dict() == {2: 1}
+    assert dict(d_sequence(whole_group(G)).d) == {2: 1}
     assert upper_index(whole_group(G)) == 3
 
 
@@ -63,33 +63,33 @@ def test_dihedral_16_chain():
     G = build_dihedral(16).group
     chain = lie_dimension_chain(whole_group(G))
     assert [s.order for s in chain] == [4, 2, 1]
-    assert d_sequence(whole_group(G)).as_dict() == {2: 1, 3: 1}
+    assert dict(d_sequence(whole_group(G)).d) == {2: 1, 3: 1}
     assert upper_index(whole_group(G)) == 5
 
 
 def test_quaternion_groups():
     assert upper_index(whole_group(build_quaternion(8).group)) == 3
-    assert d_sequence(whole_group(build_quaternion(16).group)).as_dict() == {2: 1, 3: 1}
+    assert dict(d_sequence(whole_group(build_quaternion(16).group)).d) == {2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_heisenberg_index_is_p_plus_one(p):
     G = build_heisenberg(p).group
-    assert d_sequence(whole_group(G)).as_dict() == {2: 1}
+    assert dict(d_sequence(whole_group(G)).d) == {2: 1}
     assert upper_index(whole_group(G)) == p + 1
 
 
 def test_abelian_groups_have_index_two():
     for p, factors in ((2, [4, 2]), (3, [9]), (5, [5, 5])):
         G = build_abelian(p, factors).group
-        assert d_sequence(whole_group(G)).as_dict() == {}
+        assert dict(d_sequence(whole_group(G)).d) == {}
         assert upper_index(whole_group(G)) == 2
 
 
 def test_headline_witness_sequence():
     G = build_free_class2(5, 2).group
     seq = d_sequence(whole_group(G))
-    assert seq.as_dict() == {2: 10}
+    assert dict(seq.d) == {2: 10}
     assert jennings_index(seq) == 12
 
 
@@ -100,7 +100,7 @@ def test_chain_descends_to_trivial_with_gaps_allowed():
     orders = [s.order for s in chain]
     assert orders == [8, 4, 2, 2, 1]
     assert all(a >= b for a, b in zip(orders, orders[1:]))
-    assert d_sequence(whole_group(G)).as_dict() == {2: 1, 3: 1, 5: 1}
+    assert dict(d_sequence(whole_group(G)).d) == {2: 1, 3: 1, 5: 1}
     assert upper_index(whole_group(G)) == 9  # one more than |G'|
 
 

@@ -58,7 +58,7 @@ def test_theta_p_prime():
 
 def test_dvector_round_trip():
     v = DSequence.from_dict(7, {8: 1, 2: 3})
-    assert v.as_dict() == {2: 3, 8: 1}
+    assert dict(v.d) == {2: 3, 8: 1}
     assert v.get(8) == 1 and v.get(5) == 0
     assert v.weight() == 10
     assert str(v) == "{d_(2)=3, d_(8)=1}"
@@ -153,7 +153,7 @@ def test_survivors_are_a_subset_of_raw_with_right_weight(p, w):
 
 def test_weight_one_has_single_survivor():
     for p in REPORT_PRIMES:
-        assert [v.as_dict() for v in enumerate_admissible(p, 1)] == [{2: 1}]
+        assert [dict(v.d) for v in enumerate_admissible(p, 1)] == [{2: 1}]
 
 
 def test_enumeration_matches_golden_at_p7_and_p11():

@@ -1,8 +1,9 @@
 """Exact GF(p) linear algebra, cross-checked against a naive oracle.
 
-The oracle below is an independent fraction-free Gaussian elimination on
-plain Python lists; rref and the subspace lattice are verified against it
-rather than against themselves.
+The oracle below is an independent Gaussian elimination on plain Python
+lists; the accumulator's canonical echelon form and close_under are
+verified against it rather than against themselves.  The prime test
+check_prime, which lives in lienil.pcgroup, is tested here as well.
 """
 
 import math
@@ -15,16 +16,15 @@ from hypothesis import given, settings, strategies as st
 from lienil.fp_linalg import (
     EchelonAccumulator,
     FpSubspace,
-    check_prime,
     close_under,
     matmul_mod,
-    rref,
 )
+from lienil.pcgroup import check_prime
 
 PRIMES = (2, 3, 5)
-# Above 2**26 products leave the float64 route; at 2**31 - 1 a single
-# (p-1)^2 * inner sum no longer fits int64 once inner >= 2.
-LARGE_PRIMES = (67108859, 2**31 - 1)
+# The largest prime q with (q-1)^2 * 6 < 2**53: a product of inner
+# dimension 6 is still exact in float64, the next prime's is not.
+NEAR_LIMIT_PRIME = 38745307
 
 
 def naive_rref(rows, p):
@@ -58,22 +58,28 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
+def _span(p, n, rows):
+    acc = EchelonAccumulator(p, n)
+    acc.add_block(np.asarray(rows, dtype=np.int64).reshape(-1, n))
+    return acc.snapshot()
+
+
 @settings(max_examples=150, deadline=None)
 @given(mat=small_matrix, p=st.sampled_from(PRIMES))
 def test_rref_matches_naive_oracle(mat, p):
-    got, rank = rref(mat, p)
+    got = _span(p, len(mat[0]), mat)
     want = naive_rref(mat, p)
-    assert rank == len(want)
-    assert got[:rank].tolist() == want
+    assert got.basis.tolist() == want
+    assert list(got.pivots) == [row.index(next(filter(None, row))) for row in want]
 
 
 @settings(max_examples=100, deadline=None)
 @given(mat=small_matrix, p=st.sampled_from(PRIMES))
 def test_rref_is_idempotent(mat, p):
-    first, rank = rref(mat, p)
-    second, rank2 = rref(first, p)
-    assert rank2 == rank
-    assert np.array_equal(first, second)
+    first = _span(p, len(mat[0]), mat)
+    second = _span(p, len(mat[0]), first.basis)
+    assert second == first
+    assert second.pivots == first.pivots
 
 
 @settings(max_examples=100, deadline=None)
@@ -85,32 +91,16 @@ def test_canonical_form_ignores_presentation(mat, p, seed):
     scrambled = [[(x * s) % p for x in row]
                  for row, s in zip(mat, rng.integers(1, p, size=len(mat)))]
     rng.shuffle(scrambled)
-    a = FpSubspace.from_vectors(p, n, mat)
-    b = FpSubspace.from_vectors(p, n, scrambled)
-    assert a == b
-    assert hash(a) == hash(b)
-
-
-@settings(max_examples=100, deadline=None)
-@given(mat=small_matrix, p=st.sampled_from(PRIMES),
-       coeffs=st.lists(st.integers(0, 12), min_size=6, max_size=6))
-def test_contains_linear_combinations(mat, p, coeffs):
-    n = len(mat[0])
-    s = FpSubspace.from_vectors(p, n, mat)
-    combo = np.zeros(n, dtype=np.int64)
-    for c, row in zip(coeffs, mat):
-        combo = (combo + c * np.asarray(row)) % p
-    assert s.contains(combo)
-
-
-def test_contains_rejects_outside_vector():
-    s = FpSubspace.from_vectors(3, 3, [[1, 0, 2], [0, 1, 1]])
-    assert not s.contains([0, 0, 1])
-    assert s.contains([1, 1, 0])
+    a = _span(p, n, mat)
+    b = EchelonAccumulator(p, n)
+    for row in scrambled:  # one row per block
+        b.add_block(row)
+    assert b.snapshot() == a
+    assert b.snapshot().basis.tobytes() == a.basis.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
-@given(mat=small_matrix, p=st.sampled_from(PRIMES + LARGE_PRIMES),
+@given(mat=small_matrix, p=st.sampled_from(PRIMES + (NEAR_LIMIT_PRIME,)),
        cuts=st.lists(st.integers(min_value=0, max_value=9), max_size=6),
        zeros=st.lists(st.integers(min_value=0, max_value=6), max_size=3),
        scale=st.integers(min_value=1, max_value=2**40))
@@ -118,8 +108,8 @@ def test_accumulator_agrees_with_batch_reduction(mat, p, cuts, zeros, scale):
     """Many small blocks, some empty and some with rows that vanish mod p.
 
     Rescaling row i by scale^(i+1) keeps the span but spreads the entries
-    over all of GF(p), so large primes reach products beyond 2**53.  The
-    appended combination must reduce to exactly zero.
+    over all of GF(p), so the prime near the float64 limit meets products
+    close to 2**53.  The appended combination must reduce to exactly zero.
     """
     n = len(mat[0])
     rows = [[x * (pow(scale, i + 1, p) or 1) % p for x in row]
@@ -130,11 +120,8 @@ def test_accumulator_agrees_with_batch_reduction(mat, p, cuts, zeros, scale):
     bounds = sorted(min(c, len(rows)) for c in cuts)
     acc = EchelonAccumulator(p, n)
     for lo, hi in zip([0] + bounds, bounds + [len(rows)]):
-        acc.add_block(rows[lo:hi])
-    want = FpSubspace.from_vectors(p, n, mat)
-    got = acc.snapshot()
-    assert got == want
-    assert got.pivots == want.pivots
+        acc.add_block(np.asarray(rows[lo:hi], dtype=np.int64).reshape(-1, n))
+    assert acc.snapshot().basis.tolist() == naive_rref(mat, p)
 
 
 def test_accumulator_reports_only_new_rows():
@@ -146,51 +133,62 @@ def test_accumulator_reports_only_new_rows():
     assert acc.dim == 1
 
 
-def _acting_on_rows(mat):
-    # close_under takes callables on row blocks: v -> v @ M
-    return lambda block: block @ mat
+def test_accumulator_refuses_the_first_inexact_field():
+    # (p-1)^2 * n + p < 2**53 holds for GF(2) up to n = 2**53 - 3, and
+    # for GF(3) up to n = 2**51 - 1
+    EchelonAccumulator(2, 2**53 - 3)
+    with pytest.raises(ValueError):
+        EchelonAccumulator(2, 2**53 - 2)
+    EchelonAccumulator(3, 2**51 - 1)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        EchelonAccumulator(3, 2**51)
+    # A p-group algebra has n >= p; at n = p the bound first fails at
+    # the prime 208067, where the previous prime 208057 still passes.
+    EchelonAccumulator(208057, 208057)
+    with pytest.raises(ValueError):
+        EchelonAccumulator(208067, 208067)
+
+
+def _naive_closure(p, seed_rows, gathers):
+    rows = naive_rref(seed_rows, p)
+    while True:
+        before = len(rows)
+        for g in gathers:
+            rows = rows + (np.asarray(rows, dtype=np.int64).reshape(-1, len(g))[:, g]).tolist()
+        rows = naive_rref(rows, p)
+        if len(rows) == before:
+            return rows
 
 
 def test_close_under_reaches_orbit_span():
     # Cyclic shift on GF(2)^4: the orbit of e1 spans everything.
     p, n = 2, 4
-    shift = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
-    seed = FpSubspace.from_vectors(p, n, [[1, 0, 0, 0]])
-    closed = close_under(seed, [_acting_on_rows(shift)])
-    assert closed.dim == n
+    seed = _span(p, n, [[1, 0, 0, 0]])
+    closed = close_under(seed, [np.roll(np.arange(n), 1)])
+    assert closed == FpSubspace.full(p, n)
 
 
 def test_close_under_respects_invariant_subspace():
-    # The last basis vector is an eigenvector of the operator (acting as
-    # v -> v @ M), so its span is already closed.
+    # Swapping the first two coordinates fixes e3 and e1 + e2.
     p, n = 3, 3
-    op = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 2]], dtype=np.int64)
-    seed = FpSubspace.from_vectors(p, n, [[0, 0, 1]])
-    closed = close_under(seed, [_acting_on_rows(op)])
-    assert closed == seed
+    swap = np.array([1, 0, 2])
+    for rows in ([[0, 0, 1]], [[1, 1, 0]], [[1, 1, 2], [0, 0, 1]]):
+        seed = _span(p, n, rows)
+        assert close_under(seed, [swap]) == seed
 
 
 def test_close_under_is_minimal_against_iteration():
     rng = np.random.default_rng(7)
-    p, n = 3, 5
-    ops = [rng.integers(0, p, size=(n, n)) for _ in range(2)]
-    seed_rows = rng.integers(0, p, size=(1, n))
-    seed = FpSubspace.from_vectors(p, n, seed_rows)
-    closed = close_under(seed, [_acting_on_rows(op) for op in ops])
-    # Re-derive by blunt fixpoint iteration.
-    rows = [list(r) for r in seed_rows]
-    while True:
-        before = len(naive_rref(rows, p))
-        for op in ops:
-            rows.extend((np.asarray(rows) @ op % p).tolist())
-        rows = naive_rref(rows, p)
-        if len(rows) == before:
-            break
-    assert closed == FpSubspace.from_vectors(p, n, rows)
+    p, n = 3, 6
+    for _ in range(20):
+        gathers = [rng.permutation(n) for _ in range(2)]
+        seed_rows = rng.integers(0, p, size=(2, n)).tolist()
+        closed = close_under(_span(p, n, seed_rows), gathers)
+        assert closed.basis.tolist() == _naive_closure(p, seed_rows, gathers)
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(PRIMES + LARGE_PRIMES), seed=st.integers(0, 2**16))
+@given(p=st.sampled_from(PRIMES + (NEAR_LIMIT_PRIME,)), seed=st.integers(0, 2**16))
 def test_matmul_mod_matches_integer_arithmetic(p, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, p, size=(4, 6))
@@ -199,27 +197,11 @@ def test_matmul_mod_matches_integer_arithmetic(p, seed):
     want = (a.astype(object) @ b.astype(object)) % p
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
-    # 3 * (q-1)^2 >= 2**63: plain int64 matmul would wrap here.
-    q = 2**31 - 1
-    top = np.full((1, 3), q - 1, dtype=np.int64)
-    assert matmul_mod(top, top.T, q).tolist() == [[3]]
-
-
-def test_elimination_rejects_primes_whose_products_overflow_int64():
-    # (p-1)^2 < 2**63 holds up to q = 3037000493; from the next prime on,
-    # one product of two residues wraps int64.
-    q = 3037000493
-    rows = [[3, q - 2], [5, 7]]
-    reduced, rank = rref(rows, q)
-    assert reduced[:rank].tolist() == naive_rref(rows, q)
-    for p in (3037000507, 2**32 + 15):
-        with pytest.raises(ValueError):
-            rref([[3, p - 2]], p)
-        with pytest.raises(ValueError):
-            FpSubspace.from_vectors(p, 2, [[3, p - 2]])
-        with pytest.raises(ValueError):
-            EchelonAccumulator(p, 2)
-        assert check_prime(p) == p  # presentations still accept it
+    # the next prime's products of inner dimension 6 exceed 2**53
+    top = np.full((1, 6), NEAR_LIMIT_PRIME - 1, dtype=np.int64)
+    assert matmul_mod(top, top.T, NEAR_LIMIT_PRIME).tolist() == [[6]]
+    with pytest.raises(ValueError):
+        matmul_mod(top, top.T, 38745323)
 
 
 def test_check_prime_accepts_and_rejects():
@@ -261,7 +243,8 @@ def test_check_prime_rejects_strong_pseudoprimes_and_undecided_sizes():
 
 
 def test_zero_and_full_subspaces():
-    z = FpSubspace.zero(5, 4)
+    z = EchelonAccumulator(5, 4).snapshot()
     f = FpSubspace.full(5, 4)
     assert z.is_zero() and z.dim == 0
-    assert f.dim == 4
+    assert f.dim == 4 and not f.is_zero()
+    assert _span(5, 4, np.eye(4, dtype=np.int64)[::-1] * 3) == f

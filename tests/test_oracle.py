@@ -14,7 +14,7 @@ from lienil.catalog import (
     import_presentation,
 )
 from lienil.dimension import upper_index
-from lienil.fp_linalg import FpSubspace
+from lienil.fp_linalg import EchelonAccumulator, FpSubspace
 from lienil.oracle import (
     OracleCapExceeded,
     _lie_chain,
@@ -27,10 +27,50 @@ from lienil.oracle import (
 )
 from lienil.pcgroup import PcGroup
 from lienil.subgroups import center, derived_subgroup, whole_group
+from test_fp_linalg import naive_rref
 
 
 def _table_group(stem):
     return import_presentation(DATA_DIR / f"{stem}.pres").group
+
+
+def _scatter(dest):
+    """Operator sending coordinate x of each row to coordinate dest[x]."""
+    def op(block):
+        out = np.empty_like(block)
+        out[:, dest] = block
+        return out
+    return op
+
+
+def _left_mult(A, b):
+    """v -> e_b * v: coordinate x moves to b * x."""
+    return _scatter(A.table[b, :])
+
+
+def _right_mult(A, b):
+    """v -> v * e_b: coordinate x moves to x * b."""
+    return _scatter(A.table[:, b])
+
+
+def _two_sided_upper_chain(A):
+    # M^(n+1) = the span of [v, g] = v*g - g*v over a basis of M^(n) and
+    # the generators, closed under left and right multiplication by every
+    # generator: the ideal it generates, with every product scattered
+    # straight off the table
+    gens = A.generator_indices
+    ops = [f(A, g) for g in gens for f in (_left_mult, _right_mult)]
+    spaces = [FpSubspace.full(A.p, A.dim)]
+    while not spaces[-1].is_zero():
+        assert len(spaces) <= A.dim
+        basis = spaces[-1].basis
+        acc = EchelonAccumulator(A.p, A.dim)
+        fresh = np.vstack([acc.add_block(_right_mult(A, g)(basis) - _left_mult(A, g)(basis))
+                           for g in gens])
+        while fresh.shape[0]:
+            fresh = np.vstack([acc.add_block(op(fresh)) for op in ops])
+        spaces.append(acc.snapshot())
+    return spaces
 
 
 # the order-243 table rows, the largest groups the default oracle cap admits
@@ -119,12 +159,17 @@ def test_chain_dimensions_decrease_strictly():
     assert len(low) <= len(up)
 
 
+SEEDING_CASES = {
+    "D16": lambda: build_dihedral(16).group,
+    "H3": lambda: build_heisenberg(3).group,
+    "Q16": lambda: build_quaternion(16).group,
+    "H5": lambda: build_heisenberg(5).group,
+    "free_class2-3-p2": lambda: build_free_class2(3, 2).group,
+}
+
+
 def test_generator_seeding_spans_the_same_ideals():
-    for make in (lambda: build_dihedral(16).group,
-                 lambda: build_heisenberg(3).group,
-                 lambda: build_quaternion(16).group,
-                 lambda: build_heisenberg(5).group,
-                 lambda: build_free_class2(3, 2).group):
+    for make in SEEDING_CASES.values():
         A = build_algebra(make())
         full = _lie_chain(A, range(A.dim), ideals=True)
         reduced = upper_lie_chain(A)
@@ -142,7 +187,7 @@ def test_bracket_gathers_match_multiplication_scatters(make):
     rng = np.random.default_rng(5)
     block = rng.integers(0, A.p, size=(7, A.dim)).astype(np.int64)
     for b in range(A.dim):
-        want = (A.right_mult_op(b)(block) - A.left_mult_op(b)(block)) % A.p
+        want = (_right_mult(A, b)(block) - _left_mult(A, b)(block)) % A.p
         got = A.bracket_with_basis(block, b)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -209,17 +254,17 @@ def test_orbit_seeding_spans_the_same_lower_terms(make):
 def _naive_lower_spans(A):
     # V_(n+1) spanned by [v, e_b] = v*e_b - e_b*v over a basis of V_n and
     # every basis element, each product scattered straight off the table
-    spaces = [FpSubspace.full(A.p, A.dim)]
-    while not spaces[-1].is_zero():
+    spaces = [[[int(i == j) for j in range(A.dim)] for i in range(A.dim)]]
+    while spaces[-1]:
         assert len(spaces) <= A.dim
         rows = []
-        for v in spaces[-1].basis:
+        for v in spaces[-1]:
             for b in range(A.dim):
                 w = np.zeros(A.dim, dtype=np.int64)
                 np.add.at(w, A.table[:, b], v)
                 np.subtract.at(w, A.table[b, :], v)
                 rows.append(w)
-        spaces.append(FpSubspace.from_vectors(A.p, A.dim, rows))
+        spaces.append(naive_rref(rows, A.p))
     return spaces
 
 
@@ -234,7 +279,7 @@ def test_lower_chain_terms_are_the_bracket_spans(make, dims):
     A = build_algebra(make())
     naive = _naive_lower_spans(A)
     chain = lower_lie_chain(A)
-    assert chain == naive
+    assert [s.basis.tolist() for s in chain] == naive
     assert [s.dim for s in chain] == dims
 
 
@@ -278,3 +323,16 @@ def test_both_chains_on_larger_nonabelian_groups(make):
     assert upper == upper_index(whole_group(G))
     dorder = derived_subgroup(whole_group(G)).order
     assert G.p + 1 <= lower <= upper <= dorder + 1
+
+
+UPPER_REFERENCE_CASES = {**SEEDING_CASES, **NONABELIAN_ORACLE}
+
+
+@pytest.mark.parametrize("make", UPPER_REFERENCE_CASES.values(),
+                         ids=UPPER_REFERENCE_CASES.keys())
+def test_upper_terms_are_the_two_sided_ideals(make):
+    # closing under right multiplication alone reaches the two-sided ideal
+    A = build_algebra(make())
+    want = _two_sided_upper_chain(A)
+    got = upper_lie_chain(A)
+    assert [s.basis.tobytes() for s in got] == [s.basis.tobytes() for s in want]

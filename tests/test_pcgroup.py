@@ -144,6 +144,43 @@ def test_commutator_and_conjugate_are_consistent():
     assert G.conjugate(b, a) == G.multiply(b, G.commutator(b, a))
 
 
+def _letter_inverse(G, x):
+    # clear x's exponents left to right, then collect the letters used
+    # once more from the identity
+    cur, letters = x, []
+    for k in range(G.ngens):
+        if cur[k]:
+            chunk = (k,) * (G.p - cur[k])
+            cur = G._mul_letters(cur, chunk)
+            letters.extend(chunk)
+    return G._mul_letters(G.identity, letters)
+
+
+def _collector_cases():
+    from lienil.catalog import (DATA_DIR, build_dihedral, build_free_class2,
+                                build_heisenberg, build_quaternion,
+                                import_presentation)
+    groups = [import_presentation(f).group
+              for f in sorted(DATA_DIR.glob("*.pres"))]
+    return groups + [build_dihedral(64).group, build_quaternion(32).group,
+                     build_heisenberg(7).group, build_free_class2(4, 3).group,
+                     build_free_class2(3, 5).group]
+
+
+def test_inverse_and_commutator_match_the_letter_formulas():
+    # reference: x^-1 collected from its letters, [x, y] = x^-1 y^-1 x y
+    rng = np.random.default_rng(3)
+    groups = _collector_cases()
+    assert len(groups) == 35
+    for G in groups:
+        for _ in range(30):
+            x, y = (G.element(rng.integers(0, G.p, size=G.ngens)) for _ in "xy")
+            assert G.inverse(x) == _letter_inverse(G, x)
+            want = G.multiply(G.multiply(G.multiply(_letter_inverse(G, x),
+                                                    _letter_inverse(G, y)), x), y)
+            assert G.commutator(x, y) == want
+
+
 def test_inconsistent_presentation_is_rejected():
     # g1^2 = g2 makes g2 a power of g1, contradicting [g2, g1] = g3 != 1.
     with pytest.raises(PresentationError, match="inconsistent"):
