@@ -149,8 +149,8 @@ def build_free_class2(rank: int, p: int) -> CatalogEntry:
     The derived subgroup is elementary abelian of rank k(k-1)/2 and
     gamma_3 is trivial; rank 5 at p = 2 is the headline-index witness.
     """
-    if not 2 <= rank <= 5:
-        raise ValueError("free class-2 builder supports ranks 2..5")
+    if not 2 <= rank <= 8:
+        raise ValueError("free class-2 builder supports ranks 2..8")
     cidx: dict[tuple[int, int], int] = {}
     k = rank
     for j in range(1, rank):

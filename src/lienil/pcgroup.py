@@ -10,7 +10,14 @@ relations
 using the commutator convention [x, y] = x^-1 y^-1 x y, so collection
 rewrites g_j g_i -> g_i g_j [g_j, g_i] for j > i.  Every element then has a
 unique normal form g1^e1 ... gn^en with exponents in [0, p), carried around
-as a plain tuple.
+as a plain tuple, and products are collected on those tuples: a whole
+syllable g_i^e moves at once, x g_i^e = a g_i^e b^(g_i^e) for x = a b with
+b in <g_(i+1), ..., g_n>, and conjugation by g_i^e comes from memoized
+generator images built by squaring on e (collection from the left:
+Leedham-Green and Soicher, J. Symb. Comp. 9, 1990; Vaughan-Lee, ibid.).
+A product costs a number of steps polynomial in n and log p, so no prime
+below check_prime's bound is refused.  Relation words (Word) are kept
+only for parsing and to_text.
 
 The text format (one relation per line, generators named g1..gn, 1-based)::
 
@@ -29,17 +36,14 @@ Words are `gK^eK gL^eL ...` with strictly increasing K and exponents in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 # A normal word: ((gen_index, exponent), ...) with 0-based strictly
 # increasing gen_index and exponents in [1, p).
 Word = tuple[tuple[int, int], ...]
 Element = tuple[int, ...]
-
-_COLLECTION_STEP_LIMIT = 10_000_000
 
 # Miller-Rabin with the prime bases 2..41 is exact below _PRIME_TEST_BOUND
 # (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -104,10 +108,6 @@ class PcGroup:
                 missing pairs commute; trivial words may be omitted.
         """
         check_prime(p)
-        if p > 2 * _COLLECTION_STEP_LIMIT:  # g^p by squaring collects > p/2 letters
-            raise PresentationError(f"p = {p} is too large for the letter collector: a "
-                                    f"p-th power takes more than its limit of "
-                                    f"{_COLLECTION_STEP_LIMIT} steps")
         if ngens < 1:
             raise PresentationError("need at least one generator")
         self.p = p
@@ -126,22 +126,21 @@ class PcGroup:
             self._validate_word(w, min_index=i + 1, what=f"pow {i+1}")
         for (j, i), w in self._comms.items():
             self._validate_word(w, min_index=j + 1, what=f"comm {j+1} {i+1}")
-        # Letter expansions of relation words, used by the collector.
-        self._power_letters: list[tuple[int, ...]] = [
-            _word_letters(w) for w in self._powers
-        ]
-        self._comm_letters: dict[tuple[int, int], tuple[int, ...]] = {
-            pair: _word_letters(w) for pair, w in self._comms.items()
-        }
-        # For each i, generators j > i with a nontrivial commutator against
-        # g_i (the fast-path test in collection).
-        partners: list[list[int]] = [[] for _ in range(ngens)]
-        for (j, i) in self._comms:
-            partners[i].append(j)
-        self._noncomm_above: list[tuple[int, ...]] = [
-            tuple(sorted(js)) for js in partners
-        ]
         self.identity: Element = (0,) * ngens
+        self._generators: tuple[Element, ...] = tuple(
+            self.identity[:i] + (1,) + self.identity[i + 1:] for i in range(ngens))
+        # The relations as elements: w_i = g_i^p, and, under (i, 1), the
+        # conjugates g_j^(g_i) = g_j w_ji, None where g_j commutes with g_i.
+        # _images adds the conjugates by g_i^e under (i, e) on demand.
+        self._power_rel: tuple[Element, ...] = tuple(
+            self._word_element(w) for w in self._powers)
+        conjugates: list[list[Optional[Element]]] = [[None] * ngens for _ in range(ngens)]
+        for (j, i), w in self._comms.items():
+            conjugates[i][j] = self._generators[j][:j + 1] + self._word_element(w)[j + 1:]
+        self._partners: tuple[tuple[int, ...], ...] = tuple(
+            tuple(j for j, c in enumerate(row) if c) for row in conjugates)
+        self._image_memo: dict[tuple[int, int], tuple[Optional[Element], ...]] = {
+            (i, 1): tuple(row) for i, row in enumerate(conjugates)}
         self._consistency_check()
 
     # -- word validation ------------------------------------------------
@@ -171,14 +170,14 @@ class PcGroup:
     def generator(self, i: int) -> Element:
         if not (0 <= i < self.ngens):
             raise ValueError(f"no generator {i}")
-        return tuple(1 if k == i else 0 for k in range(self.ngens))
+        return self._generators[i]
 
-    def generators(self) -> list[Element]:
-        return [self.generator(i) for i in range(self.ngens)]
+    def generators(self) -> tuple[Element, ...]:
+        return self._generators
 
     def power_relation(self, i: int) -> Element:
         """g_i^p, read off the presentation (no collection)."""
-        return self._word_element(self._powers[i])
+        return self._power_rel[i]
 
     def commutator_relation(self, j: int, i: int) -> Element:
         """[g_j, g_i] for j > i, read off the presentation (no collection)."""
@@ -190,51 +189,72 @@ class PcGroup:
             e[gen] = exp
         return tuple(e)
 
-    def _mul_letters(self, x: Element, letters: Iterable[int]) -> Element:
-        """Normal form of x * (product of the given generator letters)."""
-        cur = list(x)
-        pend = deque(letters)
-        p = self.p
-        steps = 0
-        while pend:
-            steps += 1
-            if steps > _COLLECTION_STEP_LIMIT:
-                raise PresentationError(f"collection exceeded {_COLLECTION_STEP_LIMIT} steps: the "
-                                        "presentation is inconsistent, or its exponents are "
-                                        "too large for the letter collector")
-            i = pend.popleft()
-            blockers = [j for j in self._noncomm_above[i] if cur[j]]
-            if not blockers:
-                # Everything above i in the normal form commutes with g_i.
-                e = cur[i] + 1
-                if e < p:
-                    cur[i] = e
-                    continue
-                cur[i] = 0
-                # g_i^p = w_i must be inserted before the tail above i.
-                tail: list[int] = []
-                for j in range(i + 1, self.ngens):
-                    if cur[j]:
-                        tail.extend((j,) * cur[j])
-                        cur[j] = 0
-                insert = list(self._power_letters[i]) + tail
-                if insert:
-                    pend.extendleft(reversed(insert))
-                continue
-            # Move g_i one letter left past the highest occupied position.
-            j = max(jj for jj in range(i + 1, self.ngens) if cur[jj])
-            cur[j] -= 1
-            insert = [i, j]
-            comm = self._comm_letters.get((j, i))
-            if comm:
-                insert.extend(comm)
-            pend.extendleft(reversed(insert))
-        return tuple(cur)
+    # Collection from the left on exponent tuples.  An element of
+    # G_(i+1) = <g_(i+1), ..., g_n> is a tuple that is 0 up to position i.
+    # Collecting a syllable g_i^e forms products only inside G_(i+1) (the
+    # tail's image and w_i times it), and _images(i, e) recurses on smaller
+    # e, so the recursion ends within ngens levels, with no step limit.
+    # The public methods below call only these private ones, so a caller's
+    # product is one `multiply` call however it is collected.
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        return self._mul_letters(x, _exps_letters(y))
+    def _mul(self, x: Element, y: Element) -> Element:
+        """x y: y's syllables collected into x one at a time."""
+        if not any(x):
+            return y
+        for i, e in enumerate(y):
+            if e:
+                x = self._collect(x, i, e)
+        return x
 
-    def inverse(self, x: Element) -> Element:
+    def _collect(self, x: Element, i: int, e: int) -> Element:
+        """x g_i^e for 0 < e < p.  With x = a b, a ending at position i and
+        b in G_(i+1), x g_i^e = a g_i^e b^(g_i^e); when the exponent at i
+        reaches p, g_i^p = w_i joins b's image from the left."""
+        tail = self._conj(x, i, e) if any(x[j] for j in self._partners[i]) else x
+        s = x[i] + e
+        if s >= self.p:
+            s -= self.p
+            tail = self._mul(self._power_rel[i], self.identity[:i + 1] + tail[i + 1:])
+        return x[:i] + (s,) + tail[i + 1:]
+
+    def _conj(self, c: Element, i: int, e: int) -> Element:
+        """c^(g_i^e) for c in G_(i+1); positions up to i of c are ignored.
+        Conjugation is an automorphism, so c's image is the product of its
+        generators' images."""
+        images = self._images(i, e)
+        out = self.identity
+        for j in range(i + 1, self.ngens):
+            b = c[j]
+            if b:
+                image = images[j]
+                out = (self._collect(out, j, b) if image is None
+                       else self._mul(out, self._pow(image, b)))
+        return out
+
+    def _images(self, i: int, e: int) -> tuple[Optional[Element], ...]:
+        """The conjugates g_j^(g_i^e), memoized per (i, e) and built from
+        g_i^(e - h) and g_i^h with h = e // 2; None where g_j commutes with
+        g_i."""
+        images = self._image_memo.get((i, e))
+        if images is None:
+            h = e // 2
+            images = tuple(None if c is None else self._conj(c, i, h)
+                           for c in self._images(i, e - h))
+            self._image_memo[i, e] = images
+        return images
+
+    def _pow(self, x: Element, m: int) -> Element:
+        """x^m for m >= 0, by repeated squaring."""
+        result = self.identity
+        while m:
+            if m & 1:
+                result = self._mul(result, x)
+            m >>= 1
+            if m:
+                x = self._mul(x, x)
+        return result
+
+    def _inv(self, x: Element) -> Element:
         """Clear x's exponents left to right: x * g_k^(p - e_k) zeroes
         position k and leaves the positions before it at 0.  The factors,
         taken in increasing k with exponents in [1, p), are themselves a
@@ -245,72 +265,72 @@ class PcGroup:
             e = cur[k]
             if e:
                 inv[k] = self.p - e
-                cur = self._mul_letters(cur, (k,) * inv[k])
+                cur = self._collect(cur, k, inv[k])
         return tuple(inv)
+
+    def multiply(self, x: Element, y: Element) -> Element:
+        return self._mul(x, y)
+
+    def inverse(self, x: Element) -> Element:
+        return self._inv(x)
 
     def power(self, x: Element, m: int) -> Element:
         if m < 0:
-            x = self.inverse(x)
-            m = -m
-        result = self.identity
-        base = x
-        while m:
-            if m & 1:
-                result = self.multiply(result, base)
-            base_needed = m > 1
-            if base_needed:
-                base = self.multiply(base, base)
-            m >>= 1
-        return result
+            return self._pow(self._inv(x), -m)
+        return self._pow(x, m)
 
     def commutator(self, x: Element, y: Element) -> Element:
         """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), with one inverse."""
-        return self.multiply(self.inverse(self.multiply(y, x)), self.multiply(x, y))
+        return self._mul(self._inv(self._mul(y, x)), self._mul(x, y))
 
     def conjugate(self, x: Element, g: Element) -> Element:
         """x^g = g^-1 x g."""
-        gi = self.inverse(g)
-        return self.multiply(self.multiply(gi, x), g)
+        return self._mul(self._mul(self._inv(g), x), g)
 
     def element_order(self, x: Element) -> int:
         order = 1
         while x != self.identity:
-            x = self.power(x, self.p)
+            x = self._pow(x, self.p)
             order *= self.p
         return order
 
     # -- consistency -----------------------------------------------------
 
     def _consistency_check(self) -> None:
-        """Overlap tests: every ambiguous collection order must agree."""
-        g = self.generator
-        mul = self.multiply
+        """Overlap tests: every ambiguous collection order must agree.
+
+        Each collection step rewrites with a relation (or with conjugation
+        by g_i^e, an automorphism in any group the relations define), so
+        two different normal forms of one overlap word prove the
+        presentation inconsistent.  Conversely, if G_(i+1) is consistent,
+        the overlaps whose smallest generator is g_i say that conjugation
+        by g_i, extended to normal words, is an automorphism of G_(i+1)
+        that fixes w_i and whose p-th power is conjugation by w_i; that
+        makes G_i consistent, so by induction from the bottom the tests
+        decide consistency.
+        """
+        g = self._generators
+        mul = self._mul
         n = self.ngens
+        pairs = {(k, j): mul(g[k], g[j]) for k in range(n) for j in range(k)}
         for k in range(n):
             for j in range(k):
                 for i in range(j):
-                    left = mul(mul(g(k), g(j)), g(i))
-                    right = mul(g(k), mul(g(j), g(i)))
-                    if left != right:
+                    if mul(pairs[k, j], g[i]) != mul(g[k], pairs[j, i]):
                         raise PresentationError(
                             f"inconsistent presentation: overlap (g{k+1} g{j+1}) g{i+1}")
         for j in range(n):
-            pj = self.power(g(j), self.p)
+            below = self._pow(g[j], self.p - 1)
+            pj = mul(below, g[j])
             for i in range(j):
-                left = mul(pj, g(i))
-                right = mul(self.power(g(j), self.p - 1), mul(g(j), g(i)))
-                if left != right:
+                if mul(pj, g[i]) != mul(below, pairs[j, i]):
                     raise PresentationError(
                         f"inconsistent presentation: overlap g{j+1}^p g{i+1}")
             for kk in range(j + 1, n):
-                left = mul(g(kk), pj)
-                right = mul(mul(g(kk), g(j)), self.power(g(j), self.p - 1))
-                if left != right:
+                if mul(g[kk], pj) != mul(pairs[kk, j], below):
                     raise PresentationError(
                         f"inconsistent presentation: overlap g{kk+1} g{j+1}^p")
-            left = mul(pj, g(j))
-            right = mul(g(j), pj)
-            if left != right:
+            if mul(pj, g[j]) != mul(g[j], pj):
                 raise PresentationError(
                     f"inconsistent presentation: overlap g{j+1}^p g{j+1}")
 
@@ -336,21 +356,6 @@ class PcGroup:
 
     def __repr__(self) -> str:
         return f"PcGroup(p={self.p}, ngens={self.ngens}, order={self.order})"
-
-
-def _word_letters(w: Word) -> tuple[int, ...]:
-    out: list[int] = []
-    for gen, exp in w:
-        out.extend((gen,) * exp)
-    return tuple(out)
-
-
-def _exps_letters(x: Element) -> tuple[int, ...]:
-    out: list[int] = []
-    for gen, exp in enumerate(x):
-        if exp:
-            out.extend((gen,) * exp)
-    return tuple(out)
 
 
 def format_word(w: Word) -> str:

@@ -34,7 +34,6 @@ invariant factors and fingerprint power orders are the orders |H^(p^j)|.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -72,8 +71,8 @@ class _PcSequence:
         self.group = G
         self.entries: list[Optional[Element]] = (
             list(base.entries) if base else [None] * G.ngens)
-        # d -> [1, t, ..., t^(p-1)] for each entry t that is not g_d itself
-        self._powers: dict[int, list[Element]] = dict(base._powers) if base else {}
+        # d -> memo {k: t^k} for each entry t that is not g_d itself
+        self._powers: dict[int, dict[int, Element]] = dict(base._powers) if base else {}
 
     def sift(self, x: Element) -> Element:
         """x reduced through the entries; a non-identity result has no
@@ -87,20 +86,28 @@ class _PcSequence:
             if t is None:
                 return x
             if d in self._powers:
-                x = G.multiply(self._powers[d][G.p - e], x)
+                x = G.multiply(self._power(d, G.p - e), x)
             else:
                 x = G.identity[:d + 1] + x[d + 1:]
         return x
 
+    def _power(self, d: int, k: int) -> Element:
+        """t^k for the entry t at depth d, memoized unless t is g_d."""
+        memo = self._powers.get(d)
+        if memo is None:
+            G = self.group
+            return G.identity[:d] + (k % G.p,) + G.identity[d + 1:]
+        if k not in memo:
+            memo[k] = self.group.power(self.entries[d], k)
+        return memo[k]
+
     def _set(self, d: int, t: Element) -> None:
-        """Make t the entry at depth d, with its powers unless t is g_d."""
-        G = self.group
+        """Make t the entry at depth d, with a fresh power memo unless t
+        is g_d."""
         self.entries[d] = t
         self._powers.pop(d, None)
         if any(t[d + 1:]):
-            powers = self._powers[d] = [G.identity, t]
-            for _ in range(G.p - 2):
-                powers.append(G.multiply(powers[-1], t))
+            self._powers[d] = {}
 
     def add(self, r: Element) -> list[Element]:
         """Enter a sifted r != 1 at its depth; return the new entry's p-th
@@ -110,8 +117,7 @@ class _PcSequence:
         d = _depth(r)
         t = r if r[d] == 1 else G.power(r, pow(r[d], -1, G.p))
         self._set(d, t)
-        found = [G.multiply(self._powers[d][-1], t) if d in self._powers
-                 else G.power_relation(d)]
+        found = [self._power(d, G.p) if d in self._powers else G.power_relation(d)]
         for c, s in enumerate(self.entries):
             if s is None or c == d:
                 continue
@@ -144,9 +150,7 @@ class _PcSequence:
                 continue
             for c in depths:
                 if c > d and t[c]:
-                    power = (self._powers[c][G.p - t[c]] if c in self._powers
-                             else G.identity[:c] + (G.p - t[c],) + G.identity[c + 1:])
-                    t = G.multiply(power, t)
+                    t = G.multiply(self._power(c, G.p - t[c]), t)
             keep = max(d + 1, full)
             t = t[:keep] + G.identity[keep:]
             if t != self.entries[d]:
@@ -162,13 +166,15 @@ class _PcSequence:
             raise CapExceeded(f"subgroup larger than cap {cap}")
         out = [G.identity]
         for d in reversed(range(G.ngens)):
-            if self.entries[d] is None:
+            t = self.entries[d]
+            if t is None:
                 continue
             m = len(out)
             if d in self._powers:
-                powers = self._powers[d]
-                out.extend(G.multiply(powers[e], y)
-                           for e in range(1, G.p) for y in islice(out, m))
+                powers = [t]
+                for _ in range(G.p - 2):
+                    powers.append(G.multiply(powers[-1], t))
+                out.extend(G.multiply(power, y) for power in powers for y in islice(out, m))
             else:
                 out.extend(G.identity[:d] + (e,) + y[d + 1:]
                            for e in range(1, G.p) for y in islice(out, m))
@@ -643,47 +649,3 @@ def _fingerprint(H: Subgroup) -> IsoType:
           str(IsoType("abelian", tuple(abelianization_invariants(H)))),
           tuple(powers))
     return IsoType("fingerprint", fingerprint=fp)
-
-
-def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
-    """The conjugacy classes of H, as element sets."""
-    G = H.group
-    left: set[Element] = set(H.elements)
-    while left:
-        x = left.pop()
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in H.generators:
-                z = G.conjugate(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        left -= orbit
-        yield orbit
-
-
-def joint_order_class_histogram(H: Subgroup) -> tuple:
-    """Sorted ((element order, class size), count) pairs, counted by element."""
-    G = H.group
-    pairs: Counter = Counter()
-    for orbit in _conjugacy_classes(H):
-        pairs[(G.element_order(next(iter(orbit))), len(orbit))] += len(orbit)
-    return tuple(sorted(pairs.items()))
-
-
-def pth_power_in_commutator_closure_count(H: Subgroup) -> int:
-    """#{x in H : x^p lies in the normal closure in H of [x, H]}.
-
-    An isomorphism invariant that separates groups the class and order
-    statistics cannot.
-    """
-    G = H.group
-    count = 0
-    for x in H.elements:
-        image = _conjugation_closure(G, (G.commutator(x, g) for g in H.generators),
-                                     H.generators, H.order)  # stays inside H
-        if G.power(x, G.p) in image:
-            count += 1
-    return count

@@ -181,6 +181,16 @@ def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
         assert t == 10 * p - 8 and len(calls) < 2**20
 
 
+@pytest.mark.parametrize("rank,p,t", [(6, 2, 17), (6, 3, 32), (7, 2, 23), (7, 3, 44)])
+def test_index_of_free_class2_at_ranks_6_and_7(capsys, rank, p, t):
+    # G' is elementary abelian of rank r(r-1)/2 and central, so
+    # t^L = 2 + (p-1) r(r-1)/2
+    code, out, err = run(capsys, ["index", "--builder", f"free_class2:{rank}", "-p", str(p)])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == f"upper index t^L = {t}"
+    assert t == 2 + (p - 1) * rank * (rank - 1) // 2
+
+
 def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
     # |G| = 127^3 > 2^20: G is known from its sequence and never enumerated,
     # and the power chain of the abelian G' enumerates nothing either
@@ -204,14 +214,22 @@ def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
     assert orders == [4]
 
 
-def test_index_refuses_a_prime_beyond_the_collector(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, ["index", "--builder", "heisenberg:1000000000000000003"])
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err == ("error: p = 1000000000000000003 is too large for the letter "
-                   "collector: a p-th power takes more than its limit of "
-                   "10000000 steps\n")
+def test_index_at_large_primes(capsys, tmp_path):
+    # no structure is O(p): collection works on exponents, and an entry's
+    # powers are formed on demand, so t^L = p + 1 comes back at any prime
+    big = 1000000000000000003
+    four = tmp_path / "four.pres"
+    four.write_text(f"p {big}\ngens 4\ncomm 2 1 : g3^1 g4^1\n")
+    for argv, p in ((["--builder", "heisenberg:10007"], 10007),
+                    (["--builder", f"heisenberg:{big}"], big),
+                    ([str(four)], big)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["index", *argv])
+        assert time.perf_counter() - start < 1
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [f"dimension subgroups: |D_(2)| = {p}, |D_(3)| = 1",
+                                        "d-sequence: {d_(2)=1}",
+                                        f"upper index t^L = {p + 1}"]
 
 
 def test_verify_tables_refuses_a_group_above_the_cap(capsys):

@@ -1,17 +1,19 @@
 """Polycyclic presentations: collection, parsing, and consistency checking.
 
-The collection algorithm is cross-checked against 3x3 unitriangular
-matrices over GF(p), an independent concrete model of the extraspecial
-group of order p^3 and exponent p.
+The collector is cross-checked against 3x3 unitriangular matrices over
+GF(p), an independent concrete model of the extraspecial group of order
+p^3 and exponent p, and against a reference that collects one generator
+letter at a time.
 """
 
+import functools
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil import pcgroup
 from lienil.pcgroup import (
     PcGroup,
     PresentationError,
@@ -35,7 +37,7 @@ def unitriangular(p, a, b, c):
     return np.array([[1, a, c], [0, 1, b], [0, 0, 1]], dtype=np.int64) % p
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 1009, 10007])
 def test_collection_matches_matrix_model(p):
     """phi(e1,e2,e3) = A^e1 B^e2 C^e3, with A and B the two elementary
     unitriangular matrices and C = [B, A], is a bijection onto the 3x3
@@ -48,23 +50,31 @@ def test_collection_matches_matrix_model(p):
         a, b, c = M[0, 1], M[1, 2], M[0, 2]
         return unitriangular(p, -a, -b, a * b - c)
 
+    def mpow(M, e):
+        out = np.eye(3, dtype=np.int64)
+        while e:
+            if e & 1:
+                out = out @ M % p
+            M = M @ M % p
+            e >>= 1
+        return out
+
     C = minv(B) @ minv(A) @ B @ A % p
 
     def phi(x):
-        M = np.eye(3, dtype=np.int64)
-        for base, e in zip((A, B, C), x):
-            for _ in range(e):
-                M = M @ base % p
-        return M
+        return mpow(A, x[0]) @ mpow(B, x[1]) @ mpow(C, x[2]) % p
 
     def key(M):
         return (int(M[0, 1]), int(M[1, 2]), int(M[0, 2]))
 
-    elements = list(itertools.product(range(p), repeat=3))
-    assert len({key(phi(x)) for x in elements}) == p**3  # phi injective
-
-    pairs = (itertools.product(elements, repeat=2) if p == 3
-             else zip(elements[::3], elements[::7]))
+    if p == 3:
+        elements = list(itertools.product(range(p), repeat=3))
+        assert len({key(phi(x)) for x in elements}) == p**3  # phi injective
+        pairs = itertools.product(elements, repeat=2)
+    else:
+        rng = np.random.default_rng(p)
+        pairs = [tuple(tuple(int(v) for v in rng.integers(0, p, size=3)) for _ in "xy")
+                 for _ in range(200)]
     for x, y in pairs:
         prod = G.multiply(G.element(x), G.element(y))
         assert key(phi(prod)) == key(phi(x) @ phi(y) % p)
@@ -144,41 +154,109 @@ def test_commutator_and_conjugate_are_consistent():
     assert G.conjugate(b, a) == G.multiply(b, G.commutator(b, a))
 
 
-def _letter_inverse(G, x):
-    # clear x's exponents left to right, then collect the letters used
-    # once more from the identity
-    cur, letters = x, []
-    for k in range(G.ngens):
-        if cur[k]:
-            chunk = (k,) * (G.p - cur[k])
-            cur = G._mul_letters(cur, chunk)
-            letters.extend(chunk)
-    return G._mul_letters(G.identity, letters)
+class LetterCollector:
+    """The reference collector: x times one generator letter at a time,
+    reading G's relation words.  A letter g_i that commutes with every
+    occupied position above i is added at i (with g_i^p = w_i inserted
+    before the tail on overflow); otherwise it moves one letter left past
+    the highest occupied position j, using g_j g_i = g_i g_j w_ji."""
+
+    def __init__(self, G):
+        self.G = G
+        self.power_letters = [self._letters(dict(w), G.ngens) for w in G._powers]
+        self.comm_letters = {pair: self._letters(dict(w), G.ngens)
+                             for pair, w in G._comms.items()}
+        self.partners = [sorted(j for (j, i) in G._comms if i == k)
+                         for k in range(G.ngens)]
+
+    @staticmethod
+    def _letters(exps, n):
+        return [k for k in range(n) for _ in range(exps.get(k, 0))]
+
+    def collect(self, x, letters):
+        cur, pend, p = list(x), deque(letters), self.G.p
+        while pend:
+            i = pend.popleft()
+            if not any(cur[j] for j in self.partners[i]):
+                cur[i] += 1
+                if cur[i] < p:
+                    continue
+                cur[i] = 0
+                tail = [j for j in range(i + 1, len(cur)) for _ in range(cur[j])]
+                cur[i + 1:] = [0] * (len(cur) - i - 1)
+                pend.extendleft(reversed(self.power_letters[i] + tail))
+                continue
+            j = max(k for k in range(i + 1, len(cur)) if cur[k])
+            cur[j] -= 1
+            pend.extendleft(reversed([i, j] + self.comm_letters.get((j, i), [])))
+        return tuple(cur)
+
+    def multiply(self, x, y):
+        return self.collect(x, self._letters(dict(enumerate(y)), len(y)))
+
+    def inverse(self, x):
+        # clear x's exponents left to right, then collect the letters used
+        # once more from the identity
+        cur, letters = x, []
+        for k in range(self.G.ngens):
+            if cur[k]:
+                chunk = [k] * (self.G.p - cur[k])
+                cur = self.collect(cur, chunk)
+                letters.extend(chunk)
+        return self.collect(self.G.identity, letters)
+
+    def power(self, x, m):
+        step, out = (x if m >= 0 else self.inverse(x)), self.G.identity
+        for _ in range(abs(m)):
+            out = self.multiply(out, step)
+        return out
+
+    def commutator(self, x, y):
+        return self.multiply(self.multiply(self.multiply(self.inverse(x), self.inverse(y)),
+                                           x), y)
+
+    def conjugate(self, x, g):
+        return self.multiply(self.multiply(self.inverse(g), x), g)
 
 
+@functools.lru_cache(maxsize=None)
 def _collector_cases():
     from lienil.catalog import (DATA_DIR, build_dihedral, build_free_class2,
                                 build_heisenberg, build_quaternion,
                                 import_presentation)
     groups = [import_presentation(f).group
               for f in sorted(DATA_DIR.glob("*.pres"))]
-    return groups + [build_dihedral(64).group, build_quaternion(32).group,
-                     build_heisenberg(7).group, build_free_class2(4, 3).group,
-                     build_free_class2(3, 5).group]
+    groups += [build_dihedral(64).group, build_quaternion(32).group,
+               build_heisenberg(7).group, build_free_class2(4, 3).group,
+               build_free_class2(3, 5).group]
+    return tuple((G, LetterCollector(G)) for G in groups)
 
 
-def test_inverse_and_commutator_match_the_letter_formulas():
-    # reference: x^-1 collected from its letters, [x, y] = x^-1 y^-1 x y
+def _assert_matches_reference(G, ref, x, y, m):
+    assert G.multiply(x, y) == ref.multiply(x, y)
+    assert G.inverse(x) == ref.inverse(x)
+    assert G.power(x, m) == ref.power(x, m)
+    assert G.commutator(x, y) == ref.commutator(x, y)
+    assert G.conjugate(x, y) == ref.conjugate(x, y)
+
+
+def test_collector_matches_the_letter_collector():
     rng = np.random.default_rng(3)
-    groups = _collector_cases()
-    assert len(groups) == 35
-    for G in groups:
-        for _ in range(30):
+    cases = _collector_cases()
+    assert len(cases) == 35
+    for G, ref in cases:
+        for _ in range(20):
             x, y = (G.element(rng.integers(0, G.p, size=G.ngens)) for _ in "xy")
-            assert G.inverse(x) == _letter_inverse(G, x)
-            want = G.multiply(G.multiply(G.multiply(_letter_inverse(G, x),
-                                                    _letter_inverse(G, y)), x), y)
-            assert G.commutator(x, y) == want
+            _assert_matches_reference(G, ref, x, y, int(rng.integers(-2 * G.p, 2 * G.p)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_collector_matches_the_letter_collector_hypothesis(data):
+    G, ref = data.draw(st.sampled_from(_collector_cases()))
+    x, y = (G.element(data.draw(st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
+                                         max_size=G.ngens))) for _ in "xy")
+    _assert_matches_reference(G, ref, x, y, data.draw(st.integers(-2 * G.p, 2 * G.p)))
 
 
 def test_inconsistent_presentation_is_rejected():
@@ -186,18 +264,6 @@ def test_inconsistent_presentation_is_rejected():
     with pytest.raises(PresentationError, match="inconsistent"):
         PcGroup(2, 3, powers={0: ((1, 1),), 1: ((2, 1),)},
                 comms={(1, 0): ((2, 1),)})
-
-
-def test_primes_beyond_the_collector_step_limit(monkeypatch):
-    # g^p by squaring ends in a product of 2^7 = 128 letters for p = 197,
-    # one step each; above 2 * limit such a product is certain
-    monkeypatch.setattr(pcgroup, "_COLLECTION_STEP_LIMIT", 100)
-    with pytest.raises(PresentationError, match="^p = 211 is too large .* 100 steps$"):
-        PcGroup(211, 1, powers={}, comms={})
-    with pytest.raises(PresentationError,
-                       match="^collection exceeded 100 steps: the presentation is "
-                             "inconsistent, or its exponents are too large"):
-        PcGroup(197, 1, powers={}, comms={})
 
 
 def test_relation_word_index_discipline():

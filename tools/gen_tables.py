@@ -32,22 +32,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from lienil.catalog import DATA_DIR, CatalogEntry, computed_columns, verify_tables, table_entries
-from lienil.pcgroup import PcGroup, PresentationError, PresentationMeta
+from lienil.pcgroup import Element, PcGroup, PresentationError, PresentationMeta
 from lienil.subgroups import (
     Subgroup,
+    _conjugation_closure,
     center,
     closure,
     derived_subgroup,
     fingerprint,
-    joint_order_class_histogram,
     power_subgroup,
-    pth_power_in_commutator_closure_count,
     subgroup_product,
     whole_group,
 )
@@ -66,6 +67,50 @@ def central_cube_count(W: Subgroup) -> int:
     G = W.group
     zeta = center(W)
     return sum(1 for x in W.elements if G.power(x, G.p) in zeta)
+
+
+def _conjugacy_classes(H: Subgroup) -> Iterator[set[Element]]:
+    """The conjugacy classes of H, as element sets."""
+    G = H.group
+    left: set[Element] = set(H.elements)
+    while left:
+        x = left.pop()
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in H.generators:
+                z = G.conjugate(y, g)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        left -= orbit
+        yield orbit
+
+
+def joint_order_class_histogram(H: Subgroup) -> tuple:
+    """Sorted ((element order, class size), count) pairs, counted by element."""
+    G = H.group
+    pairs: Counter = Counter()
+    for orbit in _conjugacy_classes(H):
+        pairs[(G.element_order(next(iter(orbit))), len(orbit))] += len(orbit)
+    return tuple(sorted(pairs.items()))
+
+
+def pth_power_in_commutator_closure_count(H: Subgroup) -> int:
+    """#{x in H : x^p lies in the normal closure in H of [x, H]}.
+
+    An isomorphism invariant that separates groups the class and order
+    statistics cannot.
+    """
+    G = H.group
+    count = 0
+    for x in H.elements:
+        image = _conjugation_closure(G, (G.commutator(x, g) for g in H.generators),
+                                     H.generators, H.order)  # stays inside H
+        if G.power(x, G.p) in image:
+            count += 1
+    return count
 
 
 def maximal_subgroup_fingerprints(W: Subgroup) -> tuple:
