@@ -5,15 +5,14 @@ presentation: the Jennings/Lie dimension subgroup chain, the d-sequence,
 and the upper Lie nilpotency index of F_p[G]; cross-checks them against a
 brute-force Lie power oracle on the group algebra; and evaluates the
 executable condition table for the index value 10p-8 on the group.
+
+The package root imports only pcgroup, so importing lienil.oracle does
+not import the Jennings route (lienil.dimension and lienil.subgroups).
 """
 
 from lienil.pcgroup import PcGroup, parse_presentation
-from lienil.dimension import d_sequence, jennings_index, upper_index
 
 __all__ = [
     "PcGroup",
     "parse_presentation",
-    "d_sequence",
-    "jennings_index",
-    "upper_index",
 ]

@@ -38,7 +38,7 @@ from .catalog import (
     verify_tables,
 )
 from .classify import verify_theorem
-from .dimension import NotLieNilpotent, d_sequence_of_chain, jennings_index, lie_dimension_chain, upper_index
+from .dimension import d_sequence_of_chain, jennings_index, lie_dimension_chain, upper_index
 from .dvectors import REPORT_PRIMES, enumerate_admissible
 from .oracle import (
     DEFAULT_ORACLE_CAP,
@@ -411,9 +411,13 @@ def main(argv=None) -> int:
     except (OracleCapExceeded, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotLieNilpotent, NotLieNilpotentDetected) as exc:
+    except NotLieNilpotentDetected as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,10 +61,6 @@ class DSequence:
         return "{" + ", ".join(f"d_({m})={v}" for m, v in self.d) + "}"
 
 
-class NotLieNilpotent(ValueError):
-    """F_p[G] is not Lie nilpotent for the requested (G, p)."""
-
-
 def lie_dimension_chain(W: Subgroup) -> list[Subgroup]:
     """[D_(2), D_(3), ...] of W, ending at the first trivial term.
 
@@ -100,13 +96,8 @@ def d_sequence(W: Subgroup) -> DSequence:
 def d_sequence_of_chain(chain: list[Subgroup]) -> DSequence:
     """d_(m) = log_p |D_(m) : D_(m+1)| read off a lie_dimension_chain."""
     p = chain[0].group.p
-    values: dict[int, int] = {}
-    for idx in range(len(chain) - 1):
-        m = idx + 2
-        ratio = chain[idx].order // chain[idx + 1].order
-        if chain[idx].order % chain[idx + 1].order:
-            raise ValueError(f"|D_({m})| not divisible by |D_({m+1})|")
-        values[m] = _log_p(ratio, p)
+    values = {m: _log_p(hi.order // lo.order, p)
+              for m, (hi, lo) in enumerate(zip(chain, chain[1:]), start=2)}
     seq = DSequence.from_dict(p, values)
     derived_order = chain[0].order  # D_(2) = G'
     assert seq.total() == _log_p(derived_order, p), "d-sequence mass check failed"
@@ -119,18 +110,5 @@ def jennings_index(d: DSequence) -> int:
 
 
 def upper_index(W: Subgroup) -> int:
-    """t^L of F_p[G] for W = G; checks the Lie nilpotency preconditions.
-
-    For a consistent pc p-group presentation the preconditions (G nilpotent,
-    |G'| a p-power) always hold; they are still verified, on the dimension
-    chain (D_(2) = G', and the chain descends to 1 only if G is nilpotent),
-    so the function fails loudly on anything else that may get wired in.
-    """
-    chain = lie_dimension_chain(W)
-    if not chain[-1].is_trivial():
-        raise NotLieNilpotent("group is not nilpotent")
-    try:
-        _log_p(chain[0].order, W.group.p)
-    except ValueError as exc:
-        raise NotLieNilpotent(f"|G'| is not a power of {W.group.p}") from exc
-    return jennings_index(d_sequence_of_chain(chain))
+    """t^L of F_p[G] for W = G."""
+    return jennings_index(d_sequence(W))

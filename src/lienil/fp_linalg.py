@@ -1,8 +1,10 @@
 """Row elimination over the prime field GF(p): the oracle's kernel.
 
 Everything here works on numpy int64 arrays holding least non-negative
-residues.  Subspaces are kept in reduced row-echelon form, which makes
-equality a structural comparison of basis arrays.
+residues.  A subspace is the read-only (dim, n) array of its reduced
+row-echelon basis, EchelonAccumulator.basis, so equal subspaces of one
+ambient space have identical arrays.  close_under continues the
+accumulator that holds its seed.
 
 All products go through float64 BLAS, exact because every partial sum
 stays below 2**53.  EchelonAccumulator(p, n) therefore refuses fields and
@@ -67,53 +69,11 @@ def _rref_inplace(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-class FpSubspace:
-    """A subspace of GF(p)^n held as a canonical RREF basis.
-
-    Two subspaces of the same ambient space are equal exactly when their
-    basis arrays are identical; the basis array is non-writeable.
-    """
-
-    __slots__ = ("p", "ambient_dim", "basis", "pivots")
-
-    def __init__(self, p: int, ambient_dim: int, basis: np.ndarray, pivots: tuple[int, ...]):
-        # Internal constructor: callers go through full or
-        # EchelonAccumulator.snapshot.
-        self.p = p
-        self.ambient_dim = ambient_dim
-        basis = np.ascontiguousarray(basis, dtype=np.int64)
-        basis.setflags(write=False)
-        self.basis = basis
-        self.pivots = pivots
-
-    @classmethod
-    def full(cls, p: int, ambient_dim: int) -> "FpSubspace":
-        return cls(p, ambient_dim, np.eye(ambient_dim, dtype=np.int64),
-                   tuple(range(ambient_dim)))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FpSubspace):
-            return NotImplemented
-        return (self.p == other.p and self.ambient_dim == other.ambient_dim
-                and self.basis.shape == other.basis.shape
-                and bool(np.array_equal(self.basis, other.basis)))
-
-    def __repr__(self) -> str:
-        return f"FpSubspace(p={self.p}, dim={self.dim}/{self.ambient_dim})"
-
-
 class EchelonAccumulator:
     """Growable RREF basis: feed row blocks, keep a canonical echelon.
 
-    The snapshot() after any sequence of blocks is the RREF of all the
-    rows fed, whatever their order and grouping.  p must be prime.
+    The basis after any sequence of blocks is the RREF of all the rows
+    fed, whatever their order and grouping.  p must be prime.
     """
 
     def __init__(self, p: int, ambient_dim: int):
@@ -129,6 +89,16 @@ class EchelonAccumulator:
     @property
     def dim(self) -> int:
         return self._rows.shape[0]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The RREF rows themselves, read-only.
+
+        add_block replaces the row array and never writes into it, so a
+        basis taken earlier keeps its value.
+        """
+        self._rows.setflags(write=False)
+        return self._rows
 
     def _reduce(self, blk: np.ndarray) -> np.ndarray:
         """Residual (blk - blk[:, pivots] @ rows) mod p of a residue block."""
@@ -172,25 +142,22 @@ class EchelonAccumulator:
         self._rows_f = self._rows.astype(np.float64)
         return new_rows
 
-    def snapshot(self) -> FpSubspace:
-        return FpSubspace(self.p, self.ambient_dim, self._rows.copy(),
-                          tuple(self._pivots))
 
-
-def close_under(seed: FpSubspace, gathers: Sequence[np.ndarray]) -> FpSubspace:
-    """Smallest subspace containing seed and stable under every gather.
+def close_under(acc: EchelonAccumulator,
+                gathers: Sequence[np.ndarray]) -> np.ndarray:
+    """Grow acc to the smallest subspace containing its span and stable
+    under every gather; return the closure's basis.
 
     Args:
-        seed: starting subspace.
+        acc: the accumulator holding the seed; it is continued in place.
         gathers: a non-empty list of coordinate permutations of the
             ambient space, each an index array g sending a row block to
             block[:, g].
 
     Returns:
-        The closure, in canonical form.
+        acc.basis once the closure is reached.
     """
-    acc = EchelonAccumulator(seed.p, seed.ambient_dim)
-    fresh = acc.add_block(seed.basis)
-    while fresh.shape[0] > 0 and acc.dim < seed.ambient_dim:
+    fresh = acc.basis
+    while fresh.shape[0] > 0 and acc.dim < acc.ambient_dim:
         fresh = np.vstack([acc.add_block(fresh[:, g]) for g in gathers])
-    return acc.snapshot()
+    return acc.basis

@@ -21,9 +21,10 @@ non-central elements under conjugation and central translation
 (x -> h^-1 x h z), found from the multiplication table alone
 (`lower_lie_chain` gives the argument).  Both products of an element
 with a basis element are column gathers through the table.  Everything
-here is exact arithmetic mod p on numpy arrays; nothing is shared with
-the Jennings-style computation in lienil.dimension, so the two routes
-cross-check each other.
+here is exact arithmetic mod p on numpy arrays, and even |G'|, which
+bounds the chains' length, is read off the table; nothing is shared
+with the Jennings-style computation in lienil.dimension and
+lienil.subgroups, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lienil.fp_linalg import EchelonAccumulator, FpSubspace, close_under
+from lienil.fp_linalg import EchelonAccumulator, close_under
 from lienil.pcgroup import Element, PcGroup
 
 DEFAULT_ORACLE_CAP = 256
@@ -73,10 +74,20 @@ class GroupAlgebra:
 
     @cached_property
     def chain_bound(self) -> int:
-        """|G'| + 2, the a-priori stopping bound for both Lie chains."""
-        from lienil.subgroups import derived_subgroup, whole_group
+        """|G'| + 2, the a-priori stopping bound for both Lie chains.
 
-        return derived_subgroup(whole_group(self.group, self.dim)).order + 2
+        G' is closed off the table from the commutators [x, g] over x in G
+        and the pc generators g.  They generate G': the subgroup N they
+        generate is normal, as [x, g]^y = [xy, g] [y, g]^-1, and modulo N
+        every x commutes with every generator.  In a finite group, closing
+        {1} under right multiplication by them gives N.
+        """
+        t, inv = self.table, self.inverse_indices
+        comms = np.unique([t[t[inv, inv[g]], t[:, g]] for g in self.generator_indices])
+        members = np.zeros(1, dtype=t.dtype)
+        while len(grown := np.union1d(members, t[np.ix_(members, comms)])) > len(members):
+            members = grown
+        return len(members) + 2
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
@@ -150,15 +161,21 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
 
 
 def _lie_chain(A: GroupAlgebra, against: Sequence[int],
-               ideals: bool) -> list[FpSubspace]:
+               ideals: bool) -> list[np.ndarray]:
     """Terms from F_p[G] down to the first zero term, so the index is the
     length of the list.
 
-    Each term is the span of [v, e_b] over v in a basis of the previous
-    term and b in `against`, closed under right multiplication by the
-    group generators when `ideals` is set.  The slow routes the tests
-    compare the default seedings against pass every basis index,
-    range(A.dim).
+    A term is the read-only RREF basis of a subspace of F_p[G], one row
+    per dimension.  Each term is the span of [v, e_b] over v in a basis
+    of the previous term and b in `against`, closed under right
+    multiplication by the group generators when `ideals` is set.  The
+    slow routes the tests compare the default seedings against pass
+    every basis index, range(A.dim).
+
+    Every term lies in the one before it: M^(n+1) lies in M^(n) because
+    M^(n) is an ideal, and V_(n+1) = [V_n, F_p[G]] lies in
+    [V_(n-1), F_p[G]] = V_n by induction from V_2 in V_1 = F_p[G].  So a
+    term of the previous term's rank is the previous term itself.
 
     Raises:
         NotLieNilpotentDetected: a nonzero term repeats, or the chain
@@ -167,30 +184,29 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
     kind = "upper" if ideals else "lower"
     # coordinate y of v * e_g is v[y * g^-1]
     right_gathers = [A.table[:, A.inverse_indices[g]] for g in A.generator_indices]
-    spaces = [FpSubspace.full(A.p, A.dim)]
-    while not spaces[-1].is_zero():
-        current = spaces[-1]
+    terms = [np.eye(A.dim, dtype=np.int64)]
+    terms[0].setflags(write=False)
+    while len(terms[-1]):
+        current = terms[-1]
         acc = EchelonAccumulator(A.p, A.dim)
         for b in against:
-            acc.add_block(A.bracket_with_basis(current.basis, b))
-        nxt = acc.snapshot()
-        if ideals:
-            nxt = close_under(nxt, right_gathers)
-        if nxt == current:
+            acc.add_block(A.bracket_with_basis(current, b))
+        nxt = close_under(acc, right_gathers) if ideals else acc.basis
+        if len(nxt) == len(current):
             raise NotLieNilpotentDetected(
                 f"{kind} chain went stationary at nonzero dimension "
-                f"{current.dim}: not Lie nilpotent (or a bug)"
+                f"{len(current)}: not Lie nilpotent (or a bug)"
             )
-        spaces.append(nxt)
-        if len(spaces) > A.chain_bound + 1:
+        terms.append(nxt)
+        if len(terms) > A.chain_bound + 1:
             raise NotLieNilpotentDetected(
                 f"{kind} chain exceeded {A.chain_bound} terms without "
                 "vanishing: not Lie nilpotent (or a bug)"
             )
-    return spaces
+    return terms
 
 
-def upper_lie_chain(A: GroupAlgebra) -> list[FpSubspace]:
+def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     """The chain M^(n): each term is the ideal generated by brackets of the
     previous term against the algebra; its length is t^L.
 
@@ -242,7 +258,7 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def lower_lie_chain(A: GroupAlgebra) -> list[FpSubspace]:
+def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     """The left-normed bracket spans V_n; the chain's length is t_L.
 
     V_1 = F_p[G]; V_{n+1} = span of [v, e_b] over v in a basis of V_n and

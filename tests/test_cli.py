@@ -10,6 +10,7 @@ import pytest
 from lienil import cli, subgroups
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
+from lienil.oracle import GroupAlgebra
 from lienil.pcgroup import PcGroup, parse_presentation_with_meta
 
 
@@ -402,6 +403,42 @@ def test_oracle_cap_is_checked_before_the_formula(monkeypatch, capsys):
                                   "--cap", "8"])
     assert code == 2 and out == ""
     assert "oracle cap 8" in err
+
+
+def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, capsys):
+    # a bracket that returns its block keeps every term
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", lambda self, block, b: block)
+    code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
+    assert code == 1 and out == ""
+    assert err == ("inconsistency: upper chain went stationary at nonzero "
+                   "dimension 16: not Lie nilpotent (or a bug)\n")
+
+
+def test_oracle_reports_a_chain_past_its_bound_as_an_inconsistency(monkeypatch, capsys):
+    build_algebra = cli.build_algebra
+
+    def small_bound(G, cap):
+        A = build_algebra(G, cap)
+        A.__dict__["chain_bound"] = 2  # the true bound of D16 is |G'| + 2 = 6
+        return A
+
+    monkeypatch.setattr(cli, "build_algebra", small_bound)
+    code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
+    assert code == 1 and out == ""
+    assert err == ("inconsistency: upper chain exceeded 2 terms without "
+                   "vanishing: not Lie nilpotent (or a bug)\n")
+
+
+@pytest.mark.parametrize("message,line", [
+    ("", "error: out of memory\n"),
+    ("Unable to allocate 8.00 GiB", "error: out of memory: Unable to allocate 8.00 GiB\n"),
+], ids=["bare", "numpy"])
+def test_index_out_of_memory_exits_2_with_a_message(monkeypatch, capsys, message, line):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, "lie_dimension_chain", no_memory)
+    code, out, err = run(capsys, ["index", "--builder", "dihedral:16"])
+    assert (code, out, err) == (2, "", line)
 
 
 def test_oracle_cap_env(monkeypatch, capsys):

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from lienil.fp_linalg import (
     EchelonAccumulator,
-    FpSubspace,
     close_under,
     matmul_mod,
 )
@@ -58,10 +57,18 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
 )
 
 
-def _span(p, n, rows):
+def _accumulate(p, n, rows):
     acc = EchelonAccumulator(p, n)
     acc.add_block(np.asarray(rows, dtype=np.int64).reshape(-1, n))
-    return acc.snapshot()
+    return acc
+
+
+def _span(p, n, rows):
+    return _accumulate(p, n, rows).basis
+
+
+def _pivots(basis):
+    return [int(np.flatnonzero(row)[0]) for row in basis]
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,17 +76,19 @@ def _span(p, n, rows):
 def test_rref_matches_naive_oracle(mat, p):
     got = _span(p, len(mat[0]), mat)
     want = naive_rref(mat, p)
-    assert got.basis.tolist() == want
-    assert list(got.pivots) == [row.index(next(filter(None, row))) for row in want]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert _pivots(got) == [row.index(next(filter(None, row))) for row in want]
 
 
 @settings(max_examples=100, deadline=None)
 @given(mat=small_matrix, p=st.sampled_from(PRIMES))
 def test_rref_is_idempotent(mat, p):
     first = _span(p, len(mat[0]), mat)
-    second = _span(p, len(mat[0]), first.basis)
-    assert second == first
-    assert second.pivots == first.pivots
+    second = _span(p, len(mat[0]), first)
+    assert second.shape == first.shape
+    assert second.tobytes() == first.tobytes()
+    assert _pivots(second) == _pivots(first)
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,8 +104,8 @@ def test_canonical_form_ignores_presentation(mat, p, seed):
     b = EchelonAccumulator(p, n)
     for row in scrambled:  # one row per block
         b.add_block(row)
-    assert b.snapshot() == a
-    assert b.snapshot().basis.tobytes() == a.basis.tobytes()
+    assert b.basis.shape == a.shape
+    assert b.basis.tobytes() == a.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -121,7 +130,7 @@ def test_accumulator_agrees_with_batch_reduction(mat, p, cuts, zeros, scale):
     acc = EchelonAccumulator(p, n)
     for lo, hi in zip([0] + bounds, bounds + [len(rows)]):
         acc.add_block(np.asarray(rows[lo:hi], dtype=np.int64).reshape(-1, n))
-    assert acc.snapshot().basis.tolist() == naive_rref(mat, p)
+    assert acc.basis.tolist() == naive_rref(mat, p)
 
 
 def test_accumulator_reports_only_new_rows():
@@ -163,9 +172,12 @@ def _naive_closure(p, seed_rows, gathers):
 def test_close_under_reaches_orbit_span():
     # Cyclic shift on GF(2)^4: the orbit of e1 spans everything.
     p, n = 2, 4
-    seed = _span(p, n, [[1, 0, 0, 0]])
-    closed = close_under(seed, [np.roll(np.arange(n), 1)])
-    assert closed == FpSubspace.full(p, n)
+    gathers = [np.roll(np.arange(n), 1)]
+    acc = _accumulate(p, n, [[1, 0, 0, 0]])
+    closed = close_under(acc, gathers)
+    assert closed.tolist() == _naive_closure(p, [[1, 0, 0, 0]], gathers)
+    assert np.array_equal(closed, np.eye(n, dtype=np.int64))
+    assert closed is acc.basis
 
 
 def test_close_under_respects_invariant_subspace():
@@ -174,7 +186,9 @@ def test_close_under_respects_invariant_subspace():
     swap = np.array([1, 0, 2])
     for rows in ([[0, 0, 1]], [[1, 1, 0]], [[1, 1, 2], [0, 0, 1]]):
         seed = _span(p, n, rows)
-        assert close_under(seed, [swap]) == seed
+        closed = close_under(_accumulate(p, n, rows), [swap])
+        assert closed.tolist() == _naive_closure(p, rows, [swap])
+        assert closed.tobytes() == seed.tobytes()
 
 
 def test_close_under_is_minimal_against_iteration():
@@ -183,8 +197,23 @@ def test_close_under_is_minimal_against_iteration():
     for _ in range(20):
         gathers = [rng.permutation(n) for _ in range(2)]
         seed_rows = rng.integers(0, p, size=(2, n)).tolist()
-        closed = close_under(_span(p, n, seed_rows), gathers)
-        assert closed.basis.tolist() == _naive_closure(p, seed_rows, gathers)
+        closed = close_under(_accumulate(p, n, seed_rows), gathers)
+        assert closed.tolist() == _naive_closure(p, seed_rows, gathers)
+
+
+def test_basis_is_read_only_and_not_aliased_by_later_blocks():
+    acc = EchelonAccumulator(3, 4)
+    acc.add_block([[1, 2, 0, 1], [0, 1, 1, 0]])
+    before = acc.basis
+    saved = before.copy()
+    assert acc.basis is before
+    with pytest.raises(ValueError):
+        before[0, 0] = 2
+    # the new pivot clears column 2 of the old rows, in a new array
+    acc.add_block([[0, 0, 1, 2]])
+    assert np.array_equal(before, saved)
+    assert acc.basis is not before
+    assert acc.basis.tolist() == naive_rref(saved.tolist() + [[0, 0, 1, 2]], 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,8 +272,8 @@ def test_check_prime_rejects_strong_pseudoprimes_and_undecided_sizes():
 
 
 def test_zero_and_full_subspaces():
-    z = EchelonAccumulator(5, 4).snapshot()
-    f = FpSubspace.full(5, 4)
-    assert z.is_zero() and z.dim == 0
-    assert f.dim == 4 and not f.is_zero()
-    assert _span(5, 4, np.eye(4, dtype=np.int64)[::-1] * 3) == f
+    z = EchelonAccumulator(5, 4).basis
+    f = _span(5, 4, np.eye(4, dtype=np.int64)[::-1] * 3)
+    assert z.shape == (0, 4) and z.dtype == np.int64
+    assert f.shape == (4, 4)
+    assert np.array_equal(f, np.eye(4, dtype=np.int64))

@@ -1,5 +1,10 @@
 """The dense group-algebra oracle and its agreement with the formula route."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,10 +17,13 @@ from lienil.catalog import (
     build_heisenberg,
     build_quaternion,
     import_presentation,
+    standard_catalog,
 )
 from lienil.dimension import upper_index
-from lienil.fp_linalg import EchelonAccumulator, FpSubspace
+from lienil.fp_linalg import EchelonAccumulator
 from lienil.oracle import (
+    GroupAlgebra,
+    NotLieNilpotentDetected,
     OracleCapExceeded,
     _lie_chain,
     _orbit_representatives,
@@ -60,16 +68,16 @@ def _two_sided_upper_chain(A):
     # straight off the table
     gens = A.generator_indices
     ops = [f(A, g) for g in gens for f in (_left_mult, _right_mult)]
-    spaces = [FpSubspace.full(A.p, A.dim)]
-    while not spaces[-1].is_zero():
+    spaces = [np.eye(A.dim, dtype=np.int64)]
+    while len(spaces[-1]):
         assert len(spaces) <= A.dim
-        basis = spaces[-1].basis
+        basis = spaces[-1]
         acc = EchelonAccumulator(A.p, A.dim)
         fresh = np.vstack([acc.add_block(_right_mult(A, g)(basis) - _left_mult(A, g)(basis))
                            for g in gens])
         while fresh.shape[0]:
             fresh = np.vstack([acc.add_block(op(fresh)) for op in ops])
-        spaces.append(acc.snapshot())
+        spaces.append(acc.basis)
     return spaces
 
 
@@ -152,7 +160,7 @@ def test_chain_dimensions_decrease_strictly():
     up = upper_lie_chain(A)
     low = lower_lie_chain(A)
     for chain in (up, low):
-        dims = [s.dim for s in chain]
+        dims = [len(s) for s in chain]
         assert dims[0] == 16 and dims[-1] == 0
         assert all(a > b for a, b in zip(dims, dims[1:]))
     assert len(up) == upper_index(whole_group(G))
@@ -174,8 +182,7 @@ def test_generator_seeding_spans_the_same_ideals():
         full = _lie_chain(A, range(A.dim), ideals=True)
         reduced = upper_lie_chain(A)
         assert len(full) == len(reduced)
-        assert [s.basis.tobytes() for s in full] == \
-               [s.basis.tobytes() for s in reduced]
+        assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
 
 
 @pytest.mark.parametrize("make", [
@@ -247,8 +254,7 @@ def test_orbit_seeding_spans_the_same_lower_terms(make):
     full = _lie_chain(A, range(A.dim), ideals=False)
     reduced = lower_lie_chain(A)
     assert len(full) == len(reduced)
-    assert [s.basis.tobytes() for s in full] == \
-           [s.basis.tobytes() for s in reduced]
+    assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
 
 
 def _naive_lower_spans(A):
@@ -279,8 +285,8 @@ def test_lower_chain_terms_are_the_bracket_spans(make, dims):
     A = build_algebra(make())
     naive = _naive_lower_spans(A)
     chain = lower_lie_chain(A)
-    assert [s.basis.tolist() for s in chain] == naive
-    assert [s.dim for s in chain] == dims
+    assert [s.tolist() for s in chain] == naive
+    assert [len(s) for s in chain] == dims
 
 
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
@@ -335,4 +341,51 @@ def test_upper_terms_are_the_two_sided_ideals(make):
     A = build_algebra(make())
     want = _two_sided_upper_chain(A)
     got = upper_lie_chain(A)
-    assert [s.basis.tobytes() for s in got] == [s.basis.tobytes() for s in want]
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
+def test_chain_bound_reads_the_derived_subgroup_off_the_table():
+    # the oracle's |G'| against the subgroup code's, on every catalog
+    # group the default cap admits and the order-243 table rows
+    groups = [e.group for e in standard_catalog() if e.order <= 256]
+    groups += [build_dihedral(256).group, build_quaternion(256).group]
+    groups += [_table_group(name) for name in TABLE_243]
+    assert len(groups) == 63
+    for G in groups:
+        want = derived_subgroup(whole_group(G)).order + 2
+        assert build_algebra(G).chain_bound == want
+
+
+ORACLE_ONLY = """
+import sys
+from pathlib import Path
+import lienil.pcgroup
+from lienil.oracle import build_algebra, lower_lie_chain, upper_lie_chain
+path = Path(lienil.pcgroup.__file__).parent / "data" / "tables" / "s243_22.pres"
+A = build_algebra(lienil.pcgroup.parse_presentation(path.read_text()))
+print(len(upper_lie_chain(A)), len(lower_lie_chain(A)), A.chain_bound)
+print(sorted(m for m in sys.modules if m.startswith("lienil")))
+"""
+
+
+def test_oracle_runs_both_chains_without_the_subgroup_code():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", ORACLE_ONLY], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lengths, modules = done.stdout.splitlines()
+    G = _table_group("s243_22")
+    assert lengths == f"{upper_index(whole_group(G))} 10 " \
+                      f"{derived_subgroup(whole_group(G)).order + 2}"
+    assert "lienil.subgroups" not in modules
+    assert "lienil.dimension" not in modules
+
+
+def test_lower_chain_stationary_guard(monkeypatch):
+    # a bracket that returns its block keeps every term
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", lambda self, block, b: block)
+    A = build_algebra(build_dihedral(16).group)
+    with pytest.raises(NotLieNilpotentDetected,
+                       match="lower chain went stationary at nonzero dimension 16"):
+        lower_lie_chain(A)
