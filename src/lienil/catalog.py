@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .pcgroup import PcGroup, PresentationError, Word, check_prime, parse_presentation_with_meta
-from .subgroups import (DEFAULT_CAP, IsoType, center, derived_subgroup,
-                        fingerprint, intersection, power_subgroup, whole_group)
+from .subgroups import (IsoType, center, derived_subgroup, fingerprint,
+                        intersection, power_subgroup, whole_group)
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "tables"
 
@@ -223,8 +223,7 @@ def reference_fingerprint(key: str, p: int) -> IsoType:
         builder = _REFERENCE_BUILDERS[key]
     except KeyError:
         raise ValueError(f"unknown reference construction {key!r}") from None
-    G = builder(p)
-    return fingerprint(whole_group(G, G.order))
+    return fingerprint(whole_group(builder(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +366,18 @@ def _check_column_keys(name: str, keys: Iterable[str]) -> None:
             raise PresentationError(f"{name}: unknown expectation key {key!r}")
 
 
-def computed_columns(entry: CatalogEntry, keys: Iterable[str],
-                     cap: int = DEFAULT_CAP) -> dict[str, str]:
+def computed_columns(entry: CatalogEntry, keys: Iterable[str]) -> dict[str, str]:
     """Evaluate table columns on an entry's group.
 
     The group itself plays the derived-subgroup role, so `Gp5`/`Gp3`
     mean its own fifth/cube power subgroup, `Gpp` its derived subgroup,
-    `zeta` its centre, and the cap keys the pairwise intersections.
+    `zeta` its centre, and the intersection keys `GppcapZeta`,
+    `Gp<q>capZeta` and `GppcapGp<q>` the pairwise intersections.
     Unknown keys raise PresentationError before any column is computed.
     """
     keys = list(keys)
     _check_column_keys(entry.name, keys)
-    W = whole_group(entry.group, cap)
+    W = whole_group(entry.group)
     out: dict[str, str] = {}
     for key in keys:
         q = int(re.sub(r"\D", "", key) or 0)  # the <q> of a power key
@@ -429,8 +428,7 @@ class TableReport:
         return out
 
 
-def verify_tables(entries: Optional[Iterable[CatalogEntry]] = None,
-                  cap: int = DEFAULT_CAP) -> TableReport:
+def verify_tables(entries: Optional[Iterable[CatalogEntry]] = None) -> TableReport:
     """Diff expected column values against computed ones, row by row.
 
     Every row's keys are checked before any column is computed.
@@ -441,7 +439,7 @@ def verify_tables(entries: Optional[Iterable[CatalogEntry]] = None,
         _check_column_keys(entry.name, entry.expected)
     rows: list[RowCheck] = []
     for entry in entries:
-        computed = computed_columns(entry, entry.expected.keys(), cap)
+        computed = computed_columns(entry, entry.expected.keys())
         details = tuple((key, entry.expected[key], computed[key])
                         for key in sorted(entry.expected))
         passed = all(want == got for _, want, got in details)

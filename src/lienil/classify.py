@@ -29,10 +29,9 @@ from .conditions import (ConditionRecord, eval_abelian, eval_value,
                          get_conditions, p_applies)
 from .dimension import upper_index
 from .pcgroup import PcGroup
-from .subgroups import (DEFAULT_CAP, IsoType, Subgroup, center,
-                        derived_subgroup, fingerprint, intersection,
-                        lower_central_series, power_subgroup,
-                        subgroup_product, whole_group)
+from .subgroups import (IsoType, Subgroup, center, derived_subgroup,
+                        fingerprint, intersection, lower_central_series,
+                        power_subgroup, subgroup_product, whole_group)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +223,13 @@ class TheoremReport:
 
 
 def verify_theorem(G: PcGroup, corrected: bool = False,
-                   cap: int = DEFAULT_CAP,
                    db: Optional[FingerprintDB] = None,
                    with_oracle: bool = False,
                    oracle_cap: Optional[int] = None) -> TheoremReport:
     """Check one group against the index-(10p-8) classification."""
     p = G.p
     # one whole group, so its memoized series and powers serve both
-    W = whole_group(G, cap)
+    W = whole_group(G)
     t = upper_index(W)
     expected = 10 * p - 8
     rep = match_conditions(W, corrected=corrected, db=db)

@@ -12,8 +12,9 @@ Groups come either from a presentation file or from `--builder name:params`
 (see `catalog list` for builders).  Exit status: 0 success or consistent,
 1 an inconsistency or failed check, 2 usage or input errors.
 
-Caps: `--cap` bounds subgroup enumeration (default 2^20, env LIENIL_CAP);
-the oracle's group-order bound defaults to 256 (env LIENIL_ORACLE_CAP).
+Caps: subgroup enumeration is bounded by a fixed 2^20 elements;
+`oracle --cap` bounds the oracle's group order (default 256, env
+LIENIL_ORACLE_CAP).
 JSON output (`--json`) is deterministic for fixed inputs and flags: keys
 are sorted and the report order is by entry name.
 """
@@ -49,9 +50,8 @@ from .oracle import (
     upper_lie_chain,
 )
 from .pcgroup import PresentationError, check_prime
-from .subgroups import DEFAULT_CAP, CapExceeded, whole_group
+from .subgroups import CapExceeded, whole_group
 
-CAP_ENV = "LIENIL_CAP"
 ORACLE_CAP_ENV = "LIENIL_ORACLE_CAP"
 
 
@@ -76,14 +76,8 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
-def _structure_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return _positive("--cap", args.cap)
-    return _env_int(CAP_ENV) or DEFAULT_CAP
-
-
 def _oracle_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
+    if args.cap is not None:
         return _positive("--cap", args.cap)
     return _env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP
 
@@ -125,10 +119,9 @@ def _dvec_payload(vec) -> dict:
 
 
 def cmd_index(args) -> int:
-    cap = _structure_cap(args)
     entry = _load_entry(args)
     G = entry.group
-    chain = lie_dimension_chain(whole_group(G, cap))
+    chain = lie_dimension_chain(whole_group(G))
     seq = d_sequence_of_chain(chain)
     t = jennings_index(seq)
     if args.json:
@@ -153,12 +146,11 @@ def cmd_index(args) -> int:
 
 def cmd_oracle(args) -> int:
     cap = _oracle_cap(args)
-    structure_cap = _env_int(CAP_ENV) or DEFAULT_CAP
     entry = _load_entry(args)
     G = entry.group
     A = build_algebra(G, cap)
-    # the structure cap is checked before the dense chains, not after them
-    formula = upper_index(whole_group(G, structure_cap))
+    # the enumeration cap is checked before the dense chains, not after them
+    formula = upper_index(whole_group(G))
     upper = len(upper_lie_chain(A))
     lower = len(lower_lie_chain(A))
     agree = (upper == formula) and (lower <= upper)
@@ -186,13 +178,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cap = _structure_cap(args)
     oracle_cap = _env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP
     entry = _load_entry(args)
     report = verify_theorem(
         entry.group,
         corrected=args.corrected_conditions,
-        cap=cap,
         with_oracle=args.with_oracle,
         oracle_cap=oracle_cap,
     )
@@ -266,9 +256,8 @@ def cmd_verify_tables(args) -> int:
     base = Path(args.dir) if args.dir else DATA_DIR
     if not base.is_dir():
         raise InputProblem(f"no such directory: {base}")
-    cap = _structure_cap(args)
     try:
-        report = verify_tables(table_entries(base), cap)
+        report = verify_tables(table_entries(base))
     except PresentationError as exc:
         raise InputProblem(str(exc))
     if not report.rows:
@@ -350,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("index", help="d-sequence and t^L via the dimension formula")
     _add_group_args(sub)
-    sub.add_argument("--cap", type=int, help="subgroup enumeration cap")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_index)
 
@@ -362,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("classify", help="check a group against the classification")
     _add_group_args(sub)
-    sub.add_argument("--cap", type=int, help="subgroup enumeration cap")
     sub.add_argument("--json", action="store_true")
     sub.add_argument("--corrected-conditions", action="store_true",
                      help="use the corrected condition set instead of the literal one")
@@ -381,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify-tables", help="recompute shipped table rows")
     sub.add_argument("dir", nargs="?", help="directory of .pres files "
                                             "(default: the packaged data)")
-    sub.add_argument("--cap", type=int, help="subgroup enumeration cap")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_verify_tables)
 

@@ -14,13 +14,12 @@ derived subgroup and power subgroups of H are memoized on H, and the
 lower central series on the whole group W, so they live as long as
 their subgroup does.
 
-The cap is fixed where a subgroup is built from G (whole_group, closure,
-normal_closure); every subgroup derived from H inherits H's cap.  It
-bounds enumeration only: the element set of H, and the centre
-transversal power_subgroup takes, are refused when they would hold more
-than cap elements (_PcSequence.elements).  Sequences are never capped, so
-groups far above the cap still get their lower central series, centres,
-intersections and dimension subgroups, as long as no step enumerates.
+ENUMERATION_CAP bounds enumeration only: the element set of H, and the
+centre transversal power_subgroup takes, are refused when they would
+hold more than ENUMERATION_CAP elements (_PcSequence.elements).
+Sequences are never capped, so groups far above the cap still get their
+lower central series, centres, intersections and dimension subgroups,
+as long as no step enumerates.
 
 Power subgroups come from H's structure by one rule, never from a power
 of every element (see power_subgroup): only the p-part p^j of an exponent
@@ -40,11 +39,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from lienil.pcgroup import Element, PcGroup
 
-DEFAULT_CAP = 2**20
+ENUMERATION_CAP = 2**20
 
 
 class CapExceeded(RuntimeError):
-    """A subgroup outgrew the caller's cap."""
+    """An enumeration would hold more than ENUMERATION_CAP elements."""
 
 
 def _depth(x: Element) -> int:
@@ -156,14 +155,15 @@ class _PcSequence:
             if t != self.entries[d]:
                 self._set(d, t)
 
-    def elements(self, cap: int) -> frozenset:
+    def elements(self) -> frozenset:
         """Every t_1^e_1 ... t_k^e_k (entries by depth), built deepest
         entry first with one left multiplication per element; a
         pc-generator entry g_d only writes e into position d.  Raises
-        CapExceeded, before any product, when there are more than cap."""
+        CapExceeded, before any product, when there are more than
+        ENUMERATION_CAP."""
         G = self.group
-        if G.p ** (G.ngens - self.entries.count(None)) > cap:
-            raise CapExceeded(f"subgroup larger than cap {cap}")
+        if G.p ** (G.ngens - self.entries.count(None)) > ENUMERATION_CAP:
+            raise CapExceeded(f"subgroup larger than cap {ENUMERATION_CAP}")
         out = [G.identity]
         for d in reversed(range(G.ngens)):
             t = self.entries[d]
@@ -186,18 +186,15 @@ class Subgroup:
     sequence in canonical form (see _PcSequence.reduce); built by
     closure() and _kernel().  The element set is formed on first use."""
 
-    __slots__ = ("group", "generators", "entries", "order", "_seq", "_cap", "_elements",
-                 "_center", "_derived", "_fingerprint", "_powers", "_coset_images",
-                 "_lower_central")
+    __slots__ = ("group", "generators", "entries", "order", "_seq", "_elements", "_center",
+                 "_derived", "_fingerprint", "_powers", "_coset_images", "_lower_central")
 
-    def __init__(self, group: PcGroup, generators: tuple[Element, ...],
-                 seq: _PcSequence, cap: int):
+    def __init__(self, group: PcGroup, generators: tuple[Element, ...], seq: _PcSequence):
         self.group = group
         self.generators = generators
         self.entries = tuple(t for t in seq.entries if t is not None)
         self.order = group.p ** len(self.entries)
         self._seq = seq
-        self._cap = cap
         self._elements: Optional[frozenset] = None
         self._center: Optional["Subgroup"] = None
         self._derived: Optional["Subgroup"] = None
@@ -208,14 +205,14 @@ class Subgroup:
 
     @property
     def elements(self) -> frozenset:
-        """The element set, enumerated on first use under H's own cap."""
+        """The element set, enumerated on first use."""
         return self.enumerated()._elements
 
     def enumerated(self) -> "Subgroup":
         """H, with its element set formed on the first call; that call
-        raises CapExceeded when |H| exceeds H's cap."""
+        raises CapExceeded when |H| exceeds ENUMERATION_CAP."""
         if self._elements is None:
-            self._elements = self._seq.elements(self._cap)
+            self._elements = self._seq.elements()
         return self
 
     def is_trivial(self) -> bool:
@@ -247,16 +244,16 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens={len(self.generators)})"
 
 
-def whole_group(G: PcGroup, cap: int = DEFAULT_CAP) -> Subgroup:
+def whole_group(G: PcGroup) -> Subgroup:
     """G itself, closed from its pc generators."""
-    return closure(G, G.generators(), cap)
+    return closure(G, G.generators())
 
 
 def trivial_subgroup(G: PcGroup) -> Subgroup:
-    return Subgroup(G, (), _PcSequence(G), 1)
+    return Subgroup(G, (), _PcSequence(G))
 
 
-def _grow(H: Subgroup, gens: Iterable[Element], cap: int) -> Subgroup:
+def _grow(H: Subgroup, gens: Iterable[Element]) -> Subgroup:
     """<H, gens>, keeping H's generators and then each g that does not lie
     in the subgroup of those kept before it; H itself, memos and all,
     when every g sifts to 1 through H."""
@@ -277,10 +274,10 @@ def _grow(H: Subgroup, gens: Iterable[Element], cap: int) -> Subgroup:
     if len(kept) == len(H.generators):
         return H
     seq.reduce()
-    return Subgroup(G, tuple(kept), seq, cap)
+    return Subgroup(G, tuple(kept), seq)
 
 
-def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subgroup:
+def closure(G: PcGroup, gens: Iterable[Element]) -> Subgroup:
     """Subgroup H generated by gens, keeping at most log_p |H| of them.
 
     A generator is kept when it does not lie in the subgroup S of the
@@ -302,11 +299,9 @@ def closure(G: PcGroup, gens: Iterable[Element], cap: int = DEFAULT_CAP) -> Subg
     <t_i, ..., t_k> = {t_i^e_i ... t_k^e_k} has order p^(k-i+1), so a
     closed sequence has an entry at every depth of S's elements.
 
-    So |H| = p^k for k entries, known without any element.  cap is kept
-    on H and bounds only the enumeration of H and of the subgroups
-    derived from it.
+    So |H| = p^k for k entries, known without any element.
     """
-    return _grow(trivial_subgroup(G), gens, cap)
+    return _grow(trivial_subgroup(G), gens)
 
 
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
@@ -319,7 +314,7 @@ def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Elem
 
 
 def _conjugation_closure(G: PcGroup, gens: Iterable[Element],
-                         conjugators: Sequence[Element], cap: int) -> Subgroup:
+                         conjugators: Sequence[Element]) -> Subgroup:
     """Smallest subgroup containing gens and closed under conjugation by
     every element of `conjugators`.
 
@@ -328,35 +323,34 @@ def _conjugation_closure(G: PcGroup, gens: Iterable[Element],
     round conjugates only the generators the last round added: the
     conjugates of the older ones already lie in the subgroup.
     """
-    sub = closure(G, gens, cap)
+    sub = closure(G, gens)
     new = sub.generators
     while new:
-        grown = _grow(sub, [G.conjugate(x, g) for x in new for g in conjugators], cap)
+        grown = _grow(sub, [G.conjugate(x, g) for x in new for g in conjugators])
         new = grown.generators[len(sub.generators):]
         sub = grown
     return sub
 
 
-def normal_closure(G: PcGroup, gens: Iterable[Element],
-                   cap: int = DEFAULT_CAP) -> Subgroup:
+def normal_closure(G: PcGroup, gens: Iterable[Element]) -> Subgroup:
     """Smallest normal subgroup of G containing gens.
 
     Conjugating by the pc generators of G suffices, since they generate G.
     """
-    return _conjugation_closure(G, gens, G.generators(), cap)
+    return _conjugation_closure(G, gens, G.generators())
 
 
 def subgroup_product(H: Subgroup, K: Subgroup) -> Subgroup:
     """Closure of H union K (equals the set product when both are normal):
     H itself when K <= H, K itself when H <= K, else H grown by K's
-    generators under H's cap."""
+    generators."""
     if H.group is not K.group:
         raise ValueError("subgroup product across different groups")
     if K <= H:
         return H
     if H <= K:
         return K
-    return _grow(H, K.generators, H._cap)
+    return _grow(H, K.generators)
 
 
 def _kernel(H: Subgroup,
@@ -410,11 +404,11 @@ def _kernel(H: Subgroup,
     for t in entries:
         seq._set(_depth(t), t)
     seq.reduce()
-    return Subgroup(G, tuple(t for t in seq.entries if t is not None), seq, H._cap)
+    return Subgroup(G, tuple(t for t in seq.entries if t is not None), seq)
 
 
 def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
-    """H meet K for K normal in G, under H's cap: the kernel of
+    """H meet K for K normal in G: the kernel of
     x -> (K's sift of x, 1).  For x in C_i = H meet K G_i the sift lies in
     G_i, and its depth-i exponent is x's image in K G_i / K G_(i+1),
     which is Z/p or trivial; so C_(n+1) = H meet K (see _kernel)."""
@@ -443,7 +437,7 @@ def power_subgroup(H: Subgroup, q: int) -> Subgroup:
        coset and step (the chain is extended lazily on H), times the set
        Z^(p^j), which, as the power map is a homomorphism on the abelian
        Z, is the closure of the p^j-th powers of Z's generators.  H^(p^j)
-       is the closure of both, under H's cap.  Z(H) = H for abelian H, so
+       is the closure of both.  Z(H) = H for abelian H, so
        there no coset is non-central and H^(p^j) is closed from H's
        generator powers.
     """
@@ -460,7 +454,7 @@ def power_subgroup(H: Subgroup, q: int) -> Subgroup:
         q = G.p ** j
         gens = sorted(_coset_power_images(H, j))
         gens += [G.power(z, q) for z in center(H).generators]
-        H._powers[j] = closure(G, gens, H._cap)
+        H._powers[j] = closure(G, gens)
     return H._powers[j]
 
 
@@ -471,10 +465,10 @@ def _coset_power_images(H: Subgroup, j: int) -> frozenset:
     one p-th power per image and step.
 
     The representatives are the normal words in H's entries at the depths
-    Z(H) does not occupy, enumerated under H's cap.  Z <= H, so Z's depths
-    are some of H's; two such words differ first at a depth Z does not
-    occupy, so the quotient of the two is not in Z, and there are
-    |H : Z| of them.
+    Z(H) does not occupy, enumerated under ENUMERATION_CAP.  Z <= H, so
+    Z's depths are some of H's; two such words differ first at a depth Z
+    does not occupy, so the quotient of the two is not in Z, and there
+    are |H : Z| of them.
     """
     G = H.group
     images = H._coset_images
@@ -486,7 +480,7 @@ def _coset_power_images(H: Subgroup, j: int) -> frozenset:
                 transversal.entries[d] = None
                 transversal._powers.pop(d, None)
         images.append(frozenset() if Z is H
-                      else transversal.elements(H._cap) - {G.identity})
+                      else transversal.elements() - {G.identity})
     while len(images) <= j:
         images.append(frozenset(
             y for y in (G.power(x, G.p) for x in images[-1]) if y != G.identity))
@@ -498,7 +492,7 @@ def derived_subgroup(H: Subgroup) -> Subgroup:
     if H._derived is None:
         G = H.group
         H._derived = _conjugation_closure(
-            G, _generator_commutators(G, H.generators), H.generators, H._cap)
+            G, _generator_commutators(G, H.generators), H.generators)
     return H._derived
 
 
@@ -531,7 +525,7 @@ def lower_central_series(W: Subgroup) -> list[Subgroup]:
                     c = G.commutator(x, g)
                     if c != G.identity:
                         brackets.append(c)
-            nxt = normal_closure(G, brackets, W._cap)
+            nxt = normal_closure(G, brackets)
             assert nxt <= current, "lower central series not descending"
             series.append(nxt)
             current = nxt

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lienil import subgroups
 from lienil.catalog import (
     BUILDER_NAMES,
     DATA_DIR,
@@ -178,10 +179,11 @@ def test_verify_tables_flags_wrong_expectations():
     assert any("MISMATCH" in line for line in report.lines())
 
 
-def test_computed_columns_rejects_unknown_keys():
+def test_computed_columns_rejects_unknown_keys(monkeypatch):
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 4096)
     entry = table_entries()[0]
     with pytest.raises(ValueError):
-        computed_columns(entry, ["nonsense"], cap=4096)
+        computed_columns(entry, ["nonsense"])
 
 
 def test_fingerprint_db_covers_all_declared_ids():

@@ -16,7 +16,6 @@ from lienil.pcgroup import PcGroup, parse_presentation_with_meta
 
 @pytest.fixture(autouse=True)
 def clean_cap_env(monkeypatch):
-    monkeypatch.delenv("LIENIL_CAP", raising=False)
     monkeypatch.delenv("LIENIL_ORACLE_CAP", raising=False)
 
 
@@ -198,8 +197,8 @@ def test_index_above_the_cap_enumerates_no_large_subgroup(capsys, monkeypatch):
     orders = []
     elements = subgroups._PcSequence.elements
 
-    def counted(self, cap):
-        out = elements(self, cap)
+    def counted(self):
+        out = elements(self)
         orders.append(len(out))
         return out
 
@@ -233,13 +232,15 @@ def test_index_at_large_primes(capsys, tmp_path):
                                         f"upper index t^L = {p + 1}"]
 
 
-def test_verify_tables_refuses_a_group_above_the_cap(capsys):
+def test_verify_tables_refuses_a_group_above_the_cap(capsys, monkeypatch):
     # the largest centre transversal the 30 rows enumerate has 625 elements;
     # no row needs more, so a cap of 1000 changes nothing
     _, default, _ = run(capsys, ["verify-tables", "--json"])
-    code, out, err = run(capsys, ["verify-tables", "--cap", "1000", "--json"])
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 1000)
+    code, out, err = run(capsys, ["verify-tables", "--json"])
     assert code == 0 and err == "" and out == default
-    code, out, err = run(capsys, ["verify-tables", "--cap", "100"])
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 100)
+    code, out, err = run(capsys, ["verify-tables"])
     assert code == 2 and out == ""
     assert err == "error: subgroup larger than cap 100\n"
 
@@ -356,13 +357,14 @@ comm 6 1 : g7^1
 """
 
 
-def test_structure_cap_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
+def test_index_refuses_an_enumeration_above_the_cap(tmp_path, monkeypatch, capsys):
     path = tmp_path / "g128.pres"
     path.write_text(NONABELIAN_DERIVED)
-    monkeypatch.setenv("LIENIL_CAP", "2")
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 2)
     code, _, err = run(capsys, ["index", str(path)])
     assert code == 2 and "cap" in err
-    code, out, _ = run(capsys, ["index", str(path), "--cap", "65536"])
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 65536)
+    code, out, _ = run(capsys, ["index", str(path)])
     assert code == 0 and "upper index t^L = 9" in out
 
 
@@ -373,23 +375,39 @@ def test_structure_cap_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
     ["verify-tables", "--cap", "0"],
 ], ids=["index", "classify", "oracle", "verify-tables"])
 def test_non_positive_cap_is_rejected_before_any_work(argv, monkeypatch, capsys):
+    # --cap is the oracle's order bound only; elsewhere argparse refuses it
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --cap was checked")
     monkeypatch.setattr(cli, "_load_entry", no_work)
     monkeypatch.setattr(cli, "table_entries", no_work)
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert f"--cap must be positive, got {argv[-1]}" in err
+    if argv[0] == "oracle":
+        assert f"--cap must be positive, got {argv[-1]}" in err
+    else:
+        assert "unrecognized arguments: --cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--builder", "free_class2:5", "-p", "2"],
+    ["classify", "--builder", "free_class2:5", "-p", "2"],
+    ["verify-tables", "--json"],
+], ids=["index", "classify", "verify-tables"])
+def test_lienil_cap_is_not_read(argv, monkeypatch, capsys):
+    want = run(capsys, argv)
+    assert want[1] and want[2] == ""
+    monkeypatch.setenv("LIENIL_CAP", "1")
+    assert run(capsys, argv) == want
 
 
 def test_oracle_structure_cap_is_checked_before_the_chains(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
-        raise AssertionError("Lie chains started before the structure cap was checked")
+        raise AssertionError("Lie chains started before the enumeration cap was checked")
     path = tmp_path / "g128.pres"
     path.write_text(NONABELIAN_DERIVED)
     monkeypatch.setattr(cli, "upper_lie_chain", no_work)
     monkeypatch.setattr(cli, "lower_lie_chain", no_work)
-    monkeypatch.setenv("LIENIL_CAP", "1")
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 1)
     code, out, err = run(capsys, ["oracle", str(path)])
     assert code == 2 and out == ""
     assert "subgroup larger than cap 1" in err

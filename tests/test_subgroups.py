@@ -127,19 +127,22 @@ def _capped(build):
 
 def _assert_closure_matches_bfs(G, gens):
     """Same elements, the same kept generators in the same order, and
-    CapExceeded exactly when |H| > cap, with the same message; the
-    sifting closure refuses on enumeration, not when it is built."""
+    CapExceeded exactly when |H| > ENUMERATION_CAP, with the same message;
+    the sifting closure refuses on enumeration, not when it is built.  The
+    cap stays positive: a cap of 0 would refuse even the trivial group."""
     gens = list(gens)
     H = closure(G, gens)
     assert (H.elements, H.generators) == _bfs_closure(G, gens, 2**20)
-    for cap in (H.order - 1, H.order):
-        assert (_capped(lambda: closure(G, gens, cap).elements)
-                == _capped(lambda: _bfs_closure(G, gens, cap)[0]))
-    if H.order > 1:
-        capped = closure(G, gens, H.order - 1)
-        assert capped == H
-        with pytest.raises(CapExceeded, match=f"^subgroup larger than cap {H.order - 1}$"):
-            capped.elements
+    for cap in (max(H.order - 1, 1), H.order):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subgroups, "ENUMERATION_CAP", cap)
+            assert (_capped(lambda: closure(G, gens).elements)
+                    == _capped(lambda: _bfs_closure(G, gens, cap)[0]))
+            if cap < H.order:
+                capped = closure(G, gens)
+                assert capped == H
+                with pytest.raises(CapExceeded, match=f"^subgroup larger than cap {cap}$"):
+                    capped.elements
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,21 +439,24 @@ def test_power_subgroups_are_memoized(d16, heis3):
     assert power_subgroup(H, 3) is power_subgroup(H, 3)
 
 
-def test_closure_respects_cap(d16):
-    H = closure(d16, d16.generators(), cap=7)
+def test_closure_respects_cap(d16, monkeypatch):
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 7)
+    H = closure(d16, d16.generators())
     assert H.order == 16
     with pytest.raises(CapExceeded):
         H.elements
 
 
-def test_whole_group_defers_enumeration(d16, multiply_calls):
-    W = whole_group(d16, cap=15)
+def test_whole_group_defers_enumeration(d16, multiply_calls, monkeypatch):
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 15)
+    W = whole_group(d16)
     multiply_calls.clear()
     assert W.order == 16
     with pytest.raises(CapExceeded, match="^subgroup larger than cap 15$"):
         W.elements
     assert multiply_calls == []
-    assert len(whole_group(d16, cap=16).elements) == 16
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 16)
+    assert len(whole_group(d16).elements) == 16
 
 
 def test_lower_central_series_dihedral(d16):
@@ -460,9 +466,10 @@ def test_lower_central_series_dihedral(d16):
     assert lower_central_series(W) is lower_central_series(W)
 
 
-def test_derived_subgroup_inherits_the_cap_of_its_group():
+def test_derived_subgroup_enumeration_is_refused_above_the_cap(monkeypatch):
     # |G'| = 64 for the dihedral group of order 256
-    W = whole_group(build_dihedral(256).group, cap=8)
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 8)
+    W = whole_group(build_dihedral(256).group)
     der = derived_subgroup(W)
     assert der.order == 64
     with pytest.raises(CapExceeded, match="^subgroup larger than cap 8$"):
@@ -474,12 +481,13 @@ def test_abelian_power_chain_enumerates_nothing(monkeypatch):
     calls = []
     elements = subgroups._PcSequence.elements
 
-    def counted(self, cap):
+    def counted(self):
         calls.append(self)
-        return elements(self, cap)
+        return elements(self)
 
     monkeypatch.setattr(subgroups._PcSequence, "elements", counted)
-    W = whole_group(build_abelian(3, [729, 3]).group, cap=243)
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 243)
+    W = whole_group(build_abelian(3, [729, 3]).group)
     assert W.exponent() == 729
     assert str(fingerprint(W)) == "C729xC3"
     assert calls == []
@@ -648,10 +656,11 @@ def test_free_class2_structure():
     assert [s.order for s in series] == [3**6, 27, 1]
 
 
-def test_series_works_above_enumeration_cap():
+def test_series_works_above_enumeration_cap(monkeypatch):
     # order 2^15 with a tight cap: only the subgroups themselves enumerate
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 2**11)
     G = build_free_class2(5, 2).group
-    series = lower_central_series(whole_group(G, cap=2**11))
+    series = lower_central_series(whole_group(G))
     assert [s.order for s in series] == [2**15, 2**10, 1]
     assert abelian_invariants(series[1]) == [2] * 10
 

@@ -53,8 +53,6 @@ from lienil.subgroups import (
     whole_group,
 )
 
-CAP = 5000
-
 T1_KEYS = ("Gp5", "expGp", "zeta", "Gpp", "GppcapGp5", "GppcapZeta", "Gp5capZeta")
 T23_KEYS = ("Gp3", "expGp", "zeta", "Gpp", "GppcapGp3", "Gp3capZeta")
 
@@ -107,7 +105,7 @@ def pth_power_in_commutator_closure_count(H: Subgroup) -> int:
     count = 0
     for x in H.elements:
         image = _conjugation_closure(G, (G.commutator(x, g) for g in H.generators),
-                                     H.generators, H.order)  # stays inside H
+                                     H.generators)  # stays inside H
         if G.power(x, G.p) in image:
             count += 1
     return count
@@ -124,7 +122,7 @@ def maximal_subgroup_fingerprints(W: Subgroup) -> tuple:
         if g in span:
             continue
         basis.append(g)
-        span = closure(G, list(span.generators) + basis, CAP)
+        span = closure(G, list(span.generators) + basis)
     k = len(basis)
     p = G.p
     names = []
@@ -143,14 +141,14 @@ def maximal_subgroup_fingerprints(W: Subgroup) -> tuple:
             for b, e in zip(basis, v):
                 elem = G.multiply(elem, G.power(b, e))
             gens.append(elem)
-        sub = closure(G, gens, CAP)
+        sub = closure(G, gens)
         assert sub.order * p == G.order
         names.append(str(fingerprint(sub)))
     return tuple(sorted(names))
 
 
 def strong_invariant(G: PcGroup) -> tuple:
-    W = whole_group(G, CAP)
+    W = whole_group(G)
     return (
         joint_order_class_histogram(W),
         pth_power_in_commutator_closure_count(W),
@@ -318,7 +316,7 @@ def _zoo_run(name, candidates, profile, need):
             G = group()
         except PresentationError:
             continue
-        cols = computed_columns(CatalogEntry("zoo", G), T23_KEYS, CAP)
+        cols = computed_columns(CatalogEntry("zoo", G), T23_KEYS)
         if tuple(cols[k] for k in T23_KEYS) != profile:
             continue
         inv = strong_invariant(G)
@@ -498,7 +496,7 @@ def main() -> None:
 
     for row in rows:
         name = f"S({row.order},{row.number})"
-        report = verify_tables([CatalogEntry(name, row.group, expected=row.expected)], CAP)
+        report = verify_tables([CatalogEntry(name, row.group, expected=row.expected)])
         if not report.passed:
             raise SystemExit("\n".join(report.lines()))
         print(f"columns ok   {name}")
@@ -519,7 +517,7 @@ def main() -> None:
 
     # round trip: parse the shipped files and re-verify every column
     entries = table_entries(out_dir)
-    report = verify_tables(entries, cap=CAP)
+    report = verify_tables(entries)
     for line in report.lines():
         print(line)
     if not report.passed:
