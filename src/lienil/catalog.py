@@ -251,15 +251,15 @@ def build_named(spec: str, p: Optional[int] = None) -> CatalogEntry:
                 raise ValueError(f"builder spec {spec!r}: invariant factor {tok!r} "
                                  "is not an integer") from None
         return build_abelian(p, factors)
-    if name in ("free_class2", "free-class2"):
+    if name == "free_class2":
         if p is None:
             raise ValueError("free_class2 builder needs -p")
         return build_free_class2(int(params), p)
-    if name in ("condition", "cond"):
+    if name == "condition":
         if p is None:
             raise ValueError("condition builder needs -p")
         return build_condition_group(int(params), p)
-    if name in ("condition-quotient", "cond-quotient"):
+    if name == "condition-quotient":
         if p is None:
             raise ValueError("condition-quotient builder needs -p")
         return build_condition_quotient(int(params), p)
@@ -296,13 +296,13 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def standard_catalog(include_large: bool = True) -> list[CatalogEntry]:
+def standard_catalog() -> list[CatalogEntry]:
     """The built-in test corpus.
 
     All abelian p-groups of order <= 64 for p in {2, 3, 5}, the dihedral
     and quaternion 2-groups up to order 32, the two Heisenberg groups
     p = 3, 5, the order-243 quotients of the condition-row 65/66 groups,
-    and (when include_large is set) the order-2^15 headline witness.
+    and the order-2^15 headline witness.
     """
     entries: list[CatalogEntry] = []
     for p, max_exp in ((2, 6), (3, 3), (5, 2)):
@@ -317,8 +317,7 @@ def standard_catalog(include_large: bool = True) -> list[CatalogEntry]:
         entries.append(build_heisenberg(p))
     entries.append(build_condition_quotient(65, 3))
     entries.append(build_condition_quotient(66, 3))
-    if include_large:
-        entries.append(build_free_class2(5, 2))
+    entries.append(build_free_class2(5, 2))
     entries.sort(key=lambda e: e.name)
     return entries
 
@@ -330,12 +329,14 @@ def standard_catalog(include_large: bool = True) -> list[CatalogEntry]:
 def import_presentation(path: str | Path) -> CatalogEntry:
     """Load a .pres file into a consistency-checked entry.
 
-    Raises PresentationError, prefixed with the file name, for text that
-    does not parse (or is not UTF-8).
+    Raises PresentationError, prefixed with the file name, for a path that
+    cannot be read and for text that does not parse (or is not UTF-8).
     """
     path = Path(path)
     try:
         group, meta = parse_presentation_with_meta(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise PresentationError(f"{path.name}: cannot read: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise PresentationError(f"{path.name}: {exc}") from None
     name = path.stem

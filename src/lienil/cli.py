@@ -178,7 +178,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    oracle_cap = _env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP
+    # the cap only bounds the oracle, so it is read only when that runs
+    oracle_cap = _env_int(ORACLE_CAP_ENV) if args.with_oracle else None
     entry = _load_entry(args)
     report = verify_theorem(
         entry.group,
@@ -283,7 +284,7 @@ def cmd_verify_tables(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        entries = standard_catalog(include_large=not args.no_large)
+        entries = standard_catalog()
         if args.json:
             _emit_json({
                 "entries": [
@@ -375,8 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("action", choices=("list", "build"))
     sub.add_argument("spec", nargs="?", help="builder spec for `build`")
     sub.add_argument("-p", type=int, default=None)
-    sub.add_argument("--no-large", action="store_true",
-                     help="omit the order-2^15 witness from `list`")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_catalog)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from lienil.subgroups import (
     Subgroup,
     lower_central_series,
-    power_subgroup,
+    power_series,
     subgroup_product,
     trivial_subgroup,
     _log_p,
@@ -68,17 +68,16 @@ def lie_dimension_chain(W: Subgroup) -> list[Subgroup]:
     D_(m) exactly when its weight is at least m - 1, so
     D_(m) = D_(m+1) * (the pieces of weight m - 1).  The chain is built
     that way from the deepest nontrivial term up, one product per piece;
-    the series and its terms' powers are memoized.
+    the lower central series and each term's power series are memoized.
     """
     G = W.group
     p = G.p
     by_weight: dict[int, list[Subgroup]] = {}
-    # gamma_2, gamma_3, ...: every term but the last, the one trivial term
+    # gamma_2, gamma_3, ... and their powers: every term but the last of
+    # each series, the one trivial term
     for i, gamma_i in enumerate(lower_central_series(W)[1:-1], start=2):
-        q = 1
-        while not (piece := power_subgroup(gamma_i, q)).is_trivial():
-            by_weight.setdefault((i - 1) * q, []).append(piece)
-            q *= p
+        for j, piece in enumerate(power_series(gamma_i)[:-1]):
+            by_weight.setdefault((i - 1) * p**j, []).append(piece)
     term = trivial_subgroup(G)
     chain = [term]
     for m in range(max(by_weight, default=0) + 1, 1, -1):

@@ -10,25 +10,25 @@ exactly when sifting leaves 1), inclusion and equality without any
 element set.  closure() builds subgroups from generators; the centre and
 intersections are kernels taken layer by layer down the central pc
 series (_kernel), so they read no element set either.  The centre,
-derived subgroup and power subgroups of H are memoized on H, and the
+derived subgroup and power series of H are memoized on H, and the
 lower central series on the whole group W, so they live as long as
 their subgroup does.
 
 ENUMERATION_CAP bounds enumeration only: the element set of H, and the
-centre transversal power_subgroup takes, are refused when they would
+centre transversal power_series takes, are refused when they would
 hold more than ENUMERATION_CAP elements (_PcSequence.elements).
 Sequences are never capped, so groups far above the cap still get their
 lower central series, centres, intersections and dimension subgroups,
 as long as no step enumerates.
 
-Power subgroups come from H's structure by one rule, never from a power
-of every element (see power_subgroup): only the p-part p^j of an exponent
-q matters, and (xz)^p = x^p z^p for central z, so one p-th power per coset
-of Z(H) and step, together with the p^j-th powers of Z(H)'s generators,
-generate H^(p^j).  Z(H) = H for abelian H, so there the rule leaves just
-the generator powers.  Everything else about powers is read off that one
-memoized chain: exp(H) is p^k for the first trivial H^(p^k), and the
-invariant factors and fingerprint power orders are the orders |H^(p^j)|.
+Powers of H are one memoized chain, power_series(H) = [H, H^p, ..., 1],
+built from H's structure by one rule, never from a power of every
+element: (xz)^p = x^p z^p for central z, so one p-th power per coset of
+Z(H) and step, with the p^j-th powers of Z(H)'s generators, generate
+H^(p^j).  Everything else about powers is read off that chain: H^q is
+the term at the p-part of q (power_subgroup), exp(H) is p^(length - 1),
+the invariants and fingerprints come from the terms' orders, and the
+Lie dimension chain takes the nontrivial terms as its pieces.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class Subgroup:
     closure() and _kernel().  The element set is formed on first use."""
 
     __slots__ = ("group", "generators", "entries", "order", "_seq", "_elements", "_center",
-                 "_derived", "_fingerprint", "_powers", "_coset_images", "_lower_central")
+                 "_derived", "_fingerprint", "_power_series", "_lower_central")
 
     def __init__(self, group: PcGroup, generators: tuple[Element, ...], seq: _PcSequence):
         self.group = group
@@ -199,8 +199,7 @@ class Subgroup:
         self._center: Optional["Subgroup"] = None
         self._derived: Optional["Subgroup"] = None
         self._fingerprint: Optional["IsoType"] = None
-        self._powers: dict[int, "Subgroup"] = {}
-        self._coset_images: list[frozenset] = []
+        self._power_series: Optional[list["Subgroup"]] = None
         self._lower_central: Optional[list["Subgroup"]] = None
 
     @property
@@ -233,12 +232,8 @@ class Subgroup:
         return hash((id(self.group), self.entries))
 
     def exponent(self) -> int:
-        """exp(H) = p^k for the first k with H^(p^k) trivial (see
-        power_subgroup)."""
-        q = 1
-        while not power_subgroup(self, q).is_trivial():
-            q *= self.group.p
-        return q
+        """exp(H) = p^k for the last term H^(p^k) = 1 of power_series(H)."""
+        return self.group.p ** (len(power_series(self)) - 1)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, gens={len(self.generators)})"
@@ -425,66 +420,69 @@ def power_subgroup(H: Subgroup, q: int) -> Subgroup:
 
     q is normally a power of the group prime; arbitrary positive q is
     accepted because a handful of condition transcriptions need literal
-    non-p-power exponents.  H^q is built from H's structure, never from
-    every element:
-
-    1. Only the p-part of q matters.  For q = p^j m with m coprime to p,
-       x -> x^m is a bijection of the p-group H, so {x^q} = {x^(p^j)}.
-       H^q is memoized on H keyed by j, and j = 0 returns H itself.
-    2. Each x in H is r z, with r one representative per coset of the
-       centre Z = Z(H) and z in Z, and (xz)^p = x^p z^p for central z.
-       So {x^(p^j)} = {r^(p^j)} * Z^(p^j): one p-th power per non-central
-       coset and step (the chain is extended lazily on H), times the set
-       Z^(p^j), which, as the power map is a homomorphism on the abelian
-       Z, is the closure of the p^j-th powers of Z's generators.  H^(p^j)
-       is the closure of both.  Z(H) = H for abelian H, so
-       there no coset is non-central and H^(p^j) is closed from H's
-       generator powers.
+    non-p-power exponents.  For q = p^j m with m coprime to p, x -> x^m
+    is a bijection of the p-group H, so {x^q} = {x^(p^j)}: term j of
+    power_series(H), or its trivial last term past the end, and H itself,
+    with no series built, when j = 0.
     """
     if q < 1:
         raise ValueError(f"bad power {q}")
-    G = H.group
+    p = H.group.p
     j = 0
-    while q % G.p == 0:
-        q //= G.p
+    while q % p == 0:
+        q //= p
         j += 1
     if j == 0:
         return H
-    if j not in H._powers:
-        q = G.p ** j
-        gens = sorted(_coset_power_images(H, j))
-        gens += [G.power(z, q) for z in center(H).generators]
-        H._powers[j] = closure(G, gens)
-    return H._powers[j]
+    series = power_series(H)
+    return series[min(j, len(series) - 1)]
 
 
-def _coset_power_images(H: Subgroup, j: int) -> frozenset:
-    """The non-identity p^j-th powers of one representative per
-    non-central coset of Z(H) (none, and no element of H formed, when H
-    is abelian); the chain j = 0, 1, ... is memoized on H and extended by
-    one p-th power per image and step.
+def power_series(H: Subgroup) -> list[Subgroup]:
+    """[H, H^p, H^(p^2), ..., 1], ending at the first trivial term;
+    memoized on H.  The terms descend strictly: H^(p^(j+1)) lies in
+    (H^(p^j))^p, inside the Frattini subgroup of H^(p^j).
+
+    Each x in H is r z, with r one representative per coset of the centre
+    Z = Z(H) and z in Z, and (rz)^p = r^p z^p.  So {x^(p^j)} =
+    {r^(p^j)} * Z^(p^j): one p-th power per non-central representative
+    and step, times Z^(p^j), which, as the power map is a homomorphism on
+    the abelian Z, is the closure of the p^j-th powers of Z's generators.
+    H^(p^j) is the closure of both; for abelian H, Z(H) = H and only the
+    generator powers remain.
+    """
+    if H._power_series is None:
+        G = H.group
+        series, q = [H], 1
+        central, images = center(H).generators, _centre_transversal(H)
+        while not series[-1].is_trivial():
+            q *= G.p
+            images = frozenset(y for y in (G.power(x, G.p) for x in images) if y != G.identity)
+            series.append(closure(G, sorted(images) + [G.power(z, q) for z in central]))
+        H._power_series = series
+    return H._power_series
+
+
+def _centre_transversal(H: Subgroup) -> frozenset:
+    """One representative per non-central coset of Z(H): none, and no
+    element of H formed, when H is abelian.
 
     The representatives are the normal words in H's entries at the depths
     Z(H) does not occupy, enumerated under ENUMERATION_CAP.  Z <= H, so
     Z's depths are some of H's; two such words differ first at a depth Z
     does not occupy, so the quotient of the two is not in Z, and there
-    are |H : Z| of them.
+    are |H : Z| of them, the identity among them.
     """
     G = H.group
-    images = H._coset_images
-    if not images:
-        Z = center(H)
-        transversal = _PcSequence(G, H._seq)
-        for d, z in enumerate(Z._seq.entries):
-            if z is not None:
-                transversal.entries[d] = None
-                transversal._powers.pop(d, None)
-        images.append(frozenset() if Z is H
-                      else transversal.elements() - {G.identity})
-    while len(images) <= j:
-        images.append(frozenset(
-            y for y in (G.power(x, G.p) for x in images[-1]) if y != G.identity))
-    return images[j]
+    Z = center(H)
+    if Z is H:
+        return frozenset()
+    transversal = _PcSequence(G, H._seq)
+    for d, z in enumerate(Z._seq.entries):
+        if z is not None:
+            transversal.entries[d] = None
+            transversal._powers.pop(d, None)
+    return transversal.elements() - {G.identity}
 
 
 def derived_subgroup(H: Subgroup) -> Subgroup:
@@ -568,7 +566,7 @@ def abelian_invariants(H: Subgroup) -> list[int]:
     """Invariant factors [p^l1, p^l2, ...] (descending) of an abelian H.
 
     H' is trivial, so these are abelianization_invariants(H), read off the
-    orders |H^(p^j)| of power_subgroup's chain.
+    orders of power_series(H).
     """
     if not is_abelian(H):
         raise ValueError("subgroup is not abelian")
@@ -608,16 +606,12 @@ def abelianization_invariants(H: Subgroup) -> list[int]:
     """
     p = H.group.p
     derived = derived_subgroup(H)
-    d = _log_p(derived.order, p)
     s = []
-    j = 0
-    while True:
-        hp = power_subgroup(H, p**j)
+    for hp in power_series(H):
         quotient_order = subgroup_product(hp, derived).order // derived.order
         s.append(_log_p(quotient_order, p))
         if quotient_order == 1:
             break
-        j += 1
     return _factors_from_power_orders(s, p)
 
 
@@ -632,13 +626,10 @@ def fingerprint(H: Subgroup) -> IsoType:
 def _fingerprint(H: Subgroup) -> IsoType:
     if is_abelian(H):
         return IsoType("abelian", tuple(abelian_invariants(H)))
-    p = H.group.p
     zc = center(H)
     dv = derived_subgroup(H)
-    exponent = H.exponent()
-    powers = [power_subgroup(H, p**j).order
-              for j in range(1, _log_p(exponent, p) + 1)]
-    fp = (H.order, exponent, zc.order, str(fingerprint(zc)),
+    powers = [S.order for S in power_series(H)[1:]]
+    fp = (H.order, H.exponent(), zc.order, str(fingerprint(zc)),
           dv.order, str(fingerprint(dv)),
           str(IsoType("abelian", tuple(abelianization_invariants(H)))),
           tuple(powers))

@@ -105,9 +105,6 @@ def test_standard_catalog_shape():
     assert names == sorted(names)
     assert sum(1 for e in entries if e.order <= 256) == 47
     assert {e.group.p for e in entries} == {2, 3, 5}
-    small = standard_catalog(include_large=False)
-    assert len(small) == 47
-    assert all(e.order <= 256 for e in small)
 
 
 def test_catalog_orders_are_prime_powers():

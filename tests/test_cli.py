@@ -6,12 +6,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lienil import cli, subgroups
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
 from lienil.oracle import GroupAlgebra
-from lienil.pcgroup import PcGroup, parse_presentation_with_meta
+from lienil.pcgroup import PcGroup, PresentationError, parse_presentation_with_meta
 
 
 @pytest.fixture(autouse=True)
@@ -306,14 +307,36 @@ def test_verify_tables_input_errors(tmp_path, capsys, monkeypatch):
     assert code == 2 and "unknown expectation key 'nonsense'" in err
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.symlink_to(path.parent / "nowhere.txt"),
+], ids=["directory", "dangling-symlink"])
+def test_verify_tables_unreadable_pres_entry_exits_2(tmp_path, capsys, make):
+    shutil.copy(DATA_DIR / "s243_13.pres", tmp_path / "s243_13.pres")
+    make(tmp_path / "x.pres")
+    code, out, err = run(capsys, ["verify-tables", str(tmp_path)])
+    assert (code, out) == (2, "")
+    # one error line, no traceback
+    assert err.startswith("error: x.pres: cannot read: ") and err.count("\n") == 1
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, ["catalog", "list"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 49
     assert lines[-1].startswith("48 entries; builders: dihedral:<order>")
-    code, out, _ = run(capsys, ["catalog", "list", "--no-large"])
-    assert out.splitlines()[-1].startswith("47 entries")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["catalog", "list", "--no-large"], "unrecognized arguments: --no-large"),
+    (["index", "--builder", "free-class2:3", "-p", "2"], "unknown builder 'free-class2'"),
+    (["index", "--builder", "cond:46", "-p", "3"], "unknown builder 'cond'"),
+    (["index", "--builder", "cond-quotient:65", "-p", "3"], "unknown builder 'cond-quotient'"),
+], ids=["no-large", "free-class2", "cond", "cond-quotient"])
+def test_removed_catalog_options_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and message in err
 
 
 def test_catalog_build_round_trips(capsys):
@@ -328,6 +351,34 @@ def test_catalog_build_requires_spec(capsys):
     code, _, err = run(capsys, ["catalog", "build"])
     assert code == 2
     assert "builder spec" in err
+
+
+# every number is at most 4, so no drawn text declares more than 4 generators
+_DIRECTIVES = ("p", "gens", "pow", "comm", "id", "expect", "bogus", "#", "")
+_TOKENS = ("-1", "0", "1", "2", "3", "4", ":", "x", "#", "g1^1", "g2^1", "g3^2",
+           "g4^1", "g5^1", "g0^1", "g1^-1", "g2", "^", "Gp3", "C3")
+_LINE = st.builds(lambda key, rest: " ".join([key, *rest]),
+                  st.sampled_from(_DIRECTIVES), st.lists(st.sampled_from(_TOKENS), max_size=5))
+_PRESENTATION_TEXT = st.builds(
+    lambda head, lines: head + "\n".join(lines),
+    st.sampled_from(("", "p 2\ngens 3\n", "p 3\ngens 2\n", "p 5\ngens 4\n")),
+    st.lists(_LINE, max_size=8))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_PRESENTATION_TEXT)
+def test_fuzzed_presentations_parse_or_exit_2_without_a_traceback(tmp_path, capsys, text):
+    try:
+        group, _ = parse_presentation_with_meta(text)
+    except PresentationError:
+        group = None
+    assert group is None or isinstance(group, PcGroup)
+    path = tmp_path / "fuzz.pres"
+    path.write_text(text)
+    code, _, err = run(capsys, ["index", str(path)])
+    assert code == (2 if group is None else 0), err
+    assert "Traceback" not in err
 
 
 def test_group_source_validation(tmp_path, capsys):
@@ -466,6 +517,16 @@ def test_oracle_cap_env(monkeypatch, capsys):
     monkeypatch.setenv("LIENIL_ORACLE_CAP", "soon")
     code, _, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
     assert code == 2 and "must be an integer" in err
+
+
+@pytest.mark.parametrize("bad", ["soon", "0"])
+def test_classify_reads_the_oracle_cap_only_with_the_oracle(monkeypatch, capsys, bad):
+    argv = ["classify", "--builder", "dihedral:16"]
+    want = run(capsys, argv)
+    monkeypatch.setenv("LIENIL_ORACLE_CAP", bad)
+    assert run(capsys, argv) == want
+    code, out, err = run(capsys, argv + ["--with-oracle"])
+    assert code == 2 and out == "" and err.startswith("error: LIENIL_ORACLE_CAP must be")
 
 
 def test_argparse_errors_exit_2(capsys):

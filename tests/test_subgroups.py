@@ -30,6 +30,7 @@ from lienil.subgroups import (
     is_abelian,
     lower_central_series,
     normal_closure,
+    power_series,
     power_subgroup,
     subgroup_product,
     trivial_subgroup,
@@ -385,10 +386,22 @@ def _assert_powers_match_element_scan(H):
     transversal by marking cosets, and for abelian H the element-order
     counts #{x : x^q = 1} = prod_i min(f_i, q) over the invariant factors
     f_i, for each element order q.  closure itself is checked against a
-    naive fixpoint above."""
+    naive fixpoint above.  power_subgroup and exponent are read off one
+    memoized power_series, checked term by term here."""
     G = H.group
     p = G.p
-    reps = subgroups._coset_power_images(H, 0)
+    fresh = closure(G, H.generators)
+    for q in (1, p + 1):
+        assert power_subgroup(fresh, q) is fresh
+    assert fresh._power_series is None
+    series = power_series(H)
+    assert [S.is_trivial() for S in series] == [False] * (len(series) - 1) + [True]
+    for j, S in enumerate(series):
+        assert power_subgroup(H, p**j) is S, j
+    for j in (len(series), len(series) + 2):
+        assert power_subgroup(H, p**j) is series[-1], j
+    assert H.exponent() == p ** (len(series) - 1)
+    reps = subgroups._centre_transversal(H)
     marked = _marked_coset_representatives(H)
     assert len(reps) == len(marked) == H.order // center(H).order - 1
     assert _cosets(H, reps) == _cosets(H, marked)
