@@ -41,14 +41,6 @@ from .catalog import (
 from .classify import verify_theorem
 from .dimension import d_sequence_of_chain, jennings_index, lie_dimension_chain, upper_index
 from .dvectors import REPORT_PRIMES, enumerate_admissible
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    NotLieNilpotentDetected,
-    OracleCapExceeded,
-    build_algebra,
-    lower_lie_chain,
-    upper_lie_chain,
-)
 from .pcgroup import PresentationError, check_prime
 from .subgroups import CapExceeded, whole_group
 
@@ -76,10 +68,10 @@ def _positive(name: str, value: int) -> int:
     return value
 
 
-def _oracle_cap(args) -> int:
+def _oracle_cap(args) -> Optional[int]:
     if args.cap is not None:
         return _positive("--cap", args.cap)
-    return _env_int(ORACLE_CAP_ENV) or DEFAULT_ORACLE_CAP
+    return _env_int(ORACLE_CAP_ENV)
 
 
 def _load_entry(args) -> CatalogEntry:
@@ -145,7 +137,9 @@ def cmd_index(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cap = _oracle_cap(args)
+    # the oracle brings in numpy, so only the commands that run it import it
+    from .oracle import DEFAULT_ORACLE_CAP, build_algebra, lower_lie_chain, upper_lie_chain
+    cap = _oracle_cap(args) or DEFAULT_ORACLE_CAP
     entry = _load_entry(args)
     G = entry.group
     A = build_algebra(G, cap)
@@ -393,16 +387,26 @@ def main(argv=None) -> int:
     except InputProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleCapExceeded, CapExceeded) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotLieNilpotentDetected as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # lienil.oracle is imported only by the commands that run it, and
+        # only then can its errors arise
+        oracle = sys.modules.get("lienil.oracle")
+        if oracle is None:
+            raise
+        if isinstance(exc, oracle.OracleCapExceeded):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, oracle.NotLieNilpotentDetected):
+            print(f"inconsistency: {exc}", file=sys.stderr)
+            return 1
+        raise
 
 
 if __name__ == "__main__":

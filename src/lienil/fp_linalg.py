@@ -15,7 +15,12 @@ EchelonAccumulator reduces each incoming block against its basis in one
 fused pass: it keeps a float64 copy of its rows, computes
 ``blk - blk[:, pivots] @ rows`` with a single BLAS product, shifts the
 int64 result by a multiple of p so that every entry is non-negative, and
-applies one integer ``np.mod``.
+applies one integer ``np.mod``.  What remains is eliminated in rounds,
+not one pivot column at a time: each round takes one row per distinct
+leading column, inverts the unit upper-triangular matrix those rows form
+on their leading columns as a product of (I + N^(2^k)) factors, and
+clears all of those columns with one product per array.  The RREF of a
+span is unique, so the rows do not depend on how many rounds it took.
 """
 
 from __future__ import annotations
@@ -42,31 +47,64 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.mod(prod.astype(np.int64), p)
 
 
-def _rref_inplace(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce a (mutated) and return it with its pivot column list."""
-    nrows, ncols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def _nonzero_rows(a: np.ndarray) -> np.ndarray:
+    """a without its zero rows: a itself, not a copy, when it has none."""
+    nonzero = a.any(axis=1)
+    return a if nonzero.all() else a[nonzero]
+
+
+def _unit_upper_solve(t: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """T^-1 @ rows mod p for a unit upper-triangular residue matrix T.
+
+    With N = I - T, strictly upper triangular and so nilpotent,
+    T^-1 = (I + N)(I + N^2)(I + N^4)..., a product that ends once a power
+    of N is 0: a c x c matrix needs at most ceil(log2(c)) factors.
+    """
+    n = np.mod(-t, p)
+    np.fill_diagonal(n, 0)
+    while n.any():
+        rows = np.mod(rows + matmul_mod(n, rows, p), p)
+        n = matmul_mod(n, n, p)
+    return rows
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The RREF rows of a block of residues, and their pivot columns.
+
+    Each round takes, for every distinct leading column, the first row
+    that leads there, and scales it to a leading 1.  On their leading
+    columns the chosen rows form a unit upper-triangular T, so T^-1
+    times them is the RREF of their span.  Those columns are then cleared
+    from the rows found so far and from the rest, each with one product,
+    and the rows that vanish are dropped.  Every product's inner
+    dimension is a number of pivots, at most the row length.
+    """
+    rows = np.zeros((0, a.shape[1]), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.int64)
+    a = _nonzero_rows(a)
+    while a.shape[0]:
+        lead = (a != 0).argmax(axis=1)
+        order = np.argsort(lead, kind="stable")
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = lead[order[1:]] != lead[order[:-1]]
+        chosen, cols = order[first], lead[order[first]]
+        new = a[chosen]
+        heads = new[np.arange(len(cols)), cols]
+        if (heads != 1).any():
+            inverses = np.array([pow(h, -1, p) for h in heads.tolist()], dtype=np.int64)
+            new = np.mod(new * inverses[:, None], p)
+        new = _unit_upper_solve(new[:, cols], new, p)
+        if rows.shape[0]:
+            rows = np.mod(rows - matmul_mod(rows[:, cols], new, p), p)
+        unchosen = np.ones(len(a), dtype=bool)
+        unchosen[chosen] = False
+        rest = a[unchosen]
+        rest -= matmul_mod(rest[:, cols], new, p)
+        a = _nonzero_rows(rest) % p
+        rows = np.vstack([rows, new])
+        pivots = np.concatenate([pivots, cols])
+    order = np.argsort(pivots)
+    return rows[order], pivots[order].tolist()
 
 
 class EchelonAccumulator:
@@ -103,10 +141,10 @@ class EchelonAccumulator:
     def _reduce(self, blk: np.ndarray) -> np.ndarray:
         """Residual (blk - blk[:, pivots] @ rows) mod p of a residue block."""
         p = self.p
-        coeffs = blk[:, self._pivots]
         # The product lies in [0, (p-1)^2 * rank] and is exact in float64;
-        # adding p*(p-1)*rank makes every entry non-negative.
-        prod = (coeffs.astype(np.float64) @ self._rows_f).astype(np.int64)
+        # adding p*(p-1)*rank makes every entry non-negative.  The
+        # coefficients are a temporary, freed before the product is cast.
+        prod = (blk[:, self._pivots].astype(np.float64) @ self._rows_f).astype(np.int64)
         shift = p * (p - 1) * len(self._pivots)
         return np.mod(np.subtract(blk + shift, prod, out=prod), p)
 
@@ -121,14 +159,12 @@ class EchelonAccumulator:
         # Blocks of residues, the usual input, skip the full-size np.mod.
         if blk.size and (blk.min() < 0 or blk.max() >= self.p):
             blk = np.mod(blk, self.p)
-        blk = blk[blk.any(axis=1)]
+        blk = _nonzero_rows(blk)
         if blk.shape[0] and self._pivots:
-            blk = self._reduce(blk)
-            blk = blk[blk.any(axis=1)]
+            blk = _nonzero_rows(self._reduce(blk))
         if blk.shape[0] == 0:
             return np.zeros((0, self.ambient_dim), dtype=np.int64)
-        reduced, new_pivots = _rref_inplace(blk, self.p)
-        new_rows = reduced[: len(new_pivots)]
+        new_rows, new_pivots = _rref(blk, self.p)
         rows = self._rows
         if self._pivots:
             # Clear old rows' entries over the new pivot columns, then merge.

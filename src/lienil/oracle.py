@@ -16,15 +16,19 @@ together, so t_L is the same either way.  The upper chain brackets
 against the group generators alone and closes the brackets' span under
 right multiplication by the generators: the ideal is the right ideal
 [M^(n), F_p[G]] F_p[G] (`upper_lie_chain` gives the argument).  The
-lower chain brackets each span against one element per orbit of the
-non-central elements under conjugation and central translation
-(x -> h^-1 x h z), found from the multiplication table alone
-(`lower_lie_chain` gives the argument).  Both products of an element
-with a basis element are column gathers through the table.  Everything
-here is exact arithmetic mod p on numpy arrays, and even |G'|, which
-bounds the chains' length, is read off the table; nothing is shared
-with the Jennings-style computation in lienil.dimension and
-lienil.subgroups, so the two routes cross-check each other.
+lower chain brackets against one element per orbit of the non-central
+elements under conjugation and central translation (x -> h^-1 x h z).
+It brackets only a set U_n with V_n = U_n F_p[Z(G)], which starts from
+one basis element per coset of the centre, and gets V_(n+1) by closing
+the brackets' span under right multiplication by generators of Z(G)
+(`lower_lie_chain` gives the argument).  The orbits, the centre, its
+generators and the coset representatives are all found from the
+multiplication table alone, and both products of an element with a
+basis element are column gathers through it.  Everything here is exact
+arithmetic mod p on numpy arrays, and even |G'|, which bounds the
+chains' length, is read off the table; nothing is shared with the
+Jennings-style computation in lienil.dimension and lienil.subgroups, so
+the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -83,16 +87,31 @@ class GroupAlgebra:
         {1} under right multiplication by them gives N.
         """
         t, inv = self.table, self.inverse_indices
-        comms = np.unique([t[t[inv, inv[g]], t[:, g]] for g in self.generator_indices])
-        members = np.zeros(1, dtype=t.dtype)
-        while len(grown := np.union1d(members, t[np.ix_(members, comms)])) > len(members):
-            members = grown
-        return len(members) + 2
+        is_comm = np.zeros(self.dim, dtype=bool)
+        for g in self.generator_indices:
+            is_comm[t[t[inv, inv[g]], t[:, g]]] = True
+        comms = np.flatnonzero(is_comm)
+        members = np.zeros(self.dim, dtype=bool)
+        members[0] = True
+        size = 0
+        while (grown := int(members.sum())) > size:
+            size = grown
+            members[t[np.ix_(np.flatnonzero(members), comms)]] = True
+        return size + 2
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
         """inverse_indices[b] = index of elements[b]^-1."""
         return np.argmin(self.table, axis=1)
+
+    @cached_property
+    def centre(self) -> np.ndarray:
+        """Indices of the central elements, ascending: x is central iff it
+        commutes with every generator."""
+        central = np.ones(self.dim, dtype=bool)
+        for g in self.generator_indices:
+            central &= self.table[:, g] == self.table[g, :]
+        return np.flatnonzero(central)
 
     def bracket_with_basis(self, block: np.ndarray, b: int) -> np.ndarray:
         """[v, e_b] = v*e_b - e_b*v for each row v of a block of residues.
@@ -160,17 +179,60 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
                         generator_indices=gen_indices, index=index)
 
 
+def _right_gathers(A: GroupAlgebra, indices) -> list[np.ndarray]:
+    """Right multiplication by each e_g as a column gather: coordinate y
+    of v * e_g is v[y * g^-1]."""
+    return [A.table[:, A.inverse_indices[g]] for g in indices]
+
+
+def _centre_generators(A: GroupAlgebra) -> list[int]:
+    """Generators of Z(G), read greedily off the table in index order.
+
+    A central z outside the subgroup H generated so far joins it.  Z(G)
+    is abelian, so <H, z> is the union of the cosets H z^k, and the loop
+    adds them until one is H again.
+    """
+    members = np.zeros(A.dim, dtype=bool)
+    members[0] = True
+    gens: list[int] = []
+    for z in A.centre.tolist():
+        if members[z]:
+            continue
+        gens.append(z)
+        coset = np.flatnonzero(members)
+        while True:
+            coset = A.table[coset, z]
+            if members[coset[0]]:
+                break
+            members[coset] = True
+    return gens
+
+
+def _centre_transversal(A: GroupAlgebra) -> np.ndarray:
+    """The least index of each coset x Z(G), ascending."""
+    least = A.table[:, A.centre].min(axis=1)
+    return np.flatnonzero(least == np.arange(A.dim))
+
+
 def _lie_chain(A: GroupAlgebra, against: Sequence[int],
                ideals: bool) -> list[np.ndarray]:
     """Terms from F_p[G] down to the first zero term, so the index is the
     length of the list.
 
     A term is the read-only RREF basis of a subspace of F_p[G], one row
-    per dimension.  Each term is the span of [v, e_b] over v in a basis
-    of the previous term and b in `against`, closed under right
-    multiplication by the group generators when `ideals` is set.  The
-    slow routes the tests compare the default seedings against pass
-    every basis index, range(A.dim).
+    per dimension.  Each step brackets a set of spanning rows u against
+    every b in `against`; W is the span of the [u, e_b], and the term is
+    W closed under right multiplication by a set of group elements.
+
+    - Upper chain (`ideals`): the spanning rows are the previous term's
+      basis, and W is closed under the group generators.
+    - Lower chain: the first spanning rows are one basis element per
+      coset of Z(G), each later set is the previous step's W, and W is
+      closed under generators of Z(G).
+
+    The brackets are fed to the accumulator in blocks of at most A.dim
+    rows.  The slow route the tests compare the upper chain's generator
+    seeding against passes every basis index, range(A.dim).
 
     Every term lies in the one before it: M^(n+1) lies in M^(n) because
     M^(n) is an ideal, and V_(n+1) = [V_n, F_p[G]] lies in
@@ -182,16 +244,23 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
             runs past A.chain_bound terms.
     """
     kind = "upper" if ideals else "lower"
-    # coordinate y of v * e_g is v[y * g^-1]
-    right_gathers = [A.table[:, A.inverse_indices[g]] for g in A.generator_indices]
     terms = [np.eye(A.dim, dtype=np.int64)]
     terms[0].setflags(write=False)
+    if ideals:
+        spanning = terms[0]
+        gathers = _right_gathers(A, A.generator_indices)
+    else:
+        spanning = terms[0][_centre_transversal(A)]
+        gathers = _right_gathers(A, _centre_generators(A))
     while len(terms[-1]):
         current = terms[-1]
         acc = EchelonAccumulator(A.p, A.dim)
-        for b in against:
-            acc.add_block(A.bracket_with_basis(current, b))
-        nxt = close_under(acc, right_gathers) if ideals else acc.basis
+        per_block = max(1, A.dim // len(spanning))
+        for lo in range(0, len(against), per_block):
+            acc.add_block(np.vstack([A.bracket_with_basis(spanning, b)
+                                     for b in against[lo:lo + per_block]]))
+        brackets = acc.basis
+        nxt = close_under(acc, gathers)
         if len(nxt) == len(current):
             raise NotLieNilpotentDetected(
                 f"{kind} chain went stationary at nonzero dimension "
@@ -203,6 +272,7 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
                 f"{kind} chain exceeded {A.chain_bound} terms without "
                 "vanishing: not Lie nilpotent (or a bug)"
             )
+        spanning = nxt if ideals else brackets
     return terms
 
 
@@ -230,19 +300,15 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     """One basis index per orbit of the non-central elements of G under
     x -> h^-1 x h z (h in G, z in Z(G)), the least index of each orbit.
 
-    Read from the multiplication table alone: x is central iff it commutes
-    with every generator, and conjugation by a generator g is
-    x -> g^-1 (x g).  Conjugation permutes the cosets xZ, so the orbit of
-    x is the union of the cosets yZ over the conjugates y of x.
+    Read from the multiplication table alone: conjugation by a generator
+    g is x -> g^-1 (x g).  Conjugation permutes the cosets xZ, so the
+    orbit of x is the union of the cosets yZ over the conjugates y of x.
     """
     table, inv = A.table, A.inverse_indices
-    gens = A.generator_indices
-    central = np.ones(A.dim, dtype=bool)
-    for g in gens:
-        central &= table[:, g] == table[g, :]
-    centre = np.flatnonzero(central)
-    conj = [table[inv[g], table[:, g]] for g in gens]
-    seen = central.copy()
+    centre = A.centre
+    conj = [table[inv[g], table[:, g]] for g in A.generator_indices]
+    seen = np.zeros(A.dim, dtype=bool)
+    seen[centre] = True
     reps: list[int] = []
     for x in range(A.dim):
         if seen[x]:
@@ -272,7 +338,9 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     elements bracket to 0.  Let W be the span of [V_n, b] over the
     representatives.  Then W = V_{n+1}:
 
-    1. For central z, [v, b] z = [v z, b] and V_m z = V_m, so W z = W and
+    1. V_m z = V_m for z in Z(G), by induction from V_1 = F_p[G]: for
+       v in V_(m-1), [v, x] z = [v z, x], and right multiplication by z
+       is invertible.  So [v, b] z = [v z, b] gives W z = W, and
        [u, b z] = [u z, b] lies in W for u in V_m, m >= n.
     2. For u in V_m, m >= n, and a = h^-1 b: b^h = b + [a, h], so
        [u, b^h] = [u, b] + [u, [a, h]], and by Jacobi
@@ -281,6 +349,22 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
        W + V_{m+2} for every m >= n.
     4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
        hence V_{n+1} is in W, and W is in V_{n+1} trivially.
+
+    Nor does a step bracket all of V_n.  Write F = F_p[Z(G)], a central
+    subalgebra.  Let U_1 hold one basis element e_t per coset tZ(G), and
+    U_(n+1) be the span of [u, e_b] over u in U_n and the
+    representatives b.  Then V_n = U_n F:
+
+    5. [u c, b] = [u, b] c for c in F, as c commutes with u and e_b.
+    6. V_1 = U_1 F, since each g in G is t z for its coset's t and some
+       z in Z(G).
+    7. If V_n = U_n F, then V_(n+1), the span of [V_n, b] over the
+       representatives by 1-4, is the span of [U_n, b] F by 5, which is
+       U_(n+1) F.
+
+    So each step brackets U_n, about |Z(G)| times smaller than V_n, and
+    gets V_(n+1) = U_(n+1) F by closing U_(n+1) under right
+    multiplication by generators of Z(G), whose products are all of Z(G).
     """
     return _lie_chain(A, _orbit_representatives(A), ideals=False)
 

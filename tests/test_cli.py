@@ -1,14 +1,17 @@
 """End-to-end checks of the command-line interface, run in process."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lienil import cli, subgroups
+from lienil import cli, oracle, subgroups
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
 from lienil.oracle import GroupAlgebra
@@ -456,8 +459,8 @@ def test_oracle_structure_cap_is_checked_before_the_chains(tmp_path, monkeypatch
         raise AssertionError("Lie chains started before the enumeration cap was checked")
     path = tmp_path / "g128.pres"
     path.write_text(NONABELIAN_DERIVED)
-    monkeypatch.setattr(cli, "upper_lie_chain", no_work)
-    monkeypatch.setattr(cli, "lower_lie_chain", no_work)
+    monkeypatch.setattr(oracle, "upper_lie_chain", no_work)
+    monkeypatch.setattr(oracle, "lower_lie_chain", no_work)
     monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 1)
     code, out, err = run(capsys, ["oracle", str(path)])
     assert code == 2 and out == ""
@@ -483,15 +486,24 @@ def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, caps
                    "dimension 16: not Lie nilpotent (or a bug)\n")
 
 
+def test_classify_with_oracle_reports_a_stationary_chain_as_an_inconsistency(
+        monkeypatch, capsys):
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", lambda self, block, b: block)
+    code, out, err = run(capsys, ["classify", "--builder", "dihedral:16", "--with-oracle"])
+    assert code == 1 and out == ""
+    assert err == ("inconsistency: upper chain went stationary at nonzero "
+                   "dimension 16: not Lie nilpotent (or a bug)\n")
+
+
 def test_oracle_reports_a_chain_past_its_bound_as_an_inconsistency(monkeypatch, capsys):
-    build_algebra = cli.build_algebra
+    build_algebra = oracle.build_algebra
 
     def small_bound(G, cap):
         A = build_algebra(G, cap)
         A.__dict__["chain_bound"] = 2  # the true bound of D16 is |G'| + 2 = 6
         return A
 
-    monkeypatch.setattr(cli, "build_algebra", small_bound)
+    monkeypatch.setattr(oracle, "build_algebra", small_bound)
     code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain exceeded 2 terms without "
@@ -533,3 +545,43 @@ def test_argparse_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+NUMPY_AFTER = """
+import contextlib, io, json, sys
+from lienil.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy")}))
+"""
+
+
+def _numpy_modules_after(argvs):
+    """Exit codes of the invocations in a fresh interpreter, and the numpy
+    modules imported by then."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", NUMPY_AFTER, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * len(argvs)
+    return result["numpy"]
+
+
+def test_commands_without_the_oracle_never_import_numpy():
+    assert _numpy_modules_after([
+        ["index", "--builder", "dihedral:16"],
+        ["classify", "--builder", "dihedral:16"],
+        ["verify-tables"],
+        ["enumerate-d", "-p", "3"],
+        ["catalog", "list"],
+        ["catalog", "build", "dihedral:16"],
+    ]) == []
+
+
+def test_oracle_does_not_import_numpy_ma():
+    modules = _numpy_modules_after([["oracle", "--builder", "dihedral:16"]])
+    assert "numpy" in modules
+    assert "numpy.ma" not in modules

@@ -2,7 +2,9 @@
 
 The oracle below is an independent Gaussian elimination on plain Python
 lists; the accumulator's canonical echelon form and close_under are
-verified against it rather than against themselves.  The prime test
+verified against it rather than against themselves.  The batched-pivot
+elimination is also compared with the column-by-column numpy loop it
+replaced, on blocks built to need many rounds.  The prime test
 check_prime, which lives in lienil.pcgroup, is tested here as well.
 """
 
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from lienil.fp_linalg import (
     EchelonAccumulator,
+    _rref,
+    _unit_upper_solve,
     close_under,
     matmul_mod,
 )
@@ -47,6 +51,35 @@ def naive_rref(rows, p):
         if r == nrows:
             break
     return a[:r]
+
+
+def column_rref(a, p):
+    """Reference elimination on a numpy residue block, one pivot column
+    per step: returns the RREF rows and their pivot columns."""
+    a = a.copy()
+    nrows, ncols = a.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
 
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -277,3 +310,56 @@ def test_zero_and_full_subspaces():
     assert z.shape == (0, 4) and z.dtype == np.int64
     assert f.shape == (4, 4)
     assert np.array_equal(f, np.eye(4, dtype=np.int64))
+
+
+def _adversarial_blocks(p, rng):
+    """Residue blocks named by the way they stress batched elimination."""
+    n = 6 if p == NEAR_LIMIT_PRIME else 40
+    scale = rng.integers(1, p, size=(n - 1, 1))
+    # row i is e_0 + e_(i+1), rescaled: every round finds exactly one pivot
+    staircase = np.zeros((n - 1, n), dtype=np.int64)
+    staircase[:, 0] = 1
+    staircase[np.arange(n - 1), np.arange(1, n)] = 1
+    staircase = staircase * scale % p
+    dense = rng.integers(0, p, size=(n + 3, n))
+    shared = rng.integers(0, p, size=(n, n))
+    shared[:, :2] = 0
+    shared[:, 2] = rng.integers(1, p, size=n)
+    repeats = np.vstack([dense[:4], np.zeros((2, n), dtype=np.int64),
+                         dense[:4] * 2 % p, dense[1:3], np.zeros((1, n), dtype=np.int64)])
+    blocks = {"staircase": staircase, "dense": dense, "one-leading-column": shared,
+              "duplicates-and-zeros": repeats,
+              "zero": np.zeros((3, n), dtype=np.int64)}
+    if p != NEAR_LIMIT_PRIME:
+        blocks["dense-200"] = rng.integers(0, p, size=(200, 200))
+        blocks["dense-243"] = rng.integers(0, p, size=(243, 243))
+        low_rank = rng.integers(0, p, size=(60, 12)) @ rng.integers(0, p, size=(12, 50)) % p
+        blocks["rank-12"] = low_rank
+    return blocks
+
+
+@pytest.mark.parametrize("p", PRIMES + (NEAR_LIMIT_PRIME,))
+def test_batched_rref_matches_the_column_loop(p):
+    rng = np.random.default_rng(p)
+    for name, block in _adversarial_blocks(p, rng).items():
+        block = block.astype(np.int64)
+        want, want_pivots = column_rref(block, p)
+        got, pivots = _rref(block.copy(), p)
+        assert pivots == want_pivots, name
+        assert got.dtype == np.int64, name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        if block.shape[1] <= 6:
+            assert got.tolist() == naive_rref(block.tolist(), p), name
+
+
+@pytest.mark.parametrize("p", PRIMES + (1000003,))
+def test_unit_upper_inverse(p):
+    rng = np.random.default_rng(p)
+    for size in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65):
+        t = np.triu(rng.integers(0, p, size=(size, size)), k=1)
+        np.fill_diagonal(t, 1)
+        eye = np.eye(size, dtype=np.int64)
+        assert np.array_equal(_unit_upper_solve(t, t, p), eye), size
+        inverse = _unit_upper_solve(t, eye, p)
+        product = (inverse.astype(object) @ t.astype(object)) % p
+        assert product.tolist() == eye.tolist(), size

@@ -25,6 +25,8 @@ from lienil.oracle import (
     GroupAlgebra,
     NotLieNilpotentDetected,
     OracleCapExceeded,
+    _centre_generators,
+    _centre_transversal,
     _lie_chain,
     _orbit_representatives,
     build_algebra,
@@ -248,10 +250,23 @@ ORBIT_CASES = {
 }
 
 
+def _lower_chain_without_centre(A, against):
+    # V_(n+1) spanned by [v, e_b] over every basis row v of V_n and every b
+    # in `against`, one accumulator block per b, with no centre step
+    terms = [np.eye(A.dim, dtype=np.int64)]
+    while len(terms[-1]):
+        assert len(terms) <= A.dim
+        acc = EchelonAccumulator(A.p, A.dim)
+        for b in against:
+            acc.add_block(A.bracket_with_basis(terms[-1], b))
+        terms.append(acc.basis)
+    return terms
+
+
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
 def test_orbit_seeding_spans_the_same_lower_terms(make):
     A = build_algebra(make())
-    full = _lie_chain(A, range(A.dim), ideals=False)
+    full = _lower_chain_without_centre(A, range(A.dim))
     reduced = lower_lie_chain(A)
     assert len(full) == len(reduced)
     assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
@@ -329,6 +344,72 @@ def test_both_chains_on_larger_nonabelian_groups(make):
     assert upper == upper_index(whole_group(G))
     dorder = derived_subgroup(whole_group(G)).order
     assert G.p + 1 <= lower <= upper <= dorder + 1
+
+
+CENTRE_CASES = {
+    **ORBIT_CASES,
+    **NONABELIAN_ORACLE,
+    "cond66-quotient": lambda: build_condition_quotient(66, 3).group,
+}
+
+
+@pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
+def test_centre_module_seeding_spans_the_same_lower_terms(make):
+    # bracketing U_n and closing under Z(G) gives the terms that bracketing
+    # every basis row of V_n against the same representatives gives
+    A = build_algebra(make())
+    want = _lower_chain_without_centre(A, _orbit_representatives(A))
+    got = lower_lie_chain(A)
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+    assert [s.shape for s in got] == [s.shape for s in want]
+
+
+@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
+def test_centre_generators_and_transversal_match_the_centre(make):
+    G = make()
+    A = build_algebra(G)
+    Z = {A.index[z] for z in center(whole_group(G)).elements}
+    assert set(A.centre.tolist()) == Z
+    gens = _centre_generators(A)
+    closed, frontier = {0}, {0}
+    while frontier:
+        frontier = {int(A.table[x, z]) for x in frontier for z in gens} - closed
+        closed |= frontier
+    assert closed == Z
+    transversal = _centre_transversal(A).tolist()
+    assert len(transversal) == G.order // len(Z)
+    cosets = [set(A.table[t, sorted(Z)].tolist()) for t in transversal]
+    assert set().union(*cosets) == set(range(A.dim))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_condition_quotient(65, 3).group,
+    lambda: build_dihedral(64).group,
+], ids=["cond65-quotient", "D64"])
+def test_lower_chain_brackets_a_spanning_set_in_bounded_blocks(monkeypatch, make):
+    # the first step brackets one row per coset of Z(G), later steps fewer
+    # rows than the terms have, and no block fed to the accumulator
+    # exceeds A.dim rows
+    A = build_algebra(make())
+    reps = _orbit_representatives(A)
+    bracketed, blocks = [], []
+    bracket, add_block = GroupAlgebra.bracket_with_basis, EchelonAccumulator.add_block
+
+    def counted_bracket(self, block, b):
+        bracketed.append(len(block))
+        return bracket(self, block, b)
+
+    def counted_add(self, block):
+        blocks.append(len(block))
+        return add_block(self, block)
+
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", counted_bracket)
+    monkeypatch.setattr(EchelonAccumulator, "add_block", counted_add)
+    chain = lower_lie_chain(A)
+    cosets = A.dim // len(A.centre)
+    assert bracketed[:len(reps)] == [cosets] * len(reps)
+    assert sum(bracketed) < len(reps) * (cosets + sum(len(V) for V in chain[1:-1]))
+    assert max(blocks) <= A.dim
 
 
 UPPER_REFERENCE_CASES = {**SEEDING_CASES, **NONABELIAN_ORACLE}

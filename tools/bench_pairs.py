@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload, in alternating pairs.
+
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T` once
+in each checkout, one after the other; which side runs first alternates
+from pair to pair, and pair i uses the (i mod k)-th of the k seeds given.
+Every run is read from its detail line (the line before the last), so
+the plain wall time of a pass, `run_s`, is reported next to `run_rel`:
+`run_rel` divides by a reference job whose speed can differ between the
+two checkouts' processes, and `run_s` does not.
+
+Usage, from anywhere:
+
+    python3 tools/bench_pairs.py BASE CHANGE --workload oracle --pairs 10 \\
+        --seconds 30 --seeds 1 2 3
+
+It prints one line per pair, then for each metric the median and
+quartiles of each side over the pairs and the number of pairs in which
+CHANGE is lower (every metric here is better lower; ties count for
+neither side).  It exits 1 if any run failed an invocation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("run_rel", "run_s", "setup_s", "peak_rss_mb")
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The median of each metric, and failed_frac, from one benchmark run."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=False)
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"bench_pairs: run in {root} failed "
+                         f"(exit {done.returncode}):\n{done.stderr}")
+    detail = json.loads(lines[-2])
+    row = {name: detail[name]["median"] for name in METRICS}
+    row["failed_frac"] = detail["failed_frac"]
+    return row
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout measured as the parent")
+    parser.add_argument("change", type=Path, help="checkout measured as the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for root in sides.values():
+        if not (root / "perfbench" / "run.py").is_file():
+            parser.error(f"{root} is not a checkout with perfbench/run.py")
+
+    rows: dict[str, list[dict]] = {"base": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seeds[i % len(args.seeds)]
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            rows[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+        b, c = rows["base"][-1], rows["change"][-1]
+        print(f"pair {i + 1:2} seed {seed:3} {order[0]:6} first   "
+              + "   ".join(f"{m} {b[m]:.4g} -> {c[m]:.4g}" for m in METRICS)
+              + f"   failed_frac {b['failed_frac']:.3f} -> {c['failed_frac']:.3f}",
+              flush=True)
+
+    for m in METRICS:
+        base = [r[m] for r in rows["base"]]
+        change = [r[m] for r in rows["change"]]
+        wins = sum(c < b for b, c in zip(base, change))
+        losses = sum(c > b for b, c in zip(base, change))
+        (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
+        print(f"{m:12} base {bmed:.4g} [{bq1:.4g}, {bq3:.4g}]   "
+              f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]   "
+              f"change lower in {wins}/{args.pairs}, higher in {losses}/{args.pairs}   "
+              f"median diff {cmed - bmed:+.4g} vs base IQR {bq3 - bq1:.4g}")
+    failed = any(r["failed_frac"] for side in rows.values() for r in side)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
