@@ -12,23 +12,28 @@ and the lower chain of left-normed bracket spans
 are computed as explicit subspaces, and the nilpotency indices are the
 chains' lengths, the first index whose term vanishes.  The lower chain's
 terms are the spans V_n, not the ideals they generate; the two vanish
-together, so t_L is the same either way.  The upper chain brackets
-against the group generators alone and closes the brackets' span under
-right multiplication by the generators: the ideal is the right ideal
+together, so t_L is the same either way.  Both chains use a minimal
+generating set S of G, d(G) = log_p [G : Phi(G)] elements by the
+Burnside basis theorem, often far fewer than the pc generators.  The
+upper chain brackets against S alone and closes the brackets' span
+under right multiplication by S: the ideal is the right ideal
 [M^(n), F_p[G]] F_p[G] (`upper_lie_chain` gives the argument).  The
-lower chain brackets against one element per orbit of the non-central
-elements under conjugation and central translation (x -> h^-1 x h z).
-It brackets only a set U_n with V_n = U_n F_p[Z(G)], which starts from
-one basis element per coset of the centre, and gets V_(n+1) by closing
-the brackets' span under right multiplication by generators of Z(G)
-(`lower_lie_chain` gives the argument).  The orbits, the centre, its
-generators and the coset representatives are all found from the
-multiplication table alone, and both products of an element with a
-basis element are column gathers through it.  Everything here is exact
-arithmetic mod p on numpy arrays, and even |G'|, which bounds the
-chains' length, is read off the table; nothing is shared with the
-Jennings-style computation in lienil.dimension and lienil.subgroups, so
-the two routes cross-check each other.
+lower chain's first step brackets against S, since
+[a, bc] = [ab, c] + [ca, b] makes [F_p[G], F_p[G]] the span of
+[F_p[G], S]; later steps bracket against one element per orbit of the
+non-central elements under conjugation and central translation
+(x -> h^-1 x h z).  It brackets only a set U_n with
+V_n = U_n F_p[Z(G)], which starts from one basis element per coset of
+the centre, and gets V_(n+1) by closing the brackets' span under right
+multiplication by generators of Z(G) (`lower_lie_chain` gives the
+argument).  S, the orbits, the centre, its generators and the coset
+representatives are all found from the multiplication table alone,
+and both products of an element with a basis element are column
+gathers through it.  Everything here is exact arithmetic mod p on
+numpy arrays, and even |G'|, which bounds the chains' length, is read
+off the table; nothing is shared with the Jennings-style computation
+in lienil.dimension and lienil.subgroups, so the two routes
+cross-check each other.
 """
 
 from __future__ import annotations
@@ -77,14 +82,14 @@ class GroupAlgebra:
         return len(self.elements)
 
     @cached_property
-    def chain_bound(self) -> int:
-        """|G'| + 2, the a-priori stopping bound for both Lie chains.
+    def derived(self) -> np.ndarray:
+        """Boolean mask of G', closed off the table.
 
-        G' is closed off the table from the commutators [x, g] over x in G
-        and the pc generators g.  They generate G': the subgroup N they
-        generate is normal, as [x, g]^y = [xy, g] [y, g]^-1, and modulo N
-        every x commutes with every generator.  In a finite group, closing
-        {1} under right multiplication by them gives N.
+        G' is generated by the commutators [x, g] over x in G and the pc
+        generators g: the subgroup N they generate is normal, as
+        [x, g]^y = [xy, g] [y, g]^-1, and modulo N every x commutes with
+        every generator.  In a finite group, closing {1} under right
+        multiplication by them gives N.
         """
         t, inv = self.table, self.inverse_indices
         is_comm = np.zeros(self.dim, dtype=bool)
@@ -97,7 +102,28 @@ class GroupAlgebra:
         while (grown := int(members.sum())) > size:
             size = grown
             members[t[np.ix_(np.flatnonzero(members), comms)]] = True
-        return size + 2
+        return members
+
+    @cached_property
+    def chain_bound(self) -> int:
+        """|G'| + 2, the a-priori stopping bound for both Lie chains."""
+        return int(self.derived.sum()) + 2
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A minimal generating set of G: the pc generators, in order,
+        that lie outside the subgroup generated by Phi(G) and the ones
+        kept before them.
+
+        Phi(G) = G' G^p, and G/G' is abelian, so the cosets x^p G' make
+        up (G/G')^p and Phi(G) is the set of products G' x^p.  The
+        kept generators are a basis of G/Phi(G), so by the Burnside basis
+        theorem they generate G, and there are log_p [G : Phi(G)] of them.
+        """
+        powers = _pth_powers(self, np.arange(self.dim))
+        frattini = np.zeros(self.dim, dtype=bool)
+        frattini[self.table[np.ix_(np.flatnonzero(self.derived), powers)]] = True
+        return _frattini_basis(self, frattini, self.generator_indices)
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
@@ -185,27 +211,46 @@ def _right_gathers(A: GroupAlgebra, indices) -> list[np.ndarray]:
     return [A.table[:, A.inverse_indices[g]] for g in indices]
 
 
-def _centre_generators(A: GroupAlgebra) -> list[int]:
-    """Generators of Z(G), read greedily off the table in index order.
+def _pth_powers(A: GroupAlgebra, xs: np.ndarray) -> np.ndarray:
+    """The index of x^p for each index x in xs."""
+    powers = xs
+    for _ in range(A.p - 1):
+        powers = A.table[powers, xs]
+    return powers
 
-    A central z outside the subgroup H generated so far joins it.  Z(G)
-    is abelian, so <H, z> is the union of the cosets H z^k, and the loop
-    adds them until one is H again.
+
+def _frattini_basis(A: GroupAlgebra, frattini: np.ndarray,
+                    candidates: Sequence[int]) -> tuple[int, ...]:
+    """The candidates that lie outside the subgroup H generated by the
+    mask `frattini` and the candidates kept before them.
+
+    `frattini` masks Phi(P) for the subgroup P the candidates generate.
+    Every H that contains Phi(P) is normal in P, so <H, c> is the union
+    of the cosets H c^k, and the loop adds them until one is H again.
+    The kept candidates are a basis of P/Phi(P): by the Burnside basis
+    theorem they generate P, and none of them is redundant.
     """
-    members = np.zeros(A.dim, dtype=bool)
-    members[0] = True
-    gens: list[int] = []
-    for z in A.centre.tolist():
-        if members[z]:
+    members = frattini.copy()
+    kept: list[int] = []
+    for c in candidates:
+        if members[c]:
             continue
-        gens.append(z)
+        kept.append(c)
         coset = np.flatnonzero(members)
         while True:
-            coset = A.table[coset, z]
+            coset = A.table[coset, c]
             if members[coset[0]]:
                 break
             members[coset] = True
-    return gens
+    return tuple(kept)
+
+
+def _centre_generators(A: GroupAlgebra) -> tuple[int, ...]:
+    """A minimal generating set of Z(G), read off the table in index
+    order.  Z(G) is abelian, so Phi(Z(G)) is the set of p-th powers."""
+    frattini = np.zeros(A.dim, dtype=bool)
+    frattini[_pth_powers(A, A.centre)] = True
+    return _frattini_basis(A, frattini, A.centre.tolist())
 
 
 def _centre_transversal(A: GroupAlgebra) -> np.ndarray:
@@ -214,25 +259,27 @@ def _centre_transversal(A: GroupAlgebra) -> np.ndarray:
     return np.flatnonzero(least == np.arange(A.dim))
 
 
-def _lie_chain(A: GroupAlgebra, against: Sequence[int],
+def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
                ideals: bool) -> list[np.ndarray]:
     """Terms from F_p[G] down to the first zero term, so the index is the
     length of the list.
 
     A term is the read-only RREF basis of a subspace of F_p[G], one row
-    per dimension.  Each step brackets a set of spanning rows u against
-    every b in `against`; W is the span of the [u, e_b], and the term is
-    W closed under right multiplication by a set of group elements.
+    per dimension.  Each step brackets a set of spanning rows u against a
+    set of basis indices b: the first step against `gens`, which must
+    generate G, and every later step against `against`.  W is the span
+    of the [u, e_b], and the term is W closed under right multiplication
+    by a set of group elements.
 
     - Upper chain (`ideals`): the spanning rows are the previous term's
-      basis, and W is closed under the group generators.
+      basis, and W is closed under `gens`.
     - Lower chain: the first spanning rows are one basis element per
       coset of Z(G), each later set is the previous step's W, and W is
       closed under generators of Z(G).
 
     The brackets are fed to the accumulator in blocks of at most A.dim
-    rows.  The slow route the tests compare the upper chain's generator
-    seeding against passes every basis index, range(A.dim).
+    rows.  The chains pass A.generators as `gens`; the slow routes the
+    tests compare them against pass every basis index, range(A.dim).
 
     Every term lies in the one before it: M^(n+1) lies in M^(n) because
     M^(n) is an ideal, and V_(n+1) = [V_n, F_p[G]] lies in
@@ -248,17 +295,18 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
     terms[0].setflags(write=False)
     if ideals:
         spanning = terms[0]
-        gathers = _right_gathers(A, A.generator_indices)
+        gathers = _right_gathers(A, gens)
     else:
         spanning = terms[0][_centre_transversal(A)]
         gathers = _right_gathers(A, _centre_generators(A))
+    bracketing = gens
     while len(terms[-1]):
         current = terms[-1]
         acc = EchelonAccumulator(A.p, A.dim)
         per_block = max(1, A.dim // len(spanning))
-        for lo in range(0, len(against), per_block):
+        for lo in range(0, len(bracketing), per_block):
             acc.add_block(np.vstack([A.bracket_with_basis(spanning, b)
-                                     for b in against[lo:lo + per_block]]))
+                                     for b in bracketing[lo:lo + per_block]]))
         brackets = acc.basis
         nxt = close_under(acc, gathers)
         if len(nxt) == len(current):
@@ -273,6 +321,7 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int],
                 "vanishing: not Lie nilpotent (or a bug)"
             )
         spanning = nxt if ideals else brackets
+        bracketing = against
     return terms
 
 
@@ -281,19 +330,19 @@ def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     previous term against the algebra; its length is t^L.
 
     Each term is T * F_p[G], where T is the span of [v, g] over v in a
-    basis of M^(n) and the group generators g; closing T under right
-    multiplication by the generators gives T * F_p[G], since every
-    element of G is a word in them.  With L = [M^(n), F_p[G]], this is
-    the two-sided ideal F_p[G] L F_p[G]:
+    basis of M^(n) and g in any generating set S of G, here the minimal
+    one A.generators; closing T under right multiplication by S gives
+    T * F_p[G], since every element of G is a word in S.  With
+    L = [M^(n), F_p[G]], this is the two-sided ideal F_p[G] L F_p[G]:
 
     1. [v, yg] = [v, y]g + [v, g]y - [[v, g], y], and [v, g] lies in the
-       ideal M^(n).  By induction on the word length of x, every
-       [v, x] with v in M^(n) lies in T * F_p[G]; so L lies in it.
+       ideal M^(n).  By induction on the length of x as a word in S,
+       every [v, x] with v in M^(n) lies in T * F_p[G]; so L lies in it.
     2. L is a Lie ideal: for l in L and x in F_p[G], x l = l x - [l, x]
        with [l, x] in L, since l lies in M^(n).  So F_p[G] L lies in
        L * F_p[G], and F_p[G] L F_p[G] = L * F_p[G] = T * F_p[G].
     """
-    return _lie_chain(A, A.generator_indices, ideals=True)
+    return _lie_chain(A, A.generators, A.generators, ideals=True)
 
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
@@ -330,10 +379,17 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     V_1 = F_p[G]; V_{n+1} = span of [v, e_b] over v in a basis of V_n and
     the basis elements e_b.  The terms are these spans themselves, not the
     ideals they generate: an ideal vanishes exactly when its generating
-    span does, so the index is the same.  The spans do not absorb
-    products, so no generator reduction is valid here.
+    span does, so the index is the same.
 
-    Instead b runs over one representative per orbit of the non-central
+    The first step brackets against a generating set S of G, here the
+    minimal one A.generators:
+
+    0. [a, bc] = [ab, c] + [ca, b].  F_p[G] is closed under products, so
+       by induction on the length of x as a word in S, every [a, x] with
+       a in F_p[G] lies in the span of [F_p[G], S]; so V_2 is that span.
+
+    For n >= 2, V_n is not closed under products and step 0 fails.
+    There b runs over one representative per orbit of the non-central
     elements of G under x -> h^-1 x h z (h in G, z in Z(G)); central
     elements bracket to 0.  Let W be the span of [V_n, b] over the
     representatives.  Then W = V_{n+1}:
@@ -352,21 +408,22 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
 
     Nor does a step bracket all of V_n.  Write F = F_p[Z(G)], a central
     subalgebra.  Let U_1 hold one basis element e_t per coset tZ(G), and
-    U_(n+1) be the span of [u, e_b] over u in U_n and the
-    representatives b.  Then V_n = U_n F:
+    U_(n+1) be the span of [u, e_b] over u in U_n and b in S (n = 1) or
+    the representatives (n >= 2).  Then V_n = U_n F:
 
     5. [u c, b] = [u, b] c for c in F, as c commutes with u and e_b.
     6. V_1 = U_1 F, since each g in G is t z for its coset's t and some
-       z in Z(G).
-    7. If V_n = U_n F, then V_(n+1), the span of [V_n, b] over the
-       representatives by 1-4, is the span of [U_n, b] F by 5, which is
-       U_(n+1) F.
+       z in Z(G).  So V_2, the span of [V_1, S] by 0, is the span of
+       [U_1, S] F by 5, which is U_2 F.
+    7. If V_n = U_n F with n >= 2, then V_(n+1), the span of [V_n, b]
+       over the representatives by 1-4, is the span of [U_n, b] F by 5,
+       which is U_(n+1) F.
 
     So each step brackets U_n, about |Z(G)| times smaller than V_n, and
     gets V_(n+1) = U_(n+1) F by closing U_(n+1) under right
     multiplication by generators of Z(G), whose products are all of Z(G).
     """
-    return _lie_chain(A, _orbit_representatives(A), ideals=False)
+    return _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False)
 
 
 def t_upper_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:

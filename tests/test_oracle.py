@@ -1,5 +1,6 @@
 """The dense group-algebra oracle and its agreement with the formula route."""
 
+import math
 import os
 import subprocess
 import sys
@@ -36,7 +37,13 @@ from lienil.oracle import (
     upper_lie_chain,
 )
 from lienil.pcgroup import PcGroup
-from lienil.subgroups import center, derived_subgroup, whole_group
+from lienil.subgroups import (
+    center,
+    derived_subgroup,
+    power_subgroup,
+    subgroup_product,
+    whole_group,
+)
 from test_fp_linalg import naive_rref
 
 
@@ -181,7 +188,7 @@ SEEDING_CASES = {
 def test_generator_seeding_spans_the_same_ideals():
     for make in SEEDING_CASES.values():
         A = build_algebra(make())
-        full = _lie_chain(A, range(A.dim), ideals=True)
+        full = _lie_chain(A, range(A.dim), range(A.dim), ideals=True)
         reduced = upper_lie_chain(A)
         assert len(full) == len(reduced)
         assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
@@ -364,39 +371,39 @@ def test_centre_module_seeding_spans_the_same_lower_terms(make):
     assert [s.shape for s in got] == [s.shape for s in want]
 
 
+def _log_p_index(H, K, p):
+    return round(math.log(H.order // K.order, p))
+
+
+def _closure(A, gens):
+    # closing {1} under right multiplication by gens, straight off the table
+    closed, frontier = {0}, {0}
+    while frontier:
+        frontier = {int(A.table[x, g]) for x in frontier for g in gens} - closed
+        closed |= frontier
+    return closed
+
+
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
 def test_centre_generators_and_transversal_match_the_centre(make):
     G = make()
     A = build_algebra(G)
     Z = {A.index[z] for z in center(whole_group(G)).elements}
     assert set(A.centre.tolist()) == Z
-    gens = _centre_generators(A)
-    closed, frontier = {0}, {0}
-    while frontier:
-        frontier = {int(A.table[x, z]) for x in frontier for z in gens} - closed
-        closed |= frontier
-    assert closed == Z
+    assert _closure(A, _centre_generators(A)) == Z
     transversal = _centre_transversal(A).tolist()
     assert len(transversal) == G.order // len(Z)
     cosets = [set(A.table[t, sorted(Z)].tolist()) for t in transversal]
     assert set().union(*cosets) == set(range(A.dim))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_condition_quotient(65, 3).group,
-    lambda: build_dihedral(64).group,
-], ids=["cond65-quotient", "D64"])
-def test_lower_chain_brackets_a_spanning_set_in_bounded_blocks(monkeypatch, make):
-    # the first step brackets one row per coset of Z(G), later steps fewer
-    # rows than the terms have, and no block fed to the accumulator
-    # exceeds A.dim rows
-    A = build_algebra(make())
-    reps = _orbit_representatives(A)
+def _counted_chain(monkeypatch, chain, A):
+    # the chain's terms, each (rows, b) bracketed, and each block's length
     bracketed, blocks = [], []
     bracket, add_block = GroupAlgebra.bracket_with_basis, EchelonAccumulator.add_block
 
     def counted_bracket(self, block, b):
-        bracketed.append(len(block))
+        bracketed.append((block, b))
         return bracket(self, block, b)
 
     def counted_add(self, block):
@@ -405,11 +412,44 @@ def test_lower_chain_brackets_a_spanning_set_in_bounded_blocks(monkeypatch, make
 
     monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", counted_bracket)
     monkeypatch.setattr(EchelonAccumulator, "add_block", counted_add)
-    chain = lower_lie_chain(A)
+    return chain(A), bracketed, blocks
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_condition_quotient(65, 3).group,
+    lambda: build_condition_quotient(66, 3).group,
+    lambda: build_dihedral(64).group,
+], ids=["cond65-quotient", "cond66-quotient", "D64"])
+def test_lower_chain_brackets_a_spanning_set_in_bounded_blocks(monkeypatch, make):
+    # the first step brackets one row per coset of Z(G) against a minimal
+    # generating set, later steps bracket fewer rows than the terms have
+    # against the orbit representatives, and no block fed to the
+    # accumulator exceeds A.dim rows
+    A = build_algebra(make())
+    reps, gens = _orbit_representatives(A), A.generators
+    chain, bracketed, blocks = _counted_chain(monkeypatch, lower_lie_chain, A)
     cosets = A.dim // len(A.centre)
-    assert bracketed[:len(reps)] == [cosets] * len(reps)
-    assert sum(bracketed) < len(reps) * (cosets + sum(len(V) for V in chain[1:-1]))
+    rows = [len(block) for block, _ in bracketed]
+    assert len(gens) < len(reps)
+    assert rows[:len(gens)] == [cosets] * len(gens)
+    assert [b for _, b in bracketed] == [*gens, *reps * (len(chain) - 2)]
+    assert sum(rows) < len(gens) * cosets + len(reps) * sum(len(V) for V in chain[1:-1])
     assert max(blocks) <= A.dim
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_condition_quotient(66, 3).group,
+    lambda: build_dihedral(64).group,
+    lambda: build_free_class2(3, 2).group,
+], ids=["cond66-quotient", "D64", "free_class2-3-p2"])
+def test_upper_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
+    # each step brackets the whole previous ideal, not only the span of
+    # the previous step's brackets, against the minimal generating set
+    A = build_algebra(make())
+    chain, bracketed, _ = _counted_chain(monkeypatch, upper_lie_chain, A)
+    want = [(term, g) for term in chain[:-1] for g in A.generators]
+    assert [b for _, b in bracketed] == [g for _, g in want]
+    assert all(np.array_equal(got, term) for (got, _), (term, _) in zip(bracketed, want))
 
 
 UPPER_REFERENCE_CASES = {**SEEDING_CASES, **NONABELIAN_ORACLE}
@@ -435,6 +475,26 @@ def test_chain_bound_reads_the_derived_subgroup_off_the_table():
     for G in groups:
         want = derived_subgroup(whole_group(G)).order + 2
         assert build_algebra(G).chain_bound == want
+
+
+def test_generating_sets_are_minimal():
+    # A.generators generates G with log_p [G : G'G^p] elements, and the
+    # centre's generators generate Z(G) with log_p [Z : Z^p], on every
+    # catalog group the default cap admits and the order-243 table rows
+    groups = [e.group for e in standard_catalog() if e.order <= 256]
+    groups += [_table_group(name) for name in TABLE_243]
+    assert len(groups) == 61
+    for G in groups:
+        A = build_algebra(G)
+        W = whole_group(G)
+        frattini = subgroup_product(derived_subgroup(W), power_subgroup(W, G.p))
+        assert len(_closure(A, A.generators)) == G.order
+        assert len(A.generators) == _log_p_index(W, frattini, G.p)
+        assert set(A.generators) <= set(A.generator_indices)
+        Z = center(W)
+        gens = _centre_generators(A)
+        assert len(_closure(A, gens)) == Z.order
+        assert len(gens) == _log_p_index(Z, power_subgroup(Z, G.p), G.p)
 
 
 ORACLE_ONLY = """

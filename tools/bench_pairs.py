@@ -15,9 +15,14 @@ Usage, from anywhere:
         --seconds 30 --seeds 1 2 3
 
 It prints one line per pair, then for each metric the median and
-quartiles of each side over the pairs and the number of pairs in which
-CHANGE is lower (every metric here is better lower; ties count for
-neither side).  It exits 1 if any run failed an invocation.
+quartiles of each side and the number of pairs in which CHANGE is lower
+(every metric here is better lower; ties count for neither side): once
+over all pairs, and once per seed.  Different seeds pick different
+inputs, whose costs can differ far more than the noise, so only the
+per-seed quartiles measure the spread.  A last verdict line says whether
+CHANGE gains on `run_rel`: lower in at least 9 of 10 pairs, and on every
+seed lower in the median by more than BASE's interquartile range.  It
+exits 1 if any run failed an invocation.
 """
 
 from __future__ import annotations
@@ -55,6 +60,45 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def by_seed(seeds: list[int], rows: dict[str, list[dict]]) -> dict:
+    """{seed: (base rows, change rows)} over the pairs run on that seed."""
+    groups: dict[int, tuple[list[dict], list[dict]]] = {}
+    for seed, b, c in zip(seeds, rows["base"], rows["change"]):
+        base, change = groups.setdefault(seed, ([], []))
+        base.append(b)
+        change.append(c)
+    return groups
+
+
+def summarize(metric: str, label: str, base_rows: list[dict],
+              change_rows: list[dict]) -> None:
+    base = [r[metric] for r in base_rows]
+    change = [r[metric] for r in change_rows]
+    wins = sum(c < b for b, c in zip(base, change))
+    losses = sum(c > b for b, c in zip(base, change))
+    (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
+    print(f"{metric:12} {label:9} base {bmed:.4g} [{bq1:.4g}, {bq3:.4g}]   "
+          f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]   "
+          f"change lower in {wins}/{len(base)}, higher in {losses}/{len(base)}   "
+          f"median diff {cmed - bmed:+.4g} vs base IQR {bq3 - bq1:.4g}")
+
+
+def verdict(metric: str, seeds: list[int], rows: dict[str, list[dict]]) -> str:
+    """Whether CHANGE gains on `metric`: lower in at least 9 of 10 pairs,
+    and on every seed lower in the median by more than BASE's IQR."""
+    pairs = len(rows["base"])
+    wins = sum(c[metric] < b[metric] for b, c in zip(rows["base"], rows["change"]))
+    gain = 10 * wins >= 9 * pairs
+    gaps = []
+    for seed, (base_rows, change_rows) in by_seed(seeds, rows).items():
+        bq1, bmed, bq3 = quartiles([r[metric] for r in base_rows])
+        cmed = quartiles([r[metric] for r in change_rows])[1]
+        gain &= bmed - cmed > bq3 - bq1
+        gaps.append(f"seed {seed} gap {bmed - cmed:+.4g} vs IQR {bq3 - bq1:.4g}")
+    return (f"verdict {metric}: {'GAIN' if gain else 'NO GAIN'}   lower in "
+            f"{wins}/{pairs} pairs   " + "   ".join(gaps))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout measured as the parent")
@@ -72,8 +116,8 @@ def main(argv=None) -> int:
             parser.error(f"{root} is not a checkout with perfbench/run.py")
 
     rows: dict[str, list[dict]] = {"base": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
+    seeds = [args.seeds[i % len(args.seeds)] for i in range(args.pairs)]
+    for i, seed in enumerate(seeds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             rows[side].append(run_once(sides[side], args.workload, seed, args.seconds))
@@ -84,15 +128,10 @@ def main(argv=None) -> int:
               flush=True)
 
     for m in METRICS:
-        base = [r[m] for r in rows["base"]]
-        change = [r[m] for r in rows["change"]]
-        wins = sum(c < b for b, c in zip(base, change))
-        losses = sum(c > b for b, c in zip(base, change))
-        (bq1, bmed, bq3), (cq1, cmed, cq3) = quartiles(base), quartiles(change)
-        print(f"{m:12} base {bmed:.4g} [{bq1:.4g}, {bq3:.4g}]   "
-              f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]   "
-              f"change lower in {wins}/{args.pairs}, higher in {losses}/{args.pairs}   "
-              f"median diff {cmed - bmed:+.4g} vs base IQR {bq3 - bq1:.4g}")
+        summarize(m, "all", rows["base"], rows["change"])
+        for seed, (base_rows, change_rows) in by_seed(seeds, rows).items():
+            summarize(m, f"seed {seed}", base_rows, change_rows)
+    print(verdict("run_rel", seeds, rows))
     failed = any(r["failed_frac"] for side in rows.values() for r in side)
     return 1 if failed else 0
 
