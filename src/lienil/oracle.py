@@ -29,11 +29,23 @@ multiplication by generators of Z(G) (`lower_lie_chain` gives the
 argument).  S, the orbits, the centre, its generators and the coset
 representatives are all found from the multiplication table alone,
 and both products of an element with a basis element are column
-gathers through it.  Everything here is exact arithmetic mod p on
-numpy arrays, and even |G'|, which bounds the chains' length, is read
-off the table; nothing is shared with the Jennings-style computation
-in lienil.dimension and lienil.subgroups, so the two routes
-cross-check each other.
+gathers through it.
+
+Both chains are graded by G/G'.  For x, b in G, bx = b(xb)b^-1, so xb
+and bx lie in one coset of G', and the bracket [e_x, e_b] =
+e_(xb) - e_(bx) lies in F_p[cG'] with c = xbG'.  So every term is
+spanned by elements each supported on one coset, and each row of its
+reduced row-echelon basis is too (`_lie_chain` gives the argument).  A
+term is then |G : G'| echelon blocks of width |G'|, one per coset,
+eliminated together as one stack (fp_linalg.GradedEchelon), which does
+about |G : G'| times fewer flops than one dense basis of width |G|; the
+public chains scatter the blocks back to the dense basis.  The same
+blocks give the Lie dimension subgroups (`lie_dimension_orders`).
+
+Everything here is exact arithmetic mod p on numpy arrays, and even
+|G'|, which bounds the chains' length, is read off the table; nothing is
+shared with the Jennings-style computation in lienil.dimension and
+lienil.subgroups, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lienil.fp_linalg import EchelonAccumulator, close_under
+from lienil.fp_linalg import GradedEchelon, _residues, close_under, to_layers
 from lienil.pcgroup import Element, PcGroup
 
 DEFAULT_ORACLE_CAP = 256
@@ -151,6 +163,43 @@ class GroupAlgebra:
         # residues in, so out lies in (-p, p): one conditional add reduces it
         return np.add(out, self.p, out=out, where=out < 0)
 
+    @cached_property
+    def cosets(self) -> np.ndarray:
+        """The cosets of G' as a (|G : G'|, |G'|) index array: each row in
+        ascending index order, the rows ordered by their least index, so
+        row 0 is G' and cosets[0, 0] the identity."""
+        members = np.sort(self.table[:, np.flatnonzero(self.derived)], axis=1)
+        return members[members[:, 0] == np.arange(self.dim)]
+
+    @cached_property
+    def graded_columns(self) -> np.ndarray:
+        """graded_columns[x] = the position of x in cosets.ravel(), its
+        column in the graded order the Lie chains work in."""
+        columns = np.empty(self.dim, dtype=np.intp)
+        columns[self.cosets.ravel()] = np.arange(self.dim)
+        return columns
+
+    @cached_property
+    def graded_table(self) -> np.ndarray:
+        """The multiplication table in the graded order of both indices
+        and values: graded_table[Y, Z] is the graded column of the
+        product of the elements at graded columns Y and Z."""
+        order = self.cosets.ravel()
+        return self.graded_columns[self.table[np.ix_(order, order)]]
+
+    def graded_brackets(self, layers: np.ndarray, bs: Sequence[int]) -> np.ndarray:
+        """[v, e_b] for each row v of `layers`, in the graded column order,
+        and each b in bs: len(layers) * len(bs) rows, entries in (-p, p).
+
+        As in bracket_with_basis both products are gathers, here columns
+        and rows of graded_table, all bs in one gather each.  Each
+        homogeneous piece of a layer moves from coset xG' to xbG'.
+        """
+        c = self.graded_columns[self.inverse_indices[list(bs)]]
+        out = layers[:, self.graded_table[:, c].T]
+        out -= layers[:, self.graded_table[c, :]]
+        return out.reshape(-1, self.dim)
+
 
 def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
     """Materialize F_p[G]; refuses groups with more than `cap` elements."""
@@ -205,12 +254,6 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
                         generator_indices=gen_indices, index=index)
 
 
-def _right_gathers(A: GroupAlgebra, indices) -> list[np.ndarray]:
-    """Right multiplication by each e_g as a column gather: coordinate y
-    of v * e_g is v[y * g^-1]."""
-    return [A.table[:, A.inverse_indices[g]] for g in indices]
-
-
 def _pth_powers(A: GroupAlgebra, xs: np.ndarray) -> np.ndarray:
     """The index of x^p for each index x in xs."""
     powers = xs
@@ -259,17 +302,38 @@ def _centre_transversal(A: GroupAlgebra) -> np.ndarray:
     return np.flatnonzero(least == np.arange(A.dim))
 
 
+def _right_gathers(A: GroupAlgebra, indices: Sequence[int]) -> np.ndarray:
+    """Right multiplication by each e_g as a gather of the graded columns:
+    coordinate y of v * e_g is v[y * g^-1]."""
+    inverses = A.graded_columns[A.inverse_indices[list(indices)]]
+    return A.graded_table[:, inverses].T
+
+
 def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
                ideals: bool) -> list[np.ndarray]:
-    """Terms from F_p[G] down to the first zero term, so the index is the
-    length of the list.
+    """Graded terms from F_p[G] down to the first zero term, so the index
+    is the length of the list.
 
-    A term is the read-only RREF basis of a subspace of F_p[G], one row
-    per dimension.  Each step brackets a set of spanning rows u against a
-    set of basis indices b: the first step against `gens`, which must
-    generate G, and every later step against `against`.  W is the span
-    of the [u, e_b], and the term is W closed under right multiplication
-    by a set of group elements.
+    The grading: for x, b in G, bx = b(xb)b^-1, so xb and bx lie in one
+    coset of G', and [e_x, e_b] = e_(xb) - e_(bx) lies in F_p[cG'] with
+    c = xbG'.  So F_p[G] is the direct sum of the F_p[cG'] over the
+    cosets, and the bracket, like the product, sends a homogeneous element
+    of coset xG' and e_b to one of coset xbG'.  By induction every term
+    below is spanned by homogeneous elements.  Then each row of its RREF
+    is homogeneous: the row's component in its pivot's coset lies in the
+    term, has the same pivot and is zero at the other pivots, so it is
+    the row itself, the RREF being unique.  A term is therefore |G : G'|
+    independent echelon blocks, each |G'| wide, held as one (k, m, m)
+    square stack (GradedEchelon): block c is the RREF of the term's
+    component in coset c of A.cosets, in its ascending index order.
+
+    Each step brackets a set of spanning rows u against a set of basis
+    indices b: the first step against `gens`, which must generate G, and
+    every later step against `against`.  W is the span of the [u, e_b],
+    and the term is W closed under right multiplication by a set of group
+    elements.  Spanning rows are layers (fp_linalg.to_layers), one
+    homogeneous row per coset side by side, so one gather brackets every
+    coset's rows at once and moves each to its new coset.
 
     - Upper chain (`ideals`): the spanning rows are the previous term's
       basis, and W is closed under `gens`.
@@ -278,8 +342,8 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
       closed under generators of Z(G).
 
     The brackets are fed to the accumulator in blocks of at most A.dim
-    rows.  The chains pass A.generators as `gens`; the slow routes the
-    tests compare them against pass every basis index, range(A.dim).
+    layers.  The chains pass A.generators as `gens`; passing every basis
+    index, range(A.dim), spans the same terms.
 
     Every term lies in the one before it: M^(n+1) lies in M^(n) because
     M^(n) is an ideal, and V_(n+1) = [V_n, F_p[G]] lies in
@@ -291,28 +355,31 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
             runs past A.chain_bound terms.
     """
     kind = "upper" if ideals else "lower"
-    terms = [np.eye(A.dim, dtype=np.int64)]
-    terms[0].setflags(write=False)
+    k, m = A.cosets.shape
+    terms = [np.tile(np.eye(m), (k, 1, 1))]
     if ideals:
-        spanning = terms[0]
+        spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
         gathers = _right_gathers(A, gens)
     else:
-        spanning = terms[0][_centre_transversal(A)]
+        seeds = np.zeros(A.dim, dtype=bool)
+        seeds[A.graded_columns[_centre_transversal(A)]] = True
+        spanning = to_layers(terms[0], seeds.reshape(k, m))
         gathers = _right_gathers(A, _centre_generators(A))
-    bracketing = gens
-    while len(terms[-1]):
-        current = terms[-1]
-        acc = EchelonAccumulator(A.p, A.dim)
+    bracketing = list(gens)
+    rank = A.dim
+    while rank:
+        acc = GradedEchelon(A.p, k, m)
         per_block = max(1, A.dim // len(spanning))
         for lo in range(0, len(bracketing), per_block):
-            acc.add_block(np.vstack([A.bracket_with_basis(spanning, b)
-                                     for b in bracketing[lo:lo + per_block]]))
-        brackets = acc.basis
-        nxt = close_under(acc, gathers)
-        if len(nxt) == len(current):
+            acc.add_block(A.graded_brackets(spanning, bracketing[lo:lo + per_block]))
+        if not ideals:
+            spanning = acc.basis  # W itself, before the closure
+        closed = close_under(acc, gathers)
+        nxt = acc.square
+        if (nxt_rank := acc.dim) == rank:
             raise NotLieNilpotentDetected(
                 f"{kind} chain went stationary at nonzero dimension "
-                f"{len(current)}: not Lie nilpotent (or a bug)"
+                f"{rank}: not Lie nilpotent (or a bug)"
             )
         terms.append(nxt)
         if len(terms) > A.chain_bound + 1:
@@ -320,9 +387,25 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
                 f"{kind} chain exceeded {A.chain_bound} terms without "
                 "vanishing: not Lie nilpotent (or a bug)"
             )
-        spanning = nxt if ideals else brackets
-        bracketing = against
+        if ideals:
+            spanning = closed
+        bracketing = list(against)
+        rank = nxt_rank
     return terms
+
+
+def _ungraded(A: GroupAlgebra, square: np.ndarray) -> np.ndarray:
+    """The read-only dense RREF array of a graded term: each block row
+    scattered to its coset's columns, the rows ordered by pivot.  A row's
+    pivot is its coset's member at the row's local pivot, as each coset's
+    columns are in ascending index order."""
+    grade, col = np.nonzero(np.diagonal(square, axis1=1, axis2=2))
+    order = np.argsort(A.cosets[grade, col])
+    grade, col = grade[order], col[order]
+    dense = np.zeros((len(order), A.dim), dtype=np.int64)
+    dense[np.arange(len(order))[:, None], A.cosets[grade]] = square[grade, col]
+    dense.setflags(write=False)
+    return dense
 
 
 def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
@@ -342,7 +425,7 @@ def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
        with [l, x] in L, since l lies in M^(n).  So F_p[G] L lies in
        L * F_p[G], and F_p[G] L F_p[G] = L * F_p[G] = T * F_p[G].
     """
-    return _lie_chain(A, A.generators, A.generators, ideals=True)
+    return [_ungraded(A, t) for t in _lie_chain(A, A.generators, A.generators, ideals=True)]
 
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
@@ -423,7 +506,32 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     gets V_(n+1) = U_(n+1) F by closing U_(n+1) under right
     multiplication by generators of Z(G), whose products are all of Z(G).
     """
-    return _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False)
+    return [_ungraded(A, t) for t in
+            _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False)]
+
+
+def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
+    """[|D_(2)|, |D_(3)|, ...] read off the upper chain, ending at the first
+    trivial term, as dimension.lie_dimension_chain ends.
+
+    The Lie dimension subgroup D_(m) is the set of g in G with
+    e_g - e_1 in M^(m) (Passi and Sehgal, Comm. Algebra 3, 1975), and for
+    m >= 2 it lies in G', the coset of the identity.  So g lies in D_(m)
+    exactly when e_g - e_1, an element of block 0 of the graded term
+    M^(m), reduces to 0 against that block: one |G'| x |G'| product per
+    term for all of G' at once.  The last term is 0, where only the
+    identity passes, so the list ends.
+    """
+    m = A.cosets.shape[1]
+    differences = np.eye(m)
+    differences[:, 0] -= 1  # row g: e_g - e_1, the identity at column 0
+    orders = []
+    for square in _lie_chain(A, A.generators, A.generators, ideals=True)[1:]:
+        residual = _residues(differences @ (np.eye(m) - square[0]), A.p)
+        orders.append(m - int(residual.any(axis=1).sum()))
+        if orders[-1] == 1:
+            break
+    return orders
 
 
 def t_upper_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:

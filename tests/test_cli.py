@@ -477,9 +477,13 @@ def test_oracle_cap_is_checked_before_the_formula(monkeypatch, capsys):
     assert "oracle cap 8" in err
 
 
+def _identity_brackets(self, layers, bs):
+    return layers.repeat(len(bs), axis=0)
+
+
 def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, capsys):
-    # a bracket that returns its block keeps every term
-    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", lambda self, block, b: block)
+    # a bracket that returns its rows keeps every term
+    monkeypatch.setattr(GroupAlgebra, "graded_brackets", _identity_brackets)
     code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain went stationary at nonzero "
@@ -488,7 +492,7 @@ def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, caps
 
 def test_classify_with_oracle_reports_a_stationary_chain_as_an_inconsistency(
         monkeypatch, capsys):
-    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", lambda self, block, b: block)
+    monkeypatch.setattr(GroupAlgebra, "graded_brackets", _identity_brackets)
     code, out, err = run(capsys, ["classify", "--builder", "dihedral:16", "--with-oracle"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain went stationary at nonzero "

@@ -17,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from lienil.fp_linalg import (
     EchelonAccumulator,
+    GradedEchelon,
+    _residues,
     _rref,
     _unit_upper_solve,
     close_under,
     matmul_mod,
+    to_layers,
 )
 from lienil.pcgroup import check_prime
 
@@ -363,3 +366,108 @@ def test_unit_upper_inverse(p):
         inverse = _unit_upper_solve(t, eye, p)
         product = (inverse.astype(object) @ t.astype(object)) % p
         assert product.tolist() == eye.tolist(), size
+
+
+def _square_pivots(square):
+    # the (k, m) pivot mask of a square form: its nonzero diagonal
+    return np.diagonal(square, axis1=1, axis2=2) != 0
+
+
+def _square_rows(square, c):
+    # grade c's basis rows, in pivot order, from its square form
+    block = square[c]
+    return block[np.diagonal(block) != 0].astype(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES + (NEAR_LIMIT_PRIME,)),
+       grades=st.integers(min_value=1, max_value=5),
+       width=st.integers(min_value=1, max_value=6),
+       sizes=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_graded_echelon_is_the_rref_of_each_grade(p, grades, width, sizes, seed):
+    """Stacks of rows of every grade, fed in several adds, some rows
+    repeated or combined so that they vanish, entries in (-p, p)."""
+    rng = np.random.default_rng(seed)
+    acc = GradedEchelon(p, grades, width)
+    fed = [[] for _ in range(grades)]
+    for size in sizes:
+        block = rng.integers(0, p, size=(grades, size, width))
+        if size > 1:
+            block[:, -1] = (block[:, 0] * int(rng.integers(1, p))) % p
+            block[:, 0] = -block[:, 0]
+        before = _square_pivots(acc.square)
+        layers = block.transpose(1, 0, 2).reshape(size, grades * width)
+        new = acc.add_block(layers.astype(np.float64))
+        assert new.tolist() == to_layers(acc.square, _square_pivots(acc.square) & ~before).tolist()
+        for c in range(grades):
+            fed[c] += block[c].tolist()
+    for c in range(grades):
+        assert _square_rows(acc.square, c) == naive_rref(fed[c] or [[0] * width], p)
+    assert acc.dim == sum(len(naive_rref(rows, p)) for rows in fed if rows)
+    assert acc.basis.tolist() == to_layers(acc.square, _square_pivots(acc.square)).tolist()
+
+
+def test_graded_echelon_refuses_the_first_inexact_width():
+    # width 6 is the widest in which GF(NEAR_LIMIT_PRIME) stays exact
+    GradedEchelon(NEAR_LIMIT_PRIME, 2, 6)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        GradedEchelon(NEAR_LIMIT_PRIME, 2, 7)
+    with pytest.raises(ValueError):
+        GradedEchelon(3, 4, 2**51)
+
+
+def test_residues_match_integer_mod_near_the_float_limit():
+    rng = np.random.default_rng(11)
+    for p in PRIMES + (NEAR_LIMIT_PRIME,):
+        bound = 2**53 - p  # |x| + p <= 2**53
+        x = rng.integers(-bound, bound + 1, size=4000)
+        x = np.concatenate([x, x - x % p, [bound, -bound, 0, p, -p]])
+        assert np.array_equal(_residues(x.astype(np.float64), p).astype(np.int64), x % p)
+
+
+def test_layers_hold_one_row_per_grade():
+    square = np.arange(2 * 3 * 3, dtype=np.float64).reshape(2, 3, 3)
+    rows = np.array([[True, False, True], [False, False, True]])
+    layers = to_layers(square, rows)
+    assert layers.tolist() == [[0, 1, 2, 0, 0, 0], [6, 7, 8, 15, 16, 17]]
+
+
+def test_close_under_a_graded_echelon_is_the_dense_closure():
+    # gathers that send every grade to a grade, acting on rows laid out as
+    # layers, against close_under on the dense homogeneous rows
+    rng = np.random.default_rng(3)
+    for p, grades, width in ((2, 3, 4), (3, 4, 3), (5, 2, 5)):
+        for _ in range(10):
+            gathers = []
+            for _ in range(2):
+                target = rng.permutation(grades)
+                gathers.append(np.concatenate(
+                    [target[c] * width + rng.permutation(width) for c in range(grades)]))
+            gathers = np.array(gathers)
+            seed = rng.integers(0, p, size=(grades, 1, width)).astype(np.float64)
+            acc = GradedEchelon(p, grades, width)
+            acc.add_block(seed.reshape(1, -1))
+            assert close_under(acc, list(gathers)).tolist() == acc.basis.tolist()
+            square = acc.square
+            dense = []
+            for c in range(grades):
+                row = np.zeros(grades * width, dtype=np.int64)
+                row[c * width:(c + 1) * width] = seed[c, 0]
+                dense.append(row.tolist())
+            want = close_under(_accumulate(p, grades * width, dense), list(gathers))
+            got = [row for c in range(grades) for row in
+                   np.pad(square[c], ((0, 0), (c * width, (grades - 1 - c) * width)))
+                   [np.diagonal(square[c]) != 0].astype(np.int64).tolist()]
+            assert sorted(got, key=lambda r: np.flatnonzero(r)[0]) == want.tolist()
+
+
+def test_graded_square_is_read_only_and_not_aliased_by_later_blocks():
+    acc = GradedEchelon(3, 2, 3)
+    acc.add_block(np.array([[1.0, 2.0, 0.0, 0.0, 1.0, 1.0]]))
+    before = acc.square
+    kept = before.copy()
+    assert not before.flags.writeable
+    acc.add_block(np.array([[0.0, 1.0, 1.0, 1.0, 0.0, 0.0]]))
+    assert np.array_equal(before, kept)
+    assert acc.dim == 4

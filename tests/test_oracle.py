@@ -20,8 +20,9 @@ from lienil.catalog import (
     import_presentation,
     standard_catalog,
 )
-from lienil.dimension import upper_index
-from lienil.fp_linalg import EchelonAccumulator
+import lienil.fp_linalg
+from lienil.dimension import lie_dimension_chain, upper_index
+from lienil.fp_linalg import EchelonAccumulator, GradedEchelon, close_under
 from lienil.oracle import (
     GroupAlgebra,
     NotLieNilpotentDetected,
@@ -30,7 +31,9 @@ from lienil.oracle import (
     _centre_transversal,
     _lie_chain,
     _orbit_representatives,
+    _ungraded,
     build_algebra,
+    lie_dimension_orders,
     lower_lie_chain,
     t_lower_direct,
     t_upper_direct,
@@ -88,6 +91,56 @@ def _two_sided_upper_chain(A):
             fresh = np.vstack([acc.add_block(op(fresh)) for op in ops])
         spaces.append(acc.basis)
     return spaces
+
+
+def _right_gathers(A, indices):
+    # right multiplication by each e_g as a column gather: coordinate y of
+    # v * e_g is v[y * g^-1]
+    return [A.table[:, A.inverse_indices[g]] for g in indices]
+
+
+def _ungraded_lie_chain(A, gens, against, ideals):
+    # The chain as it was before the grading by G/G', kept as the slow
+    # reference: every term is one dense EchelonAccumulator of width |G|.
+    # Each step brackets a set of spanning rows u against basis indices b:
+    # the first step against `gens`, later steps against `against`.  W is
+    # the span of the [u, e_b], fed in blocks of at most A.dim rows, and
+    # the term is W closed under right multiplication: for the upper chain
+    # (`ideals`) the spanning rows are the previous term and W is closed
+    # under `gens`; for the lower chain the first spanning rows are one
+    # basis element per coset of Z(G), each later set is the previous W,
+    # and W is closed under generators of Z(G).
+    kind = "upper" if ideals else "lower"
+    terms = [np.eye(A.dim, dtype=np.int64)]
+    terms[0].setflags(write=False)
+    if ideals:
+        spanning = terms[0]
+        gathers = _right_gathers(A, gens)
+    else:
+        spanning = terms[0][_centre_transversal(A)]
+        gathers = _right_gathers(A, _centre_generators(A))
+    bracketing = gens
+    while len(terms[-1]):
+        current = terms[-1]
+        acc = EchelonAccumulator(A.p, A.dim)
+        per_block = max(1, A.dim // len(spanning))
+        for lo in range(0, len(bracketing), per_block):
+            acc.add_block(np.vstack([A.bracket_with_basis(spanning, b)
+                                     for b in bracketing[lo:lo + per_block]]))
+        brackets = acc.basis
+        nxt = close_under(acc, gathers)
+        if len(nxt) == len(current):
+            raise NotLieNilpotentDetected(f"{kind} chain went stationary")
+        terms.append(nxt)
+        assert len(terms) <= A.chain_bound + 1
+        spanning = nxt if ideals else brackets
+        bracketing = against
+    return terms
+
+
+def _reference_chains(A):
+    return (_ungraded_lie_chain(A, A.generators, A.generators, ideals=True),
+            _ungraded_lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))
 
 
 # the order-243 table rows, the largest groups the default oracle cap admits
@@ -188,7 +241,7 @@ SEEDING_CASES = {
 def test_generator_seeding_spans_the_same_ideals():
     for make in SEEDING_CASES.values():
         A = build_algebra(make())
-        full = _lie_chain(A, range(A.dim), range(A.dim), ideals=True)
+        full = [_ungraded(A, t) for t in _lie_chain(A, range(A.dim), range(A.dim), ideals=True)]
         reduced = upper_lie_chain(A)
         assert len(full) == len(reduced)
         assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
@@ -397,21 +450,39 @@ def test_centre_generators_and_transversal_match_the_centre(make):
     assert set().union(*cosets) == set(range(A.dim))
 
 
+def _pieces(A, layers):
+    # the nonzero homogeneous rows held in layers of the graded column
+    # order, scattered to dense rows and ordered by leading index
+    k, m = A.cosets.shape
+    blocks = layers.reshape(-1, k, m)
+    rows = []
+    for layer in blocks:
+        for c, piece in enumerate(layer):
+            if piece.any():
+                row = np.zeros(A.dim, dtype=np.int64)
+                row[A.cosets[c]] = piece
+                rows.append(row)
+    rows.sort(key=lambda row: int(np.flatnonzero(row)[0]))
+    return np.array(rows, dtype=np.int64).reshape(-1, A.dim)
+
+
 def _counted_chain(monkeypatch, chain, A):
-    # the chain's terms, each (rows, b) bracketed, and each block's length
+    # the chain's terms, each (rows, b) bracketed, as dense homogeneous
+    # rows, and the number of layers of each block fed to the accumulator
     bracketed, blocks = [], []
-    bracket, add_block = GroupAlgebra.bracket_with_basis, EchelonAccumulator.add_block
+    bracket, add_block = GroupAlgebra.graded_brackets, GradedEchelon.add_block
 
-    def counted_bracket(self, block, b):
-        bracketed.append((block, b))
-        return bracket(self, block, b)
+    def counted_bracket(self, layers, bs):
+        rows = _pieces(A, layers)
+        bracketed.extend((rows, b) for b in bs)
+        return bracket(self, layers, bs)
 
-    def counted_add(self, block):
-        blocks.append(len(block))
-        return add_block(self, block)
+    def counted_add(self, layers):
+        blocks.append(len(layers))
+        return add_block(self, layers)
 
-    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", counted_bracket)
-    monkeypatch.setattr(EchelonAccumulator, "add_block", counted_add)
+    monkeypatch.setattr(GroupAlgebra, "graded_brackets", counted_bracket)
+    monkeypatch.setattr(GradedEchelon, "add_block", counted_add)
     return chain(A), bracketed, blocks
 
 
@@ -424,7 +495,7 @@ def test_lower_chain_brackets_a_spanning_set_in_bounded_blocks(monkeypatch, make
     # the first step brackets one row per coset of Z(G) against a minimal
     # generating set, later steps bracket fewer rows than the terms have
     # against the orbit representatives, and no block fed to the
-    # accumulator exceeds A.dim rows
+    # accumulator exceeds A.dim layers
     A = build_algebra(make())
     reps, gens = _orbit_representatives(A), A.generators
     chain, bracketed, blocks = _counted_chain(monkeypatch, lower_lie_chain, A)
@@ -450,6 +521,53 @@ def test_upper_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
     want = [(term, g) for term in chain[:-1] for g in A.generators]
     assert [b for _, b in bracketed] == [g for _, g in want]
     assert all(np.array_equal(got, term) for (got, _), (term, _) in zip(bracketed, want))
+
+
+def _first_step_calls(monkeypatch, A):
+    # bracket gathers, blocks added (one per bracket call and one per
+    # closure round, after its gathers) and elimination calls (every
+    # reduction mod p) in the first step of the upper chain
+    calls = {"brackets": 0, "blocks": 0, "eliminations": 0}
+    steps = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    init = GradedEchelon.__init__
+
+    def counted_init(self, *args):
+        steps.append(dict(calls))
+        init(self, *args)
+
+    monkeypatch.setattr(GroupAlgebra, "graded_brackets",
+                        counted("brackets", GroupAlgebra.graded_brackets))
+    monkeypatch.setattr(GradedEchelon, "add_block",
+                        counted("blocks", GradedEchelon.add_block))
+    monkeypatch.setattr(lienil.fp_linalg, "_residues",
+                        counted("eliminations", lienil.fp_linalg._residues))
+    monkeypatch.setattr(GradedEchelon, "__init__", counted_init)
+    upper_lie_chain(A)
+    monkeypatch.undo()
+    return {key: steps[1][key] - steps[0][key] for key in calls}
+
+
+def test_a_step_on_81_cosets_makes_no_more_numpy_calls_than_on_4(monkeypatch):
+    # the graded elimination works on all cosets at once: the first upper
+    # step of condition-quotient:66 (81 cosets of width 3) makes no more
+    # gathers and eliminations than that of D32 (4 cosets of width 8),
+    # though it brackets against twice as many generators; a loop over the
+    # cosets would make about 81 times as many
+    many = build_algebra(build_condition_quotient(66, 3).group)
+    few = build_algebra(build_dihedral(32).group)
+    assert many.cosets.shape == (81, 3) and few.cosets.shape == (4, 8)
+    assert len(many.generators) == 2 * len(few.generators)
+    on_many = _first_step_calls(monkeypatch, many)
+    on_few = _first_step_calls(monkeypatch, few)
+    for key in on_many:
+        assert 0 < on_many[key] <= on_few[key], (key, on_many, on_few)
 
 
 UPPER_REFERENCE_CASES = {**SEEDING_CASES, **NONABELIAN_ORACLE}
@@ -524,9 +642,71 @@ def test_oracle_runs_both_chains_without_the_subgroup_code():
 
 
 def test_lower_chain_stationary_guard(monkeypatch):
-    # a bracket that returns its block keeps every term
-    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", lambda self, block, b: block)
+    # a bracket that returns its rows keeps every term
+    monkeypatch.setattr(GroupAlgebra, "graded_brackets",
+                        lambda self, layers, bs: np.vstack([layers] * len(bs)))
     A = build_algebra(build_dihedral(16).group)
     with pytest.raises(NotLieNilpotentDetected,
                        match="lower chain went stationary at nonzero dimension 16"):
         lower_lie_chain(A)
+
+
+# the catalog groups the default cap admits, among them both condition
+# quotients at p = 3 and heisenberg-5, and the dihedral and quaternion
+# groups of order 128 and 256
+REFERENCE_GROUPS = {
+    **{e.name: (lambda e=e: e.group) for e in standard_catalog() if e.order <= 256},
+    "D128": lambda: build_dihedral(128).group,
+    "Q128": lambda: build_quaternion(128).group,
+    "D256": lambda: build_dihedral(256).group,
+    "Q256": lambda: build_quaternion(256).group,
+}
+
+
+def test_reference_groups_are_the_catalog_and_four_more():
+    assert len(REFERENCE_GROUPS) == 51
+    assert {"cond65-quotient-p3", "cond66-quotient-p3", "heisenberg-5"} <= set(REFERENCE_GROUPS)
+
+
+@pytest.mark.parametrize("make", REFERENCE_GROUPS.values(), ids=REFERENCE_GROUPS.keys())
+def test_graded_chains_equal_the_ungraded_reference(make):
+    # every term of both chains, byte for byte, dtype and shape included
+    A = build_algebra(make())
+    want_upper, want_lower = _reference_chains(A)
+    for got, want in ((upper_lie_chain(A), want_upper), (lower_lie_chain(A), want_lower)):
+        assert [t.dtype for t in got] == [t.dtype for t in want]
+        assert [t.shape for t in got] == [t.shape for t in want]
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        assert not any(t.flags.writeable for t in got)
+
+
+@pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
+def test_every_term_row_lies_in_one_coset_of_the_derived_subgroup(make):
+    # the cosets read off the subgroup code, not off the algebra's table
+    G = make()
+    A = build_algebra(G)
+    derived = [A.index[d] for d in derived_subgroup(whole_group(G)).elements]
+    label = A.table[:, derived].min(axis=1)
+    for term in upper_lie_chain(A) + lower_lie_chain(A):
+        for row in term:
+            assert len(set(label[np.flatnonzero(row)].tolist())) == 1
+
+
+def test_cosets_partition_the_group_in_ascending_rows():
+    A = build_algebra(build_condition_quotient(66, 3).group)
+    assert A.cosets.shape == (81, 3)
+    assert np.array_equal(np.sort(A.cosets.ravel()), np.arange(A.dim))
+    assert (np.diff(A.cosets, axis=1) > 0).all()
+    assert (np.diff(A.cosets[:, 0]) > 0).all()
+    assert set(A.cosets[0].tolist()) == set(np.flatnonzero(A.derived).tolist())
+    assert np.array_equal(A.cosets.ravel()[A.graded_columns], np.arange(A.dim))
+
+
+def test_lie_dimension_orders_equal_the_product_formula_chain():
+    # D_(m) read off the upper chain against the Passi product formula,
+    # term by term, on every catalog group the default cap admits
+    entries = [e for e in standard_catalog() if e.order <= 256]
+    assert len(entries) == 47
+    for e in entries:
+        want = [D.order for D in lie_dimension_chain(whole_group(e.group))]
+        assert lie_dimension_orders(build_algebra(e.group)) == want, e.name

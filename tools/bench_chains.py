@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Time the oracle's Lie chains in process, in two checkouts, interleaved.
+
+One worker process per checkout imports that checkout's `lienil` and
+waits for group specs on stdin.  For each group and each repeat the two
+workers are asked in turn, which one goes first alternating, and each
+builds the algebra and runs `upper_lie_chain` and `lower_lie_chain`,
+timing the three in CPU time (`time.process_time`), which other load on
+the machine moves less than wall time.  BLAS runs on one thread, as in
+`perfbench/run.py`, so the two agree on an idle machine.
+
+Usage, from anywhere:
+
+    python3 tools/bench_chains.py BASE CHANGE --tag graded-oracle \\
+        --repeats 15 --groups dihedral:64 condition-quotient:65/3
+
+A group is a builder spec as `lienil --builder` reads it, with `/p` for
+the prime where the builder needs one.  The default groups are the eight
+of the `oracle` workload.  `--cap` raises the oracle cap for larger
+groups.  It prints the medians per group and side, and merges them into
+the "chains" section of BENCH_<tag>.json at the repository root (see
+tools/bench_pairs.py), one entry per group, replacing an earlier entry
+for the same group.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+from bench_pairs import bench_file, update_bench
+
+WORKLOAD_GROUPS = ("condition-quotient:65/3", "condition-quotient:66/3",
+                   "dihedral:64", "quaternion:64", "dihedral:32",
+                   "quaternion:32", "heisenberg:5", "free_class2:3/2")
+STAGES = ("build", "upper", "lower")
+
+WORKER = r"""
+import json, sys, time
+from lienil.catalog import build_named
+from lienil.oracle import build_algebra, lower_lie_chain, upper_lie_chain
+cap = int(sys.argv[1])
+for line in sys.stdin:
+    spec, _, p = line.strip().partition("/")
+    G = build_named(spec, int(p) if p else None).group
+    t0 = time.process_time()
+    A = build_algebra(G, cap)
+    t1 = time.process_time()
+    upper = len(upper_lie_chain(A))
+    t2 = time.process_time()
+    lower = len(lower_lie_chain(A))
+    t3 = time.process_time()
+    print(json.dumps({"build": t1 - t0, "upper": t2 - t1, "lower": t3 - t2,
+                      "lengths": [upper, lower]}), flush=True)
+"""
+
+
+def start_worker(root: Path, cap: int) -> subprocess.Popen:
+    env = {"PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PATH": "/usr/bin:/bin"}
+    return subprocess.Popen([sys.executable, "-c", WORKER, str(cap)], cwd=root,
+                            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
+
+
+def ask(worker: subprocess.Popen, spec: str) -> dict:
+    worker.stdin.write(spec + "\n")
+    worker.stdin.flush()
+    line = worker.stdout.readline()
+    if not line:
+        raise SystemExit(f"bench_chains: worker failed on {spec}")
+    return json.loads(line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout measured as the parent")
+    parser.add_argument("change", type=Path, help="checkout measured as the change")
+    parser.add_argument("--tag", required=True, help="names BENCH_<tag>.json")
+    parser.add_argument("--groups", nargs="+", default=list(WORKLOAD_GROUPS))
+    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--cap", type=int, default=256)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be positive")
+    sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    workers = {side: start_worker(root, args.cap) for side, root in sides.items()}
+    report = {}
+    try:
+        for spec in args.groups:
+            runs: dict[str, list[dict]] = {"base": [], "change": []}
+            for i in range(args.repeats):
+                for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
+                    runs[side].append(ask(workers[side], spec))
+            if runs["base"][0]["lengths"] != runs["change"][0]["lengths"]:
+                raise SystemExit(f"bench_chains: chain lengths differ on {spec}")
+            entry = {"repeats": args.repeats, "cap": args.cap,
+                     "lengths": runs["base"][0]["lengths"]}
+            for side, rows in runs.items():
+                entry[side] = {stage: statistics.median(r[stage] for r in rows)
+                               for stage in STAGES}
+                entry[side]["total"] = statistics.median(
+                    sum(r[stage] for stage in STAGES) for r in rows)
+            report[spec] = entry
+            b, c = entry["base"], entry["change"]
+            print(f"{spec:26} " + "   ".join(
+                f"{stage} {b[stage] * 1e3:.1f} -> {c[stage] * 1e3:.1f} ms"
+                for stage in (*STAGES, "total")), flush=True)
+    finally:
+        for worker in workers.values():
+            worker.stdin.close()
+            worker.wait()
+    update_bench(bench_file(args.tag), "chains", report)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

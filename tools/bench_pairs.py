@@ -12,7 +12,7 @@ two checkouts' processes, and `run_s` does not.
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py BASE CHANGE --workload oracle --pairs 10 \\
-        --seconds 30 --seeds 1 2 3
+        --seconds 30 --seeds 1 2 3 --tag graded-oracle
 
 It prints one line per pair, then for each metric the median and
 quartiles of each side and the number of pairs in which CHANGE is lower
@@ -23,18 +23,42 @@ per-seed quartiles measure the spread.  A last verdict line says whether
 CHANGE gains on `run_rel`: lower in at least 9 of 10 pairs, and on every
 seed lower in the median by more than BASE's interquartile range.  It
 exits 1 if any run failed an invocation.
+
+The same report, every pair's row, the per-seed medians and quartiles
+and the verdict, is merged into the "pairs" section of BENCH_<tag>.json
+at the repository root under the workload's name, next to nproc and the
+Python and numpy versions; `--tag` names the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 METRICS = ("run_rel", "run_s", "setup_s", "peak_rss_mb")
+REPO = Path(__file__).resolve().parents[1]
+
+
+def bench_file(tag: str) -> Path:
+    return REPO / f"BENCH_{tag}.json"
+
+
+def update_bench(path: Path, section: str, entries: dict) -> None:
+    """Merge entries into one section of a BENCH file, and record the
+    machine: nproc and the Python and numpy versions."""
+    report = json.loads(path.read_text()) if path.is_file() else {}
+    report["machine"] = {"nproc": os.cpu_count(),
+                         "python": platform.python_version(),
+                         "numpy": metadata.version("numpy")}
+    report.setdefault(section, {}).update(entries)
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -71,7 +95,9 @@ def by_seed(seeds: list[int], rows: dict[str, list[dict]]) -> dict:
 
 
 def summarize(metric: str, label: str, base_rows: list[dict],
-              change_rows: list[dict]) -> None:
+              change_rows: list[dict]) -> dict:
+    """Print and return one metric's quartiles on both sides and the
+    number of pairs in which CHANGE is lower and higher."""
     base = [r[metric] for r in base_rows]
     change = [r[metric] for r in change_rows]
     wins = sum(c < b for b, c in zip(base, change))
@@ -81,6 +107,8 @@ def summarize(metric: str, label: str, base_rows: list[dict],
           f"change {cmed:.4g} [{cq1:.4g}, {cq3:.4g}]   "
           f"change lower in {wins}/{len(base)}, higher in {losses}/{len(base)}   "
           f"median diff {cmed - bmed:+.4g} vs base IQR {bq3 - bq1:.4g}")
+    return {"base": [bq1, bmed, bq3], "change": [cq1, cmed, cq3],
+            "lower": wins, "higher": losses, "pairs": len(base)}
 
 
 def verdict(metric: str, seeds: list[int], rows: dict[str, list[dict]]) -> str:
@@ -107,6 +135,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--tag", required=True, help="names BENCH_<tag>.json")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
@@ -117,21 +146,28 @@ def main(argv=None) -> int:
 
     rows: dict[str, list[dict]] = {"base": [], "change": []}
     seeds = [args.seeds[i % len(args.seeds)] for i in range(args.pairs)]
+    pairs = []
     for i, seed in enumerate(seeds):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
             rows[side].append(run_once(sides[side], args.workload, seed, args.seconds))
         b, c = rows["base"][-1], rows["change"][-1]
+        pairs.append({"seed": seed, "first": order[0], "base": b, "change": c})
         print(f"pair {i + 1:2} seed {seed:3} {order[0]:6} first   "
               + "   ".join(f"{m} {b[m]:.4g} -> {c[m]:.4g}" for m in METRICS)
               + f"   failed_frac {b['failed_frac']:.3f} -> {c['failed_frac']:.3f}",
               flush=True)
 
+    summary: dict = {"all": {}, "seeds": {}}
     for m in METRICS:
-        summarize(m, "all", rows["base"], rows["change"])
+        summary["all"][m] = summarize(m, "all", rows["base"], rows["change"])
         for seed, (base_rows, change_rows) in by_seed(seeds, rows).items():
-            summarize(m, f"seed {seed}", base_rows, change_rows)
-    print(verdict("run_rel", seeds, rows))
+            summary["seeds"].setdefault(str(seed), {})[m] = summarize(
+                m, f"seed {seed}", base_rows, change_rows)
+    line = verdict("run_rel", seeds, rows)
+    print(line)
+    update_bench(bench_file(args.tag), "pairs", {args.workload: {
+        "seconds": args.seconds, "pairs": pairs, **summary, "verdict": line}})
     failed = any(r["failed_frac"] for side in rows.values() for r in side)
     return 1 if failed else 0
 
