@@ -1,36 +1,27 @@
 """Row elimination over the prime field GF(p): the oracle's kernel.
 
-Everything here works on numpy int64 arrays holding least non-negative
-residues.  A subspace is the read-only (dim, n) array of its reduced
-row-echelon basis, EchelonAccumulator.basis, so equal subspaces of one
-ambient space have identical arrays.  close_under continues the
+Everything here works on numpy arrays holding least non-negative
+residues, int64 where they go in and out.  A subspace is the read-only
+array of its echelon basis, EchelonAccumulator.basis, so equal subspaces
+of one ambient space have identical arrays.  close_under continues the
 accumulator that holds its seed.
 
+EchelonAccumulator(p, n, grades) splits GF(p)^n into `grades` blocks of
+width m = n / grades and keeps one reduced row-echelon basis per block,
+as the Lie chains of lienil.oracle need: their terms are direct sums of
+one subspace per coset of G'.  The bases are one (grades, m, m) stack,
+and every step runs on the whole stack at once, so the number of numpy
+calls does not grow with the number of grades, while the flops are about
+`grades` times fewer than for one basis of width n.  Rows go in and out
+as layers (to_layers), one row of each grade side by side.  With one
+grade, the default, a layer is a row and the basis is the RREF of every
+row fed.
+
 All products go through float64 BLAS, exact because every partial sum
-stays below 2**53.  EchelonAccumulator(p, n) therefore refuses fields and
-sizes with ``(p-1)^2 * n + p >= 2**53``; a p-group algebra has n >= p, so
-that happens only for n above 2 * 10^5, far beyond any dense table.
-
-EchelonAccumulator reduces each incoming block against its basis in one
-fused pass: it keeps a float64 copy of its rows, computes
-``blk - blk[:, pivots] @ rows`` with a single BLAS product, shifts the
-int64 result by a multiple of p so that every entry is non-negative, and
-applies one integer ``np.mod``.  What remains is eliminated in rounds,
-not one pivot column at a time: each round takes one row per distinct
-leading column, inverts the unit upper-triangular matrix those rows form
-on their leading columns as a product of (I + N^(2^k)) factors, and
-clears all of those columns with one product per array.  The RREF of a
-span is unique, so the rows do not depend on how many rounds it took.
-
-GradedEchelon is the same elimination for a space split into k grades
-of width m, one RREF basis per grade, as the Lie chains of
-lienil.oracle need: it keeps the bases as one (k, m, m) stack and runs
-every step on the whole stack at once, so the number of numpy calls does
-not grow with k, while the flops are about k times fewer than for one
-basis of width k*m.  Rows go in and out as layers (to_layers), one row
-of each grade side by side.  close_under continues either accumulator.
-The oracle eliminates only through GradedEchelon; EchelonAccumulator is
-the dense reference its chains are tested against.
+stays below 2**53.  An accumulator therefore refuses fields and widths
+with ``(p-1)^2 * m + p >= 2**53``; a p-group algebra has n >= p, so that
+happens only for m above 2 * 10^5, far beyond any dense table.
+matmul_mod is the same exact product for two residue matrices.
 """
 
 from __future__ import annotations
@@ -57,144 +48,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.mod(prod.astype(np.int64), p)
 
 
-def _nonzero_rows(a: np.ndarray) -> np.ndarray:
-    """a without its zero rows: a itself, not a copy, when it has none."""
-    nonzero = a.any(axis=1)
-    return a if nonzero.all() else a[nonzero]
-
-
-def _unit_upper_solve(t: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """T^-1 @ rows mod p for a unit upper-triangular residue matrix T.
-
-    With N = I - T, strictly upper triangular and so nilpotent,
-    T^-1 = (I + N)(I + N^2)(I + N^4)..., a product that ends once a power
-    of N is 0: a c x c matrix needs at most ceil(log2(c)) factors.
-    """
-    n = np.mod(-t, p)
-    np.fill_diagonal(n, 0)
-    while n.any():
-        rows = np.mod(rows + matmul_mod(n, rows, p), p)
-        n = matmul_mod(n, n, p)
-    return rows
-
-
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """The RREF rows of a block of residues, and their pivot columns.
-
-    Each round takes, for every distinct leading column, the first row
-    that leads there, and scales it to a leading 1.  On their leading
-    columns the chosen rows form a unit upper-triangular T, so T^-1
-    times them is the RREF of their span.  Those columns are then cleared
-    from the rows found so far and from the rest, each with one product,
-    and the rows that vanish are dropped.  Every product's inner
-    dimension is a number of pivots, at most the row length.
-    """
-    rows = np.zeros((0, a.shape[1]), dtype=np.int64)
-    pivots = np.zeros(0, dtype=np.int64)
-    a = _nonzero_rows(a)
-    while a.shape[0]:
-        lead = (a != 0).argmax(axis=1)
-        order = np.argsort(lead, kind="stable")
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = lead[order[1:]] != lead[order[:-1]]
-        chosen, cols = order[first], lead[order[first]]
-        new = a[chosen]
-        heads = new[np.arange(len(cols)), cols]
-        if (heads != 1).any():
-            inverses = np.array([pow(h, -1, p) for h in heads.tolist()], dtype=np.int64)
-            new = np.mod(new * inverses[:, None], p)
-        new = _unit_upper_solve(new[:, cols], new, p)
-        if rows.shape[0]:
-            rows = np.mod(rows - matmul_mod(rows[:, cols], new, p), p)
-        unchosen = np.ones(len(a), dtype=bool)
-        unchosen[chosen] = False
-        rest = a[unchosen]
-        rest -= matmul_mod(rest[:, cols], new, p)
-        a = _nonzero_rows(rest) % p
-        rows = np.vstack([rows, new])
-        pivots = np.concatenate([pivots, cols])
-    order = np.argsort(pivots)
-    return rows[order], pivots[order].tolist()
-
-
-class EchelonAccumulator:
-    """Growable RREF basis: feed row blocks, keep a canonical echelon.
-
-    The basis after any sequence of blocks is the RREF of all the rows
-    fed, whatever their order and grouping.  p must be prime.
-    """
-
-    def __init__(self, p: int, ambient_dim: int):
-        if (p - 1) ** 2 * ambient_dim + p >= _FLOAT_EXACT_LIMIT:
-            raise ValueError(f"GF({p}) elimination in dimension {ambient_dim} "
-                             "needs (p-1)^2 * dim + p < 2**53")
-        self.p = p
-        self.ambient_dim = ambient_dim
-        self._rows = np.zeros((0, ambient_dim), dtype=np.int64)
-        self._rows_f = np.zeros((0, ambient_dim), dtype=np.float64)
-        self._pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return self._rows.shape[0]
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The RREF rows themselves, read-only.
-
-        add_block replaces the row array and never writes into it, so a
-        basis taken earlier keeps its value.
-        """
-        self._rows.setflags(write=False)
-        return self._rows
-
-    def _reduce(self, blk: np.ndarray) -> np.ndarray:
-        """Residual (blk - blk[:, pivots] @ rows) mod p of a residue block."""
-        p = self.p
-        # The product lies in [0, (p-1)^2 * rank] and is exact in float64;
-        # adding p*(p-1)*rank makes every entry non-negative.  The
-        # coefficients are a temporary, freed before the product is cast.
-        prod = (blk[:, self._pivots].astype(np.float64) @ self._rows_f).astype(np.int64)
-        shift = p * (p - 1) * len(self._pivots)
-        return np.mod(np.subtract(blk + shift, prod, out=prod), p)
-
-    def add_block(self, block) -> np.ndarray:
-        """Add a (k, n) block of residues; return the newly added RREF rows.
-
-        The returned array is empty when the block lies in the current span.
-        """
-        blk = np.asarray(block, dtype=np.int64)
-        if blk.ndim == 1:
-            blk = blk.reshape(1, -1)
-        # Blocks of residues, the usual input, skip the full-size np.mod.
-        if blk.size and (blk.min() < 0 or blk.max() >= self.p):
-            blk = np.mod(blk, self.p)
-        blk = _nonzero_rows(blk)
-        if blk.shape[0] and self._pivots:
-            blk = _nonzero_rows(self._reduce(blk))
-        if blk.shape[0] == 0:
-            return np.zeros((0, self.ambient_dim), dtype=np.int64)
-        new_rows, new_pivots = _rref(blk, self.p)
-        rows = self._rows
-        if self._pivots:
-            # Clear old rows' entries over the new pivot columns, then merge.
-            coeffs = rows[:, new_pivots]
-            if coeffs.any():
-                rows = np.mod(rows - matmul_mod(coeffs, new_rows, self.p), self.p)
-        pivots = np.array(self._pivots + new_pivots)
-        order = np.argsort(pivots)
-        self._pivots = pivots[order].tolist()
-        self._rows = np.vstack([rows, new_rows])[order]
-        self._rows_f = self._rows.astype(np.float64)
-        return new_rows
-
-
 def _residues(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p for a float64 array of integers x with |x| + p <= 2**53,
     as x - p * floor(x / p).  The quotient is correctly rounded, and for
     x = np + r with 0 < r < p it stays within r/p >= 1/p of n, more than
     half a unit in its last place, so the floor is exact, and so is
-    p * floor(x / p), of magnitude below |x| + p.  Every entry the graded
+    p * floor(x / p), of magnitude below |x| + p.  Every entry the
     elimination reduces is below (p-1)^2 * m + p in magnitude.  This runs
     several times faster than np.mod on float64."""
     q = x / p
@@ -220,20 +79,26 @@ def _inverses(units: np.ndarray, p: int) -> np.ndarray:
 
 def to_layers(square: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The rows of a (k, m, m) square stack chosen by a (k, m) mask, as
-    layers: layer j is one row of length k*m holding row j of every grade
-    side by side, grade c in columns c*m to c*m + m.  Layers in which no
-    row is chosen are left out."""
+    int64 layers: layer j is one row of length k*m holding row j of every
+    grade side by side, grade c in columns c*m to c*m + m.  Layers in
+    which no row is chosen are left out."""
     k, m, _ = square.shape
     chosen = rows.any(axis=0)
     if not chosen.any():
-        return np.zeros((0, k * m))
+        return np.zeros((0, k * m), dtype=np.int64)
     picked = square[:, chosen] * rows[:, chosen, None]
-    return picked.transpose(1, 0, 2).reshape(-1, k * m)
+    return picked.transpose(1, 0, 2).astype(np.int64, order="C").reshape(-1, k * m)
 
 
-class GradedEchelon:
-    """RREF bases of k subspaces of GF(p)^m, one per grade, eliminated as
-    one stack, so the number of numpy calls does not grow with k.
+class EchelonAccumulator:
+    """Growable RREF bases of the grades of GF(p)^n: feed rows, keep one
+    canonical echelon basis per grade.
+
+    Grade c is columns c*m to c*m + m, m = n / grades.  The accumulator
+    holds the span of the grade-c pieces of every row fed, for each c;
+    after any sequence of blocks each basis is the RREF of those pieces,
+    whatever their order and grouping.  With one grade it is the RREF of
+    the rows fed.  p must be prime.
 
     Grade c's basis is held in square form: row j of `square[c]` is the
     basis row whose pivot is column j, or zero when j is no pivot.  Then
@@ -257,46 +122,74 @@ class GradedEchelon:
     rows a round chooses.
     """
 
-    def __init__(self, p: int, grades: int, width: int):
+    def __init__(self, p: int, ambient_dim: int, grades: int = 1):
+        width, rest = divmod(ambient_dim, grades)
+        if rest:
+            raise ValueError(f"{grades} grades do not divide dimension {ambient_dim}")
         if (p - 1) ** 2 * width + p >= _FLOAT_EXACT_LIMIT:
             raise ValueError(f"GF({p}) elimination in width {width} "
                              "needs (p-1)^2 * width + p < 2**53")
         self.p = p
-        self._square = np.zeros((grades, width, width))
-        self._pivots = np.zeros((grades, width), dtype=bool)
+        self.ambient_dim = ambient_dim
+        self._shape = (grades, width)
+        # allocated by the first use: a width near the limit fits no memory
+        self._square: np.ndarray | None = None
+        self._pivots: np.ndarray | None = None
+        self._basis: np.ndarray | None = None
+
+    def _bases(self) -> tuple[np.ndarray, np.ndarray]:
+        """The square form of the bases and its (grades, m) pivot mask."""
+        if self._square is None:
+            k, m = self._shape
+            self._square = np.zeros((k, m, m))
+            self._pivots = np.zeros((k, m), dtype=bool)
+        return self._square, self._pivots
 
     @property
     def dim(self) -> int:
-        return int(self._pivots.sum())
-
-    @property
-    def ambient_dim(self) -> int:
-        return self._pivots.size
+        return 0 if self._pivots is None else int(self._pivots.sum())
 
     @property
     def square(self) -> np.ndarray:
-        """The (k, m, m) square form of the bases, read-only.
+        """The (grades, m, m) square form of the bases, read-only.
 
         add_block replaces the array and never writes into it, so a
         square taken earlier keeps its value.
         """
-        self._square.setflags(write=False)
-        return self._square
+        square, _ = self._bases()
+        square.setflags(write=False)
+        return square
 
     @property
     def basis(self) -> np.ndarray:
-        """Every basis row, as layers (see to_layers)."""
-        return to_layers(self._square, self._pivots)
+        """Every basis row, as read-only int64 layers (see to_layers); with
+        one grade, the RREF rows in pivot order.
 
-    def add_block(self, layers: np.ndarray) -> np.ndarray:
-        """Add the rows held in an (r, k*m) array of layers, with integer
-        entries in (-p, p); return the rows new to the bases, as layers."""
-        p, square = self.p, self._square
-        k, m, _ = square.shape
-        block = layers.reshape(len(layers), k, m).transpose(1, 0, 2)
-        x = _residues(block - block @ square if self._pivots.any() else block, p)
+        add_block replaces the array and never writes into it, so a
+        basis taken earlier keeps its value.
+        """
+        if self._basis is None:
+            if self._square is None:
+                self._basis = np.zeros((0, self.ambient_dim), dtype=np.int64)
+            else:
+                self._basis = to_layers(self._square, self._pivots)
+            self._basis.setflags(write=False)
+        return self._basis
+
+    def add_block(self, block) -> np.ndarray:
+        """Add an (r, n) block of integers, or one row; return the rows new
+        to the bases, as int64 layers, empty when the block adds nothing."""
+        p = self.p
+        (k, m), (square, pivots) = self._shape, self._bases()
+        blk = np.asarray(block)
+        # Blocks of residues, the usual input, skip the full-size np.mod.
+        if blk.size and (blk.min() < 0 or blk.max() >= p):
+            blk = np.mod(blk, p)
+        x = blk.reshape(-1, k, m).transpose(1, 0, 2).astype(np.float64)
+        if pivots.any():
+            x = _residues(x - x @ square, p)
         if not x.any():
-            return np.zeros((0, k * m))
+            return np.zeros((0, k * m), dtype=np.int64)
         fresh = np.zeros((k, m), dtype=bool)
         grade = np.arange(k)[:, None]
         while True:
@@ -330,13 +223,11 @@ class GradedEchelon:
             if chosen.sum() == live.sum():
                 break
             x = _residues(x - x[:, :, cols] @ new, p)
-        self._square = square
-        self._pivots |= fresh
+        self._square, self._pivots, self._basis = square, pivots | fresh, None
         return to_layers(square, fresh)
 
 
-def close_under(acc: EchelonAccumulator | GradedEchelon,
-                gathers: Sequence[np.ndarray]) -> np.ndarray:
+def close_under(acc: EchelonAccumulator, gathers: Sequence[np.ndarray]) -> np.ndarray:
     """Grow acc to the smallest subspace containing its span and stable
     under every gather; return the closure's basis.
 
@@ -344,11 +235,10 @@ def close_under(acc: EchelonAccumulator | GradedEchelon,
     adds them as one block.
 
     Args:
-        acc: the accumulator holding the seed, an EchelonAccumulator or a
-            GradedEchelon; it is continued in place.
+        acc: the accumulator holding the seed; it is continued in place.
         gathers: a non-empty list of coordinate permutations of the
             ambient space, each an index array g sending a row block to
-            block[:, g].  For a GradedEchelon a row is a layer, and each
+            block[:, g].  Rows are layers, and with several grades each
             gather must send every grade's columns to one grade's.
 
     Returns:

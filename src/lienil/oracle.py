@@ -37,10 +37,12 @@ e_(xb) - e_(bx) lies in F_p[cG'] with c = xbG'.  So every term is
 spanned by elements each supported on one coset, and each row of its
 reduced row-echelon basis is too (`_lie_chain` gives the argument).  A
 term is then |G : G'| echelon blocks of width |G'|, one per coset,
-eliminated together as one stack (fp_linalg.GradedEchelon), which does
-about |G : G'| times fewer flops than one dense basis of width |G|; the
-public chains scatter the blocks back to the dense basis.  The same
-blocks give the Lie dimension subgroups (`lie_dimension_orders`).
+eliminated together as one stack (fp_linalg.EchelonAccumulator with one
+grade per coset), which does about |G : G'| times fewer flops than one
+dense basis of width |G|.  The chains run in `GroupAlgebra.graded`, the
+same algebra with its basis listed coset by coset, and the public chains
+scatter the blocks back to the dense basis.  The same blocks give the Lie
+dimension subgroups (`lie_dimension_orders`).
 
 Everything here is exact arithmetic mod p on numpy arrays, and even
 |G'|, which bounds the chains' length, is read off the table; nothing is
@@ -56,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lienil.fp_linalg import GradedEchelon, _residues, close_under, to_layers
+from lienil.fp_linalg import EchelonAccumulator, close_under, matmul_mod, to_layers
 from lienil.pcgroup import Element, PcGroup
 
 DEFAULT_ORACLE_CAP = 256
@@ -151,17 +153,21 @@ class GroupAlgebra:
             central &= self.table[:, g] == self.table[g, :]
         return np.flatnonzero(central)
 
-    def bracket_with_basis(self, block: np.ndarray, b: int) -> np.ndarray:
+    def bracket_with_basis(self, block: np.ndarray, b: int | Sequence[int]) -> np.ndarray:
         """[v, e_b] = v*e_b - e_b*v for each row v of a block of residues.
 
         With e_c = e_b^-1, coordinate y of v*e_b is v[y*c] and that of
-        e_b*v is v[c*y], so both products are column gathers.
+        e_b*v is v[c*y], so both products are column gathers.  For a
+        sequence of indices b, one gather each brackets every row against
+        all of them: the rows [v, e_b] for one v follow one another, in
+        the order of b.
         """
         c = self.inverse_indices[b]
-        out = block[:, self.table[:, c]]
+        out = block[:, self.table[:, c].T]
         out -= block[:, self.table[c, :]]
         # residues in, so out lies in (-p, p): one conditional add reduces it
-        return np.add(out, self.p, out=out, where=out < 0)
+        np.add(out, self.p, out=out, where=out < 0)
+        return out.reshape(-1, self.dim)
 
     @cached_property
     def cosets(self) -> np.ndarray:
@@ -174,31 +180,26 @@ class GroupAlgebra:
     @cached_property
     def graded_columns(self) -> np.ndarray:
         """graded_columns[x] = the position of x in cosets.ravel(), its
-        column in the graded order the Lie chains work in."""
+        index in `graded`."""
         columns = np.empty(self.dim, dtype=np.intp)
         columns[self.cosets.ravel()] = np.arange(self.dim)
         return columns
 
     @cached_property
-    def graded_table(self) -> np.ndarray:
-        """The multiplication table in the graded order of both indices
-        and values: graded_table[Y, Z] is the graded column of the
-        product of the elements at graded columns Y and Z."""
-        order = self.cosets.ravel()
-        return self.graded_columns[self.table[np.ix_(order, order)]]
-
-    def graded_brackets(self, layers: np.ndarray, bs: Sequence[int]) -> np.ndarray:
-        """[v, e_b] for each row v of `layers`, in the graded column order,
-        and each b in bs: len(layers) * len(bs) rows, entries in (-p, p).
-
-        As in bracket_with_basis both products are gathers, here columns
-        and rows of graded_table, all bs in one gather each.  Each
-        homogeneous piece of a layer moves from coset xG' to xbG'.
-        """
-        c = self.graded_columns[self.inverse_indices[list(bs)]]
-        out = layers[:, self.graded_table[:, c].T]
-        out -= layers[:, self.graded_table[c, :]]
-        return out.reshape(-1, self.dim)
+    def graded(self) -> GroupAlgebra:
+        """This algebra with its basis listed coset by coset of G':
+        element i of `graded` is element cosets.ravel()[i] here, so coset
+        c of `cosets` is indices c*m to c*m + m, m = |G'|.  The Lie chains
+        run in it, where a layer of the accumulator is an element of the
+        algebra, and a bracket or product with e_b moves each homogeneous
+        piece of it from coset xG' to xbG'."""
+        order, columns = self.cosets.ravel(), self.graded_columns
+        elements = [self.elements[x] for x in order.tolist()]
+        return GroupAlgebra(
+            group=self.group, p=self.p, elements=elements,
+            table=columns[self.table[np.ix_(order, order)]],
+            generator_indices=tuple(columns[list(self.generator_indices)].tolist()),
+            index={x: i for i, x in enumerate(elements)})
 
 
 def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
@@ -303,10 +304,9 @@ def _centre_transversal(A: GroupAlgebra) -> np.ndarray:
 
 
 def _right_gathers(A: GroupAlgebra, indices: Sequence[int]) -> np.ndarray:
-    """Right multiplication by each e_g as a gather of the graded columns:
-    coordinate y of v * e_g is v[y * g^-1]."""
-    inverses = A.graded_columns[A.inverse_indices[list(indices)]]
-    return A.graded_table[:, inverses].T
+    """Right multiplication by each e_g as a column gather: coordinate y
+    of v * e_g is v[y * g^-1]."""
+    return A.table[:, A.inverse_indices[list(indices)]].T
 
 
 def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
@@ -324,14 +324,16 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     term, has the same pivot and is zero at the other pivots, so it is
     the row itself, the RREF being unique.  A term is therefore |G : G'|
     independent echelon blocks, each |G'| wide, held as one (k, m, m)
-    square stack (GradedEchelon): block c is the RREF of the term's
-    component in coset c of A.cosets, in its ascending index order.
+    square stack (an EchelonAccumulator with one grade per coset): block
+    c is the RREF of the term's component in coset c of A.cosets, in its
+    ascending index order.
 
     Each step brackets a set of spanning rows u against a set of basis
     indices b: the first step against `gens`, which must generate G, and
     every later step against `against`.  W is the span of the [u, e_b],
     and the term is W closed under right multiplication by a set of group
-    elements.  Spanning rows are layers (fp_linalg.to_layers), one
+    elements.  The steps run in A.graded, where the grades are the
+    cosets, and spanning rows are layers (fp_linalg.to_layers), one
     homogeneous row per coset side by side, so one gather brackets every
     coset's rows at once and moves each to its new coset.
 
@@ -355,23 +357,24 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
             runs past A.chain_bound terms.
     """
     kind = "upper" if ideals else "lower"
+    B, graded = A.graded, A.graded_columns
     k, m = A.cosets.shape
     terms = [np.tile(np.eye(m), (k, 1, 1))]
     if ideals:
         spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
-        gathers = _right_gathers(A, gens)
+        gathers = _right_gathers(B, graded[list(gens)])
     else:
         seeds = np.zeros(A.dim, dtype=bool)
-        seeds[A.graded_columns[_centre_transversal(A)]] = True
+        seeds[graded[_centre_transversal(A)]] = True
         spanning = to_layers(terms[0], seeds.reshape(k, m))
-        gathers = _right_gathers(A, _centre_generators(A))
-    bracketing = list(gens)
+        gathers = _right_gathers(B, graded[list(_centre_generators(A))])
+    bracketing = graded[list(gens)]
     rank = A.dim
     while rank:
-        acc = GradedEchelon(A.p, k, m)
+        acc = EchelonAccumulator(A.p, A.dim, grades=k)
         per_block = max(1, A.dim // len(spanning))
         for lo in range(0, len(bracketing), per_block):
-            acc.add_block(A.graded_brackets(spanning, bracketing[lo:lo + per_block]))
+            acc.add_block(B.bracket_with_basis(spanning, bracketing[lo:lo + per_block]))
         if not ideals:
             spanning = acc.basis  # W itself, before the closure
         closed = close_under(acc, gathers)
@@ -389,23 +392,26 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
             )
         if ideals:
             spanning = closed
-        bracketing = list(against)
+        bracketing = graded[list(against)]
         rank = nxt_rank
     return terms
 
 
-def _ungraded(A: GroupAlgebra, square: np.ndarray) -> np.ndarray:
-    """The read-only dense RREF array of a graded term: each block row
-    scattered to its coset's columns, the rows ordered by pivot.  A row's
-    pivot is its coset's member at the row's local pivot, as each coset's
-    columns are in ascending index order."""
-    grade, col = np.nonzero(np.diagonal(square, axis1=1, axis2=2))
-    order = np.argsort(A.cosets[grade, col])
-    grade, col = grade[order], col[order]
+def _ungraded(A: GroupAlgebra, squares: list[np.ndarray]) -> list[np.ndarray]:
+    """The read-only dense RREF arrays of graded terms: each block row
+    scattered to its coset's columns, the rows of a term ordered by
+    pivot.  A row's pivot is its coset's member at the row's local pivot,
+    as each coset's columns are in ascending index order.  All terms are
+    scattered at once, into one array that the terms are slices of."""
+    stack = np.stack(squares)
+    term, grade, col = np.nonzero(np.diagonal(stack, axis1=2, axis2=3))
+    order = np.lexsort((A.cosets[grade, col], term))
+    term, grade, col = term[order], grade[order], col[order]
     dense = np.zeros((len(order), A.dim), dtype=np.int64)
-    dense[np.arange(len(order))[:, None], A.cosets[grade]] = square[grade, col]
+    dense[np.arange(len(order))[:, None], A.cosets[grade]] = stack[term, grade, col]
     dense.setflags(write=False)
-    return dense
+    ends = np.cumsum(np.bincount(term, minlength=len(squares)))
+    return np.split(dense, ends[:-1])
 
 
 def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
@@ -425,7 +431,7 @@ def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
        with [l, x] in L, since l lies in M^(n).  So F_p[G] L lies in
        L * F_p[G], and F_p[G] L F_p[G] = L * F_p[G] = T * F_p[G].
     """
-    return [_ungraded(A, t) for t in _lie_chain(A, A.generators, A.generators, ideals=True)]
+    return _ungraded(A, _lie_chain(A, A.generators, A.generators, ideals=True))
 
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
@@ -506,8 +512,7 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     gets V_(n+1) = U_(n+1) F by closing U_(n+1) under right
     multiplication by generators of Z(G), whose products are all of Z(G).
     """
-    return [_ungraded(A, t) for t in
-            _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False)]
+    return _ungraded(A, _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))
 
 
 def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
@@ -523,22 +528,27 @@ def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
     identity passes, so the list ends.
     """
     m = A.cosets.shape[1]
-    differences = np.eye(m)
+    differences = np.eye(m, dtype=np.int64)
     differences[:, 0] -= 1  # row g: e_g - e_1, the identity at column 0
+    differences %= A.p
     orders = []
     for square in _lie_chain(A, A.generators, A.generators, ideals=True)[1:]:
-        residual = _residues(differences @ (np.eye(m) - square[0]), A.p)
-        orders.append(m - int(residual.any(axis=1).sum()))
+        residual = differences - matmul_mod(differences, square[0], A.p)
+        orders.append(m - int((residual % A.p).any(axis=1).sum()))
         if orders[-1] == 1:
             break
     return orders
 
 
 def t_upper_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """t^L of F_p[G] read off the upper chain."""
-    return len(upper_lie_chain(build_algebra(G, cap)))
+    """t^L of F_p[G], the length of the upper chain (not scattered back
+    to dense terms)."""
+    A = build_algebra(G, cap)
+    return len(_lie_chain(A, A.generators, A.generators, ideals=True))
 
 
 def t_lower_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """t_L of F_p[G] read off the lower chain."""
-    return len(lower_lie_chain(build_algebra(G, cap)))
+    """t_L of F_p[G], the length of the lower chain (not scattered back
+    to dense terms)."""
+    A = build_algebra(G, cap)
+    return len(_lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))

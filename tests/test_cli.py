@@ -483,7 +483,7 @@ def _identity_brackets(self, layers, bs):
 
 def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, capsys):
     # a bracket that returns its rows keeps every term
-    monkeypatch.setattr(GroupAlgebra, "graded_brackets", _identity_brackets)
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", _identity_brackets)
     code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain went stationary at nonzero "
@@ -492,7 +492,7 @@ def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, caps
 
 def test_classify_with_oracle_reports_a_stationary_chain_as_an_inconsistency(
         monkeypatch, capsys):
-    monkeypatch.setattr(GroupAlgebra, "graded_brackets", _identity_brackets)
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", _identity_brackets)
     code, out, err = run(capsys, ["classify", "--builder", "dihedral:16", "--with-oracle"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain went stationary at nonzero "

@@ -2,9 +2,11 @@
 
 The oracle below is an independent Gaussian elimination on plain Python
 lists; the accumulator's canonical echelon form and close_under are
-verified against it rather than against themselves.  The batched-pivot
-elimination is also compared with the column-by-column numpy loop it
-replaced, on blocks built to need many rounds.  The prime test
+verified against it rather than against themselves.  DenseEchelon, the
+ungraded accumulator the oracle's chains used before they were graded,
+is kept here as the slow reference of tests/test_oracle.py; its
+batched-pivot elimination is compared with the column-by-column numpy
+loop it replaced, on blocks built to need many rounds.  The prime test
 check_prime, which lives in lienil.pcgroup, is tested here as well.
 """
 
@@ -17,10 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from lienil.fp_linalg import (
     EchelonAccumulator,
-    GradedEchelon,
     _residues,
-    _rref,
-    _unit_upper_solve,
     close_under,
     matmul_mod,
     to_layers,
@@ -83,6 +82,106 @@ def column_rref(a, p):
         pivots.append(c)
         r += 1
     return a[:r], pivots
+
+
+def _nonzero_rows(a):
+    """a without its zero rows: a itself, not a copy, when it has none."""
+    nonzero = a.any(axis=1)
+    return a if nonzero.all() else a[nonzero]
+
+
+def _unit_upper_solve(t, rows, p):
+    """T^-1 @ rows mod p for a unit upper-triangular residue matrix T.
+
+    With N = I - T, strictly upper triangular and so nilpotent,
+    T^-1 = (I + N)(I + N^2)(I + N^4)..., a product that ends once a power
+    of N is 0: a c x c matrix needs at most ceil(log2(c)) factors.
+    """
+    n = np.mod(-t, p)
+    np.fill_diagonal(n, 0)
+    while n.any():
+        rows = np.mod(rows + matmul_mod(n, rows, p), p)
+        n = matmul_mod(n, n, p)
+    return rows
+
+
+def _rref(a, p):
+    """The RREF rows of a block of residues, and their pivot columns.
+
+    Each round takes, for every distinct leading column, the first row
+    that leads there, and scales it to a leading 1.  On their leading
+    columns the chosen rows form a unit upper-triangular T, so T^-1
+    times them is the RREF of their span.  Those columns are then cleared
+    from the rows found so far and from the rest, each with one product,
+    and the rows that vanish are dropped.
+    """
+    rows = np.zeros((0, a.shape[1]), dtype=np.int64)
+    pivots = np.zeros(0, dtype=np.int64)
+    a = _nonzero_rows(a)
+    while a.shape[0]:
+        lead = (a != 0).argmax(axis=1)
+        order = np.argsort(lead, kind="stable")
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = lead[order[1:]] != lead[order[:-1]]
+        chosen, cols = order[first], lead[order[first]]
+        new = a[chosen]
+        heads = new[np.arange(len(cols)), cols]
+        if (heads != 1).any():
+            inverses = np.array([pow(h, -1, p) for h in heads.tolist()], dtype=np.int64)
+            new = np.mod(new * inverses[:, None], p)
+        new = _unit_upper_solve(new[:, cols], new, p)
+        if rows.shape[0]:
+            rows = np.mod(rows - matmul_mod(rows[:, cols], new, p), p)
+        unchosen = np.ones(len(a), dtype=bool)
+        unchosen[chosen] = False
+        rest = a[unchosen]
+        rest -= matmul_mod(rest[:, cols], new, p)
+        a = _nonzero_rows(rest) % p
+        rows = np.vstack([rows, new])
+        pivots = np.concatenate([pivots, cols])
+    order = np.argsort(pivots)
+    return rows[order], pivots[order].tolist()
+
+
+class DenseEchelon:
+    """The ungraded growable RREF basis: every block is reduced against
+    the whole basis of width n with one product, and what is left is
+    eliminated by _rref and merged.  The same interface as
+    EchelonAccumulator with one grade."""
+
+    def __init__(self, p, ambient_dim):
+        self.p = p
+        self.ambient_dim = ambient_dim
+        self._rows = np.zeros((0, ambient_dim), dtype=np.int64)
+        self._pivots = []
+
+    @property
+    def dim(self):
+        return self._rows.shape[0]
+
+    @property
+    def basis(self):
+        self._rows.setflags(write=False)
+        return self._rows
+
+    def add_block(self, block):
+        p = self.p
+        blk = np.mod(np.asarray(block, dtype=np.int64).reshape(-1, self.ambient_dim), p)
+        blk = _nonzero_rows(blk)
+        if blk.shape[0] and self._pivots:
+            blk = _nonzero_rows(np.mod(blk - matmul_mod(blk[:, self._pivots], self._rows, p), p))
+        if blk.shape[0] == 0:
+            return np.zeros((0, self.ambient_dim), dtype=np.int64)
+        new_rows, new_pivots = _rref(blk, p)
+        rows = self._rows
+        if self._pivots:
+            # clear the old rows' entries over the new pivot columns
+            rows = np.mod(rows - matmul_mod(rows[:, new_pivots], new_rows, p), p)
+        pivots = np.array(self._pivots + new_pivots)
+        order = np.argsort(pivots)
+        self._pivots = pivots[order].tolist()
+        self._rows = np.vstack([rows, new_rows])[order]
+        return new_rows
 
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -389,7 +488,7 @@ def test_graded_echelon_is_the_rref_of_each_grade(p, grades, width, sizes, seed)
     """Stacks of rows of every grade, fed in several adds, some rows
     repeated or combined so that they vanish, entries in (-p, p)."""
     rng = np.random.default_rng(seed)
-    acc = GradedEchelon(p, grades, width)
+    acc = EchelonAccumulator(p, grades * width, grades=grades)
     fed = [[] for _ in range(grades)]
     for size in sizes:
         block = rng.integers(0, p, size=(grades, size, width))
@@ -398,7 +497,8 @@ def test_graded_echelon_is_the_rref_of_each_grade(p, grades, width, sizes, seed)
             block[:, 0] = -block[:, 0]
         before = _square_pivots(acc.square)
         layers = block.transpose(1, 0, 2).reshape(size, grades * width)
-        new = acc.add_block(layers.astype(np.float64))
+        new = acc.add_block(layers)
+        assert new.dtype == np.int64
         assert new.tolist() == to_layers(acc.square, _square_pivots(acc.square) & ~before).tolist()
         for c in range(grades):
             fed[c] += block[c].tolist()
@@ -409,12 +509,16 @@ def test_graded_echelon_is_the_rref_of_each_grade(p, grades, width, sizes, seed)
 
 
 def test_graded_echelon_refuses_the_first_inexact_width():
-    # width 6 is the widest in which GF(NEAR_LIMIT_PRIME) stays exact
-    GradedEchelon(NEAR_LIMIT_PRIME, 2, 6)
+    # width 6 is the widest in which GF(NEAR_LIMIT_PRIME) stays exact;
+    # the bound is on the width of a grade, not on the whole dimension
+    EchelonAccumulator(NEAR_LIMIT_PRIME, 12, grades=2)
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        GradedEchelon(NEAR_LIMIT_PRIME, 2, 7)
+        EchelonAccumulator(NEAR_LIMIT_PRIME, 14, grades=2)
+    EchelonAccumulator(3, 4 * (2**51 - 1), grades=4)
     with pytest.raises(ValueError):
-        GradedEchelon(3, 4, 2**51)
+        EchelonAccumulator(3, 4 * 2**51, grades=4)
+    with pytest.raises(ValueError, match="do not divide"):
+        EchelonAccumulator(3, 10, grades=4)
 
 
 def test_residues_match_integer_mod_near_the_float_limit():
@@ -445,8 +549,8 @@ def test_close_under_a_graded_echelon_is_the_dense_closure():
                 gathers.append(np.concatenate(
                     [target[c] * width + rng.permutation(width) for c in range(grades)]))
             gathers = np.array(gathers)
-            seed = rng.integers(0, p, size=(grades, 1, width)).astype(np.float64)
-            acc = GradedEchelon(p, grades, width)
+            seed = rng.integers(0, p, size=(grades, 1, width))
+            acc = EchelonAccumulator(p, grades * width, grades=grades)
             acc.add_block(seed.reshape(1, -1))
             assert close_under(acc, list(gathers)).tolist() == acc.basis.tolist()
             square = acc.square
@@ -455,7 +559,9 @@ def test_close_under_a_graded_echelon_is_the_dense_closure():
                 row = np.zeros(grades * width, dtype=np.int64)
                 row[c * width:(c + 1) * width] = seed[c, 0]
                 dense.append(row.tolist())
-            want = close_under(_accumulate(p, grades * width, dense), list(gathers))
+            reference = DenseEchelon(p, grades * width)
+            reference.add_block(dense)
+            want = close_under(reference, list(gathers))
             got = [row for c in range(grades) for row in
                    np.pad(square[c], ((0, 0), (c * width, (grades - 1 - c) * width)))
                    [np.diagonal(square[c]) != 0].astype(np.int64).tolist()]
@@ -463,11 +569,26 @@ def test_close_under_a_graded_echelon_is_the_dense_closure():
 
 
 def test_graded_square_is_read_only_and_not_aliased_by_later_blocks():
-    acc = GradedEchelon(3, 2, 3)
-    acc.add_block(np.array([[1.0, 2.0, 0.0, 0.0, 1.0, 1.0]]))
+    acc = EchelonAccumulator(3, 6, grades=2)
+    acc.add_block(np.array([[1, 2, 0, 0, 1, 1]]))
     before = acc.square
     kept = before.copy()
     assert not before.flags.writeable
-    acc.add_block(np.array([[0.0, 1.0, 1.0, 1.0, 0.0, 0.0]]))
+    acc.add_block(np.array([[0, 1, 1, 1, 0, 0]]))
     assert np.array_equal(before, kept)
     assert acc.dim == 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(mat=small_matrix, p=st.sampled_from(PRIMES + (NEAR_LIMIT_PRIME,)),
+       cuts=st.lists(st.integers(min_value=0, max_value=6), max_size=4))
+def test_dense_reference_accumulator_matches_naive_rref(mat, p, cuts):
+    # the reference of the oracle's chain tests, fed in several blocks,
+    # against the plain-list elimination and the graded accumulator
+    n = len(mat[0])
+    bounds = sorted(min(c, len(mat)) for c in cuts)
+    acc = DenseEchelon(p, n)
+    for lo, hi in zip([0] + bounds, bounds + [len(mat)]):
+        acc.add_block(np.asarray(mat[lo:hi], dtype=np.int64).reshape(-1, n))
+    assert acc.basis.tolist() == naive_rref(mat, p)
+    assert acc.basis.tobytes() == _span(p, n, mat).tobytes()

@@ -22,7 +22,7 @@ from lienil.catalog import (
 )
 import lienil.fp_linalg
 from lienil.dimension import lie_dimension_chain, upper_index
-from lienil.fp_linalg import EchelonAccumulator, GradedEchelon, close_under
+from lienil.fp_linalg import EchelonAccumulator, close_under
 from lienil.oracle import (
     GroupAlgebra,
     NotLieNilpotentDetected,
@@ -47,7 +47,7 @@ from lienil.subgroups import (
     subgroup_product,
     whole_group,
 )
-from test_fp_linalg import naive_rref
+from test_fp_linalg import DenseEchelon, naive_rref
 
 
 def _table_group(stem):
@@ -84,7 +84,7 @@ def _two_sided_upper_chain(A):
     while len(spaces[-1]):
         assert len(spaces) <= A.dim
         basis = spaces[-1]
-        acc = EchelonAccumulator(A.p, A.dim)
+        acc = DenseEchelon(A.p, A.dim)
         fresh = np.vstack([acc.add_block(_right_mult(A, g)(basis) - _left_mult(A, g)(basis))
                            for g in gens])
         while fresh.shape[0]:
@@ -101,7 +101,7 @@ def _right_gathers(A, indices):
 
 def _ungraded_lie_chain(A, gens, against, ideals):
     # The chain as it was before the grading by G/G', kept as the slow
-    # reference: every term is one dense EchelonAccumulator of width |G|.
+    # reference: every term is one DenseEchelon of width |G|.
     # Each step brackets a set of spanning rows u against basis indices b:
     # the first step against `gens`, later steps against `against`.  W is
     # the span of the [u, e_b], fed in blocks of at most A.dim rows, and
@@ -122,7 +122,7 @@ def _ungraded_lie_chain(A, gens, against, ideals):
     bracketing = gens
     while len(terms[-1]):
         current = terms[-1]
-        acc = EchelonAccumulator(A.p, A.dim)
+        acc = DenseEchelon(A.p, A.dim)
         per_block = max(1, A.dim // len(spanning))
         for lo in range(0, len(bracketing), per_block):
             acc.add_block(np.vstack([A.bracket_with_basis(spanning, b)
@@ -241,7 +241,7 @@ SEEDING_CASES = {
 def test_generator_seeding_spans_the_same_ideals():
     for make in SEEDING_CASES.values():
         A = build_algebra(make())
-        full = [_ungraded(A, t) for t in _lie_chain(A, range(A.dim), range(A.dim), ideals=True)]
+        full = _ungraded(A, _lie_chain(A, range(A.dim), range(A.dim), ideals=True))
         reduced = upper_lie_chain(A)
         assert len(full) == len(reduced)
         assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
@@ -316,7 +316,7 @@ def _lower_chain_without_centre(A, against):
     terms = [np.eye(A.dim, dtype=np.int64)]
     while len(terms[-1]):
         assert len(terms) <= A.dim
-        acc = EchelonAccumulator(A.p, A.dim)
+        acc = DenseEchelon(A.p, A.dim)
         for b in against:
             acc.add_block(A.bracket_with_basis(terms[-1], b))
         terms.append(acc.basis)
@@ -468,21 +468,23 @@ def _pieces(A, layers):
 
 def _counted_chain(monkeypatch, chain, A):
     # the chain's terms, each (rows, b) bracketed, as dense homogeneous
-    # rows, and the number of layers of each block fed to the accumulator
+    # rows and indices of A, and the number of layers of each block fed to
+    # the accumulator
     bracketed, blocks = [], []
-    bracket, add_block = GroupAlgebra.graded_brackets, GradedEchelon.add_block
+    bracket, add_block = GroupAlgebra.bracket_with_basis, EchelonAccumulator.add_block
 
     def counted_bracket(self, layers, bs):
+        assert self is A.graded
         rows = _pieces(A, layers)
-        bracketed.extend((rows, b) for b in bs)
+        bracketed.extend((rows, int(A.cosets.ravel()[b])) for b in bs)
         return bracket(self, layers, bs)
 
     def counted_add(self, layers):
         blocks.append(len(layers))
         return add_block(self, layers)
 
-    monkeypatch.setattr(GroupAlgebra, "graded_brackets", counted_bracket)
-    monkeypatch.setattr(GradedEchelon, "add_block", counted_add)
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", counted_bracket)
+    monkeypatch.setattr(EchelonAccumulator, "add_block", counted_add)
     return chain(A), bracketed, blocks
 
 
@@ -536,19 +538,19 @@ def _first_step_calls(monkeypatch, A):
             return fn(*args)
         return wrapper
 
-    init = GradedEchelon.__init__
+    init = EchelonAccumulator.__init__
 
-    def counted_init(self, *args):
+    def counted_init(self, *args, **kwargs):
         steps.append(dict(calls))
-        init(self, *args)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GroupAlgebra, "graded_brackets",
-                        counted("brackets", GroupAlgebra.graded_brackets))
-    monkeypatch.setattr(GradedEchelon, "add_block",
-                        counted("blocks", GradedEchelon.add_block))
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis",
+                        counted("brackets", GroupAlgebra.bracket_with_basis))
+    monkeypatch.setattr(EchelonAccumulator, "add_block",
+                        counted("blocks", EchelonAccumulator.add_block))
     monkeypatch.setattr(lienil.fp_linalg, "_residues",
                         counted("eliminations", lienil.fp_linalg._residues))
-    monkeypatch.setattr(GradedEchelon, "__init__", counted_init)
+    monkeypatch.setattr(EchelonAccumulator, "__init__", counted_init)
     upper_lie_chain(A)
     monkeypatch.undo()
     return {key: steps[1][key] - steps[0][key] for key in calls}
@@ -643,7 +645,7 @@ def test_oracle_runs_both_chains_without_the_subgroup_code():
 
 def test_lower_chain_stationary_guard(monkeypatch):
     # a bracket that returns its rows keeps every term
-    monkeypatch.setattr(GroupAlgebra, "graded_brackets",
+    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis",
                         lambda self, layers, bs: np.vstack([layers] * len(bs)))
     A = build_algebra(build_dihedral(16).group)
     with pytest.raises(NotLieNilpotentDetected,

@@ -47,12 +47,9 @@ def test_tracer_records_the_layers_it_wraps_by_name(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["codes"] == [0, 0, 0, 0]
-    # the oracle's chains eliminate through GradedEchelon.add_block, which
-    # the tracer does not wrap; to_layers is the public function its
-    # blocks go through
     for name in ("subgroups.enumerated", "subgroups.power_subgroup",
                  "dimension.lie_dimension_chain", "oracle.upper_lie_chain",
-                 "oracle.lower_lie_chain", "fp_linalg.close_under",
-                 "fp_linalg.to_layers", "classify.match_conditions",
-                 "classify.evaluate_clause"):
+                 "oracle.lower_lie_chain", "oracle.bracket_with_basis",
+                 "fp_linalg.close_under", "fp_linalg.add_block",
+                 "classify.match_conditions", "classify.evaluate_clause"):
         assert result["calls"].get(name, 0) > 0, name
