@@ -230,39 +230,42 @@ def reference_fingerprint(key: str, p: int) -> IsoType:
 # builder dispatch (CLI `--builder name:params`)
 
 
+def _int_param(spec: str, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"builder spec {spec!r}: {what} {text!r} "
+                         "is not an integer") from None
+
+
 def build_named(spec: str, p: Optional[int] = None) -> CatalogEntry:
     """Build from a `name:params` string, e.g. dihedral:16, abelian:4x2."""
     name, _, params = spec.partition(":")
     name = name.strip().lower()
     if name == "dihedral":
-        return build_dihedral(int(params))
+        return build_dihedral(_int_param(spec, "order", params))
     if name == "quaternion":
-        return build_quaternion(int(params))
+        return build_quaternion(_int_param(spec, "order", params))
     if name == "heisenberg":
-        return build_heisenberg(int(params))
+        return build_heisenberg(_int_param(spec, "prime", params))
     if name == "abelian":
         if p is None:
             raise ValueError("abelian builder needs -p")
-        factors = []
-        for tok in params.replace(",", "x").split("x"):
-            try:
-                factors.append(int(tok))
-            except ValueError:
-                raise ValueError(f"builder spec {spec!r}: invariant factor {tok!r} "
-                                 "is not an integer") from None
+        factors = [_int_param(spec, "invariant factor", tok)
+                   for tok in params.replace(",", "x").split("x")]
         return build_abelian(p, factors)
     if name == "free_class2":
         if p is None:
             raise ValueError("free_class2 builder needs -p")
-        return build_free_class2(int(params), p)
+        return build_free_class2(_int_param(spec, "rank", params), p)
     if name == "condition":
         if p is None:
             raise ValueError("condition builder needs -p")
-        return build_condition_group(int(params), p)
+        return build_condition_group(_int_param(spec, "row", params), p)
     if name == "condition-quotient":
         if p is None:
             raise ValueError("condition-quotient builder needs -p")
-        return build_condition_quotient(int(params), p)
+        return build_condition_quotient(_int_param(spec, "row", params), p)
     raise ValueError(f"unknown builder {name!r}")
 
 

@@ -74,28 +74,35 @@ def _oracle_cap(args) -> Optional[int]:
     return _env_int(ORACLE_CAP_ENV)
 
 
+def _check_prime(entry: CatalogEntry, p: Optional[int]) -> CatalogEntry:
+    if p is not None and entry.group.p != p:
+        raise InputProblem(f"{entry.name} is a {entry.group.p}-group, but -p {p} was given")
+    return entry
+
+
+def _build_entry(spec: str, p: Optional[int]) -> CatalogEntry:
+    try:
+        entry = build_named(spec, p=p)
+    except ValueError as exc:
+        raise InputProblem(str(exc))
+    return _check_prime(entry, p)
+
+
 def _load_entry(args) -> CatalogEntry:
     if args.builder and args.file:
         raise InputProblem("give a presentation file or --builder, not both")
     if args.builder:
-        try:
-            entry = build_named(args.builder, p=args.p)
-        except ValueError as exc:
-            raise InputProblem(str(exc))
-    elif args.file:
-        path = Path(args.file)
-        if not path.is_file():
-            raise InputProblem(f"no such file: {path}")
-        try:
-            entry = import_presentation(path)
-        except PresentationError as exc:
-            raise InputProblem(str(exc))
-    else:
+        return _build_entry(args.builder, args.p)
+    if not args.file:
         raise InputProblem("need a presentation file or --builder name:params")
-    if args.p is not None and entry.group.p != args.p:
-        raise InputProblem(
-            f"{entry.name} is a {entry.group.p}-group, but -p {args.p} was given")
-    return entry
+    path = Path(args.file)
+    if not path.is_file():
+        raise InputProblem(f"no such file: {path}")
+    try:
+        entry = import_presentation(path)
+    except PresentationError as exc:
+        raise InputProblem(str(exc))
+    return _check_prime(entry, args.p)
 
 
 def _emit_json(payload) -> None:
@@ -231,7 +238,10 @@ def cmd_enumerate_d(args) -> int:
     weight = args.weight
     if weight < 1:
         raise InputProblem(f"--weight must be positive, got {weight}")
-    survivors = {p: enumerate_admissible(p, weight) for p in primes}
+    try:
+        survivors = {p: enumerate_admissible(p, weight) for p in primes}
+    except ValueError as exc:
+        raise InputProblem(str(exc))
     if args.json:
         _emit_json({
             "weight": weight,
@@ -296,10 +306,7 @@ def cmd_catalog(args) -> int:
     # build
     if not args.spec:
         raise InputProblem("catalog build needs a builder spec, e.g. dihedral:16")
-    try:
-        entry = build_named(args.spec, p=args.p)
-    except ValueError as exc:
-        raise InputProblem(str(exc))
+    entry = _build_entry(args.spec, args.p)
     text = entry.group.to_text(header_comments=[entry.name])
     if args.json:
         _emit_json({

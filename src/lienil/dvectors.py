@@ -21,12 +21,17 @@ is enough because entries beyond the weight are zero anyway.
 `enumerate_admissible` walks every finitely supported vector of a given
 weight sum_{m>=1} m * d_(m+1) and keeps the ones passing both
 constraints.  Survivors are lemma-admissible, not necessarily
-realizable: deeper structural arguments can still rule them out.
+realizable: deeper structural arguments can still rule them out.  The
+vectors of weight w are the partitions of w, whose number grows like
+exp(pi sqrt(2w/3)), so weights above MAX_WEIGHT are refused before any
+enumeration.
 """
 
 from __future__ import annotations
 
 from lienil.dimension import DSequence
+
+MAX_WEIGHT = 30
 
 
 def theta_p_prime(p: int, x: int) -> int:
@@ -81,6 +86,8 @@ def enumerate_raw(weight: int) -> list[dict[int, int]]:
     """
     if weight < 0:
         raise ValueError("weight must be nonnegative")
+    if weight > MAX_WEIGHT:
+        raise ValueError(f"weight {weight} exceeds the enumeration bound {MAX_WEIGHT}")
     out: list[dict[int, int]] = []
 
     def rec(m: int, remaining: int, acc: dict[int, int]) -> None:

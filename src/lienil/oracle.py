@@ -35,14 +35,14 @@ Both chains are graded by G/G'.  For x, b in G, bx = b(xb)b^-1, so xb
 and bx lie in one coset of G', and the bracket [e_x, e_b] =
 e_(xb) - e_(bx) lies in F_p[cG'] with c = xbG'.  So every term is
 spanned by elements each supported on one coset, and each row of its
-reduced row-echelon basis is too (`_lie_chain` gives the argument).  A
-term is then |G : G'| echelon blocks of width |G'|, one per coset,
-eliminated together as one stack (fp_linalg.EchelonAccumulator with one
-grade per coset), which does about |G : G'| times fewer flops than one
-dense basis of width |G|.  The chains run in `GroupAlgebra.graded`, the
-same algebra with its basis listed coset by coset, and the public chains
-scatter the blocks back to the dense basis.  The same blocks give the Lie
-dimension subgroups (`lie_dimension_orders`).
+reduced row-echelon basis is too (`_lie_chain` gives the argument).
+`build_algebra` lists the basis coset by coset of G', so coset c is the
+indices c*m to c*m + m, m = |G'|.  A term is then |G : G'| echelon
+blocks of width |G'|, one per coset, eliminated together as one stack
+(fp_linalg.EchelonAccumulator with one grade per coset), which does
+about |G : G'| times fewer flops than one dense basis of width |G|, and
+the public chains write the blocks side by side as dense rows.  The same
+terms give the Lie dimension subgroups (`lie_dimension_orders`).
 
 Everything here is exact arithmetic mod p on numpy arrays, and even
 |G'|, which bounds the chains' length, is read off the table; nothing is
@@ -79,9 +79,12 @@ class GroupAlgebra:
     Attributes:
         group: the underlying group.
         p: the coefficient characteristic (always the group prime here).
-        elements: basis order; elements[0] is the identity.
+        elements: basis order, coset by coset of G'; elements[0] is the
+            identity.
         table: table[a, b] = index of elements[a] * elements[b].
         generator_indices: positions of the pc generators in `elements`.
+        cosets: the cosets of G' as a (|G : G'|, |G'|) index array, row c
+            holding indices c*m to c*m + m, m = |G'|; row 0 is G'.
     """
 
     group: PcGroup
@@ -89,6 +92,7 @@ class GroupAlgebra:
     elements: list[Element]
     table: np.ndarray
     generator_indices: tuple[int, ...]
+    cosets: np.ndarray = field(repr=False)
     index: dict[Element, int] = field(repr=False, default_factory=dict)
 
     @property
@@ -96,32 +100,9 @@ class GroupAlgebra:
         return len(self.elements)
 
     @cached_property
-    def derived(self) -> np.ndarray:
-        """Boolean mask of G', closed off the table.
-
-        G' is generated by the commutators [x, g] over x in G and the pc
-        generators g: the subgroup N they generate is normal, as
-        [x, g]^y = [xy, g] [y, g]^-1, and modulo N every x commutes with
-        every generator.  In a finite group, closing {1} under right
-        multiplication by them gives N.
-        """
-        t, inv = self.table, self.inverse_indices
-        is_comm = np.zeros(self.dim, dtype=bool)
-        for g in self.generator_indices:
-            is_comm[t[t[inv, inv[g]], t[:, g]]] = True
-        comms = np.flatnonzero(is_comm)
-        members = np.zeros(self.dim, dtype=bool)
-        members[0] = True
-        size = 0
-        while (grown := int(members.sum())) > size:
-            size = grown
-            members[t[np.ix_(np.flatnonzero(members), comms)]] = True
-        return members
-
-    @cached_property
     def chain_bound(self) -> int:
         """|G'| + 2, the a-priori stopping bound for both Lie chains."""
-        return int(self.derived.sum()) + 2
+        return self.cosets.shape[1] + 2
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -136,7 +117,7 @@ class GroupAlgebra:
         """
         powers = _pth_powers(self, np.arange(self.dim))
         frattini = np.zeros(self.dim, dtype=bool)
-        frattini[self.table[np.ix_(np.flatnonzero(self.derived), powers)]] = True
+        frattini[self.table[np.ix_(self.cosets[0], powers)]] = True
         return _frattini_basis(self, frattini, self.generator_indices)
 
     @cached_property
@@ -169,41 +150,34 @@ class GroupAlgebra:
         np.add(out, self.p, out=out, where=out < 0)
         return out.reshape(-1, self.dim)
 
-    @cached_property
-    def cosets(self) -> np.ndarray:
-        """The cosets of G' as a (|G : G'|, |G'|) index array: each row in
-        ascending index order, the rows ordered by their least index, so
-        row 0 is G' and cosets[0, 0] the identity."""
-        members = np.sort(self.table[:, np.flatnonzero(self.derived)], axis=1)
-        return members[members[:, 0] == np.arange(self.dim)]
 
-    @cached_property
-    def graded_columns(self) -> np.ndarray:
-        """graded_columns[x] = the position of x in cosets.ravel(), its
-        index in `graded`."""
-        columns = np.empty(self.dim, dtype=np.intp)
-        columns[self.cosets.ravel()] = np.arange(self.dim)
-        return columns
+def _derived_subgroup(table: np.ndarray, generators: Sequence[int]) -> np.ndarray:
+    """Boolean mask of G', closed off a multiplication table whose
+    generators generate G.
 
-    @cached_property
-    def graded(self) -> GroupAlgebra:
-        """This algebra with its basis listed coset by coset of G':
-        element i of `graded` is element cosets.ravel()[i] here, so coset
-        c of `cosets` is indices c*m to c*m + m, m = |G'|.  The Lie chains
-        run in it, where a layer of the accumulator is an element of the
-        algebra, and a bracket or product with e_b moves each homogeneous
-        piece of it from coset xG' to xbG'."""
-        order, columns = self.cosets.ravel(), self.graded_columns
-        elements = [self.elements[x] for x in order.tolist()]
-        return GroupAlgebra(
-            group=self.group, p=self.p, elements=elements,
-            table=columns[self.table[np.ix_(order, order)]],
-            generator_indices=tuple(columns[list(self.generator_indices)].tolist()),
-            index={x: i for i, x in enumerate(elements)})
+    G' is generated by the commutators [x, g] over x in G and the
+    generators g: the subgroup N they generate is normal, as
+    [x, g]^y = [xy, g] [y, g]^-1, and modulo N every x commutes with
+    every generator.  In a finite group, closing {1} under right
+    multiplication by them gives N.
+    """
+    inv = np.argmin(table, axis=1)
+    is_comm = np.zeros(len(table), dtype=bool)
+    for g in generators:
+        is_comm[table[table[inv, inv[g]], table[:, g]]] = True
+    comms = np.flatnonzero(is_comm)
+    members = np.zeros(len(table), dtype=bool)
+    members[0] = True
+    size = 0
+    while (grown := int(members.sum())) > size:
+        size = grown
+        members[table[np.ix_(np.flatnonzero(members), comms)]] = True
+    return members
 
 
 def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
-    """Materialize F_p[G]; refuses groups with more than `cap` elements."""
+    """Materialize F_p[G], its basis listed coset by coset of G' (see
+    GroupAlgebra.cosets); refuses groups with more than `cap` elements."""
     if G.order > cap:
         raise OracleCapExceeded(
             f"group order {G.order} exceeds the oracle cap {cap}"
@@ -251,8 +225,20 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
             cols[:, yi] = right[k][cols[:, hi]]
             done.add(yi)
     assert len(done) == dim
-    return GroupAlgebra(group=G, p=p, elements=elements, table=cols,
-                        generator_indices=gen_indices, index=index)
+
+    # List the basis coset by coset of G': each coset xG' in ascending BFS
+    # order, the cosets by their least element, so G' comes first and the
+    # identity keeps index 0.  position[x] is the new index of BFS index x.
+    members = np.sort(cols[:, np.flatnonzero(_derived_subgroup(cols, gen_indices))], axis=1)
+    order = members[members[:, 0] == np.arange(dim)].ravel()
+    position = np.empty(dim, dtype=np.intp)
+    position[order] = np.arange(dim)
+    elements = [elements[x] for x in order.tolist()]
+    return GroupAlgebra(group=G, p=p, elements=elements,
+                        table=position[cols[np.ix_(order, order)]],
+                        generator_indices=tuple(position[list(gen_indices)].tolist()),
+                        cosets=np.arange(dim).reshape(-1, members.shape[1]),
+                        index={x: i for i, x in enumerate(elements)})
 
 
 def _pth_powers(A: GroupAlgebra, xs: np.ndarray) -> np.ndarray:
@@ -325,17 +311,17 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     the row itself, the RREF being unique.  A term is therefore |G : G'|
     independent echelon blocks, each |G'| wide, held as one (k, m, m)
     square stack (an EchelonAccumulator with one grade per coset): block
-    c is the RREF of the term's component in coset c of A.cosets, in its
-    ascending index order.
+    c is the RREF of the term's component in coset c, the indices c*m to
+    c*m + m of A.cosets.
 
     Each step brackets a set of spanning rows u against a set of basis
     indices b: the first step against `gens`, which must generate G, and
     every later step against `against`.  W is the span of the [u, e_b],
     and the term is W closed under right multiplication by a set of group
-    elements.  The steps run in A.graded, where the grades are the
-    cosets, and spanning rows are layers (fp_linalg.to_layers), one
-    homogeneous row per coset side by side, so one gather brackets every
-    coset's rows at once and moves each to its new coset.
+    elements.  The basis is listed coset by coset, so the grades are the
+    cosets, and a layer (fp_linalg.to_layers), one homogeneous row per
+    coset side by side, is an element of the algebra: one gather brackets
+    every coset's rows at once and moves each to its new coset.
 
     - Upper chain (`ideals`): the spanning rows are the previous term's
       basis, and W is closed under `gens`.
@@ -357,24 +343,23 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
             runs past A.chain_bound terms.
     """
     kind = "upper" if ideals else "lower"
-    B, graded = A.graded, A.graded_columns
     k, m = A.cosets.shape
     terms = [np.tile(np.eye(m), (k, 1, 1))]
     if ideals:
         spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
-        gathers = _right_gathers(B, graded[list(gens)])
+        gathers = _right_gathers(A, gens)
     else:
         seeds = np.zeros(A.dim, dtype=bool)
-        seeds[graded[_centre_transversal(A)]] = True
+        seeds[_centre_transversal(A)] = True
         spanning = to_layers(terms[0], seeds.reshape(k, m))
-        gathers = _right_gathers(B, graded[list(_centre_generators(A))])
-    bracketing = graded[list(gens)]
+        gathers = _right_gathers(A, _centre_generators(A))
+    bracketing = np.asarray(gens)
     rank = A.dim
     while rank:
         acc = EchelonAccumulator(A.p, A.dim, grades=k)
         per_block = max(1, A.dim // len(spanning))
         for lo in range(0, len(bracketing), per_block):
-            acc.add_block(B.bracket_with_basis(spanning, bracketing[lo:lo + per_block]))
+            acc.add_block(A.bracket_with_basis(spanning, bracketing[lo:lo + per_block]))
         if not ideals:
             spanning = acc.basis  # W itself, before the closure
         closed = close_under(acc, gathers)
@@ -392,23 +377,23 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
             )
         if ideals:
             spanning = closed
-        bracketing = graded[list(against)]
+        bracketing = np.asarray(against)
         rank = nxt_rank
     return terms
 
 
 def _ungraded(A: GroupAlgebra, squares: list[np.ndarray]) -> list[np.ndarray]:
     """The read-only dense RREF arrays of graded terms: each block row
-    scattered to its coset's columns, the rows of a term ordered by
-    pivot.  A row's pivot is its coset's member at the row's local pivot,
-    as each coset's columns are in ascending index order.  All terms are
-    scattered at once, into one array that the terms are slices of."""
+    written to its coset's columns.  Coset c is columns c*m to c*m + m,
+    so a row's pivot is c*m plus its local pivot, and np.nonzero on the
+    stacked diagonals lists the rows by term and then by pivot.  All
+    terms are scattered at once, into one array that the terms are
+    slices of."""
     stack = np.stack(squares)
     term, grade, col = np.nonzero(np.diagonal(stack, axis1=2, axis2=3))
-    order = np.lexsort((A.cosets[grade, col], term))
-    term, grade, col = term[order], grade[order], col[order]
-    dense = np.zeros((len(order), A.dim), dtype=np.int64)
-    dense[np.arange(len(order))[:, None], A.cosets[grade]] = stack[term, grade, col]
+    dense = np.zeros((len(term), *A.cosets.shape), dtype=np.int64)
+    dense[np.arange(len(term)), grade] = stack[term, grade, col]
+    dense = dense.reshape(len(term), A.dim)
     dense.setflags(write=False)
     ends = np.cumsum(np.bincount(term, minlength=len(squares)))
     return np.split(dense, ends[:-1])
@@ -436,7 +421,13 @@ def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     """One basis index per orbit of the non-central elements of G under
-    x -> h^-1 x h z (h in G, z in Z(G)), the least index of each orbit.
+    x -> h^-1 x h z (h in G, z in Z(G)), the least index of each orbit,
+    listed by position within its coset of G' and then by coset.
+
+    The order changes no term, but it changes the lower chain's cost:
+    listed ascending, the representatives come coset by coset, and the
+    lower chain of `dihedral:128` makes 595 reductions mod p
+    (fp_linalg._residues) instead of 454.
 
     Read from the multiplication table alone: conjugation by a generator
     g is x -> g^-1 (x g).  Conjugation permutes the cosets xZ, so the
@@ -459,7 +450,8 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
                         if y not in cls]
             cls.update(frontier)
         seen[table[np.fromiter(cls, dtype=np.int64)][:, centre]] = True
-    return tuple(reps)
+    m = A.cosets.shape[1]
+    return tuple(sorted(reps, key=lambda x: (x % m, x // m)))
 
 
 def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
@@ -521,19 +513,22 @@ def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
 
     The Lie dimension subgroup D_(m) is the set of g in G with
     e_g - e_1 in M^(m) (Passi and Sehgal, Comm. Algebra 3, 1975), and for
-    m >= 2 it lies in G', the coset of the identity.  So g lies in D_(m)
-    exactly when e_g - e_1, an element of block 0 of the graded term
-    M^(m), reduces to 0 against that block: one |G'| x |G'| product per
-    term for all of G' at once.  The last term is 0, where only the
-    identity passes, so the list ends.
+    m >= 2 it lies in G', the coset of the identity, the first |G'|
+    columns.  Every row of M^(m) lies in one coset, so g lies in D_(m)
+    exactly when e_g - e_1 reduces to 0 against the rows in G': one
+    product per term for all of G' at once.  The last term is 0, where
+    only the identity passes, so the list ends.
     """
     m = A.cosets.shape[1]
     differences = np.eye(m, dtype=np.int64)
     differences[:, 0] -= 1  # row g: e_g - e_1, the identity at column 0
     differences %= A.p
     orders = []
-    for square in _lie_chain(A, A.generators, A.generators, ideals=True)[1:]:
-        residual = differences - matmul_mod(differences, square[0], A.p)
+    for term in upper_lie_chain(A)[1:]:
+        rows = term[:, :m]
+        rows = rows[rows.any(axis=1)]
+        pivots = (rows != 0).argmax(axis=1)
+        residual = differences - matmul_mod(differences[:, pivots], rows, A.p)
         orders.append(m - int((residual % A.p).any(axis=1).sum()))
         if orders[-1] == 1:
             break
@@ -541,14 +536,10 @@ def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
 
 
 def t_upper_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """t^L of F_p[G], the length of the upper chain (not scattered back
-    to dense terms)."""
-    A = build_algebra(G, cap)
-    return len(_lie_chain(A, A.generators, A.generators, ideals=True))
+    """t^L of F_p[G], the length of the upper chain."""
+    return len(upper_lie_chain(build_algebra(G, cap)))
 
 
 def t_lower_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """t_L of F_p[G], the length of the lower chain (not scattered back
-    to dense terms)."""
-    A = build_algebra(G, cap)
-    return len(_lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))
+    """t_L of F_p[G], the length of the lower chain."""
+    return len(lower_lie_chain(build_algebra(G, cap)))

@@ -10,9 +10,9 @@ import pytest
 
 from lienil.catalog import build_dihedral, build_free_class2, build_heisenberg, standard_catalog, table_entries, verify_tables
 from lienil.classify import verify_theorem
-from lienil.dimension import DSequence, d_sequence, jennings_index
+from lienil.dimension import DSequence, d_sequence, jennings_index, lie_dimension_chain
 from lienil.dvectors import enumerate_admissible, enumerate_raw, lemma_constraints_ok
-from lienil.oracle import t_lower_direct, t_upper_direct
+from lienil.oracle import build_algebra, lie_dimension_orders, t_lower_direct, t_upper_direct
 from lienil.subgroups import abelian_invariants, derived_subgroup, lower_central_series, whole_group
 
 ORACLE_CAP = 256
@@ -49,9 +49,13 @@ def test_check1_direct_oracle_agrees_with_jennings_formula(capsys):
         formula = jennings_index(d_sequence(whole_group(e.group)))
         if direct != formula:
             mismatches.append((e.name, direct, formula))
+        # the whole chain of Lie dimension subgroups, not only its length
+        orders = lie_dimension_orders(build_algebra(e.group, ORACLE_CAP))
+        if orders != [D.order for D in lie_dimension_chain(whole_group(e.group))]:
+            mismatches.append((e.name, orders))
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 300
-    report(capsys, 1, "direct chain equals Jennings formula", ok,
+    report(capsys, 1, "direct chain and D_(m) equal the Jennings formula", ok,
            f"{len(entries)} groups, {elapsed:.1f}s"
            + (f", mismatches {mismatches}" if mismatches else ""))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lienil import cli, oracle, subgroups
+from lienil import cli, dvectors, oracle, subgroups
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
 from lienil.oracle import GroupAlgebra
@@ -157,6 +157,13 @@ def test_abelian_builder_rejects_empty_or_non_integer_factors(capsys):
         code, out, err = run(capsys, ["index", "--builder", spec, "-p", "2"])
         assert code == 2 and out == ""
         assert f"builder spec '{spec}'" in err
+    # every builder parameter is read the same way, with the spec named
+    for spec, what, text in (("dihedral:abc", "order", "abc"), ("quaternion:", "order", ""),
+                             ("heisenberg:5.0", "prime", "5.0"), ("free_class2:x", "rank", "x"),
+                             ("condition:a", "row", "a"), ("condition-quotient:6x", "row", "6x")):
+        code, out, err = run(capsys, ["index", "--builder", spec, "-p", "3"])
+        assert (code, out) == (2, "")
+        assert err == f"error: builder spec '{spec}': {what} '{text}' is not an integer\n"
 
 
 def test_index_checks_the_cap_before_enumerating(capsys, monkeypatch):
@@ -253,6 +260,20 @@ def test_enumerate_rejects_bad_weight(capsys):
     code, _, err = run(capsys, ["enumerate-d", "-p", "2", "--weight", "0"])
     assert code == 2
     assert "--weight must be positive" in err
+
+
+def test_enumerate_refuses_weights_above_the_bound_before_enumerating(capsys, monkeypatch):
+    bound = dvectors.MAX_WEIGHT
+    code, out, err = run(capsys, ["enumerate-d", "--all-p", "--weight", str(bound + 1)])
+    assert (code, out) == (2, "")
+    assert err == f"error: weight {bound + 1} exceeds the enumeration bound {bound}\n"
+    # the bound is checked before the partitions are listed, and is inclusive
+    monkeypatch.setattr(dvectors, "MAX_WEIGHT", 4)
+    code, out, err = run(capsys, ["enumerate-d", "-p", "2", "--weight", "4"])
+    assert code == 0 and out.startswith("p = 2: ")
+    code, out, err = run(capsys, ["enumerate-d", "-p", "2", "--weight", str(10**9)])
+    assert (code, out) == (2, "")
+    assert err == f"error: weight {10**9} exceeds the enumeration bound 4\n"
 
 
 def test_verify_tables_on_copied_rows(tmp_path, capsys):
@@ -354,6 +375,12 @@ def test_catalog_build_requires_spec(capsys):
     code, _, err = run(capsys, ["catalog", "build"])
     assert code == 2
     assert "builder spec" in err
+
+
+def test_catalog_build_checks_the_prime_as_index_does(capsys):
+    want = (2, "", "error: dihedral-16 is a 2-group, but -p 3 was given\n")
+    assert run(capsys, ["catalog", "build", "dihedral:16", "-p", "3"]) == want
+    assert run(capsys, ["index", "--builder", "dihedral:16", "-p", "3"]) == want
 
 
 # every number is at most 4, so no drawn text declares more than 4 generators

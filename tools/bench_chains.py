@@ -6,7 +6,10 @@ waits for group specs on stdin.  For each group and each repeat the two
 workers are asked in turn, which one goes first alternating, and each
 builds the algebra and runs `upper_lie_chain` and `lower_lie_chain`,
 timing the three in CPU time (`time.process_time`), which other load on
-the machine moves less than wall time.  BLAS runs on one thread, as in
+the machine moves less than wall time.  Each worker also returns the
+chain lengths and `lie_dimension_orders(A)`, computed outside the timed
+stages; the two checkouts must agree on both, the invariants left when
+a change reorders the basis and the terms differ entry by entry.  BLAS runs on one thread, as in
 `perfbench/run.py`, so the two agree on an idle machine.
 
 Usage, from anywhere:
@@ -42,7 +45,7 @@ STAGES = ("build", "upper", "lower")
 WORKER = r"""
 import json, sys, time
 from lienil.catalog import build_named
-from lienil.oracle import build_algebra, lower_lie_chain, upper_lie_chain
+from lienil.oracle import build_algebra, lie_dimension_orders, lower_lie_chain, upper_lie_chain
 cap = int(sys.argv[1])
 for line in sys.stdin:
     spec, _, p = line.strip().partition("/")
@@ -55,7 +58,8 @@ for line in sys.stdin:
     lower = len(lower_lie_chain(A))
     t3 = time.process_time()
     print(json.dumps({"build": t1 - t0, "upper": t2 - t1, "lower": t3 - t2,
-                      "lengths": [upper, lower]}), flush=True)
+                      "lengths": [upper, lower],
+                      "dimension_orders": lie_dimension_orders(A)}), flush=True)
 """
 
 
@@ -98,8 +102,9 @@ def main(argv=None) -> int:
             for i in range(args.repeats):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
                     runs[side].append(ask(workers[side], spec))
-            if runs["base"][0]["lengths"] != runs["change"][0]["lengths"]:
-                raise SystemExit(f"bench_chains: chain lengths differ on {spec}")
+            for key in ("lengths", "dimension_orders"):
+                if runs["base"][0][key] != runs["change"][0][key]:
+                    raise SystemExit(f"bench_chains: {key} differ on {spec}")
             entry = {"repeats": args.repeats, "cap": args.cap,
                      "lengths": runs["base"][0]["lengths"]}
             for side, rows in runs.items():
