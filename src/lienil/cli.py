@@ -12,7 +12,8 @@ Groups come either from a presentation file or from `--builder name:params`
 (see `catalog list` for builders).  Exit status: 0 success or consistent,
 1 an inconsistency or failed check, 2 usage or input errors.
 
-Caps: subgroup enumeration is bounded by a fixed 2^20 elements;
+Caps: subgroup enumeration is bounded by a fixed 2^20 elements, and
+`enumerate-d --weight` by 30 (dvectors.MAX_WEIGHT);
 `oracle --cap` bounds the oracle's group order (default 256, env
 LIENIL_ORACLE_CAP).
 JSON output (`--json`) is deterministic for fixed inputs and flags: keys

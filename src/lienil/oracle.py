@@ -311,8 +311,8 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     the row itself, the RREF being unique.  A term is therefore |G : G'|
     independent echelon blocks, each |G'| wide, held as one (k, m, m)
     square stack (an EchelonAccumulator with one grade per coset): block
-    c is the RREF of the term's component in coset c, the indices c*m to
-    c*m + m of A.cosets.
+    c is the RREF of the term's component in coset c, row c of A.cosets,
+    the indices c*m to c*m + m.
 
     Each step brackets a set of spanning rows u against a set of basis
     indices b: the first step against `gens`, which must generate G, and

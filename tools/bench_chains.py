@@ -8,9 +8,10 @@ builds the algebra and runs `upper_lie_chain` and `lower_lie_chain`,
 timing the three in CPU time (`time.process_time`), which other load on
 the machine moves less than wall time.  Each worker also returns the
 chain lengths and `lie_dimension_orders(A)`, computed outside the timed
-stages; the two checkouts must agree on both, the invariants left when
-a change reorders the basis and the terms differ entry by entry.  BLAS runs on one thread, as in
-`perfbench/run.py`, so the two agree on an idle machine.
+stages, and the two checkouts must agree on both: they are what is left
+to compare when a change reorders the basis, so that the terms differ
+entry by entry.  BLAS runs on one thread, as in `perfbench/run.py`, so
+the two agree on an idle machine.
 
 Usage, from anywhere:
 
