@@ -223,7 +223,6 @@ class TheoremReport:
 
 
 def verify_theorem(G: PcGroup, corrected: bool = False,
-                   db: Optional[FingerprintDB] = None,
                    with_oracle: bool = False,
                    oracle_cap: Optional[int] = None) -> TheoremReport:
     """Check one group against the index-(10p-8) classification."""
@@ -232,7 +231,7 @@ def verify_theorem(G: PcGroup, corrected: bool = False,
     W = whole_group(G)
     t = upper_index(W)
     expected = 10 * p - 8
-    rep = match_conditions(W, corrected=corrected, db=db)
+    rep = match_conditions(W, corrected=corrected)
     notes = list(rep.notes)
 
     oracle_index = None

@@ -18,17 +18,14 @@ Burnside basis theorem, often far fewer than the pc generators.  The
 upper chain brackets against S alone and closes the brackets' span
 under right multiplication by S: the ideal is the right ideal
 [M^(n), F_p[G]] F_p[G] (`upper_lie_chain` gives the argument).  The
-lower chain's first step brackets against S, since
+lower chain brackets the basis of V_n, and the brackets' span is
+V_(n+1) itself.  Its first step brackets against S, since
 [a, bc] = [ab, c] + [ca, b] makes [F_p[G], F_p[G]] the span of
 [F_p[G], S]; later steps bracket against one element per orbit of the
 non-central elements under conjugation and central translation
-(x -> h^-1 x h z).  It brackets only a set U_n with
-V_n = U_n F_p[Z(G)], which starts from one basis element per coset of
-the centre, and gets V_(n+1) by closing the brackets' span under right
-multiplication by generators of Z(G) (`lower_lie_chain` gives the
-argument).  S, the orbits, the centre, its generators and the coset
-representatives are all found from the multiplication table alone,
-and both products of an element with a basis element are column
+(x -> h^-1 x h z) (`lower_lie_chain` gives the argument).  S, the
+orbits and the centre are all found from the multiplication table
+alone, and both products of an element with a basis element are column
 gathers through it.
 
 Both chains are graded by G/G'.  For x, b in G, bx = b(xb)b^-1, so xb
@@ -107,18 +104,35 @@ class GroupAlgebra:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A minimal generating set of G: the pc generators, in order,
-        that lie outside the subgroup generated by Phi(G) and the ones
+        that lie outside the subgroup H generated by Phi(G) and the ones
         kept before them.
 
         Phi(G) = G' G^p, and G/G' is abelian, so the cosets x^p G' make
-        up (G/G')^p and Phi(G) is the set of products G' x^p.  The
-        kept generators are a basis of G/Phi(G), so by the Burnside basis
-        theorem they generate G, and there are log_p [G : Phi(G)] of them.
+        up (G/G')^p and Phi(G) is the set of products G' x^p.  Every H
+        that contains Phi(G) is normal in G, so <H, g> is the union of
+        the cosets H g^k, and the loop adds them until one is H again.
+        The kept generators are a basis of G/Phi(G), so by the Burnside
+        basis theorem they generate G, and there are log_p [G : Phi(G)]
+        of them.
         """
-        powers = _pth_powers(self, np.arange(self.dim))
-        frattini = np.zeros(self.dim, dtype=bool)
-        frattini[self.table[np.ix_(self.cosets[0], powers)]] = True
-        return _frattini_basis(self, frattini, self.generator_indices)
+        xs = np.arange(self.dim)
+        powers = xs
+        for _ in range(self.p - 1):
+            powers = self.table[powers, xs]
+        members = np.zeros(self.dim, dtype=bool)
+        members[self.table[np.ix_(self.cosets[0], powers)]] = True
+        kept: list[int] = []
+        for g in self.generator_indices:
+            if members[g]:
+                continue
+            kept.append(g)
+            coset = np.flatnonzero(members)
+            while True:
+                coset = self.table[coset, g]
+                if members[coset[0]]:
+                    break
+                members[coset] = True
+        return tuple(kept)
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
@@ -241,54 +255,6 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
                         index={x: i for i, x in enumerate(elements)})
 
 
-def _pth_powers(A: GroupAlgebra, xs: np.ndarray) -> np.ndarray:
-    """The index of x^p for each index x in xs."""
-    powers = xs
-    for _ in range(A.p - 1):
-        powers = A.table[powers, xs]
-    return powers
-
-
-def _frattini_basis(A: GroupAlgebra, frattini: np.ndarray,
-                    candidates: Sequence[int]) -> tuple[int, ...]:
-    """The candidates that lie outside the subgroup H generated by the
-    mask `frattini` and the candidates kept before them.
-
-    `frattini` masks Phi(P) for the subgroup P the candidates generate.
-    Every H that contains Phi(P) is normal in P, so <H, c> is the union
-    of the cosets H c^k, and the loop adds them until one is H again.
-    The kept candidates are a basis of P/Phi(P): by the Burnside basis
-    theorem they generate P, and none of them is redundant.
-    """
-    members = frattini.copy()
-    kept: list[int] = []
-    for c in candidates:
-        if members[c]:
-            continue
-        kept.append(c)
-        coset = np.flatnonzero(members)
-        while True:
-            coset = A.table[coset, c]
-            if members[coset[0]]:
-                break
-            members[coset] = True
-    return tuple(kept)
-
-
-def _centre_generators(A: GroupAlgebra) -> tuple[int, ...]:
-    """A minimal generating set of Z(G), read off the table in index
-    order.  Z(G) is abelian, so Phi(Z(G)) is the set of p-th powers."""
-    frattini = np.zeros(A.dim, dtype=bool)
-    frattini[_pth_powers(A, A.centre)] = True
-    return _frattini_basis(A, frattini, A.centre.tolist())
-
-
-def _centre_transversal(A: GroupAlgebra) -> np.ndarray:
-    """The least index of each coset x Z(G), ascending."""
-    least = A.table[:, A.centre].min(axis=1)
-    return np.flatnonzero(least == np.arange(A.dim))
-
-
 def _right_gathers(A: GroupAlgebra, indices: Sequence[int]) -> np.ndarray:
     """Right multiplication by each e_g as a column gather: coordinate y
     of v * e_g is v[y * g^-1]."""
@@ -314,20 +280,15 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     c is the RREF of the term's component in coset c, row c of A.cosets,
     the indices c*m to c*m + m.
 
-    Each step brackets a set of spanning rows u against a set of basis
-    indices b: the first step against `gens`, which must generate G, and
-    every later step against `against`.  W is the span of the [u, e_b],
-    and the term is W closed under right multiplication by a set of group
-    elements.  The basis is listed coset by coset, so the grades are the
-    cosets, and a layer (fp_linalg.to_layers), one homogeneous row per
-    coset side by side, is an element of the algebra: one gather brackets
-    every coset's rows at once and moves each to its new coset.
-
-    - Upper chain (`ideals`): the spanning rows are the previous term's
-      basis, and W is closed under `gens`.
-    - Lower chain: the first spanning rows are one basis element per
-      coset of Z(G), each later set is the previous step's W, and W is
-      closed under generators of Z(G).
+    Each step brackets every basis row v of the previous term against a
+    set of basis indices b: the first step against `gens`, which must
+    generate G, and every later step against `against`.  W is the span of
+    the [v, e_b].  The lower chain's term is W; the upper chain's
+    (`ideals`) is W closed under right multiplication by `gens`.  The
+    basis is listed coset by coset, so the grades are the cosets, and a
+    layer (fp_linalg.to_layers), one homogeneous row per coset side by
+    side, is an element of the algebra: one gather brackets every coset's
+    rows at once and moves each to its new coset.
 
     The brackets are fed to the accumulator in blocks of at most A.dim
     layers.  The chains pass A.generators as `gens`; passing every basis
@@ -345,14 +306,8 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     kind = "upper" if ideals else "lower"
     k, m = A.cosets.shape
     terms = [np.tile(np.eye(m), (k, 1, 1))]
-    if ideals:
-        spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
-        gathers = _right_gathers(A, gens)
-    else:
-        seeds = np.zeros(A.dim, dtype=bool)
-        seeds[_centre_transversal(A)] = True
-        spanning = to_layers(terms[0], seeds.reshape(k, m))
-        gathers = _right_gathers(A, _centre_generators(A))
+    spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
+    gathers = _right_gathers(A, gens) if ideals else None
     bracketing = np.asarray(gens)
     rank = A.dim
     while rank:
@@ -360,23 +315,18 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
         per_block = max(1, A.dim // len(spanning))
         for lo in range(0, len(bracketing), per_block):
             acc.add_block(A.bracket_with_basis(spanning, bracketing[lo:lo + per_block]))
-        if not ideals:
-            spanning = acc.basis  # W itself, before the closure
-        closed = close_under(acc, gathers)
-        nxt = acc.square
+        spanning = close_under(acc, gathers) if ideals else acc.basis
         if (nxt_rank := acc.dim) == rank:
             raise NotLieNilpotentDetected(
                 f"{kind} chain went stationary at nonzero dimension "
                 f"{rank}: not Lie nilpotent (or a bug)"
             )
-        terms.append(nxt)
+        terms.append(acc.square)
         if len(terms) > A.chain_bound + 1:
             raise NotLieNilpotentDetected(
                 f"{kind} chain exceeded {A.chain_bound} terms without "
                 "vanishing: not Lie nilpotent (or a bug)"
             )
-        if ideals:
-            spanning = closed
         bracketing = np.asarray(against)
         rank = nxt_rank
     return terms
@@ -426,8 +376,8 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
 
     The order changes no term, but it changes the lower chain's cost:
     listed ascending, the representatives come coset by coset, and the
-    lower chain of `dihedral:128` makes 595 reductions mod p
-    (fp_linalg._residues) instead of 454.
+    lower chain of `dihedral:128` makes 556 reductions mod p
+    (fp_linalg._residues) instead of 403.
 
     Read from the multiplication table alone: conjugation by a generator
     g is x -> g^-1 (x g).  Conjugation permutes the cosets xZ, so the
@@ -486,23 +436,6 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
        W + V_{m+2} for every m >= n.
     4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
        hence V_{n+1} is in W, and W is in V_{n+1} trivially.
-
-    Nor does a step bracket all of V_n.  Write F = F_p[Z(G)], a central
-    subalgebra.  Let U_1 hold one basis element e_t per coset tZ(G), and
-    U_(n+1) be the span of [u, e_b] over u in U_n and b in S (n = 1) or
-    the representatives (n >= 2).  Then V_n = U_n F:
-
-    5. [u c, b] = [u, b] c for c in F, as c commutes with u and e_b.
-    6. V_1 = U_1 F, since each g in G is t z for its coset's t and some
-       z in Z(G).  So V_2, the span of [V_1, S] by 0, is the span of
-       [U_1, S] F by 5, which is U_2 F.
-    7. If V_n = U_n F with n >= 2, then V_(n+1), the span of [V_n, b]
-       over the representatives by 1-4, is the span of [U_n, b] F by 5,
-       which is U_(n+1) F.
-
-    So each step brackets U_n, about |Z(G)| times smaller than V_n, and
-    gets V_(n+1) = U_(n+1) F by closing U_(n+1) under right
-    multiplication by generators of Z(G), whose products are all of Z(G).
     """
     return _ungraded(A, _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))
 

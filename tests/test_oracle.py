@@ -27,8 +27,6 @@ from lienil.oracle import (
     GroupAlgebra,
     NotLieNilpotentDetected,
     OracleCapExceeded,
-    _centre_generators,
-    _centre_transversal,
     _lie_chain,
     _orbit_representatives,
     _ungraded,
@@ -102,38 +100,27 @@ def _right_gathers(A, indices):
 def _ungraded_lie_chain(A, gens, against, ideals):
     # The chain as it was before the grading by G/G', kept as the slow
     # reference: every term is one DenseEchelon of width |G|.
-    # Each step brackets a set of spanning rows u against basis indices b:
-    # the first step against `gens`, later steps against `against`.  W is
-    # the span of the [u, e_b], fed in blocks of at most A.dim rows, and
-    # the term is W closed under right multiplication: for the upper chain
-    # (`ideals`) the spanning rows are the previous term and W is closed
-    # under `gens`; for the lower chain the first spanning rows are one
-    # basis element per coset of Z(G), each later set is the previous W,
-    # and W is closed under generators of Z(G).
+    # Each step brackets every row v of the previous term against basis
+    # indices b: the first step against `gens`, later steps against
+    # `against`.  W is the span of the [v, e_b], fed in blocks of at most
+    # A.dim rows.  The lower chain's term is W; the upper chain's
+    # (`ideals`) is W closed under right multiplication by `gens`.
     kind = "upper" if ideals else "lower"
     terms = [np.eye(A.dim, dtype=np.int64)]
     terms[0].setflags(write=False)
-    if ideals:
-        spanning = terms[0]
-        gathers = _right_gathers(A, gens)
-    else:
-        spanning = terms[0][_centre_transversal(A)]
-        gathers = _right_gathers(A, _centre_generators(A))
     bracketing = gens
     while len(terms[-1]):
         current = terms[-1]
         acc = DenseEchelon(A.p, A.dim)
-        per_block = max(1, A.dim // len(spanning))
+        per_block = max(1, A.dim // len(current))
         for lo in range(0, len(bracketing), per_block):
-            acc.add_block(np.vstack([A.bracket_with_basis(spanning, b)
+            acc.add_block(np.vstack([A.bracket_with_basis(current, b)
                                      for b in bracketing[lo:lo + per_block]]))
-        brackets = acc.basis
-        nxt = close_under(acc, gathers)
+        nxt = close_under(acc, _right_gathers(A, gens)) if ideals else acc.basis
         if len(nxt) == len(current):
             raise NotLieNilpotentDetected(f"{kind} chain went stationary")
         terms.append(nxt)
         assert len(terms) <= A.chain_bound + 1
-        spanning = nxt if ideals else brackets
         bracketing = against
     return terms
 
@@ -415,8 +402,9 @@ CENTRE_CASES = {
 
 @pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
 def test_centre_module_seeding_spans_the_same_lower_terms(make):
-    # bracketing U_n and closing under Z(G) gives the terms that bracketing
-    # every basis row of V_n against the same representatives gives
+    # the graded chain, bracketing V_n's layers in blocks, gives the terms
+    # that bracketing every dense basis row of V_n against the same
+    # representatives, one block per representative, gives
     A = build_algebra(make())
     want = _lower_chain_without_centre(A, _orbit_representatives(A))
     got = lower_lie_chain(A)
@@ -439,15 +427,12 @@ def _closure(A, gens):
 
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
 def test_centre_generators_and_transversal_match_the_centre(make):
+    # A.centre, the one centre set the oracle keeps, against the subgroup
+    # code's centre
     G = make()
     A = build_algebra(G)
     Z = {A.index[z] for z in center(whole_group(G)).elements}
     assert set(A.centre.tolist()) == Z
-    assert _closure(A, _centre_generators(A)) == Z
-    transversal = _centre_transversal(A).tolist()
-    assert len(transversal) == G.order // len(Z)
-    cosets = [set(A.table[t, sorted(Z)].tolist()) for t in transversal]
-    assert set().union(*cosets) == set(range(A.dim))
 
 
 def _pieces(A, layers):
@@ -493,20 +478,19 @@ def _counted_chain(monkeypatch, chain, A):
     lambda: build_condition_quotient(66, 3).group,
     lambda: build_dihedral(64).group,
 ], ids=["cond65-quotient", "cond66-quotient", "D64"])
-def test_lower_chain_brackets_a_spanning_set_in_bounded_blocks(monkeypatch, make):
-    # the first step brackets one row per coset of Z(G) against a minimal
-    # generating set, later steps bracket fewer rows than the terms have
+def test_lower_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
+    # the first step brackets all |G| rows against the minimal generating
+    # set, each later step brackets exactly the previous term's rows
     # against the orbit representatives, and no block fed to the
     # accumulator exceeds A.dim layers
     A = build_algebra(make())
     reps, gens = _orbit_representatives(A), A.generators
     chain, bracketed, blocks = _counted_chain(monkeypatch, lower_lie_chain, A)
-    cosets = A.dim // len(A.centre)
-    rows = [len(block) for block, _ in bracketed]
-    assert len(gens) < len(reps)
-    assert rows[:len(gens)] == [cosets] * len(gens)
-    assert [b for _, b in bracketed] == [*gens, *reps * (len(chain) - 2)]
-    assert sum(rows) < len(gens) * cosets + len(reps) * sum(len(V) for V in chain[1:-1])
+    want = [(chain[0], g) for g in gens]
+    want += [(term, b) for term in chain[1:-1] for b in reps]
+    assert len(gens) < len(reps) and len(chain[0]) == A.dim
+    assert [b for _, b in bracketed] == [b for _, b in want]
+    assert all(np.array_equal(got, term) for (got, _), (term, _) in zip(bracketed, want))
     assert max(blocks) <= A.dim
 
 
@@ -598,8 +582,7 @@ def test_chain_bound_reads_the_derived_subgroup_off_the_table():
 
 
 def test_generating_sets_are_minimal():
-    # A.generators generates G with log_p [G : G'G^p] elements, and the
-    # centre's generators generate Z(G) with log_p [Z : Z^p], on every
+    # A.generators generates G with log_p [G : G'G^p] elements, on every
     # catalog group the default cap admits and the order-243 table rows
     groups = [e.group for e in standard_catalog() if e.order <= 256]
     groups += [_table_group(name) for name in TABLE_243]
@@ -611,10 +594,6 @@ def test_generating_sets_are_minimal():
         assert len(_closure(A, A.generators)) == G.order
         assert len(A.generators) == _log_p_index(W, frattini, G.p)
         assert set(A.generators) <= set(A.generator_indices)
-        Z = center(W)
-        gens = _centre_generators(A)
-        assert len(_closure(A, gens)) == Z.order
-        assert len(gens) == _log_p_index(Z, power_subgroup(Z, G.p), G.p)
 
 
 ORACLE_ONLY = """

@@ -11,7 +11,11 @@ chain lengths and `lie_dimension_orders(A)`, computed outside the timed
 stages, and the two checkouts must agree on both: they are what is left
 to compare when a change reorders the basis, so that the terms differ
 entry by entry.  BLAS runs on one thread, as in `perfbench/run.py`, so
-the two agree on an idle machine.
+the two agree on an idle machine.  Before the timed repeats, each worker
+runs both chains once untimed and counts their calls to
+`fp_linalg._residues`, every reduction mod p of the elimination.  The
+count does not depend on the machine or its load, so it shows a change
+in the work done that the timings' noise can hide.
 
 Usage, from anywhere:
 
@@ -21,22 +25,25 @@ Usage, from anywhere:
 A group is a builder spec as `lienil --builder` reads it, with `/p` for
 the prime where the builder needs one.  The default groups are the eight
 of the `oracle` workload.  `--cap` raises the oracle cap for larger
-groups.  It prints the medians per group and side, and merges them into
-the "chains" section of BENCH_<tag>.json at the repository root (see
-tools/bench_pairs.py), one entry per group, replacing an earlier entry
-for the same group.
+groups.  For each group it prints, per stage, each side's median and
+a verdict read as in tools/bench_pairs.py: CHANGE is "lower" or
+"higher" when it is so in at least 9 of 10 repeats and its median is
+off BASE's by more than BASE's interquartile range, and "unresolved"
+otherwise.  It merges each side's quartiles, the verdicts and the
+counts into the "chains" section of BENCH_<tag>.json at the repository
+root (see tools/bench_pairs.py), one entry per group, replacing an
+earlier entry for the same group.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import bench_file, update_bench
+from bench_pairs import bench_file, quartiles, update_bench
 
 WORKLOAD_GROUPS = ("condition-quotient:65/3", "condition-quotient:66/3",
                    "dihedral:64", "quaternion:64", "dihedral:32",
@@ -45,12 +52,34 @@ STAGES = ("build", "upper", "lower")
 
 WORKER = r"""
 import json, sys, time
+import lienil.fp_linalg as fp_linalg
 from lienil.catalog import build_named
 from lienil.oracle import build_algebra, lie_dimension_orders, lower_lie_chain, upper_lie_chain
 cap = int(sys.argv[1])
+residues = fp_linalg._residues
+
+def count_residues(chain, A):
+    calls = 0
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return residues(*args)
+    fp_linalg._residues = counted
+    try:
+        chain(A)
+    finally:
+        fp_linalg._residues = residues
+    return calls
+
 for line in sys.stdin:
-    spec, _, p = line.strip().partition("/")
+    mode, spec = line.split()
+    spec, _, p = spec.partition("/")
     G = build_named(spec, int(p) if p else None).group
+    if mode == "count":
+        A = build_algebra(G, cap)
+        print(json.dumps({"upper": count_residues(upper_lie_chain, A),
+                          "lower": count_residues(lower_lie_chain, A)}), flush=True)
+        continue
     t0 = time.process_time()
     A = build_algebra(G, cap)
     t1 = time.process_time()
@@ -74,13 +103,29 @@ def start_worker(root: Path, cap: int) -> subprocess.Popen:
                             text=True)
 
 
-def ask(worker: subprocess.Popen, spec: str) -> dict:
-    worker.stdin.write(spec + "\n")
+def ask(worker: subprocess.Popen, mode: str, spec: str) -> dict:
+    """One reply of a worker: "time" runs the timed stages, "count" counts
+    each chain's reductions."""
+    worker.stdin.write(f"{mode} {spec}\n")
     worker.stdin.flush()
     line = worker.stdout.readline()
     if not line:
         raise SystemExit(f"bench_chains: worker failed on {spec}")
     return json.loads(line)
+
+
+def judge(base: list[float], change: list[float]) -> str:
+    """"lower" or "higher" when CHANGE is so in at least 9 of 10 paired
+    repeats and its median is off BASE's by more than BASE's
+    interquartile range, else "unresolved"."""
+    (bq1, bmed, bq3), cmed = quartiles(base), quartiles(change)[1]
+    lower = sum(c < b for b, c in zip(base, change))
+    higher = sum(c > b for b, c in zip(base, change))
+    if 10 * lower >= 9 * len(base) and bmed - cmed > bq3 - bq1:
+        return "lower"
+    if 10 * higher >= 9 * len(base) and cmed - bmed > bq3 - bq1:
+        return "higher"
+    return "unresolved"
 
 
 def main(argv=None) -> int:
@@ -99,25 +144,34 @@ def main(argv=None) -> int:
     report = {}
     try:
         for spec in args.groups:
+            residues = {side: ask(worker, "count", spec) for side, worker in workers.items()}
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i in range(args.repeats):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                    runs[side].append(ask(workers[side], spec))
+                    runs[side].append(ask(workers[side], "time", spec))
             for key in ("lengths", "dimension_orders"):
                 if runs["base"][0][key] != runs["change"][0][key]:
                     raise SystemExit(f"bench_chains: {key} differ on {spec}")
+            for rows in runs.values():
+                for r in rows:
+                    r["total"] = sum(r[stage] for stage in STAGES)
             entry = {"repeats": args.repeats, "cap": args.cap,
-                     "lengths": runs["base"][0]["lengths"]}
+                     "lengths": runs["base"][0]["lengths"], "residues": residues,
+                     "verdict": {}}
             for side, rows in runs.items():
-                entry[side] = {stage: statistics.median(r[stage] for r in rows)
-                               for stage in STAGES}
-                entry[side]["total"] = statistics.median(
-                    sum(r[stage] for stage in STAGES) for r in rows)
+                entry[side] = {stage: list(quartiles([r[stage] for r in rows]))
+                               for stage in (*STAGES, "total")}
+            for stage in (*STAGES, "total"):
+                entry["verdict"][stage] = judge([r[stage] for r in runs["base"]],
+                                                [r[stage] for r in runs["change"]])
             report[spec] = entry
             b, c = entry["base"], entry["change"]
             print(f"{spec:26} " + "   ".join(
-                f"{stage} {b[stage] * 1e3:.1f} -> {c[stage] * 1e3:.1f} ms"
-                for stage in (*STAGES, "total")), flush=True)
+                f"{stage} {b[stage][1] * 1e3:.1f} -> {c[stage][1] * 1e3:.1f} ms "
+                f"({entry['verdict'][stage]})" for stage in (*STAGES, "total"))
+                + "   _residues " + "   ".join(
+                    f"{chain} {residues['base'][chain]} -> {residues['change'][chain]}"
+                    for chain in residues["base"]), flush=True)
     finally:
         for worker in workers.values():
             worker.stdin.close()
