@@ -41,10 +41,23 @@ about |G : G'| times fewer flops than one dense basis of width |G|, and
 the public chains write the blocks side by side as dense rows.  The same
 terms give the Lie dimension subgroups (`lie_dimension_orders`).
 
+The multiplication table itself comes from G's pc presentation, not
+from the collector (`_pc_table` gives the argument).  Number an element
+by its exponent vector read in base p, g_1 the top digit.  Each
+G_k = <g_k, ..., g_n> is normal, so its table is the top-left corner of
+the table of G_(k-1), and the tables are built from the bottom: with
+x = g_k^a s and y = g_k^b t, s and t in G_(k+1),
+x y = g_k^((a+b) mod p) [w_k if a + b >= p] s^(g_k^b) t, where w_k = g_k^p,
+and conjugation by g_k is the automorphism of G_(k+1) that sends each
+g_j to g_j [g_j, g_k], one permutation composed through the corner
+tables.  So every product is an array gather, and `build_algebra`
+collects none.
+
 Everything here is exact arithmetic mod p on numpy arrays, and even
 |G'|, which bounds the chains' length, is read off the table; nothing is
 shared with the Jennings-style computation in lienil.dimension and
-lienil.subgroups, so the two routes cross-check each other.
+lienil.subgroups, nor with the collector in lienil.pcgroup, so the two
+routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -142,9 +155,10 @@ class GroupAlgebra:
     @cached_property
     def centre(self) -> np.ndarray:
         """Indices of the central elements, ascending: x is central iff it
-        commutes with every generator."""
+        commutes with every element of a generating set, here the minimal
+        one `generators`."""
         central = np.ones(self.dim, dtype=bool)
-        for g in self.generator_indices:
+        for g in self.generators:
             central &= self.table[:, g] == self.table[g, :]
         return np.flatnonzero(central)
 
@@ -189,69 +203,125 @@ def _derived_subgroup(table: np.ndarray, generators: Sequence[int]) -> np.ndarra
     return members
 
 
+def _pc_table(G: PcGroup) -> np.ndarray:
+    """The int32 multiplication table of G on pc indices, built from the
+    relations alone: entry [x, y] is the pc index of x y, where an
+    element's pc index is its exponent vector read in base p, with g_1
+    as the top digit, so the identity is 0 and g_k is p^(n-k).
+
+    Let G_k = <g_k, ..., g_n>, w_k = g_k^p the power relation, and
+    g_j^(g_k) = g_j [g_j, g_k] the conjugates the commutator relations
+    give.  The tables are built from G_(n+1) = 1 up to G_1 = G, each from
+    the one before:
+
+    1. G_k is normal in G: for j >= k, g_j^(g_i) is g_j [g_j, g_i] with
+       [g_j, g_i] after g_j when i < j, and in G_(i+1) when i > j.  The
+       relations among g_k, ..., g_n have their right-hand sides in
+       G_(k+1), so G_k is the set of normal words in them, the elements
+       with pc index below p^(n-k+1), and its table is the top-left
+       corner of G_(k-1)'s.
+    2. Write x = g_k^a s and y = g_k^b t with s, t in G_(k+1) and
+       0 <= a, b < p.  Then x y = g_k^(a+b) s^(g_k^b) t.  When a + b >= p,
+       g_k^(a+b) = g_k^(a+b-p) w_k with w_k in G_(k+1), so the carry is
+       w_k multiplied on the left of s^(g_k^b) t.  So x y has the top
+       digit (a + b) mod p, and its part in G_(k+1) is s^(g_k^b) t or
+       w_k s^(g_k^b) t, entries of G_(k+1)'s table.
+    3. Conjugation by g_k is an automorphism of G_(k+1) (by 1), so the
+       image of g_j^e u, u in G_(j+1), is (g_j [g_j, g_k])^e times the
+       image of u, a product in G_(k+1)'s table.  For j from n down to
+       k + 1 this gives the image of every element of G_j, and at the end
+       conjugation by g_k as one permutation of G_(k+1).  Conjugation by
+       g_k^b is that permutation composed b times, built by doubling.
+
+    A level makes O(log p) gathers for the compositions, p - 1 lookups
+    per relation image for its powers, and a constant number of calls for
+    its table, broadcast over a and b.  The presentation is consistent
+    (PcGroup checks it), so these are the products of G, and no product
+    is collected.
+    """
+    p, n = G.p, G.ngens
+
+    def pc_index(x: Element) -> int:
+        return int(np.ravel_multi_index(x, (p,) * n))
+
+    digits = np.arange(p, dtype=np.int32)
+    top = digits[:, None] + digits  # [a, b]: a + b, then the top digit of the product
+    carry = top >= p
+    np.subtract(top, p, out=top, where=carry)
+    carry = carry[:, None, :, None]
+    table = np.zeros((1, 1), dtype=np.int32)  # the trivial group below g_n
+    for k in range(n - 1, -1, -1):  # indices from 0: this level adds generator k
+        r = len(table)  # the order of the subgroup of the generators after k
+        conj = np.zeros(1, dtype=np.int32)  # conjugation by generator k, on ever larger corners
+        for j in range(n - 1, k, -1):
+            image = p ** (n - 1 - j) + pc_index(G.commutator_relation(j, k))
+            powers = [0]
+            for _ in range(p - 1):
+                powers.append(table[powers[-1], image])
+            conj = table[np.array(powers)[:, None], conj].ravel()
+        sigma = np.arange(r, dtype=np.int32)[None, :]  # row b: conjugation by g_k^b
+        while len(sigma) < p:
+            sigma = np.concatenate([sigma, conj[sigma[-1]][sigma]])[:p]
+        tail = table[sigma].transpose(1, 0, 2)  # [s, b, t]: s^(g_k^b) t
+        w = pc_index(G.power_relation(k))
+        if w:
+            tail = np.where(carry, table[w][tail], tail)
+        table = (tail + (top * r)[:, None, :, None]).reshape(p * r, p * r)
+    return table
+
+
 def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
     """Materialize F_p[G], its basis listed coset by coset of G' (see
-    GroupAlgebra.cosets); refuses groups with more than `cap` elements."""
+    GroupAlgebra.cosets); refuses groups with more than `cap` elements.
+
+    The table is read off the pc relations by `_pc_table`, which gives
+    the proof, from G_n up to G_1 = G: for x = g_k^a s and y = g_k^b t
+    with s, t in G_(k+1), x y has the top digit (a + b) mod p over
+    s^(g_k^b) t, carried through w_k = g_k^p from the left when
+    a + b >= p, and conjugation by g_k is the automorphism of G_(k+1)
+    composed from the images g_j [g_j, g_k].  No product is collected.
+
+    The basis is numbered in the order in which a breadth-first search
+    from the identity meets the elements, by right multiplication by
+    g_1, ..., g_n in turn, each element expanded once.  That order
+    depends only on the products, so it is the order a search by
+    collected products gives.  It is regrouped by coset of G': each
+    coset in ascending search order, the cosets by their first element,
+    so G' comes first and the identity keeps index 0.  The pc-indexed
+    table is renumbered once, by the one composed permutation: one
+    gather per axis and one for the entries.
+    """
     if G.order > cap:
         raise OracleCapExceeded(
             f"group order {G.order} exceeds the oracle cap {cap}"
         )
-    p = G.p
-    gens = list(G.generators())
-    # BFS enumeration by right multiplication; identity first.  Every element
-    # is expanded once, so the search meets each product x * g exactly once:
-    # right[k, x] = index(elements[x] * gens[k]) is the generator's column.
-    elements: list[Element] = [G.identity]
-    index: dict[Element, int] = {G.identity: 0}
-    right = np.empty((len(gens), G.order), dtype=np.int32)
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for xi in frontier:
-            x = elements[xi]
-            for k, g in enumerate(gens):
-                y = G.multiply(x, g)
-                yi = index.get(y)
-                if yi is None:
-                    yi = index[y] = len(elements)
-                    elements.append(y)
-                    nxt.append(yi)
-                right[k, xi] = yi
-        frontier = nxt
-    dim = len(elements)
-    assert dim == G.order, "enumeration does not match the declared order"
-
-    # Column for element y: col_y[x] = index(elements[x] * y).  Columns for
-    # the generators come from the search; every other column is a
-    # composition col_{h*g} = col_g[col_h], filled in BFS discovery order so
-    # col_h always exists before col_{h*g} is needed.
-    cols = np.empty((dim, dim), dtype=np.int32)
-    cols[:, 0] = np.arange(dim, dtype=np.int32)
-    gen_indices = tuple(int(right[k, 0]) for k in range(len(gens)))
-    for k, gi in enumerate(gen_indices):
-        cols[:, gi] = right[k]
-    done = {0, *gen_indices}
-    for hi in range(dim):
-        for k in range(len(gens)):
-            yi = int(right[k, hi])
-            if yi in done:
-                continue
-            cols[:, yi] = right[k][cols[:, hi]]
-            done.add(yi)
-    assert len(done) == dim
-
-    # List the basis coset by coset of G': each coset xG' in ascending BFS
-    # order, the cosets by their least element, so G' comes first and the
-    # identity keeps index 0.  position[x] is the new index of BFS index x.
-    members = np.sort(cols[:, np.flatnonzero(_derived_subgroup(cols, gen_indices))], axis=1)
-    order = members[members[:, 0] == np.arange(dim)].ravel()
+    p, n, dim = G.p, G.ngens, G.order
+    table = _pc_table(G)
+    gens = [p ** (n - 1 - k) for k in range(n)]  # pc index of g_(k+1)
+    successors = table[:, gens].tolist()
+    seen = [True] + [False] * (dim - 1)
+    found = [0]
+    for x in found:  # the list grows as the search meets elements
+        for y in successors[x]:
+            if not seen[y]:
+                seen[y] = True
+                found.append(y)
+    rank = np.empty(dim, dtype=np.intp)
+    rank[found] = np.arange(dim)
+    derived = np.flatnonzero(_derived_subgroup(table, gens))
+    first = rank[table[:, derived]].min(axis=1)  # each element's coset, by its first element
+    order = np.lexsort((rank, first))  # pc index of each new index
     position = np.empty(dim, dtype=np.intp)
     position[order] = np.arange(dim)
-    elements = [elements[x] for x in order.tolist()]
-    return GroupAlgebra(group=G, p=p, elements=elements,
-                        table=position[cols[np.ix_(order, order)]],
-                        generator_indices=tuple(position[list(gen_indices)].tolist()),
-                        cosets=np.arange(dim).reshape(-1, members.shape[1]),
+    # one take per axis, and the pc-indexed table is freed before the
+    # entries are renumbered
+    table = table.take(order, axis=0).take(order, axis=1)
+    table = position.take(table)
+    digits = np.unravel_index(order, (p,) * n)
+    elements = list(zip(*(d.tolist() for d in digits)))
+    return GroupAlgebra(group=G, p=p, elements=elements, table=table,
+                        generator_indices=tuple(position[gens].tolist()),
+                        cosets=np.arange(dim).reshape(-1, len(derived)),
                         index={x: i for i, x in enumerate(elements)})
 
 
@@ -380,12 +450,14 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     (fp_linalg._residues) instead of 403.
 
     Read from the multiplication table alone: conjugation by a generator
-    g is x -> g^-1 (x g).  Conjugation permutes the cosets xZ, so the
-    orbit of x is the union of the cosets yZ over the conjugates y of x.
+    g is x -> g^-1 (x g), and the minimal generating set A.generators
+    generates G, so its conjugations reach every conjugate of x.
+    Conjugation permutes the cosets xZ, so the orbit of x is the union of
+    the cosets yZ over the conjugates y of x.
     """
     table, inv = A.table, A.inverse_indices
     centre = A.centre
-    conj = [table[inv[g], table[:, g]] for g in A.generator_indices]
+    conj = [table[inv[g], table[:, g]] for g in A.generators]
     seen = np.zeros(A.dim, dtype=bool)
     seen[centre] = True
     reps: list[int] = []

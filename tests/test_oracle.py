@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lienil.catalog import (
     DATA_DIR,
@@ -27,8 +28,10 @@ from lienil.oracle import (
     GroupAlgebra,
     NotLieNilpotentDetected,
     OracleCapExceeded,
+    _derived_subgroup,
     _lie_chain,
     _orbit_representatives,
+    _pc_table,
     _ungraded,
     build_algebra,
     lie_dimension_orders,
@@ -154,18 +157,140 @@ def test_algebra_table_is_a_group_table():
         assert sorted(A.table[:, i]) == list(range(8))
 
 
-def test_algebra_multiplies_each_element_by_each_generator_once(monkeypatch):
-    G = build_heisenberg(3).group
+def test_build_algebra_makes_no_collector_product(monkeypatch):
+    # the table comes from the pc relations alone: neither the public
+    # product nor the collector behind every product is called
+    groups = [build_heisenberg(3).group, build_dihedral(64).group,
+              build_condition_quotient(65, 3).group, build_abelian(251, [251]).group]
     calls = []
-    multiply = PcGroup.multiply
+    for name in ("multiply", "_mul"):
+        method = getattr(PcGroup, name)
 
-    def counted(self, x, y):
-        calls.append(y)
-        return multiply(self, x, y)
+        def counted(self, x, y, name=name, method=method):
+            calls.append(name)
+            return method(self, x, y)
 
-    monkeypatch.setattr(PcGroup, "multiply", counted)
-    build_algebra(G)
-    assert len(calls) == G.order * G.ngens
+        monkeypatch.setattr(PcGroup, name, counted)
+    for G in groups:
+        assert build_algebra(G).dim == G.order
+    assert calls == []
+    # the counters see a product
+    groups[0].multiply(groups[0].generator(1), groups[0].generator(0))
+    assert calls[:2] == ["multiply", "_mul"]
+
+
+def _pc_index(G, x):
+    # the exponent vector read in base p, g_1 the top digit
+    return sum(e * G.p ** (G.ngens - 1 - i) for i, e in enumerate(x))
+
+
+def _some_primes(upto):
+    return [q for q in range(2, upto + 1) if all(q % d for d in range(2, int(q**0.5) + 1))]
+
+
+def _semidihedral(k):
+    # SD_(2^k) = <a, b | a^(2^(k-1)) = b^2 = 1, a^b = a^(2^(k-2) - 1)> on
+    # g1 = a, g2 = b and g_(i+2) = a^(2^i): the power relation g1^2 = g3
+    # is not central in G_2 = <g2, ..., gk>, since [g3, g2] = a^-4
+    powers = {0: ((2, 1),), **{j: ((j + 1, 1),) for j in range(2, k - 1)}}
+    comms = {(1, 0): ((2, 1), (k - 1, 1)),
+             **{(j, 1): tuple((i, 1) for i in range(j + 1, k)) for j in range(2, k - 1)}}
+    return PcGroup(2, k, powers, comms)
+
+
+def test_semidihedral_presentation():
+    for k in (4, 6, 8):
+        G = _semidihedral(k)
+        a, b, w = G.generator(0), G.generator(1), G.power_relation(0)
+        assert G.element_order(a) == 2 ** (k - 1) and G.element_order(b) == 2
+        assert G.conjugate(a, b) == G.power(a, 2 ** (k - 2) - 1)
+        assert G.multiply(w, b) != G.multiply(b, w)
+
+
+# builder families at random primes, every group of order at most 1331,
+# and semidihedral groups, whose carry w_1 is not central in G_2
+SMALL_PRIME_FAMILIES = (
+    lambda q: build_free_class2(2, q).group,
+    lambda q: build_abelian(q, [q, q, q]).group,
+    lambda q: build_abelian(q, [q * q, q]).group,
+)
+PRIME_FAMILIES = st.one_of(
+    st.integers(4, 9).map(_semidihedral),
+    st.sampled_from(_some_primes(1000)).map(lambda q: build_abelian(q, [q]).group),
+    st.sampled_from(_some_primes(37)).map(lambda q: build_abelian(q, [q * q]).group),
+    st.sampled_from(_some_primes(11)[1:]).map(lambda q: build_heisenberg(q).group),
+    st.builds(lambda make, q: make(q), st.sampled_from(SMALL_PRIME_FAMILIES),
+              st.sampled_from(_some_primes(11))),
+    st.sampled_from([2, 3]).map(lambda q: build_free_class2(3, q).group),
+    st.sampled_from([65, 66]).map(lambda row: build_condition_quotient(row, 3).group),
+    st.builds(lambda make, k: make(2**k).group,
+              st.sampled_from([build_dihedral, build_quaternion]), st.integers(3, 8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=PRIME_FAMILIES, data=st.data())
+def test_pc_table_agrees_with_the_collector(G, data):
+    # the relation-built table and the collector are two independent
+    # routes to the same products
+    table = _pc_table(G)
+    assert table.shape == (G.order, G.order) and table.dtype == np.int32
+    element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens, max_size=G.ngens)
+    for _ in range(20):
+        x, y = (G.element(data.draw(element)) for _ in "xy")
+        assert table[_pc_index(G, x), _pc_index(G, y)] == _pc_index(G, G.multiply(x, y))
+
+
+def _collector_algebra(G):
+    # build_algebra as it was before the table came from the relations,
+    # kept as the slow reference: a breadth-first search by right
+    # multiplication by the pc generators, every product collected, then
+    # every column composed from the generators' columns, then the basis
+    # listed coset by coset of G'
+    gens = list(G.generators())
+    elements = [G.identity]
+    index = {G.identity: 0}
+    right = np.empty((len(gens), G.order), dtype=np.int32)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for xi in frontier:
+            x = elements[xi]
+            for k, g in enumerate(gens):
+                y = G.multiply(x, g)
+                yi = index.get(y)
+                if yi is None:
+                    yi = index[y] = len(elements)
+                    elements.append(y)
+                    nxt.append(yi)
+                right[k, xi] = yi
+        frontier = nxt
+    dim = len(elements)
+    assert dim == G.order
+    cols = np.empty((dim, dim), dtype=np.int32)
+    cols[:, 0] = np.arange(dim, dtype=np.int32)
+    gen_indices = tuple(int(right[k, 0]) for k in range(len(gens)))
+    for k, gi in enumerate(gen_indices):
+        cols[:, gi] = right[k]
+    done = {0, *gen_indices}
+    for hi in range(dim):
+        for k in range(len(gens)):
+            yi = int(right[k, hi])
+            if yi in done:
+                continue
+            cols[:, yi] = right[k][cols[:, hi]]
+            done.add(yi)
+    assert len(done) == dim
+    members = np.sort(cols[:, np.flatnonzero(_derived_subgroup(cols, gen_indices))], axis=1)
+    order = members[members[:, 0] == np.arange(dim)].ravel()
+    position = np.empty(dim, dtype=np.intp)
+    position[order] = np.arange(dim)
+    elements = [elements[x] for x in order.tolist()]
+    return GroupAlgebra(group=G, p=G.p, elements=elements,
+                        table=position[cols[np.ix_(order, order)]],
+                        generator_indices=tuple(position[list(gen_indices)].tolist()),
+                        cosets=np.arange(dim).reshape(-1, members.shape[1]),
+                        index={x: i for i, x in enumerate(elements)})
 
 
 def test_oracle_refuses_groups_above_cap():
@@ -659,6 +784,36 @@ def test_graded_chains_equal_the_ungraded_reference(make):
         assert [t.shape for t in got] == [t.shape for t in want]
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
         assert not any(t.flags.writeable for t in got)
+
+
+# the reference groups, abelian groups at p = 7, 13 and 251, and two
+# semidihedral groups
+ALGEBRA_CASES = {
+    **REFERENCE_GROUPS,
+    "abelian-49-p7": lambda: build_abelian(7, [49]).group,
+    "abelian-13x13-p13": lambda: build_abelian(13, [13, 13]).group,
+    "abelian-251-p251": lambda: build_abelian(251, [251]).group,
+    "SD16": lambda: _semidihedral(4),
+    "SD256": lambda: _semidihedral(8),
+}
+
+
+@pytest.mark.parametrize("make", ALGEBRA_CASES.values(), ids=ALGEBRA_CASES.keys())
+def test_build_algebra_equals_the_collector_reference(make):
+    # every field, the table's dtype and bytes included
+    G = make()
+    got, want = build_algebra(G), _collector_algebra(G)
+    assert got.group is want.group and got.p == want.p
+    assert got.elements == want.elements
+    assert all(type(e) is int for x in got.elements for e in x)
+    assert got.table.dtype == want.table.dtype == np.int64
+    assert got.table.shape == want.table.shape
+    assert got.table.tobytes() == want.table.tobytes()
+    assert got.generator_indices == want.generator_indices
+    assert got.cosets.dtype == want.cosets.dtype
+    assert got.cosets.tobytes() == want.cosets.tobytes()
+    assert got.cosets.shape == want.cosets.shape
+    assert list(got.index.items()) == list(want.index.items())
 
 
 @pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())

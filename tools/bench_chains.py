@@ -12,10 +12,11 @@ stages, and the two checkouts must agree on both: they are what is left
 to compare when a change reorders the basis, so that the terms differ
 entry by entry.  BLAS runs on one thread, as in `perfbench/run.py`, so
 the two agree on an idle machine.  Before the timed repeats, each worker
-runs both chains once untimed and counts their calls to
-`fp_linalg._residues`, every reduction mod p of the elimination.  The
-count does not depend on the machine or its load, so it shows a change
-in the work done that the timings' noise can hide.
+builds the algebra and runs both chains once untimed, counting the
+build's calls to `PcGroup.multiply`, every collected product, and each
+chain's calls to `fp_linalg._residues`, every reduction mod p of the
+elimination.  The counts do not depend on the machine or its load, so
+they show a change in the work done that the timings' noise can hide.
 
 Usage, from anywhere:
 
@@ -55,30 +56,32 @@ import json, sys, time
 import lienil.fp_linalg as fp_linalg
 from lienil.catalog import build_named
 from lienil.oracle import build_algebra, lie_dimension_orders, lower_lie_chain, upper_lie_chain
+from lienil.pcgroup import PcGroup
 cap = int(sys.argv[1])
-residues = fp_linalg._residues
 
-def count_residues(chain, A):
-    calls = 0
+def counted_calls(owner, name, run):
+    # run()'s result and the number of calls it made to owner.name
+    method, calls = getattr(owner, name), 0
     def counted(*args):
         nonlocal calls
         calls += 1
-        return residues(*args)
-    fp_linalg._residues = counted
+        return method(*args)
+    setattr(owner, name, counted)
     try:
-        chain(A)
+        return run(), calls
     finally:
-        fp_linalg._residues = residues
-    return calls
+        setattr(owner, name, method)
 
 for line in sys.stdin:
     mode, spec = line.split()
     spec, _, p = spec.partition("/")
     G = build_named(spec, int(p) if p else None).group
     if mode == "count":
-        A = build_algebra(G, cap)
-        print(json.dumps({"upper": count_residues(upper_lie_chain, A),
-                          "lower": count_residues(lower_lie_chain, A)}), flush=True)
+        A, multiply = counted_calls(PcGroup, "multiply", lambda: build_algebra(G, cap))
+        counts = {"multiply": multiply}
+        for name, chain in (("upper", upper_lie_chain), ("lower", lower_lie_chain)):
+            counts[name] = counted_calls(fp_linalg, "_residues", lambda: chain(A))[1]
+        print(json.dumps(counts), flush=True)
         continue
     t0 = time.process_time()
     A = build_algebra(G, cap)
@@ -105,7 +108,7 @@ def start_worker(root: Path, cap: int) -> subprocess.Popen:
 
 def ask(worker: subprocess.Popen, mode: str, spec: str) -> dict:
     """One reply of a worker: "time" runs the timed stages, "count" counts
-    each chain's reductions."""
+    the build's products and each chain's reductions."""
     worker.stdin.write(f"{mode} {spec}\n")
     worker.stdin.flush()
     line = worker.stdout.readline()
@@ -145,6 +148,7 @@ def main(argv=None) -> int:
     try:
         for spec in args.groups:
             residues = {side: ask(worker, "count", spec) for side, worker in workers.items()}
+            multiply = {side: counts.pop("multiply") for side, counts in residues.items()}
             runs: dict[str, list[dict]] = {"base": [], "change": []}
             for i in range(args.repeats):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
@@ -156,7 +160,8 @@ def main(argv=None) -> int:
                 for r in rows:
                     r["total"] = sum(r[stage] for stage in STAGES)
             entry = {"repeats": args.repeats, "cap": args.cap,
-                     "lengths": runs["base"][0]["lengths"], "residues": residues,
+                     "lengths": runs["base"][0]["lengths"], "multiply": multiply,
+                     "residues": residues,
                      "verdict": {}}
             for side, rows in runs.items():
                 entry[side] = {stage: list(quartiles([r[stage] for r in rows]))
@@ -169,6 +174,7 @@ def main(argv=None) -> int:
             print(f"{spec:26} " + "   ".join(
                 f"{stage} {b[stage][1] * 1e3:.1f} -> {c[stage][1] * 1e3:.1f} ms "
                 f"({entry['verdict'][stage]})" for stage in (*STAGES, "total"))
+                + f"   build multiply {multiply['base']} -> {multiply['change']}"
                 + "   _residues " + "   ".join(
                     f"{chain} {residues['base'][chain]} -> {residues['change'][chain]}"
                     for chain in residues["base"]), flush=True)
