@@ -4,7 +4,8 @@ Standard constructions (abelian p-groups, dihedral, quaternion,
 Heisenberg, free class-2 groups, the groups presented inside condition
 rows) all produce CatalogEntry objects: a named, consistency-checked pc
 group, optionally tagged with a declared external small-group id and a
-set of expected invariants.
+set of expected invariants.  `--builder` names come from one table,
+_BUILDERS, which `catalog list` prints: a new builder is one entry.
 
 The data/tables directory ships presentations for the order-3125, 2187
 and 243 reference groups used by the condition table and the expected
@@ -20,11 +21,12 @@ import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
+from .dvectors import enumerate_raw
 from .pcgroup import PcGroup, PresentationError, Word, check_prime, parse_presentation_with_meta
 from .subgroups import (IsoType, center, derived_subgroup, fingerprint,
-                        intersection, power_subgroup, whole_group)
+                        _log_p, intersection, power_subgroup, whole_group)
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "tables"
 
@@ -48,31 +50,21 @@ class CatalogEntry:
 # builders
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def build_abelian(p: int, invariant_factors: Iterable[int]) -> CatalogEntry:
     """Direct product of cyclic p-groups with the given invariant factors."""
     check_prime(p)
     factors = sorted(invariant_factors, reverse=True)
     if not factors:
         raise ValueError("need at least one invariant factor")
-    for f in factors:
-        if f < p or not _is_p_power(f, p):
-            raise ValueError(f"invariant factor {f} is not a power of {p} (> 1)")
     powers: dict[int, Word] = {}
     idx = 0
     for f in factors:
-        length = 0
-        n = f
-        while n > 1:
-            n //= p
-            length += 1
+        try:
+            length = _log_p(f, p)
+        except ValueError:
+            length = 0
+        if not length:
+            raise ValueError(f"invariant factor {f} is not a power of {p} (> 1)")
         for step in range(length - 1):
             powers[idx + step] = ((idx + step + 1, 1),)
         idx += length
@@ -83,43 +75,33 @@ def build_abelian(p: int, invariant_factors: Iterable[int]) -> CatalogEntry:
                         + "x".join(str(f) for f in factors))
 
 
-def _cyclic_chain_comm(first: int, last: int) -> Word:
-    # inverse of the chain generator g_first is g_first * g_(first+1) * ...,
-    # so [g_k, reflection] = g_(k+1) ... g_last
-    return tuple((i, 1) for i in range(first, last + 1))
+def _dihedral_type(order: int, quaternion: bool) -> PcGroup:
+    """g1 over the cyclic chain g2..gn of the rotation, with g1^2 = 1, or
+    g1^2 = g_n (the chain's involution) for the quaternion group.
+
+    The inverse of the chain generator g_k is g_k g_(k+1) ... g_n, so
+    [g_k, g1] = g_(k+1) ... g_n.
+    """
+    if order < 8 or order & (order - 1):
+        family = "quaternion" if quaternion else "dihedral"
+        raise ValueError(f"{family} builder needs a 2-power order >= 8")
+    n = order.bit_length() - 1  # order = 2^n
+    powers: dict[int, Word] = {k: ((k + 1, 1),) for k in range(1, n - 1)}
+    if quaternion:
+        powers[0] = ((n - 1, 1),)
+    comms = {(k, 0): tuple((i, 1) for i in range(k + 1, n)) for k in range(1, n - 1)}
+    return PcGroup(2, n, powers=powers, comms=comms)
 
 
 def build_dihedral(order: int) -> CatalogEntry:
     """Dihedral 2-group: reflection plus a cyclic chain for the rotation."""
-    if order < 8 or order & (order - 1):
-        raise ValueError("dihedral builder needs a 2-power order >= 8")
-    n = order.bit_length() - 1  # order = 2^n
-    powers: dict[int, Word] = {}
-    for k in range(1, n - 1):
-        powers[k] = ((k + 1, 1),)
-    comms: dict[tuple[int, int], Word] = {}
-    for k in range(1, n):
-        if k + 1 <= n - 1:
-            comms[(k, 0)] = _cyclic_chain_comm(k + 1, n - 1)
-    group = PcGroup(2, n, powers=powers, comms=comms)
-    return CatalogEntry(f"dihedral-{order}", group,
+    return CatalogEntry(f"dihedral-{order}", _dihedral_type(order, False),
                         description=f"dihedral group of order {order}")
 
 
 def build_quaternion(order: int) -> CatalogEntry:
     """Generalized quaternion 2-group (s^2 = the involution of the chain)."""
-    if order < 8 or order & (order - 1):
-        raise ValueError("quaternion builder needs a 2-power order >= 8")
-    n = order.bit_length() - 1
-    powers: dict[int, Word] = {0: ((n - 1, 1),)}
-    for k in range(1, n - 1):
-        powers[k] = ((k + 1, 1),)
-    comms: dict[tuple[int, int], Word] = {}
-    for k in range(1, n):
-        if k + 1 <= n - 1:
-            comms[(k, 0)] = _cyclic_chain_comm(k + 1, n - 1)
-    group = PcGroup(2, n, powers=powers, comms=comms)
-    return CatalogEntry(f"quaternion-{order}", group,
+    return CatalogEntry(f"quaternion-{order}", _dihedral_type(order, True),
                         description=f"generalized quaternion group of order {order}")
 
 
@@ -238,65 +220,46 @@ def _int_param(spec: str, what: str, text: str) -> int:
                          "is not an integer") from None
 
 
+class _Builder(NamedTuple):
+    grammar: str  # the parameters as `catalog list` prints them
+    label: str  # what _int_param calls a parameter
+    needs_p: bool
+    call: Callable[..., CatalogEntry]  # call(parameter, p)
+    listed: bool = False  # the parameter is a list of integers joined by x or ,
+
+
+_BUILDERS = {
+    "dihedral": _Builder("<order>", "order", False, lambda n, p: build_dihedral(n)),
+    "quaternion": _Builder("<order>", "order", False, lambda n, p: build_quaternion(n)),
+    "heisenberg": _Builder("<p>", "prime", False, lambda n, p: build_heisenberg(n)),
+    "abelian": _Builder("<f1>x<f2>x...", "invariant factor", True,
+                        lambda fs, p: build_abelian(p, fs), listed=True),
+    "free_class2": _Builder("<rank>", "rank", True, build_free_class2),
+    "condition": _Builder("<46|65|66>", "row", True, build_condition_group),
+    "condition-quotient": _Builder("<65|66>", "row", True, build_condition_quotient),
+}
+
+BUILDER_NAMES = tuple(f"{name}:{b.grammar}" + (" (-p required)" if b.needs_p else "")
+                      for name, b in _BUILDERS.items())
+
+
 def build_named(spec: str, p: Optional[int] = None) -> CatalogEntry:
     """Build from a `name:params` string, e.g. dihedral:16, abelian:4x2."""
     name, _, params = spec.partition(":")
     name = name.strip().lower()
-    if name == "dihedral":
-        return build_dihedral(_int_param(spec, "order", params))
-    if name == "quaternion":
-        return build_quaternion(_int_param(spec, "order", params))
-    if name == "heisenberg":
-        return build_heisenberg(_int_param(spec, "prime", params))
-    if name == "abelian":
-        if p is None:
-            raise ValueError("abelian builder needs -p")
-        factors = [_int_param(spec, "invariant factor", tok)
-                   for tok in params.replace(",", "x").split("x")]
-        return build_abelian(p, factors)
-    if name == "free_class2":
-        if p is None:
-            raise ValueError("free_class2 builder needs -p")
-        return build_free_class2(_int_param(spec, "rank", params), p)
-    if name == "condition":
-        if p is None:
-            raise ValueError("condition builder needs -p")
-        return build_condition_group(_int_param(spec, "row", params), p)
-    if name == "condition-quotient":
-        if p is None:
-            raise ValueError("condition-quotient builder needs -p")
-        return build_condition_quotient(_int_param(spec, "row", params), p)
-    raise ValueError(f"unknown builder {name!r}")
-
-
-BUILDER_NAMES = ("dihedral:<order>", "quaternion:<order>", "heisenberg:<p>",
-                 "abelian:<f1>x<f2>x... (-p required)",
-                 "free_class2:<rank> (-p required)",
-                 "condition:<46|65|66> (-p required)",
-                 "condition-quotient:<65|66> (-p required)")
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise ValueError(f"unknown builder {name!r}")
+    if builder.needs_p and p is None:
+        raise ValueError(f"{name} builder needs -p")
+    if builder.listed:
+        return builder.call([_int_param(spec, builder.label, tok)
+                             for tok in re.split("[x,]", params)], p)
+    return builder.call(_int_param(spec, builder.label, params), p)
 
 
 # ---------------------------------------------------------------------------
 # the built-in catalog
-
-
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    """All descending partitions of n."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, largest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
 
 
 def standard_catalog() -> list[CatalogEntry]:
@@ -307,20 +270,16 @@ def standard_catalog() -> list[CatalogEntry]:
     p = 3, 5, the order-243 quotients of the condition-row 65/66 groups,
     and the order-2^15 headline witness.
     """
-    entries: list[CatalogEntry] = []
-    for p, max_exp in ((2, 6), (3, 3), (5, 2)):
-        for n in range(1, max_exp + 1):
-            for part in _partitions(n):
-                entries.append(build_abelian(p, [p**e for e in part]))
-    for order in (8, 16, 32):
-        entries.append(build_dihedral(order))
-    for order in (8, 16):
-        entries.append(build_quaternion(order))
-    for p in (3, 5):
-        entries.append(build_heisenberg(p))
-    entries.append(build_condition_quotient(65, 3))
-    entries.append(build_condition_quotient(66, 3))
-    entries.append(build_free_class2(5, 2))
+    # enumerate_raw(n) lists the partitions of n: key e + 1 holds the number of parts e
+    entries = [build_abelian(p, [p**(key - 1) for key, count in parts.items()
+                                 for _ in range(count)])
+               for p, max_exp in ((2, 6), (3, 3), (5, 2))
+               for n in range(1, max_exp + 1) for parts in enumerate_raw(n)]
+    entries += [build_dihedral(order) for order in (8, 16, 32)]
+    entries += [build_quaternion(order) for order in (8, 16)]
+    entries += [build_heisenberg(p) for p in (3, 5)]
+    entries += [build_condition_quotient(65, 3), build_condition_quotient(66, 3),
+                build_free_class2(5, 2)]
     entries.sort(key=lambda e: e.name)
     return entries
 

@@ -23,6 +23,7 @@ are sorted and the report order is by entry name.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -333,6 +334,7 @@ def _add_group_args(sub) -> None:
                      help="prime (builder parameter, or checked against the file)")
 
 
+@functools.cache  # built once per process: main may run many times in one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lienil",

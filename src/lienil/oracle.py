@@ -28,30 +28,19 @@ orbits and the centre are all found from the multiplication table
 alone, and both products of an element with a basis element are column
 gathers through it.
 
-Both chains are graded by G/G'.  For x, b in G, bx = b(xb)b^-1, so xb
-and bx lie in one coset of G', and the bracket [e_x, e_b] =
-e_(xb) - e_(bx) lies in F_p[cG'] with c = xbG'.  So every term is
-spanned by elements each supported on one coset, and each row of its
-reduced row-echelon basis is too (`_lie_chain` gives the argument).
-`build_algebra` lists the basis coset by coset of G', so coset c is the
-indices c*m to c*m + m, m = |G'|.  A term is then |G : G'| echelon
+Both chains are graded by G/G': every term is spanned by elements each
+supported on one coset of G', and so is each row of its reduced
+row-echelon basis (`_lie_chain` gives the argument).  `build_algebra`
+lists the basis coset by coset of G', so a term is |G : G'| echelon
 blocks of width |G'|, one per coset, eliminated together as one stack
 (fp_linalg.EchelonAccumulator with one grade per coset), which does
 about |G : G'| times fewer flops than one dense basis of width |G|, and
 the public chains write the blocks side by side as dense rows.  The same
 terms give the Lie dimension subgroups (`lie_dimension_orders`).
 
-The multiplication table itself comes from G's pc presentation, not
-from the collector (`_pc_table` gives the argument).  Number an element
-by its exponent vector read in base p, g_1 the top digit.  Each
-G_k = <g_k, ..., g_n> is normal, so its table is the top-left corner of
-the table of G_(k-1), and the tables are built from the bottom: with
-x = g_k^a s and y = g_k^b t, s and t in G_(k+1),
-x y = g_k^((a+b) mod p) [w_k if a + b >= p] s^(g_k^b) t, where w_k = g_k^p,
-and conjugation by g_k is the automorphism of G_(k+1) that sends each
-g_j to g_j [g_j, g_k], one permutation composed through the corner
-tables.  So every product is an array gather, and `build_algebra`
-collects none.
+The multiplication table itself is read off G's pc relations by array
+gathers, and no product is collected (`_pc_table` gives the
+construction and its proof).
 
 Everything here is exact arithmetic mod p on numpy arrays, and even
 |G'|, which bounds the chains' length, is read off the table; nothing is
@@ -274,12 +263,8 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
     """Materialize F_p[G], its basis listed coset by coset of G' (see
     GroupAlgebra.cosets); refuses groups with more than `cap` elements.
 
-    The table is read off the pc relations by `_pc_table`, which gives
-    the proof, from G_n up to G_1 = G: for x = g_k^a s and y = g_k^b t
-    with s, t in G_(k+1), x y has the top digit (a + b) mod p over
-    s^(g_k^b) t, carried through w_k = g_k^p from the left when
-    a + b >= p, and conjugation by g_k is the automorphism of G_(k+1)
-    composed from the images g_j [g_j, g_k].  No product is collected.
+    The table is read off the pc relations by `_pc_table`; no product is
+    collected.
 
     The basis is numbered in the order in which a breadth-first search
     from the identity meets the elements, by right multiplication by

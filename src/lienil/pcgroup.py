@@ -113,15 +113,16 @@ class PcGroup:
         self.p = p
         self.ngens = ngens
         self.order = p**ngens
+        for i in powers:
+            if not (0 <= i < ngens):
+                raise PresentationError(f"power relation index out of range: {i}")
         self._powers: list[Word] = [tuple(powers.get(i, ())) for i in range(ngens)]
         self._comms: dict[tuple[int, int], Word] = {}
         for (j, i), w in comms.items():
-            w = tuple(w)
-            if not w:
-                continue
             if not (0 <= i < j < ngens):
                 raise PresentationError(f"commutator pair out of order: ({j},{i})")
-            self._comms[(j, i)] = w
+            if w:
+                self._comms[(j, i)] = tuple(w)
         for i, w in enumerate(self._powers):
             self._validate_word(w, min_index=i + 1, what=f"pow {i+1}")
         for (j, i), w in self._comms.items():
@@ -400,11 +401,15 @@ def parse_presentation_with_meta(text: str) -> tuple[PcGroup, PresentationMeta]:
         key = fields[0]
         rest = fields[1] if len(fields) > 1 else ""
         if key == "p":
+            if p is not None:
+                raise PresentationError(f"line {lineno}: duplicate p")
             try:
                 p = check_prime(int(rest))
             except ValueError as exc:
                 raise PresentationError(f"line {lineno}: {exc}") from None
         elif key == "gens":
+            if ngens is not None:
+                raise PresentationError(f"line {lineno}: duplicate gens")
             try:
                 ngens = int(rest)
             except ValueError:

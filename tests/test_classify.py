@@ -6,6 +6,7 @@ from math import gcd, prod
 
 import pytest
 
+from lienil import classify
 from lienil.catalog import (
     DATA_DIR,
     build_abelian,
@@ -166,6 +167,24 @@ def sg_record(ids, order=16):
     return ConditionRecord(id=1, applicable_p=("any",),
                            gprime=("sg", order, tuple(ids)),
                            branches=((),))
+
+
+def test_reference_rows_match_by_the_reference_fingerprint(nonabelian_derived):
+    # G' is D8 x C2, which is heis_x_cp at p = 2 (H(2) = D8), and is not
+    # H(2) x C2^3
+    W, _ = nonabelian_derived
+    for key, matched in (("heis_x_cp", (1,)), ("heis_x_cp3", ())):
+        rec = ConditionRecord(id=1, applicable_p=("any",), gprime=("ref", key),
+                              branches=((),))
+        assert match_conditions(W, records=(rec,)).matched_ids == matched
+
+
+def test_sg_rows_read_the_shipped_fingerprints_by_default(nonabelian_derived, monkeypatch):
+    W, iso = nonabelian_derived
+    # no shipped presentation has order 16
+    assert match_conditions(W, records=(sg_record([5]),)).matched_ids == ()
+    monkeypatch.setattr(classify, "fingerprint_db", lambda: {(16, 5): iso})
+    assert match_conditions(W, records=(sg_record([5]),)).matched_ids == (1,)
 
 
 def ab_record(cid, gate=("any",)):

@@ -101,6 +101,16 @@ def test_classify_unmatched_group_is_consistent(capsys):
     assert "verdict: CONSISTENT" in out
 
 
+def test_classify_with_oracle_text_output(capsys):
+    code, out, err = run(capsys, ["classify", "--builder", "dihedral:16", "--with-oracle"])
+    assert (code, err) == (0, "")
+    assert out == ("group dihedral-16: order 16, p = 2\n"
+                   "upper index t^L = 5 (10p-8 = 12)\n"
+                   "direct-chain index = 5\n"
+                   "matched conditions: none\n"
+                   "verdict: CONSISTENT\n")
+
+
 def test_classify_witness_matches_condition_90(capsys):
     argv = ["classify", "--builder", "free_class2:5", "-p", "2", "--json"]
     code, out, _ = run(capsys, argv)
@@ -352,6 +362,28 @@ def test_catalog_list(capsys):
     assert lines[-1].startswith("48 entries; builders: dihedral:<order>")
 
 
+def test_catalog_list_json(capsys):
+    code, out, err = run(capsys, ["catalog", "list", "--json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["builders"] == [
+        "dihedral:<order>", "quaternion:<order>", "heisenberg:<p>",
+        "abelian:<f1>x<f2>x... (-p required)", "free_class2:<rank> (-p required)",
+        "condition:<46|65|66> (-p required)", "condition-quotient:<65|66> (-p required)"]
+    assert len(payload["entries"]) == 48
+    assert payload["entries"][0] == {"name": "abelian-C16-p2", "order": 16, "p": 2,
+                                     "description": "abelian, invariant factors 16"}
+
+
+def test_catalog_build_json(capsys):
+    code, out, err = run(capsys, ["catalog", "build", "quaternion:8", "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "name": "quaternion-8", "order": 8, "p": 2,
+        "presentation": "# quaternion-8\np 2\ngens 3\npow 1 : g3^1\npow 2 : g3^1\n"
+                        "pow 3 : 1\ncomm 2 1 : g3^1\n"}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["catalog", "list", "--no-large"], "unrecognized arguments: --no-large"),
     (["index", "--builder", "free-class2:3", "-p", "2"], "unknown builder 'free-class2'"),
@@ -409,6 +441,13 @@ def test_fuzzed_presentations_parse_or_exit_2_without_a_traceback(tmp_path, caps
     code, _, err = run(capsys, ["index", str(path)])
     assert code == (2 if group is None else 0), err
     assert "Traceback" not in err
+
+
+def test_a_second_gens_line_in_a_file_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "twice.pres"
+    path.write_text("p 3\ngens 3\npow 3 : g1^1\ngens 2\n")
+    code, out, err = run(capsys, ["index", str(path)])
+    assert (code, out, err) == (2, "", "error: twice.pres: line 4: duplicate gens\n")
 
 
 def test_group_source_validation(tmp_path, capsys):

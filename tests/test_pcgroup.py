@@ -261,9 +261,23 @@ def test_collector_matches_the_letter_collector_hypothesis(data):
 
 def test_inconsistent_presentation_is_rejected():
     # g1^2 = g2 makes g2 a power of g1, contradicting [g2, g1] = g3 != 1.
-    with pytest.raises(PresentationError, match="inconsistent"):
+    with pytest.raises(PresentationError, match="overlap g1\\^p g1$"):
         PcGroup(2, 3, powers={0: ((1, 1),), 1: ((2, 1),)},
                 comms={(1, 0): ((2, 1),)})
+    # one presentation for each other overlap test of _consistency_check
+    for text, overlap in [
+            ("p 2\ngens 5\npow 1 : g4^1\npow 2 : g4^1\npow 4 : g5^1\ncomm 2 1 : g3^1\n"
+             "comm 3 1 : g4^1 g5^1\ncomm 3 2 : g4^1\ncomm 4 2 : g5^1\ncomm 4 3 : g5^1",
+             "(g3 g2) g1"),
+            # conjugation by g1 sends g2 to g2 g4 and g2^2 = g3 to g3 g4,
+            # but (g2 g4)^2 = g3
+            ("p 2\ngens 4\npow 2 : g3^1\npow 3 : g4^1\ncomm 2 1 : g4^1\ncomm 3 1 : g4^1",
+             "g2^p g1"),
+            ("p 2\ngens 4\npow 1 : g3^1\npow 2 : g3^1\npow 3 : g4^1\n"
+             "comm 2 1 : g3^1 g4^1\ncomm 3 1 : g4^1\ncomm 3 2 : g4^1", "g2 g1^p")]:
+        with pytest.raises(PresentationError) as caught:
+            parse_presentation(text)
+        assert str(caught.value) == f"inconsistent presentation: overlap {overlap}"
 
 
 def test_relation_word_index_discipline():
@@ -277,6 +291,13 @@ def test_relation_word_index_discipline():
         PcGroup(3, 3, powers={0: ((2, 3),)}, comms={})
     with pytest.raises(PresentationError, match="increasing"):
         PcGroup(3, 4, powers={0: ((3, 1), (2, 1))}, comms={})
+    for bad in (5, 3, -1):
+        with pytest.raises(PresentationError, match=f"power relation index out of range: {bad}"):
+            PcGroup(3, 3, powers={bad: ((2, 1),)}, comms={})
+    # an empty word does not excuse a pair outside the generators
+    for pair in ((7, 0), (1, 1), (0, 1)):
+        with pytest.raises(PresentationError, match="out of order"):
+            PcGroup(3, 3, powers={}, comms={pair: ()})
 
 
 TEXT = """\
@@ -316,6 +337,11 @@ def test_parse_rejects_malformed_input():
         ("p 3\ngens 2\nid 27 1", "declared id order"),
         ("p 3\ngens 2\nid x y", "line 3: id needs an integer"),
         ("p 3\npow 1 : 1\ngens 2", "pow before"),
+        # a second p or gens line is refused, not obeyed: obeying the last
+        # gens line would silently drop pow 3
+        ("p 3\ngens 3\npow 3 : g1^1\ngens 2", "^line 4: duplicate gens$"),
+        ("p 3\np 3\ngens 1", "^line 2: duplicate p$"),
+        ("p 3\ngens 1\npow 1 : 1\np 5", "^line 4: duplicate p$"),
     ]
     for text, needle in bad_cases:
         with pytest.raises(PresentationError, match=needle):

@@ -576,6 +576,15 @@ def test_centre_of_a_subgroup_above_its_last_lower_central_term():
     assert center(der).elements == _naive_center(der)
 
 
+def test_non_abelian_iso_type_prints_its_fingerprint():
+    # G' is D8 x C2 (Q8 x C2 has the same invariants, but G' is generated
+    # by the involutions g4..g7): exponent 4, centre C2xC2, derived C2,
+    # G'/G'' = C2^3, and (G')^2 of order 2
+    iso = fingerprint(derived_subgroup(whole_group(NONABELIAN_DERIVED)))
+    assert iso.kind == "fingerprint"
+    assert str(iso) == "fp[o=16,e=4,z=4:C2xC2,d=2:C2,ab=C2xC2xC2,pow=2.1]"
+
+
 TABLE_GROUPS = sorted(f.stem for f in DATA_DIR.glob("*.pres"))
 
 

@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Check that two checkouts print the same thing for a fixed list of CLI calls.
+
+For each argv, `python -m lienil.cli ARGV` runs in a fresh process
+against each checkout's `src`, from that checkout's root, and the exit
+code, stdout and stderr are compared.  One line per argv says `same` or
+names what differs; the run exits 1 on any difference.
+
+Usage, from anywhere:
+
+    python3 tools/same_outputs.py BASE CHANGE
+
+The argv list is fixed:
+- every `index`, `classify` and `oracle` invocation of the benchmark
+  (`perfbench/workloads.all_invocations`, imported without writing
+  bytecode, so nothing is written under `perfbench/`);
+- `verify-tables --json` on the packaged data;
+- `catalog list`, in text and `--json`;
+- `catalog build`, in text and `--json`, for every builder family;
+- `catalog build` on bad specs, whose exit code and stderr must agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+GOOD_SPECS = (
+    ["dihedral:8"], ["dihedral:1024"], ["quaternion:8"], ["quaternion:512"],
+    ["abelian:8x4x2", "-p", "2"], ["abelian:27,3", "-p", "3"], ["heisenberg:7"],
+    ["free_class2:4", "-p", "3"], ["condition:46", "-p", "5"],
+    ["condition-quotient:66", "-p", "3"],
+)
+
+BAD_SPECS = (
+    ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
+    ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
+    ["condition:47", "-p", "3"], ["nosuch:3"], ["dihedral:abc"],
+    ["dihedral:12"], ["quaternion:4"], ["heisenberg:x"],
+)
+
+
+def benchmark_argvs() -> list[list[str]]:
+    """The benchmark's index, classify and oracle invocations."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import workloads
+    return [argv for name in ("index", "classify", "oracle")
+            for argv in workloads.all_invocations(name)]
+
+
+def default_argvs() -> list[list[str]]:
+    argvs = benchmark_argvs()
+    argvs.append(["verify-tables", "--json"])
+    argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
+    for spec in GOOD_SPECS:
+        argvs += [["catalog", "build", *spec], ["catalog", "build", *spec, "--json"]]
+    argvs += [["catalog", "build", *spec] for spec in BAD_SPECS]
+    return argvs
+
+
+def run(root: Path, argv: list[str]) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "lienil.cli", *argv], cwd=root,
+                          env=env, capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path, help="checkout to compare against")
+    parser.add_argument("change", type=Path, help="checkout under test")
+    args = parser.parse_args(argv)
+    base, change = args.base.resolve(), args.change.resolve()
+    calls = default_argvs()
+    differ = 0
+    for call in calls:
+        a, b = run(base, call), run(change, call)
+        diffs = [what for what, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+        if diffs:
+            differ += 1
+        status = "DIFF " + ",".join(diffs) if diffs else "same"
+        print(f"{status:<24} exit {b[0]}  {' '.join(call)}", flush=True)
+    print(f"{differ} of {len(calls)} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
