@@ -21,7 +21,6 @@ All products go through float64 BLAS, exact because every partial sum
 stays below 2**53.  An accumulator therefore refuses fields and widths
 with ``(p-1)^2 * m + p >= 2**53``; a p-group algebra has n >= p, so that
 happens only for m above 2 * 10^5, far beyond any dense table.
-matmul_mod is the same exact product for two residue matrices.
 """
 
 from __future__ import annotations
@@ -31,21 +30,6 @@ from typing import Sequence
 import numpy as np
 
 _FLOAT_EXACT_LIMIT = 2**53
-
-
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for int64 residue matrices, through float64.
-
-    Raises:
-        ValueError: if (p-1)^2 * inner dimension reaches 2**53, where a
-            float64 sum is no longer exact.
-    """
-    inner = a.shape[1]
-    if (p - 1) ** 2 * inner >= _FLOAT_EXACT_LIMIT:
-        raise ValueError(f"GF({p}) products of inner dimension {inner} "
-                         "are not exact in float64")
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return np.mod(prod.astype(np.int64), p)
 
 
 def _residues(x: np.ndarray, p: int) -> np.ndarray:

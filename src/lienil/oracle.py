@@ -9,12 +9,13 @@ and the lower chain of left-normed bracket spans
 
     V_1 = F_p[G],     V_(n+1) = span of [V_n, F_p[G]]
 
-are computed as explicit subspaces, and the nilpotency indices are the
-chains' lengths, the first index whose term vanishes.  The lower chain's
-terms are the spans V_n, not the ideals they generate; the two vanish
-together, so t_L is the same either way.  Both chains use a minimal
-generating set S of G, d(G) = log_p [G : Phi(G)] elements by the
-Burnside basis theorem, often far fewer than the pc generators.  The
+are computed as explicit subspaces.  `upper_lie_chain` and
+`lower_lie_chain` return the dimension of each term, from F_p[G] down to
+the first zero term, so the nilpotency indices are the lists' lengths.
+The lower chain's terms are the spans V_n, not the ideals they generate;
+the two vanish together, so t_L is the same either way.  Both chains
+use a minimal generating set S of G, d(G) = log_p [G : Phi(G)] elements
+by the Burnside basis theorem, often far fewer than the pc generators.  The
 upper chain brackets against S alone and closes the brackets' span
 under right multiplication by S: the ideal is the right ideal
 [M^(n), F_p[G]] F_p[G] (`upper_lie_chain` gives the argument).  The
@@ -34,9 +35,10 @@ row-echelon basis (`_lie_chain` gives the argument).  `build_algebra`
 lists the basis coset by coset of G', so a term is |G : G'| echelon
 blocks of width |G'|, one per coset, eliminated together as one stack
 (fp_linalg.EchelonAccumulator with one grade per coset), which does
-about |G : G'| times fewer flops than one dense basis of width |G|, and
-the public chains write the blocks side by side as dense rows.  The same
-terms give the Lie dimension subgroups (`lie_dimension_orders`).
+about |G : G'| times fewer flops than one dense basis of width |G|.  The
+blocks are the only form a term takes: its dimension is the number of
+pivots in its blocks, and block 0, the coset G', gives the Lie dimension
+subgroups (`lie_dimension_orders`).
 
 The multiplication table itself is read off G's pc relations by array
 gathers, and no product is collected (`_pc_table` gives the
@@ -57,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lienil.fp_linalg import EchelonAccumulator, close_under, matmul_mod, to_layers
+from lienil.fp_linalg import EchelonAccumulator, close_under, to_layers
 from lienil.pcgroup import Element, PcGroup
 
 DEFAULT_ORACLE_CAP = 256
@@ -92,7 +94,6 @@ class GroupAlgebra:
     table: np.ndarray
     generator_indices: tuple[int, ...]
     cosets: np.ndarray = field(repr=False)
-    index: dict[Element, int] = field(repr=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -306,8 +307,7 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
     elements = list(zip(*(d.tolist() for d in digits)))
     return GroupAlgebra(group=G, p=p, elements=elements, table=table,
                         generator_indices=tuple(position[gens].tolist()),
-                        cosets=np.arange(dim).reshape(-1, len(derived)),
-                        index={x: i for i, x in enumerate(elements)})
+                        cosets=np.arange(dim).reshape(-1, len(derived)))
 
 
 def _right_gathers(A: GroupAlgebra, indices: Sequence[int]) -> np.ndarray:
@@ -316,10 +316,10 @@ def _right_gathers(A: GroupAlgebra, indices: Sequence[int]) -> np.ndarray:
     return A.table[:, A.inverse_indices[list(indices)]].T
 
 
-def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
-               ideals: bool) -> list[np.ndarray]:
-    """Graded terms from F_p[G] down to the first zero term, so the index
-    is the length of the list.
+def _lie_chain(A: GroupAlgebra, against: Sequence[int], ideals: bool) -> list[np.ndarray]:
+    """The terms from F_p[G] down to the first zero term, each as the
+    (k, m, m) square stack of its echelon blocks, so the index is the
+    length of the list.
 
     The grading: for x, b in G, bx = b(xb)b^-1, so xb and bx lie in one
     coset of G', and [e_x, e_b] = e_(xb) - e_(bx) lies in F_p[cG'] with
@@ -336,18 +336,17 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     the indices c*m to c*m + m.
 
     Each step brackets every basis row v of the previous term against a
-    set of basis indices b: the first step against `gens`, which must
-    generate G, and every later step against `against`.  W is the span of
-    the [v, e_b].  The lower chain's term is W; the upper chain's
-    (`ideals`) is W closed under right multiplication by `gens`.  The
+    set of basis indices b: the first step against the minimal generating
+    set A.generators, and every later step against `against`.  W is the
+    span of the [v, e_b].  The lower chain's term is W; the upper chain's
+    (`ideals`) is W closed under right multiplication by A.generators.  The
     basis is listed coset by coset, so the grades are the cosets, and a
     layer (fp_linalg.to_layers), one homogeneous row per coset side by
     side, is an element of the algebra: one gather brackets every coset's
     rows at once and moves each to its new coset.
 
     The brackets are fed to the accumulator in blocks of at most A.dim
-    layers.  The chains pass A.generators as `gens`; passing every basis
-    index, range(A.dim), spans the same terms.
+    layers.
 
     Every term lies in the one before it: M^(n+1) lies in M^(n) because
     M^(n) is an ideal, and V_(n+1) = [V_n, F_p[G]] lies in
@@ -362,8 +361,8 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     k, m = A.cosets.shape
     terms = [np.tile(np.eye(m), (k, 1, 1))]
     spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
-    gathers = _right_gathers(A, gens) if ideals else None
-    bracketing = np.asarray(gens)
+    gathers = _right_gathers(A, A.generators) if ideals else None
+    bracketing = np.asarray(A.generators)
     rank = A.dim
     while rank:
         acc = EchelonAccumulator(A.p, A.dim, grades=k)
@@ -387,26 +386,17 @@ def _lie_chain(A: GroupAlgebra, gens: Sequence[int], against: Sequence[int],
     return terms
 
 
-def _ungraded(A: GroupAlgebra, squares: list[np.ndarray]) -> list[np.ndarray]:
-    """The read-only dense RREF arrays of graded terms: each block row
-    written to its coset's columns.  Coset c is columns c*m to c*m + m,
-    so a row's pivot is c*m plus its local pivot, and np.nonzero on the
-    stacked diagonals lists the rows by term and then by pivot.  All
-    terms are scattered at once, into one array that the terms are
-    slices of."""
-    stack = np.stack(squares)
-    term, grade, col = np.nonzero(np.diagonal(stack, axis1=2, axis2=3))
-    dense = np.zeros((len(term), *A.cosets.shape), dtype=np.int64)
-    dense[np.arange(len(term)), grade] = stack[term, grade, col]
-    dense = dense.reshape(len(term), A.dim)
-    dense.setflags(write=False)
-    ends = np.cumsum(np.bincount(term, minlength=len(squares)))
-    return np.split(dense, ends[:-1])
+def _dimensions(squares: list[np.ndarray]) -> list[int]:
+    """The dimension of each term: the number of its blocks' pivots, the
+    1s on their diagonals."""
+    return [int(np.count_nonzero(np.diagonal(square, axis1=1, axis2=2)))
+            for square in squares]
 
 
-def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
-    """The chain M^(n): each term is the ideal generated by brackets of the
-    previous term against the algebra; its length is t^L.
+def upper_lie_chain(A: GroupAlgebra) -> list[int]:
+    """The dimensions of the chain M^(n), from F_p[G] down to the first
+    zero term: each term is the ideal generated by brackets of the
+    previous term against the algebra, and the list's length is t^L.
 
     Each term is T * F_p[G], where T is the span of [v, g] over v in a
     basis of M^(n) and g in any generating set S of G, here the minimal
@@ -421,7 +411,7 @@ def upper_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
        with [l, x] in L, since l lies in M^(n).  So F_p[G] L lies in
        L * F_p[G], and F_p[G] L F_p[G] = L * F_p[G] = T * F_p[G].
     """
-    return _ungraded(A, _lie_chain(A, A.generators, A.generators, ideals=True))
+    return _dimensions(_lie_chain(A, A.generators, ideals=True))
 
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
@@ -461,8 +451,9 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     return tuple(sorted(reps, key=lambda x: (x % m, x // m)))
 
 
-def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
-    """The left-normed bracket spans V_n; the chain's length is t_L.
+def lower_lie_chain(A: GroupAlgebra) -> list[int]:
+    """The dimensions of the left-normed bracket spans V_n, from F_p[G]
+    down to the first zero term; the list's length is t_L.
 
     V_1 = F_p[G]; V_{n+1} = span of [v, e_b] over v in a basis of V_n and
     the basis elements e_b.  The terms are these spans themselves, not the
@@ -494,7 +485,7 @@ def lower_lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
        hence V_{n+1} is in W, and W is in V_{n+1} trivially.
     """
-    return _ungraded(A, _lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))
+    return _dimensions(_lie_chain(A, _orbit_representatives(A), ideals=False))
 
 
 def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
@@ -503,23 +494,21 @@ def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
 
     The Lie dimension subgroup D_(m) is the set of g in G with
     e_g - e_1 in M^(m) (Passi and Sehgal, Comm. Algebra 3, 1975), and for
-    m >= 2 it lies in G', the coset of the identity, the first |G'|
-    columns.  Every row of M^(m) lies in one coset, so g lies in D_(m)
-    exactly when e_g - e_1 reduces to 0 against the rows in G': one
-    product per term for all of G' at once.  The last term is 0, where
-    only the identity passes, so the list ends.
+    m >= 2 it lies in G', the coset of the identity, block 0 of each
+    upper term.  So g lies in D_(m) exactly when e_g - e_1 reduces to 0
+    against that block: v - v @ square[0] is v reduced (see
+    fp_linalg.EchelonAccumulator), one product per term for all of G' at
+    once, exact in float64 for the widths the accumulator admits.  The
+    last term is 0, where only the identity passes, so the list ends.
     """
     m = A.cosets.shape[1]
-    differences = np.eye(m, dtype=np.int64)
+    differences = np.eye(m)
     differences[:, 0] -= 1  # row g: e_g - e_1, the identity at column 0
     differences %= A.p
     orders = []
-    for term in upper_lie_chain(A)[1:]:
-        rows = term[:, :m]
-        rows = rows[rows.any(axis=1)]
-        pivots = (rows != 0).argmax(axis=1)
-        residual = differences - matmul_mod(differences[:, pivots], rows, A.p)
-        orders.append(m - int((residual % A.p).any(axis=1).sum()))
+    for square in _lie_chain(A, A.generators, ideals=True)[1:]:
+        residual = np.mod(differences - differences @ square[0], A.p)
+        orders.append(m - int(residual.any(axis=1).sum()))
         if orders[-1] == 1:
             break
     return orders
@@ -529,7 +518,3 @@ def t_upper_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """t^L of F_p[G], the length of the upper chain."""
     return len(upper_lie_chain(build_algebra(G, cap)))
 
-
-def t_lower_direct(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """t_L of F_p[G], the length of the lower chain."""
-    return len(lower_lie_chain(build_algebra(G, cap)))

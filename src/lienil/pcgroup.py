@@ -452,6 +452,8 @@ def parse_presentation_with_meta(text: str) -> tuple[PcGroup, PresentationMeta]:
             seen_comm.add((j, i))
             comms[(j - 1, i - 1)] = _parse_word(word_s, lineno)
         elif key == "id":
+            if meta.small_group_id is not None:
+                raise PresentationError(f"line {lineno}: duplicate id")
             vals = rest.split()
             try:
                 order, number = map(int, vals)
@@ -463,6 +465,8 @@ def parse_presentation_with_meta(text: str) -> tuple[PcGroup, PresentationMeta]:
             vals = rest.split(None, 1)
             if len(vals) != 2:
                 raise PresentationError(f"line {lineno}: expect needs key and value")
+            if vals[0] in meta.expect:
+                raise PresentationError(f"line {lineno}: duplicate expect {vals[0]}")
             meta.expect[vals[0]] = vals[1].strip()
         else:
             raise PresentationError(f"line {lineno}: unknown directive {key!r}")

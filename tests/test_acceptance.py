@@ -12,7 +12,7 @@ from lienil.catalog import build_dihedral, build_free_class2, build_heisenberg, 
 from lienil.classify import verify_theorem
 from lienil.dimension import DSequence, d_sequence, jennings_index, lie_dimension_chain
 from lienil.dvectors import enumerate_admissible, enumerate_raw, lemma_constraints_ok
-from lienil.oracle import build_algebra, lie_dimension_orders, t_lower_direct, t_upper_direct
+from lienil.oracle import build_algebra, lie_dimension_orders, lower_lie_chain, t_upper_direct
 from lienil.subgroups import abelian_invariants, derived_subgroup, lower_central_series, whole_group
 
 ORACLE_CAP = 256
@@ -80,7 +80,7 @@ def test_check3_index_bounds_and_equality_above_p_3(capsys):
             continue
         p = e.group.p
         upper = t_upper_direct(e.group, cap=ORACLE_CAP)
-        lower = t_lower_direct(e.group, cap=ORACLE_CAP)
+        lower = len(lower_lie_chain(build_algebra(e.group, ORACLE_CAP)))
         in_bounds = p + 1 <= lower <= upper <= derived_order + 1
         equal_when_large_p = p <= 3 or lower == upper
         rows.append((e.name, p, in_bounds and equal_when_large_p))

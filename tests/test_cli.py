@@ -450,6 +450,16 @@ def test_a_second_gens_line_in_a_file_exits_2_with_its_line(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: twice.pres: line 4: duplicate gens\n")
 
 
+def test_a_second_id_or_expect_line_in_a_file_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "twice.pres"
+    path.write_text("p 3\ngens 1\npow 1 : 1\nid 3 1\nid 3 2\n")
+    code, out, err = run(capsys, ["index", str(path)])
+    assert (code, out, err) == (2, "", "error: twice.pres: line 5: duplicate id\n")
+    path.write_text("p 3\ngens 1\nexpect zeta C3\nexpect ab C3\nexpect zeta C9\n")
+    code, out, err = run(capsys, ["index", str(path)])
+    assert (code, out, err) == (2, "", "error: twice.pres: line 5: duplicate expect zeta\n")
+
+
 def test_group_source_validation(tmp_path, capsys):
     path = str(DATA_DIR / "s243_13.pres")
     code, _, err = run(capsys, ["index", path, "--builder", "dihedral:8"])
@@ -655,3 +665,23 @@ def test_oracle_does_not_import_numpy_ma():
     modules = _numpy_modules_after([["oracle", "--builder", "dihedral:16"]])
     assert "numpy" in modules
     assert "numpy.ma" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "list", "--json"],
+    ["verify-tables", "--json"],
+    # output short enough to sit in the buffer until the flush
+    ["index", "--builder", "dihedral:8"],
+], ids=["catalog-list", "verify-tables", "index"])
+def test_a_closed_stdout_pipe_ends_quietly(argv):
+    # the reader end is closed before the command writes anything
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        done = subprocess.run([sys.executable, "-m", "lienil.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")

@@ -6,8 +6,10 @@ verified against it rather than against themselves.  DenseEchelon, the
 ungraded accumulator the oracle's chains used before they were graded,
 is kept here as the slow reference of tests/test_oracle.py; its
 batched-pivot elimination is compared with the column-by-column numpy
-loop it replaced, on blocks built to need many rounds.  The prime test
-check_prime, which lives in lienil.pcgroup, is tested here as well.
+loop it replaced, on blocks built to need many rounds.  matmul_mod,
+the exact product mod p those references use, lives and is tested here
+too.  The prime test check_prime, which lives in lienil.pcgroup, is
+tested here as well.
 """
 
 import math
@@ -21,7 +23,6 @@ from lienil.fp_linalg import (
     EchelonAccumulator,
     _residues,
     close_under,
-    matmul_mod,
     to_layers,
 )
 from lienil.pcgroup import check_prime
@@ -30,6 +31,21 @@ PRIMES = (2, 3, 5)
 # The largest prime q with (q-1)^2 * 6 < 2**53: a product of inner
 # dimension 6 is still exact in float64, the next prime's is not.
 NEAR_LIMIT_PRIME = 38745307
+
+
+def matmul_mod(a, b, p):
+    """Exact (a @ b) mod p for int64 residue matrices, through float64.
+
+    Raises:
+        ValueError: if (p-1)^2 * inner dimension reaches 2**53, where a
+            float64 sum is no longer exact.
+    """
+    inner = a.shape[1]
+    if (p - 1) ** 2 * inner >= 2**53:
+        raise ValueError(f"GF({p}) products of inner dimension {inner} "
+                         "are not exact in float64")
+    prod = a.astype(np.float64) @ b.astype(np.float64)
+    return np.mod(prod.astype(np.int64), p)
 
 
 def naive_rref(rows, p):

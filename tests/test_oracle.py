@@ -32,11 +32,9 @@ from lienil.oracle import (
     _lie_chain,
     _orbit_representatives,
     _pc_table,
-    _ungraded,
     build_algebra,
     lie_dimension_orders,
     lower_lie_chain,
-    t_lower_direct,
     t_upper_direct,
     upper_lie_chain,
 )
@@ -53,6 +51,38 @@ from test_fp_linalg import DenseEchelon, naive_rref
 
 def _table_group(stem):
     return import_presentation(DATA_DIR / f"{stem}.pres").group
+
+
+def _index(A):
+    # the basis index of each element of G
+    return {x: i for i, x in enumerate(A.elements)}
+
+
+def _dense(A, squares):
+    # The read-only dense RREF arrays of graded terms: each block row
+    # written to its coset's columns.  Coset c is columns c*m to c*m + m,
+    # so a row's pivot is c*m plus its local pivot, and np.nonzero on the
+    # stacked diagonals lists the rows by term and then by pivot.  All
+    # terms are scattered at once, into one array that the terms are
+    # slices of.
+    stack = np.stack(squares)
+    term, grade, col = np.nonzero(np.diagonal(stack, axis1=2, axis2=3))
+    dense = np.zeros((len(term), *A.cosets.shape), dtype=np.int64)
+    dense[np.arange(len(term)), grade] = stack[term, grade, col]
+    dense = dense.reshape(len(term), A.dim)
+    dense.setflags(write=False)
+    ends = np.cumsum(np.bincount(term, minlength=len(squares)))
+    return np.split(dense, ends[:-1])
+
+
+def _dense_upper(A):
+    # the terms of upper_lie_chain as dense arrays
+    return _dense(A, _lie_chain(A, A.generators, ideals=True))
+
+
+def _dense_lower(A):
+    # the terms of lower_lie_chain as dense arrays
+    return _dense(A, _lie_chain(A, _orbit_representatives(A), ideals=False))
 
 
 def _scatter(dest):
@@ -289,8 +319,7 @@ def _collector_algebra(G):
     return GroupAlgebra(group=G, p=G.p, elements=elements,
                         table=position[cols[np.ix_(order, order)]],
                         generator_indices=tuple(position[list(gen_indices)].tolist()),
-                        cosets=np.arange(dim).reshape(-1, members.shape[1]),
-                        index={x: i for i, x in enumerate(elements)})
+                        cosets=np.arange(dim).reshape(-1, members.shape[1]))
 
 
 def test_oracle_refuses_groups_above_cap():
@@ -319,13 +348,13 @@ def test_lower_indices_match_upper_on_small_groups():
                  lambda: build_heisenberg(3).group,
                  lambda: build_heisenberg(5).group):
         G = make()
-        assert t_lower_direct(G) == t_upper_direct(G)
+        assert len(lower_lie_chain(build_algebra(G))) == t_upper_direct(G)
 
 
 def test_abelian_algebra_has_index_two():
     G = build_abelian(3, [9, 3]).group
     assert t_upper_direct(G) == 2
-    assert t_lower_direct(G) == 2
+    assert len(lower_lie_chain(build_algebra(G))) == 2
 
 
 def test_chain_dimensions_decrease_strictly():
@@ -333,8 +362,7 @@ def test_chain_dimensions_decrease_strictly():
     A = build_algebra(G)
     up = upper_lie_chain(A)
     low = lower_lie_chain(A)
-    for chain in (up, low):
-        dims = [len(s) for s in chain]
+    for dims in (up, low):
         assert dims[0] == 16 and dims[-1] == 0
         assert all(a > b for a, b in zip(dims, dims[1:]))
     assert len(up) == upper_index(whole_group(G))
@@ -353,8 +381,8 @@ SEEDING_CASES = {
 def test_generator_seeding_spans_the_same_ideals():
     for make in SEEDING_CASES.values():
         A = build_algebra(make())
-        full = _ungraded(A, _lie_chain(A, range(A.dim), range(A.dim), ideals=True))
-        reduced = upper_lie_chain(A)
+        full = _ungraded_lie_chain(A, range(A.dim), range(A.dim), ideals=True)
+        reduced = _dense_upper(A)
         assert len(full) == len(reduced)
         assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
 
@@ -399,7 +427,7 @@ def test_index_bounds_on_nonabelian_groups():
                  lambda: build_heisenberg(3).group,
                  lambda: build_heisenberg(5).group):
         G = make()
-        lower = t_lower_direct(G)
+        lower = len(lower_lie_chain(build_algebra(G)))
         upper = t_upper_direct(G)
         dorder = derived_subgroup(whole_group(G)).order
         assert G.p + 1 <= lower <= upper <= dorder + 1
@@ -439,7 +467,7 @@ def _lower_chain_without_centre(A, against):
 def test_orbit_seeding_spans_the_same_lower_terms(make):
     A = build_algebra(make())
     full = _lower_chain_without_centre(A, range(A.dim))
-    reduced = lower_lie_chain(A)
+    reduced = _dense_lower(A)
     assert len(full) == len(reduced)
     assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
 
@@ -471,7 +499,7 @@ def test_lower_chain_terms_are_the_bracket_spans(make, dims):
     # the terms are the spans V_n themselves, not the ideals they generate
     A = build_algebra(make())
     naive = _naive_lower_spans(A)
-    chain = lower_lie_chain(A)
+    chain = _dense_lower(A)
     assert [s.tolist() for s in chain] == naive
     assert [len(s) for s in chain] == dims
 
@@ -480,14 +508,15 @@ def test_lower_chain_terms_are_the_bracket_spans(make, dims):
 def test_orbit_representatives_match_pc_orbits(make):
     G = make()
     A = build_algebra(G)
+    index = _index(A)
     Z = center(whole_group(G)).elements
-    central = {A.index[z] for z in Z}
+    central = {index[z] for z in Z}
     orbits = []
     covered = set(central)
     for x in A.elements:
-        if A.index[x] not in covered:
+        if index[x] not in covered:
             conjugates = {G.conjugate(x, h) for h in A.elements}
-            orbits.append({A.index[G.multiply(c, z)]
+            orbits.append({index[G.multiply(c, z)]
                            for c in conjugates for z in Z})
             covered |= orbits[-1]
     reps = _orbit_representatives(A)
@@ -532,7 +561,7 @@ def test_centre_module_seeding_spans_the_same_lower_terms(make):
     # representatives, one block per representative, gives
     A = build_algebra(make())
     want = _lower_chain_without_centre(A, _orbit_representatives(A))
-    got = lower_lie_chain(A)
+    got = _dense_lower(A)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
     assert [s.shape for s in got] == [s.shape for s in want]
 
@@ -556,7 +585,8 @@ def test_centre_generators_and_transversal_match_the_centre(make):
     # code's centre
     G = make()
     A = build_algebra(G)
-    Z = {A.index[z] for z in center(whole_group(G)).elements}
+    index = _index(A)
+    Z = {index[z] for z in center(whole_group(G)).elements}
     assert set(A.centre.tolist()) == Z
 
 
@@ -610,7 +640,7 @@ def test_lower_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
     # accumulator exceeds A.dim layers
     A = build_algebra(make())
     reps, gens = _orbit_representatives(A), A.generators
-    chain, bracketed, blocks = _counted_chain(monkeypatch, lower_lie_chain, A)
+    chain, bracketed, blocks = _counted_chain(monkeypatch, _dense_lower, A)
     want = [(chain[0], g) for g in gens]
     want += [(term, b) for term in chain[1:-1] for b in reps]
     assert len(gens) < len(reps) and len(chain[0]) == A.dim
@@ -628,7 +658,7 @@ def test_upper_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
     # each step brackets the whole previous ideal, not only the span of
     # the previous step's brackets, against the minimal generating set
     A = build_algebra(make())
-    chain, bracketed, _ = _counted_chain(monkeypatch, upper_lie_chain, A)
+    chain, bracketed, _ = _counted_chain(monkeypatch, _dense_upper, A)
     want = [(term, g) for term in chain[:-1] for g in A.generators]
     assert [b for _, b in bracketed] == [g for _, g in want]
     assert all(np.array_equal(got, term) for (got, _), (term, _) in zip(bracketed, want))
@@ -690,7 +720,7 @@ def test_upper_terms_are_the_two_sided_ideals(make):
     # closing under right multiplication alone reaches the two-sided ideal
     A = build_algebra(make())
     want = _two_sided_upper_chain(A)
-    got = upper_lie_chain(A)
+    got = _dense_upper(A)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
@@ -776,10 +806,13 @@ def test_reference_groups_are_the_catalog_and_four_more():
 
 @pytest.mark.parametrize("make", REFERENCE_GROUPS.values(), ids=REFERENCE_GROUPS.keys())
 def test_graded_chains_equal_the_ungraded_reference(make):
-    # every term of both chains, byte for byte, dtype and shape included
+    # every term of both chains, byte for byte, dtype and shape included,
+    # and the public chains' dimensions
     A = build_algebra(make())
     want_upper, want_lower = _reference_chains(A)
-    for got, want in ((upper_lie_chain(A), want_upper), (lower_lie_chain(A), want_lower)):
+    assert upper_lie_chain(A) == [len(t) for t in want_upper]
+    assert lower_lie_chain(A) == [len(t) for t in want_lower]
+    for got, want in ((_dense_upper(A), want_upper), (_dense_lower(A), want_lower)):
         assert [t.dtype for t in got] == [t.dtype for t in want]
         assert [t.shape for t in got] == [t.shape for t in want]
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
@@ -813,7 +846,6 @@ def test_build_algebra_equals_the_collector_reference(make):
     assert got.cosets.dtype == want.cosets.dtype
     assert got.cosets.tobytes() == want.cosets.tobytes()
     assert got.cosets.shape == want.cosets.shape
-    assert list(got.index.items()) == list(want.index.items())
 
 
 @pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
@@ -821,9 +853,10 @@ def test_every_term_row_lies_in_one_coset_of_the_derived_subgroup(make):
     # the cosets read off the subgroup code, not off the algebra's table
     G = make()
     A = build_algebra(G)
-    derived = [A.index[d] for d in derived_subgroup(whole_group(G)).elements]
+    index = _index(A)
+    derived = [index[d] for d in derived_subgroup(whole_group(G)).elements]
     label = A.table[:, derived].min(axis=1)
-    for term in upper_lie_chain(A) + lower_lie_chain(A):
+    for term in _dense_upper(A) + _dense_lower(A):
         for row in term:
             assert len(set(label[np.flatnonzero(row)].tolist())) == 1
 
@@ -836,11 +869,12 @@ def test_cosets_partition_the_group_in_ascending_rows():
     assert np.array_equal(A.cosets.ravel(), np.arange(A.dim))
     assert (np.diff(A.cosets, axis=1) > 0).all()
     assert (np.diff(A.cosets[:, 0]) > 0).all()
+    index = _index(A)
     derived = derived_subgroup(whole_group(G)).elements
-    assert set(A.cosets[0].tolist()) == {A.index[d] for d in derived}
+    assert set(A.cosets[0].tolist()) == {index[d] for d in derived}
     for row in A.cosets:
         x = A.elements[row[0]]
-        assert set(row.tolist()) == {A.index[G.multiply(x, d)] for d in derived}
+        assert set(row.tolist()) == {index[G.multiply(x, d)] for d in derived}
 
 
 def test_lie_dimension_orders_equal_the_product_formula_chain():

@@ -342,6 +342,10 @@ def test_parse_rejects_malformed_input():
         ("p 3\ngens 3\npow 3 : g1^1\ngens 2", "^line 4: duplicate gens$"),
         ("p 3\np 3\ngens 1", "^line 2: duplicate p$"),
         ("p 3\ngens 1\npow 1 : 1\np 5", "^line 4: duplicate p$"),
+        # nor is a second id or a second expect line for one key: obeying
+        # the last would silently replace the first
+        ("p 3\ngens 1\nid 3 1\nid 3 2", "^line 4: duplicate id$"),
+        ("p 3\ngens 1\nexpect zeta C3\nexpect zeta C9", "^line 4: duplicate expect zeta$"),
     ]
     for text, needle in bad_cases:
         with pytest.raises(PresentationError, match=needle):

@@ -5,13 +5,14 @@ One worker process per checkout imports that checkout's `lienil` and
 waits for group specs on stdin.  For each group and each repeat the two
 workers are asked in turn, which one goes first alternating, and each
 builds the algebra and runs `upper_lie_chain` and `lower_lie_chain`,
-timing the three in CPU time (`time.process_time`), which other load on
-the machine moves less than wall time.  Each worker also returns the
-chain lengths and `lie_dimension_orders(A)`, computed outside the timed
-stages, and the two checkouts must agree on both: they are what is left
-to compare when a change reorders the basis, so that the terms differ
-entry by entry.  BLAS runs on one thread, as in `perfbench/run.py`, so
-the two agree on an idle machine.  Before the timed repeats, each worker
+which return the dimension of each term, timing the three in CPU time
+(`time.process_time`), which other load on the machine moves less than
+wall time.  Each worker also returns the chain lengths and
+`lie_dimension_orders(A)`, computed outside the timed stages, and the
+two checkouts must agree on both: they do not depend on the basis
+order, so they stay comparable when a change reorders the basis.  BLAS
+runs on one thread, as in `perfbench/run.py`, so the two agree on an
+idle machine.  Before the timed repeats, each worker
 builds the algebra and runs both chains once untimed, counting the
 build's calls to `PcGroup.multiply`, every collected product, and each
 chain's calls to `fp_linalg._residues`, every reduction mod p of the

@@ -14,6 +14,8 @@ The argv list is fixed:
 - every `index`, `classify` and `oracle` invocation of the benchmark
   (`perfbench/workloads.all_invocations`, imported without writing
   bytecode, so nothing is written under `perfbench/`);
+- `oracle --json` at the default cap's order, 256, and
+  `classify --with-oracle --json`, the oracle path of `classify`;
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
@@ -37,6 +39,12 @@ GOOD_SPECS = (
     ["condition-quotient:66", "-p", "3"],
 )
 
+ORACLE_ARGVS = (
+    ["oracle", "--json", "--builder", "dihedral:256"],
+    ["oracle", "--json", "--builder", "quaternion:256"],
+    ["classify", "--with-oracle", "--json", "--builder", "dihedral:16"],
+)
+
 BAD_SPECS = (
     ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
     ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
@@ -56,6 +64,7 @@ def benchmark_argvs() -> list[list[str]]:
 
 def default_argvs() -> list[list[str]]:
     argvs = benchmark_argvs()
+    argvs += ORACLE_ARGVS
     argvs.append(["verify-tables", "--json"])
     argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
     for spec in GOOD_SPECS:
