@@ -280,6 +280,133 @@ def test_inconsistent_presentation_is_rejected():
         assert str(caught.value) == f"inconsistent presentation: overlap {overlap}"
 
 
+class _Unchecked(PcGroup):
+    """A presentation built without the overlap tests, for the reference."""
+
+    def _consistency_check(self):
+        pass
+
+
+def every_overlap_check(G):
+    """The reference: every overlap test, each collected on both sides, in
+    the order and with the messages of PcGroup's check."""
+    g = G.generators()
+    mul = G._mul
+    n = G.ngens
+    pairs = {(k, j): mul(g[k], g[j]) for k in range(n) for j in range(k)}
+    for k in range(n):
+        for j in range(k):
+            for i in range(j):
+                if mul(pairs[k, j], g[i]) != mul(g[k], pairs[j, i]):
+                    raise PresentationError(
+                        f"inconsistent presentation: overlap (g{k+1} g{j+1}) g{i+1}")
+    for j in range(n):
+        below = G._pow(g[j], G.p - 1)
+        pj = mul(below, g[j])
+        for i in range(j):
+            if mul(pj, g[i]) != mul(below, pairs[j, i]):
+                raise PresentationError(
+                    f"inconsistent presentation: overlap g{j+1}^p g{i+1}")
+        for kk in range(j + 1, n):
+            if mul(g[kk], pj) != mul(pairs[kk, j], below):
+                raise PresentationError(
+                    f"inconsistent presentation: overlap g{kk+1} g{j+1}^p")
+        if mul(pj, g[j]) != mul(g[j], pj):
+            raise PresentationError(
+                f"inconsistent presentation: overlap g{j+1}^p g{j+1}")
+
+
+def _verdicts(p, n, powers, comms):
+    """The check's and the reference's outcome: None or the message."""
+    out = []
+    for check in (lambda: PcGroup(p, n, powers, comms),
+                  lambda: every_overlap_check(_Unchecked(p, n, powers, comms))):
+        try:
+            check()
+            out.append(None)
+        except PresentationError as exc:
+            out.append(str(exc))
+    return out
+
+
+@st.composite
+def _relations(draw):
+    """Random relation dictionaries: each relation is present or not, and a
+    present one is a normal word on one or two of the generators it may
+    use; about two thirds of them are inconsistent."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 6))
+
+    def word(start):
+        if start == n:
+            return ()
+        gens = draw(st.sets(st.integers(start, n - 1), min_size=1, max_size=2))
+        return tuple((k, draw(st.integers(1, p - 1))) for k in sorted(gens))
+
+    powers = {i: word(i + 1) for i in range(n) if draw(st.booleans())}
+    comms = {(j, i): word(j + 1) for j in range(n) for i in range(j)
+             if draw(st.booleans())}
+    return p, n, powers, comms
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_relations())
+def test_check_agrees_with_every_overlap_reference(case):
+    fast, reference = _verdicts(*case)
+    assert fast == reference
+
+
+def _relation_dicts(G):
+    return G.p, G.ngens, dict(enumerate(G._powers)), G._comms
+
+
+def test_shipped_and_built_groups_pass_both_checks():
+    from lienil.catalog import DATA_DIR, _BUILDERS, build_named, import_presentation
+    groups = [import_presentation(f).group for f in sorted(DATA_DIR.glob("*.pres"))]
+    assert len(groups) == 30
+    specs = {"dihedral": ("dihedral:64", None), "quaternion": ("quaternion:32", None),
+             "heisenberg": ("heisenberg:5", None), "abelian": ("abelian:9x3", 3),
+             "free_class2": ("free_class2:4", 3), "condition": ("condition:46", 5),
+             "condition-quotient": ("condition-quotient:66", 3)}
+    assert set(specs) == set(_BUILDERS)
+    groups += [build_named(*spec).group for spec in specs.values()]
+    for G in groups:
+        assert _verdicts(*_relation_dicts(G)) == [None, None]
+
+
+def _calls(monkeypatch, run):
+    """(_mul calls, _collect calls) that run() makes, nested ones included."""
+    counts = {"_mul": 0, "_collect": 0}
+    for name in counts:
+        def counted(self, *args, _name=name, _f=getattr(PcGroup, name)):
+            counts[_name] += 1
+            return _f(self, *args)
+        monkeypatch.setattr(PcGroup, name, counted)
+    run()
+    monkeypatch.undo()
+    return counts["_mul"], counts["_collect"]
+
+
+@pytest.mark.parametrize("spec, p, work", [
+    ("dihedral:1024", None, (707, 977)),
+    ("free_class2:5", 2, (490, 735)),
+    # relation-free: only the g_k g_j collections, each a plain write
+    ("gens 40", 2, (0, 780)),
+])
+def test_check_work_is_pinned(monkeypatch, spec, p, work):
+    """The check collects only the overlaps whose sides can differ, so it
+    makes fewer products than the every-overlap reference."""
+    from lienil.catalog import build_named
+    if spec.startswith("gens"):
+        G = parse_presentation(f"p {p}\n{spec}\n")
+    else:
+        G = build_named(spec, p).group
+    fast, ref = _Unchecked(*_relation_dicts(G)), _Unchecked(*_relation_dicts(G))
+    assert _calls(monkeypatch, lambda: PcGroup._consistency_check(fast)) == work
+    ref_mul, ref_collect = _calls(monkeypatch, lambda: every_overlap_check(ref))
+    assert work[0] < ref_mul and work[1] < ref_collect
+
+
 def test_relation_word_index_discipline():
     with pytest.raises(PresentationError, match="earlier-or-equal"):
         PcGroup(3, 3, powers={1: ((0, 1),)}, comms={})

@@ -16,6 +16,10 @@ The argv list is fixed:
   bytecode, so nothing is written under `perfbench/`);
 - `oracle --json` at the default cap's order, 256, and
   `classify --with-oracle --json`, the oracle path of `classify`;
+- `index --json` at p = 10^18 + 3 and p = 1000003 and on
+  `free_class2:8 -p 3`, and `classify --json` on `free_class2:5 -p 3`:
+  exponents of 2 and above in the collector's `_conj` and `_pow`, at
+  primes far above the benchmark's p <= 13;
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
@@ -45,6 +49,13 @@ ORACLE_ARGVS = (
     ["classify", "--with-oracle", "--json", "--builder", "dihedral:16"],
 )
 
+COLLECTOR_ARGVS = (
+    ["index", "--json", "--builder", "heisenberg:1000000000000000003"],
+    ["index", "--json", "--builder", "free_class2:4", "-p", "1000003"],
+    ["index", "--json", "--builder", "free_class2:8", "-p", "3"],
+    ["classify", "--json", "--builder", "free_class2:5", "-p", "3"],
+)
+
 BAD_SPECS = (
     ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
     ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
@@ -65,6 +76,7 @@ def benchmark_argvs() -> list[list[str]]:
 def default_argvs() -> list[list[str]]:
     argvs = benchmark_argvs()
     argvs += ORACLE_ARGVS
+    argvs += COLLECTOR_ARGVS
     argvs.append(["verify-tables", "--json"])
     argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
     for spec in GOOD_SPECS:
