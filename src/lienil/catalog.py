@@ -352,11 +352,11 @@ def computed_columns(entry: CatalogEntry, keys: Iterable[str]) -> dict[str, str]
         elif key == "Gpp":
             sub = derived_subgroup(W)
         elif key == "GppcapZeta":
-            sub = intersection(derived_subgroup(W), center(W))
+            sub = intersection(derived_subgroup(W), center(W), W)
         elif key.startswith("GppcapGp"):
-            sub = intersection(derived_subgroup(W), power_subgroup(W, q))
+            sub = intersection(derived_subgroup(W), power_subgroup(W, q), W)
         elif key.endswith("capZeta"):
-            sub = intersection(power_subgroup(W, q), center(W))
+            sub = intersection(power_subgroup(W, q), center(W), W)
         else:
             sub = power_subgroup(W, q)
         out[key] = str(fingerprint(sub))

@@ -73,7 +73,7 @@ def evaluate_clause(clause: tuple, W: Subgroup) -> bool:
         return P(args[0]) == g3
     if op in ("cap3", "cap4"):
         term = g3 if op == "cap3" else _gamma(W, 4)
-        return intersection(P(args[0]), term).order == eval_value(args[1], p)
+        return intersection(P(args[0]), term, W).order == eval_value(args[1], p)
     if op == "P_iso":
         return _has_type(P(args[0]), args[1], p)
     if op == "g3_iso_P":

@@ -14,6 +14,14 @@ derived subgroup and power series of H are memoized on H, and the
 lower central series on the whole group W, so they live as long as
 their subgroup does.
 
+The whole group W = whole_group(G) keeps only the pc generators that do
+not lie in the subgroup of those before them (2 of 10 for the dihedral
+group of order 1024), and they generate G.  So W's series (derived
+subgroup, lower central series, normal closures) bracket with and
+conjugate by W's kept generators, not by all n pc generators, and a
+bracket of two pc generators is read off the presentation
+(_commutator), not collected.
+
 ENUMERATION_CAP bounds enumeration only: the element set of H, and the
 centre transversal power_series takes, are refused when they would
 hold more than ENUMERATION_CAP elements (_PcSequence.elements).
@@ -299,11 +307,31 @@ def closure(G: PcGroup, gens: Iterable[Element]) -> Subgroup:
     return _grow(trivial_subgroup(G), gens)
 
 
+def _pc_index(x: Element) -> Optional[int]:
+    """i when x is the pc generator g_i, else None."""
+    return x.index(1) if 1 in x and x.count(0) == len(x) - 1 else None
+
+
+def _commutator(G: PcGroup, x: Element, i: Optional[int],
+                y: Element, j: Optional[int]) -> Element:
+    """[x, y], given i = _pc_index(x) and j = _pc_index(y).  For pc
+    generators g_i, g_j it is read off the presentation, not collected:
+    the relation word for i > j, its inverse for i < j, and 1 for i = j."""
+    if i is None or j is None:
+        return G.commutator(x, y)
+    if i > j:
+        return G.commutator_relation(i, j)
+    if i < j:
+        return G.inverse(G.commutator_relation(j, i))
+    return G.identity
+
+
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
     """The non-identity brackets [gens[b], gens[a]] for a < b."""
+    pc = [_pc_index(g) for g in gens]
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
-            c = G.commutator(gens[b], gens[a])
+            c = _commutator(G, gens[b], pc[b], gens[a], pc[a])
             if c != G.identity:
                 yield c
 
@@ -327,12 +355,16 @@ def _conjugation_closure(G: PcGroup, gens: Iterable[Element],
     return sub
 
 
-def normal_closure(G: PcGroup, gens: Iterable[Element]) -> Subgroup:
-    """Smallest normal subgroup of G containing gens.
+def normal_closure(W: Subgroup, gens: Iterable[Element]) -> Subgroup:
+    """Smallest normal subgroup of the whole group W containing gens.
 
-    Conjugating by the pc generators of G suffices, since they generate G.
+    Conjugating by W's kept generators suffices: they generate G, and a
+    subgroup H of a finite group closed under conjugation by each y of a
+    generating set is normal, since H^y <= H with |H^y| = |H| gives
+    H^y = H, hence also H^(y^-1) = H.
     """
-    return _conjugation_closure(G, gens, G.generators())
+    assert W.order == W.group.order, "normal closure in a proper subgroup"
+    return _conjugation_closure(W.group, gens, W.generators)
 
 
 def subgroup_product(H: Subgroup, K: Subgroup) -> Subgroup:
@@ -402,15 +434,25 @@ def _kernel(H: Subgroup,
     return Subgroup(G, tuple(t for t in seq.entries if t is not None), seq)
 
 
-def intersection(H: Subgroup, K: Subgroup) -> Subgroup:
+def intersection(H: Subgroup, K: Subgroup, W: Optional[Subgroup] = None) -> Subgroup:
     """H meet K for K normal in G: the kernel of
     x -> (K's sift of x, 1).  For x in C_i = H meet K G_i the sift lies in
     G_i, and its depth-i exponent is x's image in K G_i / K G_(i+1),
-    which is Z/p or trivial; so C_(n+1) = H meet K (see _kernel)."""
+    which is Z/p or trivial; so C_(n+1) = H meet K (see _kernel).
+
+    K's normality is checked by conjugating its generators by a
+    generating set of G (see normal_closure): the kept generators of the
+    whole group W when the caller has it at hand, else G's pc generators.
+    """
     if H.group is not K.group:
         raise ValueError("intersection across different groups")
     G = H.group
-    if any(G.conjugate(k, g) not in K for k in K.generators for g in G.generators()):
+    if W is None:
+        conjugators = G.generators()
+    else:
+        assert W.group is G and W.order == G.order, "W is not the whole group"
+        conjugators = W.generators
+    if any(G.conjugate(k, g) not in K for k in K.generators for g in conjugators):
         raise ValueError("intersection needs its second subgroup normal in the group")
     return _kernel(H, lambda x: [(K._seq.sift(x), G.identity)])
 
@@ -508,22 +550,32 @@ def center(H: Subgroup) -> Subgroup:
 
 
 def lower_central_series(W: Subgroup) -> list[Subgroup]:
-    """[gamma_1 = W, gamma_2, ..., 1] for the whole group W, each term from
-    the last by brackets with G's pc generators; memoized on W."""
+    """[gamma_1 = W, gamma_2, ..., 1] for the whole group W; memoized on W.
+
+    Each term comes from the last by brackets with W's kept generators
+    only, closed under conjugation by them (normal_closure), not by all
+    of G's pc generators.  This gives [N, G] for N = <X> normal in
+    G = <Y>, with X N's kept generators and Y W's: let K be the normal
+    closure of the [x, y].  K <= [N, G], which is normal and holds every
+    [x, y], and K <= N as N is normal.  Modulo K every x commutes with
+    every y, so N/K is central in G/K, that is [N, G] <= K.
+    gamma_2 = derived_subgroup(W) is the case N = G, X = Y.
+    """
     if W._lower_central is None:
         G = W.group
         assert W.order == G.order, "lower central series of a proper subgroup"
         current = derived_subgroup(W)
         series = [W, current]
-        gens = G.generators()
+        pc = [_pc_index(g) for g in W.generators]
         while not current.is_trivial():
             brackets = []
             for x in current.generators:
-                for g in gens:
-                    c = G.commutator(x, g)
+                i = _pc_index(x)
+                for g, j in zip(W.generators, pc):
+                    c = _commutator(G, x, i, g, j)
                     if c != G.identity:
                         brackets.append(c)
-            nxt = normal_closure(G, brackets)
+            nxt = normal_closure(W, brackets)
             assert nxt <= current, "lower central series not descending"
             series.append(nxt)
             current = nxt

@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from lienil.catalog import (
     DATA_DIR,
+    _BUILDERS,
     build_abelian,
     build_dihedral,
     build_free_class2,
     build_heisenberg,
+    build_named,
     build_quaternion,
     import_presentation,
+    standard_catalog,
 )
 from lienil.subgroups import (
     CapExceeded,
@@ -541,7 +544,7 @@ def test_power_subgroup_squares_and_cubes(d16, heis3):
 
 def test_normal_closure_of_a_reflection(d16):
     reflection = d16.generator(0)
-    nc = normal_closure(d16, [reflection])
+    nc = normal_closure(whole_group(d16), [reflection])
     assert nc.order == 8
     plain = closure(d16, [reflection])
     assert plain.order == 2
@@ -565,6 +568,16 @@ def test_intersection_refuses_a_subgroup_that_is_not_normal(d16):
     with pytest.raises(ValueError, match="normal"):
         intersection(W, reflection)
     assert intersection(reflection, W) == reflection
+
+
+def test_intersection_checks_normality_by_the_whole_groups_kept_generators(d16):
+    # <g1> is normalised by g1 but not by g2, the other kept generator
+    W = whole_group(d16)
+    assert W.generators == d16.generators()[:2]
+    reflection = closure(d16, [d16.generator(0)])
+    with pytest.raises(ValueError, match="normal"):
+        intersection(W, reflection, W)
+    assert intersection(reflection, W, W) == reflection
 
 
 def test_centre_of_a_subgroup_above_its_last_lower_central_term():
@@ -603,11 +616,14 @@ def test_intersections_of_normal_subgroups_match_element_sets(stem):
 @given(drawn=two_closures())
 def test_intersection_with_a_normal_closure_matches_element_sets(drawn):
     G, H, K = drawn
-    N = normal_closure(G, K.generators)
+    W = whole_group(G)
+    N = normal_closure(W, K.generators)
     assert intersection(H, N).elements == H.elements & N.elements
+    assert intersection(H, N, W) == intersection(H, N)
     if N != K:
-        with pytest.raises(ValueError, match="normal"):
-            intersection(H, K)
+        for whole in (None, W):
+            with pytest.raises(ValueError, match="normal"):
+                intersection(H, K, whole)
 
 
 abelian_factor_lists = st.lists(
@@ -690,3 +706,128 @@ def test_series_works_above_enumeration_cap(monkeypatch):
 def test_exponent_values():
     assert whole_group(build_heisenberg(5).group).exponent() == 5
     assert whole_group(build_dihedral(16).group).exponent() == 8
+
+
+def _reference_normal_closure(G, gens):
+    """The normal closure by every pc generator, the slow reference: close
+    the generators and all their conjugates until nothing is added."""
+    sub = closure(G, gens)
+    while True:
+        grown = closure(G, [*sub.generators, *(G.conjugate(x, g) for x in sub.generators
+                                               for g in G.generators())])
+        if grown == sub:
+            return sub
+        sub = grown
+
+
+def _reference_lower_central_series(G):
+    """gamma_1, ..., 1, each term the normal closure by every pc generator
+    of the collected brackets of the last term's generators with every
+    pc generator; gamma_1 is taken from all n pc generators."""
+    series, current = [whole_group(G)], G.generators()
+    while not series[-1].is_trivial():
+        term = _reference_normal_closure(
+            G, [G.commutator(x, g) for x in current for g in G.generators()])
+        series.append(term)
+        current = term.generators
+    return series
+
+
+def _assert_series_matches_reference(G):
+    series = lower_central_series(whole_group(G))
+    assert [S.entries for S in series] == [S.entries for S in _reference_lower_central_series(G)]
+
+
+# every builder family, with at least one large member whose whole group
+# keeps few of its pc generators
+BUILDER_SPECS = {
+    "dihedral:64": ("dihedral:64", None), "dihedral:1024": ("dihedral:1024", None),
+    "quaternion:32": ("quaternion:32", None), "quaternion:512": ("quaternion:512", None),
+    "heisenberg:5": ("heisenberg:5", None), "abelian:9x3 -p 3": ("abelian:9x3", 3),
+    "free_class2:4 -p 3": ("free_class2:4", 3), "free_class2:5 -p 2": ("free_class2:5", 2),
+    "condition:46 -p 5": ("condition:46", 5), "condition:65 -p 3": ("condition:65", 3),
+    "condition:66 -p 3": ("condition:66", 3),
+    "condition-quotient:65 -p 3": ("condition-quotient:65", 3),
+    "condition-quotient:66 -p 3": ("condition-quotient:66", 3),
+}
+BUILDER_GROUPS = {name: build_named(*spec).group for name, spec in BUILDER_SPECS.items()}
+SHIPPED_GROUPS = {stem: import_presentation(DATA_DIR / f"{stem}.pres").group
+                  for stem in TABLE_GROUPS}
+PRESENTED_GROUPS = {**SHIPPED_GROUPS, **BUILDER_GROUPS}
+CATALOG_GROUPS = {entry.name: entry.group for entry in standard_catalog()}
+
+
+def test_builder_groups_cover_every_family():
+    assert {spec.partition(":")[0] for spec, _ in BUILDER_SPECS.values()} == set(_BUILDERS)
+    assert len(SHIPPED_GROUPS) == 30
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_GROUPS))
+def test_lower_central_series_of_catalog_groups_matches_reference(name):
+    _assert_series_matches_reference(CATALOG_GROUPS[name])
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED_GROUPS))
+def test_lower_central_series_of_shipped_and_builder_groups_matches_reference(name):
+    _assert_series_matches_reference(PRESENTED_GROUPS[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=group_and_generators())
+def test_normal_closure_and_series_match_every_generator_reference(drawn):
+    G, gens = drawn
+    assert (normal_closure(whole_group(G), gens).entries
+            == _reference_normal_closure(G, gens).entries)
+    _assert_series_matches_reference(G)
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    calls = Counter()
+    for name in ("commutator", "conjugate"):
+        def counted(self, x, y, _name=name, _f=getattr(PcGroup, name)):
+            calls[_name] += 1
+            return _f(self, x, y)
+        monkeypatch.setattr(PcGroup, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, work", [
+    # 2 of 10 pc generators kept; 8 brackets of non-pc terms with them
+    ("dihedral:1024", {"commutator": 8, "conjugate": 16}),
+    # 5 of 15 kept; every bracket is a relation word, the 50 conjugations
+    # are gamma_2's 10 generators by the 5 kept ones
+    ("free_class2:5 -p 2", {"conjugate": 50}),
+])
+def test_lower_central_series_bracket_work_is_pinned(name, work, bracket_calls):
+    G = BUILDER_GROUPS[name]
+    W = whole_group(G)
+    bracket_calls.clear()
+    lower_central_series(W)
+    assert bracket_calls == work
+    bracket_calls.clear()
+    _reference_lower_central_series(G)
+    assert work.get("commutator", 0) < bracket_calls["commutator"]
+    assert work["conjugate"] < bracket_calls["conjugate"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_GROUPS))
+def test_derived_subgroup_of_the_whole_group_collects_no_bracket(name, bracket_calls):
+    W = whole_group(BUILDER_GROUPS[name])
+    bracket_calls.clear()
+    derived_subgroup(W)
+    is_abelian(W)
+    assert bracket_calls["commutator"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTED_GROUPS))
+def test_brackets_read_off_the_relations_equal_collected_ones(name):
+    G = PRESENTED_GROUPS[name]
+    gens = G.generators()
+    for i, x in enumerate(gens):
+        assert subgroups._pc_index(x) == i
+        for j, y in enumerate(gens):
+            assert subgroups._commutator(G, x, i, y, j) == G.commutator(x, y)
+    collected = [c for a, y in enumerate(gens) for x in gens[a + 1:]
+                 if (c := G.commutator(x, y)) != G.identity]
+    assert list(subgroups._generator_commutators(G, gens)) == collected

@@ -20,6 +20,9 @@ The argv list is fixed:
   `free_class2:8 -p 3`, and `classify --json` on `free_class2:5 -p 3`:
   exponents of 2 and above in the collector's `_conj` and `_pow`, at
   primes far above the benchmark's p <= 13;
+- `index --json` on `dihedral:65536` and `classify --json` on
+  `quaternion:1024`: lower central series of whole groups that keep 2
+  of their 16 and 10 pc generators;
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
@@ -56,6 +59,11 @@ COLLECTOR_ARGVS = (
     ["classify", "--json", "--builder", "free_class2:5", "-p", "3"],
 )
 
+SERIES_ARGVS = (
+    ["index", "--json", "--builder", "dihedral:65536"],
+    ["classify", "--json", "--builder", "quaternion:1024"],
+)
+
 BAD_SPECS = (
     ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
     ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
@@ -77,6 +85,7 @@ def default_argvs() -> list[list[str]]:
     argvs = benchmark_argvs()
     argvs += ORACLE_ARGVS
     argvs += COLLECTOR_ARGVS
+    argvs += SERIES_ARGVS
     argvs.append(["verify-tables", "--json"])
     argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
     for spec in GOOD_SPECS:
