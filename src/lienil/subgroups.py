@@ -434,25 +434,21 @@ def _kernel(H: Subgroup,
     return Subgroup(G, tuple(t for t in seq.entries if t is not None), seq)
 
 
-def intersection(H: Subgroup, K: Subgroup, W: Optional[Subgroup] = None) -> Subgroup:
+def intersection(H: Subgroup, K: Subgroup, W: Subgroup) -> Subgroup:
     """H meet K for K normal in G: the kernel of
     x -> (K's sift of x, 1).  For x in C_i = H meet K G_i the sift lies in
     G_i, and its depth-i exponent is x's image in K G_i / K G_(i+1),
     which is Z/p or trivial; so C_(n+1) = H meet K (see _kernel).
 
-    K's normality is checked by conjugating its generators by a
-    generating set of G (see normal_closure): the kept generators of the
-    whole group W when the caller has it at hand, else G's pc generators.
+    W is the whole group: K's normality is checked by conjugating its
+    generators by W's kept generators, which generate G (see
+    normal_closure).
     """
     if H.group is not K.group:
         raise ValueError("intersection across different groups")
     G = H.group
-    if W is None:
-        conjugators = G.generators()
-    else:
-        assert W.group is G and W.order == G.order, "W is not the whole group"
-        conjugators = W.generators
-    if any(G.conjugate(k, g) not in K for k in K.generators for g in conjugators):
+    assert W.group is G and W.order == G.order, "W is not the whole group"
+    if any(G.conjugate(k, g) not in K for k in K.generators for g in W.generators):
         raise ValueError("intersection needs its second subgroup normal in the group")
     return _kernel(H, lambda x: [(K._seq.sift(x), G.identity)])
 

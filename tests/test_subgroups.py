@@ -292,8 +292,8 @@ def test_derived_constructions_keep_a_short_generating_sequence(stem):
     W = whole_group(G)
     der, zc = derived_subgroup(W), center(W)
     built = [zc, power_subgroup(W, G.p), power_subgroup(der, G.p),
-             intersection(der, zc), intersection(der, power_subgroup(W, G.p)),
-             intersection(power_subgroup(W, G.p), zc)]
+             intersection(der, zc, W), intersection(der, power_subgroup(W, G.p), W),
+             intersection(power_subgroup(W, G.p), zc, W)]
     for H in built:
         assert G.p ** len(H.generators) <= H.order, H
         assert closure(G, H.generators) == H
@@ -556,21 +556,13 @@ def test_product_and_intersection_identities(d16):
     zc = center(W)
     prod = subgroup_product(der, zc)
     assert prod.order == 4  # the centre sits inside the derived subgroup
-    assert intersection(der, zc) == zc
+    assert intersection(der, zc, W) == zc
     triv = trivial_subgroup(d16)
     assert subgroup_product(der, triv) == der
-    assert intersection(der, triv) == triv
+    assert intersection(der, triv, W) == triv
 
 
 def test_intersection_refuses_a_subgroup_that_is_not_normal(d16):
-    W = whole_group(d16)
-    reflection = closure(d16, [d16.generator(0)])
-    with pytest.raises(ValueError, match="normal"):
-        intersection(W, reflection)
-    assert intersection(reflection, W) == reflection
-
-
-def test_intersection_checks_normality_by_the_whole_groups_kept_generators(d16):
     # <g1> is normalised by g1 but not by g2, the other kept generator
     W = whole_group(d16)
     assert W.generators == d16.generators()[:2]
@@ -609,7 +601,7 @@ def test_intersections_of_normal_subgroups_match_element_sets(stem):
               power_subgroup(W, G.p), power_subgroup(W, G.p**2)]
     for H in normal:
         for K in normal:
-            assert intersection(H, K).elements == H.elements & K.elements
+            assert intersection(H, K, W).elements == H.elements & K.elements
 
 
 @settings(max_examples=40, deadline=None)
@@ -618,12 +610,13 @@ def test_intersection_with_a_normal_closure_matches_element_sets(drawn):
     G, H, K = drawn
     W = whole_group(G)
     N = normal_closure(W, K.generators)
-    assert intersection(H, N).elements == H.elements & N.elements
-    assert intersection(H, N, W) == intersection(H, N)
+    assert intersection(H, N, W).elements == H.elements & N.elements
     if N != K:
-        for whole in (None, W):
-            with pytest.raises(ValueError, match="normal"):
-                intersection(H, K, whole)
+        assert not _reference_is_normal(K)
+        with pytest.raises(ValueError, match="normal"):
+            intersection(H, K, W)
+    else:
+        assert _reference_is_normal(K)
 
 
 abelian_factor_lists = st.lists(
@@ -720,6 +713,12 @@ def _reference_normal_closure(G, gens):
         sub = grown
 
 
+def _reference_is_normal(K):
+    """Whether K is normalised by every pc generator, the slow reference."""
+    G = K.group
+    return all(G.conjugate(k, g) in K for k in K.generators for g in G.generators())
+
+
 def _reference_lower_central_series(G):
     """gamma_1, ..., 1, each term the normal closure by every pc generator
     of the collected brackets of the last term's generators with every
@@ -733,9 +732,10 @@ def _reference_lower_central_series(G):
     return series
 
 
-def _assert_series_matches_reference(G):
+def _assert_series_matches_reference(G, label=None):
     series = lower_central_series(whole_group(G))
-    assert [S.entries for S in series] == [S.entries for S in _reference_lower_central_series(G)]
+    assert ([S.entries for S in series]
+            == [S.entries for S in _reference_lower_central_series(G)]), label
 
 
 # every builder family, with at least one large member whose whole group
@@ -750,26 +750,31 @@ BUILDER_SPECS = {
     "condition-quotient:65 -p 3": ("condition-quotient:65", 3),
     "condition-quotient:66 -p 3": ("condition-quotient:66", 3),
 }
-BUILDER_GROUPS = {name: build_named(*spec).group for name, spec in BUILDER_SPECS.items()}
-SHIPPED_GROUPS = {stem: import_presentation(DATA_DIR / f"{stem}.pres").group
-                  for stem in TABLE_GROUPS}
-PRESENTED_GROUPS = {**SHIPPED_GROUPS, **BUILDER_GROUPS}
-CATALOG_GROUPS = {entry.name: entry.group for entry in standard_catalog()}
+PRESENTED_NAMES = sorted([*TABLE_GROUPS, *BUILDER_SPECS])
+
+
+@functools.lru_cache(maxsize=None)
+def _presented_group(name):
+    """A builder group by its BUILDER_SPECS name, else a shipped row by
+    its stem; built on first use, so a bad build fails only its own tests."""
+    if name in BUILDER_SPECS:
+        return build_named(*BUILDER_SPECS[name]).group
+    return import_presentation(DATA_DIR / f"{name}.pres").group
 
 
 def test_builder_groups_cover_every_family():
     assert {spec.partition(":")[0] for spec, _ in BUILDER_SPECS.values()} == set(_BUILDERS)
-    assert len(SHIPPED_GROUPS) == 30
+    assert len(TABLE_GROUPS) == 30
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_GROUPS))
-def test_lower_central_series_of_catalog_groups_matches_reference(name):
-    _assert_series_matches_reference(CATALOG_GROUPS[name])
+def test_lower_central_series_of_catalog_groups_matches_reference():
+    for entry in standard_catalog():
+        _assert_series_matches_reference(entry.group, entry.name)
 
 
-@pytest.mark.parametrize("name", sorted(PRESENTED_GROUPS))
+@pytest.mark.parametrize("name", PRESENTED_NAMES)
 def test_lower_central_series_of_shipped_and_builder_groups_matches_reference(name):
-    _assert_series_matches_reference(PRESENTED_GROUPS[name])
+    _assert_series_matches_reference(_presented_group(name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -800,7 +805,7 @@ def bracket_calls(monkeypatch):
     ("free_class2:5 -p 2", {"conjugate": 50}),
 ])
 def test_lower_central_series_bracket_work_is_pinned(name, work, bracket_calls):
-    G = BUILDER_GROUPS[name]
+    G = _presented_group(name)
     W = whole_group(G)
     bracket_calls.clear()
     lower_central_series(W)
@@ -811,18 +816,18 @@ def test_lower_central_series_bracket_work_is_pinned(name, work, bracket_calls):
     assert work["conjugate"] < bracket_calls["conjugate"]
 
 
-@pytest.mark.parametrize("name", sorted(BUILDER_GROUPS))
+@pytest.mark.parametrize("name", sorted(BUILDER_SPECS))
 def test_derived_subgroup_of_the_whole_group_collects_no_bracket(name, bracket_calls):
-    W = whole_group(BUILDER_GROUPS[name])
+    W = whole_group(_presented_group(name))
     bracket_calls.clear()
     derived_subgroup(W)
     is_abelian(W)
     assert bracket_calls["commutator"] == 0
 
 
-@pytest.mark.parametrize("name", sorted(PRESENTED_GROUPS))
+@pytest.mark.parametrize("name", PRESENTED_NAMES)
 def test_brackets_read_off_the_relations_equal_collected_ones(name):
-    G = PRESENTED_GROUPS[name]
+    G = _presented_group(name)
     gens = G.generators()
     for i, x in enumerate(gens):
         assert subgroups._pc_index(x) == i
