@@ -140,6 +140,13 @@ class PcGroup:
             conjugates[i][j] = self._generators[j][:j + 1] + self._word_element(w)[j + 1:]
         self._partners: tuple[tuple[int, ...], ...] = tuple(
             tuple(j for j, c in enumerate(row) if c) for row in conjugates)
+        # Bit j of _links[i] is set when [g_j, g_i] or [g_i, g_j] is a
+        # nontrivial relation (see supports_commute).
+        links = [0] * ngens
+        for j, i in self._comms:
+            links[i] |= 1 << j
+            links[j] |= 1 << i
+        self._links: tuple[int, ...] = tuple(links)
         self._image_memo: dict[tuple[int, int], tuple[Optional[Element], ...]] = {
             (i, 1): tuple(row) for i, row in enumerate(conjugates)}
         self._consistency_check()
@@ -290,12 +297,41 @@ class PcGroup:
             return self._pow(self._inv(x), -m)
         return self._pow(x, m)
 
+    def supports_commute(self, x: Element, y: Element) -> bool:
+        """Whether no generator in x's support has a nontrivial commutator
+        relation with one in y's; then xy = yx, read off the presentation.
+
+        Proof: x = g_i1^a1 ... g_ik^ak and y = g_j1^b1 ... g_jl^bl are
+        their normal words.  A pair of pc generators with no relation
+        [g_j, g_i] != 1 commutes, and a generator commutes with itself, so
+        every factor of x commutes with every factor of y, hence x with y.
+        The test is sufficient but not necessary: x = y = g1 g2 commutes
+        with itself, but fails it wherever [g2, g1] != 1.  On two pc
+        generators it is exact, since their bracket is the relation word.
+        """
+        links = self._links
+        reach = 0
+        for i, e in enumerate(x):
+            if e:
+                reach |= links[i]
+        if reach:
+            for j, e in enumerate(y):
+                if e and reach >> j & 1:
+                    return False
+        return True
+
     def commutator(self, x: Element, y: Element) -> Element:
-        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), with one inverse."""
+        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), with one inverse; 1,
+        with no product, when supports_commute(x, y)."""
+        if self.supports_commute(x, y):
+            return self.identity
         return self._mul(self._inv(self._mul(y, x)), self._mul(x, y))
 
     def conjugate(self, x: Element, g: Element) -> Element:
-        """x^g = g^-1 x g."""
+        """x^g = g^-1 x g; x itself, with no product, when
+        supports_commute(x, g)."""
+        if self.supports_commute(x, g):
+            return x
         return self._mul(self._mul(self._inv(g), x), g)
 
     def element_order(self, x: Element) -> int:

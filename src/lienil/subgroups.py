@@ -22,6 +22,14 @@ conjugate by W's kept generators, not by all n pc generators, and a
 bracket of two pc generators is read off the presentation
 (_commutator), not collected.
 
+Nor is a product formed only to compare or bracket two elements x, y
+whose supports commute (PcGroup.supports_commute: no generator of x has
+a nontrivial commutator relation with one of y, so xy = yx).  Closing a
+sequence (_PcSequence.add) skips their bracket, the centre's kernel
+takes the equal pair (x, x) for such a generator h, and
+PcGroup.commutator and conjugate return 1 and x.  Entries that are
+powers of one rotation, or central pc generators, are the usual case.
+
 ENUMERATION_CAP bounds enumeration only: the element set of H, and the
 centre transversal power_series takes, are refused when they would
 hold more than ENUMERATION_CAP elements (_PcSequence.elements).
@@ -130,6 +138,8 @@ class _PcSequence:
                 continue
             if d not in self._powers and c not in self._powers:
                 found.append(G.commutator_relation(max(c, d), min(c, d)))
+                continue
+            if G.supports_commute(t, s):
                 continue
             ts, st = G.multiply(t, s), G.multiply(s, t)
             if ts != st:
@@ -396,6 +406,10 @@ def _kernel(H: Subgroup,
     with no p-th power or commutator to sift.  Depths where all pairs
     agree are skipped, so image runs once per term; the assert checks that
     each term's pairs agree through the depth of the step that made it.
+
+    image must return the same number m of pairs for every element, in a
+    fixed order, since pair k of every element makes coordinate k of the
+    vectors; an equal pair (x, x) stands for a coordinate that is 0.
     """
     G = H.group
     p = G.p
@@ -403,6 +417,8 @@ def _kernel(H: Subgroup,
     depth = -1
     while True:
         images = [image(t) for t in entries]
+        assert len({len(pairs) for pairs in images}) <= 1, \
+            "image returned different numbers of pairs for different elements"
         lead = min((next(i for i, (u, w) in enumerate(zip(a, b)) if u != w)
                     for pairs in images for a, b in pairs if a != b), default=G.ngens)
         assert lead > depth, "image is not a homomorphism on the kernel"
@@ -487,16 +503,18 @@ def power_series(H: Subgroup) -> list[Subgroup]:
     and step, times Z^(p^j), which, as the power map is a homomorphism on
     the abelian Z, is the closure of the p^j-th powers of Z's generators.
     H^(p^j) is the closure of both; for abelian H, Z(H) = H and only the
-    generator powers remain.
+    generator powers remain.  Each step takes one p-th power of each of
+    the last step's powers, z^(p^j) = (z^(p^(j-1)))^p, not a p^j-th power
+    of z.
     """
     if H._power_series is None:
         G = H.group
-        series, q = [H], 1
+        series = [H]
         central, images = center(H).generators, _centre_transversal(H)
         while not series[-1].is_trivial():
-            q *= G.p
             images = frozenset(y for y in (G.power(x, G.p) for x in images) if y != G.identity)
-            series.append(closure(G, sorted(images) + [G.power(z, q) for z in central]))
+            central = [G.power(z, G.p) for z in central]
+            series.append(closure(G, sorted(images) + central))
         H._power_series = series
     return H._power_series
 
@@ -540,8 +558,9 @@ def center(H: Subgroup) -> Subgroup:
     _kernel)."""
     if H._center is None:
         G = H.group
-        H._center = _kernel(H, lambda x: [(G.multiply(x, h), G.multiply(h, x))
-                                          for h in H.generators])
+        H._center = _kernel(H, lambda x: [
+            (x, x) if G.supports_commute(x, h) else (G.multiply(x, h), G.multiply(h, x))
+            for h in H.generators])
     return H._center
 
 

@@ -28,6 +28,7 @@ from lienil.conditions import (CONDITIONS, ConditionRecord, ab_lit,
 from lienil.pcgroup import parse_presentation
 from lienil.subgroups import (IsoType, fingerprint, lower_central_series,
                               power_subgroup, whole_group)
+from test_pcgroup import collected_commutator, collected_conjugate
 
 # order 2^7 with G' non-abelian of order 16 (NONABELIAN_DERIVED in
 # test_subgroups.py)
@@ -262,13 +263,13 @@ class ElementSets:
         self.gamma = [self.close(G.generators())]
         while len(self.gamma[-1]) > 1:
             self.gamma.append(self.normal_close(
-                G.commutator(x, g) for x in self.gamma[-1] for g in G.generators()))
+                collected_commutator(G, x, g) for x in self.gamma[-1] for g in G.generators()))
         self._powers, self._abelian = {}, {}
         self.derived = self.term(2)
         self.centre = frozenset(z for z in self.derived
                                 if all(G.multiply(z, x) == G.multiply(x, z)
                                        for x in self.derived))
-        self.second = self.close(G.commutator(x, y)
+        self.second = self.close(collected_commutator(G, x, y)
                                  for x in self.derived for y in self.derived)
 
     def close(self, gens):
@@ -291,8 +292,8 @@ class ElementSets:
     def normal_close(self, gens):
         S = self.close(gens)
         while True:
-            T = self.close([*S, *(self.G.conjugate(x, g)
-                                  for x in S for g in self.G.generators())])
+            T = self.close([*S, *(collected_conjugate(self.G, x, g)
+                                   for x in S for g in self.G.generators())])
             if T == S:
                 return S
             S = T

@@ -8,6 +8,7 @@ from lienil.catalog import (
     build_dihedral,
     build_free_class2,
     build_heisenberg,
+    build_named,
     build_quaternion,
     import_presentation,
 )
@@ -26,6 +27,7 @@ from lienil.subgroups import (
     trivial_subgroup,
     whole_group,
 )
+from test_pcgroup import _calls
 
 
 def test_dsequence_basics():
@@ -152,3 +154,17 @@ def test_mass_check_equals_derived_order():
         seq = d_sequence(whole_group(entry_group))
         der = derived_subgroup(whole_group(entry_group))
         assert seq.total() == _log_p(der.order, entry_group.p)
+
+
+@pytest.mark.parametrize("spec, p, work, before", [
+    # before: the counts when every bracket and centre product was collected
+    ("dihedral:1024", None, (1125, 1293), (2975, 3782)),
+    ("free_class2:5", 2, (30, 10), (450, 360)),
+])
+def test_dimension_chain_work_is_pinned(monkeypatch, spec, p, work, before):
+    """(_mul, _collect) calls of the chain, whole group included.  Brackets
+    and centre products of elements whose supports commute are read off
+    the presentation (PcGroup.supports_commute), not collected."""
+    G = build_named(spec, p).group
+    assert _calls(monkeypatch, lambda: lie_dimension_chain(whole_group(G))) == work
+    assert work[0] < before[0] and work[1] < before[1]

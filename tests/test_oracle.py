@@ -47,6 +47,7 @@ from lienil.subgroups import (
     whole_group,
 )
 from test_fp_linalg import DenseEchelon, naive_rref
+from test_pcgroup import collected_conjugate
 
 
 def _table_group(stem):
@@ -515,7 +516,7 @@ def test_orbit_representatives_match_pc_orbits(make):
     covered = set(central)
     for x in A.elements:
         if index[x] not in covered:
-            conjugates = {G.conjugate(x, h) for h in A.elements}
+            conjugates = {collected_conjugate(G, x, h) for h in A.elements}
             orbits.append({index[G.multiply(c, z)]
                            for c in conjugates for z in Z})
             covered |= orbits[-1]

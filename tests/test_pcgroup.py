@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lienil.pcgroup import (
     PcGroup,
@@ -143,6 +143,18 @@ def test_element_orders_in_dihedral_16():
     assert G.element_order(rotation) == 8
     assert G.element_order(reflection) == 2
     assert G.element_order(G.identity) == 1
+
+
+def collected_commutator(G, x, y):
+    """[x, y] = x^-1 y^-1 x y formed by products, the reference for any
+    bracket read off the presentation or skipped."""
+    return G.multiply(G.multiply(G.inverse(x), G.inverse(y)), G.multiply(x, y))
+
+
+def collected_conjugate(G, x, g):
+    """x^g = g^-1 x g formed by products, the reference for any
+    conjugate read off the presentation or skipped."""
+    return G.multiply(G.multiply(G.inverse(g), x), g)
 
 
 def test_commutator_and_conjugate_are_consistent():
@@ -360,18 +372,57 @@ def _relation_dicts(G):
     return G.p, G.ngens, dict(enumerate(G._powers)), G._comms
 
 
-def test_shipped_and_built_groups_pass_both_checks():
+# one group per builder family
+FAMILY_SPECS = {"dihedral": ("dihedral:64", None), "quaternion": ("quaternion:32", None),
+                "heisenberg": ("heisenberg:5", None), "abelian": ("abelian:9x3", 3),
+                "free_class2": ("free_class2:4", 3), "condition": ("condition:46", 5),
+                "condition-quotient": ("condition-quotient:66", 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_and_family_groups():
+    """The 30 shipped table rows, then one group per builder family."""
     from lienil.catalog import DATA_DIR, _BUILDERS, build_named, import_presentation
     groups = [import_presentation(f).group for f in sorted(DATA_DIR.glob("*.pres"))]
     assert len(groups) == 30
-    specs = {"dihedral": ("dihedral:64", None), "quaternion": ("quaternion:32", None),
-             "heisenberg": ("heisenberg:5", None), "abelian": ("abelian:9x3", 3),
-             "free_class2": ("free_class2:4", 3), "condition": ("condition:46", 5),
-             "condition-quotient": ("condition-quotient:66", 3)}
-    assert set(specs) == set(_BUILDERS)
-    groups += [build_named(*spec).group for spec in specs.values()]
-    for G in groups:
+    assert set(FAMILY_SPECS) == set(_BUILDERS)
+    return tuple(groups + [build_named(*spec).group for spec in FAMILY_SPECS.values()])
+
+
+def test_shipped_and_built_groups_pass_both_checks():
+    for G in _shipped_and_family_groups():
         assert _verdicts(*_relation_dicts(G)) == [None, None]
+
+
+@st.composite
+def _consistent_groups(draw):
+    """Random presentations from _relations that pass the check."""
+    try:
+        return PcGroup(*draw(_relations()))
+    except PresentationError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_support_test_commutes_and_is_exact_on_pc_generators(data):
+    """supports_commute(x, y) implies xy = yx; on two pc generators it
+    holds exactly when their collected bracket is 1, in either order; and
+    commutator and conjugate, which skip the products when it holds,
+    equal the collected values."""
+    G = data.draw(st.sampled_from(_shipped_and_family_groups()) | _consistent_groups())
+    gens = G.generators()
+    for x in gens:
+        for y in gens:
+            assert G.supports_commute(x, y) == (collected_commutator(G, x, y) == G.identity)
+    # mostly zero exponents, so that supports often commute
+    sparse = st.lists(st.just(0) | st.integers(0, G.p - 1),
+                      min_size=G.ngens, max_size=G.ngens).map(G.element)
+    x, y = data.draw(sparse), data.draw(sparse)
+    if G.supports_commute(x, y):
+        assert G.multiply(x, y) == G.multiply(y, x)
+    assert G.commutator(x, y) == collected_commutator(G, x, y)
+    assert G.conjugate(x, y) == collected_conjugate(G, x, y)
 
 
 def _calls(monkeypatch, run):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -41,6 +42,7 @@ from lienil.subgroups import (
 )
 from lienil import subgroups
 from lienil.pcgroup import PcGroup, parse_presentation
+from test_pcgroup import collected_commutator, collected_conjugate
 
 
 def _order_counts(H):
@@ -706,8 +708,9 @@ def _reference_normal_closure(G, gens):
     the generators and all their conjugates until nothing is added."""
     sub = closure(G, gens)
     while True:
-        grown = closure(G, [*sub.generators, *(G.conjugate(x, g) for x in sub.generators
-                                               for g in G.generators())])
+        grown = closure(G, [*sub.generators,
+                            *(collected_conjugate(G, x, g) for x in sub.generators
+                              for g in G.generators())])
         if grown == sub:
             return sub
         sub = grown
@@ -716,7 +719,8 @@ def _reference_normal_closure(G, gens):
 def _reference_is_normal(K):
     """Whether K is normalised by every pc generator, the slow reference."""
     G = K.group
-    return all(G.conjugate(k, g) in K for k in K.generators for g in G.generators())
+    return all(collected_conjugate(G, k, g) in K
+               for k in K.generators for g in G.generators())
 
 
 def _reference_lower_central_series(G):
@@ -726,7 +730,7 @@ def _reference_lower_central_series(G):
     series, current = [whole_group(G)], G.generators()
     while not series[-1].is_trivial():
         term = _reference_normal_closure(
-            G, [G.commutator(x, g) for x in current for g in G.generators()])
+            G, [collected_commutator(G, x, g) for x in current for g in G.generators()])
         series.append(term)
         current = term.generators
     return series
@@ -788,12 +792,18 @@ def test_normal_closure_and_series_match_every_generator_reference(drawn):
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
+    """Calls of PcGroup.commutator and .conjugate, and of the collected
+    references that stand for them in the slow reference series."""
     calls = Counter()
-    for name in ("commutator", "conjugate"):
-        def counted(self, x, y, _name=name, _f=getattr(PcGroup, name)):
+    module = sys.modules[__name__]
+    for owner, attr, name in ((PcGroup, "commutator", "commutator"),
+                              (PcGroup, "conjugate", "conjugate"),
+                              (module, "collected_commutator", "commutator"),
+                              (module, "collected_conjugate", "conjugate")):
+        def counted(G, x, y, _name=name, _f=getattr(owner, attr)):
             calls[_name] += 1
-            return _f(self, x, y)
-        monkeypatch.setattr(PcGroup, name, counted)
+            return _f(G, x, y)
+        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
@@ -832,7 +842,7 @@ def test_brackets_read_off_the_relations_equal_collected_ones(name):
     for i, x in enumerate(gens):
         assert subgroups._pc_index(x) == i
         for j, y in enumerate(gens):
-            assert subgroups._commutator(G, x, i, y, j) == G.commutator(x, y)
+            assert subgroups._commutator(G, x, i, y, j) == collected_commutator(G, x, y)
     collected = [c for a, y in enumerate(gens) for x in gens[a + 1:]
-                 if (c := G.commutator(x, y)) != G.identity]
+                 if (c := collected_commutator(G, x, y)) != G.identity]
     assert list(subgroups._generator_commutators(G, gens)) == collected

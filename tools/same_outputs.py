@@ -23,6 +23,9 @@ The argv list is fixed:
 - `index --json` on `dihedral:65536` and `classify --json` on
   `quaternion:1024`: lower central series of whole groups that keep 2
   of their 16 and 10 pc generators;
+- `classify --json` on `heisenberg:13` and on `free_class2:6 -p 2`:
+  centres taken where some pairs of generators pass
+  `PcGroup.supports_commute` and others do not;
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
@@ -64,6 +67,11 @@ SERIES_ARGVS = (
     ["classify", "--json", "--builder", "quaternion:1024"],
 )
 
+CENTRE_ARGVS = (
+    ["classify", "--json", "--builder", "heisenberg:13"],
+    ["classify", "--json", "--builder", "free_class2:6", "-p", "2"],
+)
+
 BAD_SPECS = (
     ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
     ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
@@ -86,6 +94,7 @@ def default_argvs() -> list[list[str]]:
     argvs += ORACLE_ARGVS
     argvs += COLLECTOR_ARGVS
     argvs += SERIES_ARGVS
+    argvs += CENTRE_ARGVS
     argvs.append(["verify-tables", "--json"])
     argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
     for spec in GOOD_SPECS:
