@@ -149,6 +149,9 @@ class PcGroup:
         self._links: tuple[int, ...] = tuple(links)
         self._image_memo: dict[tuple[int, int], tuple[Optional[Element], ...]] = {
             (i, 1): tuple(row) for i, row in enumerate(conjugates)}
+        # The power series of this group's subgroups, keyed by their
+        # canonical entries (lienil.subgroups.power_series).
+        self.power_series_memo: dict = {}
         self._consistency_check()
 
     # -- word validation ------------------------------------------------
@@ -389,26 +392,79 @@ class PcGroup:
           it or at k: e_k + w_j.  The right side (g_k g_j) g_j^(p-1) =
           (e_j + e_k) g_j^(p-1) conjugates nothing, and the exponent at j
           reaches p, which leaves w_j g_k = w_j + e_k, since w_j avoids g_k.
+        - (g_k g_j) g_i, k > j > i, is also skipped when [g_k, g_j] has no
+          relation and the overlap collects inside an abelian support.
+          Write phi_m = g_m^(g_i), read off the relation [g_m, g_i] (e_m
+          when there is none).  The left side collects g_i into
+          g_k g_j = e_j + e_k, whose part up to i is empty, so it is
+          e_i + mul(phi_j, phi_k).  The right side collects g_i into g_k,
+          giving e_i + phi_k, then phi_j's syllables, which lie after i:
+          e_i + mul(phi_k, phi_j).  Let A be the supports of phi_j and
+          phi_k, closed under the supports of the power relations w_m of
+          its generators, and suppose no two generators of A have a
+          relation [g_m, g_l] != 1.  Then collecting inside A never
+          conjugates, and a carry g_m^p = w_m stays inside A, so both
+          products are collections in the presentation on A with only
+          the power relations.  That presentation is consistent: it
+          presents Z^A over the lattice spanned by the p e_m - w_m, whose
+          matrix is triangular with p on the diagonal, so the quotient
+          has p^|A| elements, as many as there are normal words on A, and
+          each element has one normal word.  phi_j phi_k and phi_k phi_j
+          are one element of that abelian group, so the sides agree.
+          Each generator's closed support is computed once per check, and
+          from those each phi_m's, with the relations it links.
         """
         g = self._generators
         mul = self._mul
         n = self.ngens
         partners = self._partners
         linked = self._comms
+        links = self._links
         acting = [i for i in range(n) if partners[i]]
 
         def moves(x: Element, i: int) -> bool:
             return any(x[m] for m in partners[i])
 
+        # closed[m]: bit mask of g_m and, recursively, of the supports of
+        # the power relations of its bits; reach[m]: the generators that
+        # those bits have a relation with
+        closed = [0] * n
+        reach = [0] * n
+        for m in reversed(range(n)):
+            closed[m], reach[m] = 1 << m, links[m]
+            for l, e in enumerate(self._power_rel[m]):
+                if e:
+                    closed[m] |= closed[l]
+                    reach[m] |= reach[l]
+        # (closed, reach) of the union over phi_m = g_m^(g_i)'s support,
+        # for the partners m of g_i; phi_m = g_m for the others
+        supports = {}
+        for i in acting:
+            for m, c in enumerate(self._image_memo[i, 1]):
+                if c is not None:
+                    mask = r = 0
+                    for l, e in enumerate(c):
+                        if e:
+                            mask |= closed[l]
+                            r |= reach[l]
+                    supports[i, m] = mask, r
         collect = self._collect
         pairs = {(k, j): collect(g[k], j, 1) for k in range(n) for j in range(k)}
         for k in range(n):
             for j in range(k):
                 kj = pairs[k, j]
+                commuting = (k, j) not in linked
                 for i in acting:
                     if i >= j:
                         break
-                    if moves(kj, i) and mul(kj, g[i]) != mul(g[k], pairs[j, i]):
+                    if not moves(kj, i):
+                        continue
+                    if commuting:
+                        mask_j, reach_j = supports.get((i, j)) or (closed[j], reach[j])
+                        mask_k, reach_k = supports.get((i, k)) or (closed[k], reach[k])
+                        if not (mask_j | mask_k) & (reach_j | reach_k):
+                            continue
+                    if mul(kj, g[i]) != mul(g[k], pairs[j, i]):
                         raise PresentationError(
                             f"inconsistent presentation: overlap (g{k+1} g{j+1}) g{i+1}")
         for j in range(n):

@@ -12,7 +12,11 @@ intersections are kernels taken layer by layer down the central pc
 series (_kernel), so they read no element set either.  The centre,
 derived subgroup and power series of H are memoized on H, and the
 lower central series on the whole group W, so they live as long as
-their subgroup does.
+their subgroup does.  Power series are also memoized per group, in
+G.power_series_memo, keyed by the canonical entries: equal subgroups
+built by different routes are different objects (gamma_2^p and gamma_3
+of a dihedral group, say), and the key, unlike the object, is the same
+for both, so each distinct subgroup's series is built once.
 
 The whole group W = whole_group(G) keeps only the pc generators that do
 not lie in the subgroup of those before them (2 of 10 for the dihedral
@@ -38,13 +42,15 @@ lower central series, centres, intersections and dimension subgroups,
 as long as no step enumerates.
 
 Powers of H are one memoized chain, power_series(H) = [H, H^p, ..., 1],
-built from H's structure by one rule, never from a power of every
-element: (xz)^p = x^p z^p for central z, so one p-th power per coset of
-Z(H) and step, with the p^j-th powers of Z(H)'s generators, generate
-H^(p^j).  Everything else about powers is read off that chain: H^q is
-the term at the p-part of q (power_subgroup), exp(H) is p^(length - 1),
-the invariants and fingerprints come from the terms' orders, and the
-Lie dimension chain takes the nontrivial terms as its pieces.
+built from H's structure, never from a power of every element: for
+abelian H the p-th powers of H's generators generate H^p, and the chain
+goes on as H^p's own; otherwise (xz)^p = x^p z^p for central z, so one
+p-th power per coset of Z(H) and step, with the p^j-th powers of Z(H)'s
+generators, generate H^(p^j).  Everything else about powers is read off
+that chain: H^q is the term at the p-part of q (power_subgroup), exp(H)
+is p^(length - 1), the invariants and fingerprints come from the terms'
+orders, and the Lie dimension chain takes the nontrivial terms as its
+pieces.
 """
 
 from __future__ import annotations
@@ -283,7 +289,7 @@ def _grow(H: Subgroup, gens: Iterable[Element]) -> Subgroup:
             r = seq.sift(pending.pop())
             if r == G.identity:
                 continue
-            pending.extend(seq.add(r))
+            pending.extend(reversed(seq.add(r)))  # p-th power popped first
     if len(kept) == len(H.generators):
         return H
     seq.reduce()
@@ -303,8 +309,13 @@ def closure(G: PcGroup, gens: Iterable[Element]) -> Subgroup:
     after j.  So reading the exponent at depth d is a homomorphism
     G_d -> Z/p, and an entry t of depth d with t[d] = 1 cancels the
     exponent at d without touching earlier ones.  The sequence is closed
-    by sifting, after each new entry, its p-th power and its commutators
-    with every other entry, and entering what does not sift to 1.  With
+    by sifting, after each new entry, its p-th power and then its
+    commutators with the other entries in order of depth, and entering
+    what does not sift to 1; an entered element's own power and
+    commutators are sifted before the rest of the earlier ones (a stack).
+    Sifting the power first fills a chain of pc-generator entries from
+    the power relations, g_d^p = w_d, so that on such entries every later
+    commutator is a relation word and sifts without a product.  With
     entries t_1, ..., t_k by depth d_1 < ... < d_k, t_i^p lies in G_(d_i+1)
     and [t_j, t_i] (i < j) in G_(d_j+1), so each sifts through deeper
     entries only: t_i^p lies in <t_(i+1), ..., t_k>, and t_i normalises
@@ -334,6 +345,12 @@ def _commutator(G: PcGroup, x: Element, i: Optional[int],
     if i < j:
         return G.inverse(G.commutator_relation(j, i))
     return G.identity
+
+
+def _pth_power(G: PcGroup, x: Element) -> Element:
+    """x^p, read off the power relation when x is a pc generator."""
+    i = _pc_index(x)
+    return G.power(x, G.p) if i is None else G.power_relation(i)
 
 
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
@@ -494,29 +511,68 @@ def power_subgroup(H: Subgroup, q: int) -> Subgroup:
 
 def power_series(H: Subgroup) -> list[Subgroup]:
     """[H, H^p, H^(p^2), ..., 1], ending at the first trivial term;
-    memoized on H.  The terms descend strictly: H^(p^(j+1)) lies in
-    (H^(p^j))^p, inside the Frattini subgroup of H^(p^j).
+    memoized on H, and per group by H's canonical entries, so an equal
+    subgroup built elsewhere gets [itself] + the same later terms.  The
+    terms descend strictly: H^(p^(j+1)) lies in (H^(p^j))^p, inside the
+    Frattini subgroup of H^(p^j).
 
-    Each x in H is r z, with r one representative per coset of the centre
-    Z = Z(H) and z in Z, and (rz)^p = r^p z^p.  So {x^(p^j)} =
+    For abelian H, x -> x^p is a homomorphism, so H^p is the closure of
+    the p-th powers of H's generators and (H^(p^j))^p = H^(p^(j+1)): the
+    series is [H] + power_series(H^p), and each of its terms is recorded
+    as the start of its own series.
+
+    Otherwise each x in H is r z, with r one representative per coset of
+    the centre Z = Z(H) and z in Z, and (rz)^p = r^p z^p.  So {x^(p^j)} =
     {r^(p^j)} * Z^(p^j): one p-th power per non-central representative
     and step, times Z^(p^j), which, as the power map is a homomorphism on
     the abelian Z, is the closure of the p^j-th powers of Z's generators.
-    H^(p^j) is the closure of both; for abelian H, Z(H) = H and only the
-    generator powers remain.  Each step takes one p-th power of each of
-    the last step's powers, z^(p^j) = (z^(p^(j-1)))^p, not a p^j-th power
-    of z.
+    H^(p^j) is the closure of both.  Each step takes one p-th power of
+    each of the last step's powers, z^(p^j) = (z^(p^(j-1)))^p, not a
+    p^j-th power of z.
     """
     if H._power_series is None:
-        G = H.group
-        series = [H]
-        central, images = center(H).generators, _centre_transversal(H)
-        while not series[-1].is_trivial():
-            images = frozenset(y for y in (G.power(x, G.p) for x in images) if y != G.identity)
-            central = [G.power(z, G.p) for z in central]
-            series.append(closure(G, sorted(images) + central))
-        H._power_series = series
+        memo = H.group.power_series_memo
+        shared = memo.get(H.entries)
+        if shared is not None:
+            H._power_series = [H] + shared[1:]
+        elif center(H) is H:
+            _abelian_power_series(H, memo)
+        else:
+            G = H.group
+            series = [H]
+            central, images = center(H).generators, _centre_transversal(H)
+            while not series[-1].is_trivial():
+                images = frozenset(y for y in (G.power(x, G.p) for x in images)
+                                   if y != G.identity)
+                central = [_pth_power(G, z) for z in central]
+                series.append(closure(G, sorted(images) + central))
+            H._power_series = memo[H.entries] = series
     return H._power_series
+
+
+def _abelian_power_series(H: Subgroup, memo: dict) -> None:
+    """power_series(H) for abelian H: H^(p^(j+1)) is the closure of the
+    p-th powers of a generating set of H^(p^j), until a term is trivial
+    or already starts a memoized series.  That set is the term's entries
+    when they are all pc generators, whose p-th powers are the power
+    relations, else its kept generators, which are fewer.  Every new term
+    is abelian, and is memoized as the start of the rest of the series."""
+    G = H.group
+    series = [H]
+    term = H
+    while not term.is_trivial():
+        gens = (term.entries if all(_pc_index(t) is not None for t in term.entries)
+                else term.generators)
+        term = closure(G, [_pth_power(G, g) for g in gens])
+        shared = memo.get(term.entries)
+        if shared is not None:
+            series += shared
+            break
+        term._center = term
+        series.append(term)
+    for j, term in enumerate(series):
+        if term._power_series is None:
+            term._power_series = memo[term.entries] = series[j:]
 
 
 def _centre_transversal(H: Subgroup) -> frozenset:

@@ -22,6 +22,7 @@ from lienil.dimension import (
 from lienil.pcgroup import parse_presentation
 from lienil.subgroups import (
     lower_central_series,
+    power_series,
     power_subgroup,
     subgroup_product,
     trivial_subgroup,
@@ -136,11 +137,12 @@ CHAIN_GROUPS = {
 
 def test_single_subgroup_matches_chain():
     for name, build in CHAIN_GROUPS.items():
-        G = build()
-        chain = lie_dimension_chain(whole_group(G))
-        reference = whole_group(G)  # own memos: nothing shared with the chain
-        assert chain == [lie_dimension_subgroup(reference, m)
-                         for m in range(2, len(chain) + 2)], name
+        chain = lie_dimension_chain(whole_group(build()))
+        # a separately built group: no memo is shared with the chain
+        reference = whole_group(build())
+        assert [term.entries for term in chain] == [
+            lie_dimension_subgroup(reference, m).entries
+            for m in range(2, len(chain) + 2)], name
         # the chain stops at its first trivial term
         assert chain[-1].is_trivial(), name
         assert not any(term.is_trivial() for term in chain[:-1]), name
@@ -158,13 +160,40 @@ def test_mass_check_equals_derived_order():
 
 @pytest.mark.parametrize("spec, p, work, before", [
     # before: the counts when every bracket and centre product was collected
-    ("dihedral:1024", None, (1125, 1293), (2975, 3782)),
-    ("free_class2:5", 2, (30, 10), (450, 360)),
+    ("dihedral:1024", None, (437, 545), (2975, 3782)),
+    ("free_class2:5", 2, (0, 0), (450, 360)),
 ])
 def test_dimension_chain_work_is_pinned(monkeypatch, spec, p, work, before):
     """(_mul, _collect) calls of the chain, whole group included.  Brackets
     and centre products of elements whose supports commute are read off
-    the presentation (PcGroup.supports_commute), not collected."""
+    the presentation (PcGroup.supports_commute), not collected, nor are
+    p-th powers of pc generators, and each distinct subgroup's power
+    series is built once."""
     G = build_named(spec, p).group
     assert _calls(monkeypatch, lambda: lie_dimension_chain(whole_group(G))) == work
     assert work[0] < before[0] and work[1] < before[1]
+
+
+def test_whole_group_work_is_pinned(monkeypatch):
+    """Closing G from its pc generators sifts each new entry's p-th power
+    first, so the sequence fills with pc generators read off the power
+    relations, and no product is collected (348 _mul and 418 _collect
+    calls when the commutators were sifted first)."""
+    G = build_dihedral(1024).group
+    assert _calls(monkeypatch, lambda: whole_group(G)) == (0, 0)
+
+
+def test_equal_pieces_share_one_power_series():
+    """On the dihedral group of order 1024, gamma_2^2 equals gamma_3, so
+    gamma_3's series is [gamma_3] + the later terms of gamma_2's, the
+    same objects, and the chain builds one series per distinct subgroup:
+    the 9 terms of gamma_2's."""
+    G = build_dihedral(1024).group
+    W = whole_group(G)
+    lie_dimension_chain(W)
+    gamma = lower_central_series(W)
+    s2, s3 = power_series(gamma[1]), power_series(gamma[2])
+    assert s2[1] == gamma[2] and s3[0] is gamma[2]
+    assert len(s2) == len(s3) + 1 == 9
+    assert all(a is b for a, b in zip(s2[2:], s3[1:]))
+    assert len(G.power_series_memo) == 9

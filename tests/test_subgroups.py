@@ -41,6 +41,7 @@ from lienil.subgroups import (
     whole_group,
 )
 from lienil import subgroups
+from lienil.dimension import lie_dimension_chain
 from lienil.pcgroup import PcGroup, parse_presentation
 from test_pcgroup import collected_commutator, collected_conjugate
 
@@ -457,6 +458,41 @@ def test_power_subgroups_are_memoized(d16, heis3):
     assert power_subgroup(H, 3) is power_subgroup(H, 3)
 
 
+def _assert_series_match_a_rebuilt_group(subgroups_of_G):
+    """Each subgroup's power series, read through the memo its group
+    keeps by canonical entries, equals the series computed afresh for the
+    same subgroup of a separately built group, whose memo is emptied
+    before each one."""
+    G = subgroups_of_G[0].group
+    rebuilt = PcGroup(G.p, G.ngens, dict(enumerate(G._powers)), G._comms)
+    for K in subgroups_of_G:
+        rebuilt.power_series_memo.clear()
+        fresh = power_series(closure(rebuilt, K.generators))
+        assert [S.entries for S in power_series(K)] == [S.entries for S in fresh], K
+
+
+def _assert_memo_matches_a_rebuilt_group(G):
+    """After the Lie dimension chain and the fingerprint of G, every
+    memoized series, and that of every lower central term (which reads
+    the memo), equals a fresh computation."""
+    W = whole_group(G)
+    lie_dimension_chain(W)
+    fingerprint(W)
+    for entries, series in G.power_series_memo.items():
+        assert series[0].entries == entries and series[0]._power_series is series
+    _assert_series_match_a_rebuilt_group(
+        [series[0] for series in G.power_series_memo.values()]
+        + lower_central_series(W))
+
+
+@settings(max_examples=40, deadline=None)
+@given(H=random_subgroup())
+def test_memoized_power_series_of_random_subgroups_match_a_rebuilt_group(H):
+    fingerprint(H)
+    _assert_series_match_a_rebuilt_group(
+        [*power_series(H), center(H), derived_subgroup(H)])
+
+
 def test_closure_respects_cap(d16, monkeypatch):
     monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 7)
     H = closure(d16, d16.generators())
@@ -779,6 +815,16 @@ def test_lower_central_series_of_catalog_groups_matches_reference():
 @pytest.mark.parametrize("name", PRESENTED_NAMES)
 def test_lower_central_series_of_shipped_and_builder_groups_matches_reference(name):
     _assert_series_matches_reference(_presented_group(name))
+
+
+def test_memoized_power_series_of_catalog_groups_match_a_rebuilt_group():
+    for entry in standard_catalog():
+        _assert_memo_matches_a_rebuilt_group(entry.group)
+
+
+@pytest.mark.parametrize("name", PRESENTED_NAMES)
+def test_memoized_power_series_of_shipped_and_builder_groups_match_a_rebuilt_group(name):
+    _assert_memo_matches_a_rebuilt_group(_presented_group(name))
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,6 +26,11 @@ The argv list is fixed:
 - `classify --json` on `heisenberg:13` and on `free_class2:6 -p 2`:
   centres taken where some pairs of generators pass
   `PcGroup.supports_commute` and others do not;
+- `index --json` on `quaternion:512`, and `index --json` and
+  `classify --json` on `abelian:27x9x3 -p 3`: power series built by
+  the abelian recursion and read from the per-group memo, the
+  lower central terms' in `index`, and those of the subgroups
+  `classify` fingerprints;
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
@@ -72,6 +77,12 @@ CENTRE_ARGVS = (
     ["classify", "--json", "--builder", "free_class2:6", "-p", "2"],
 )
 
+POWER_ARGVS = (
+    ["index", "--json", "--builder", "quaternion:512"],
+    ["index", "--json", "--builder", "abelian:27x9x3", "-p", "3"],
+    ["classify", "--json", "--builder", "abelian:27x9x3", "-p", "3"],
+)
+
 BAD_SPECS = (
     ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
     ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
@@ -95,6 +106,7 @@ def default_argvs() -> list[list[str]]:
     argvs += COLLECTOR_ARGVS
     argvs += SERIES_ARGVS
     argvs += CENTRE_ARGVS
+    argvs += POWER_ARGVS
     argvs.append(["verify-tables", "--json"])
     argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
     for spec in GOOD_SPECS:
