@@ -401,10 +401,7 @@ def main(argv=None) -> int:
         # the null device, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except InputProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
+    except (InputProblem, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

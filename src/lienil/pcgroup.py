@@ -45,6 +45,12 @@ from typing import Iterable, Optional
 Word = tuple[tuple[int, int], ...]
 Element = tuple[int, ...]
 
+
+def _pc_index(x: Element) -> Optional[int]:
+    """i when x is the pc generator g_i, else None."""
+    return x.index(1) if 1 in x and x.count(0) == len(x) - 1 else None
+
+
 # Miller-Rabin with the prime bases 2..41 is exact below _PRIME_TEST_BOUND
 # (Sorenson and Webster, Math. Comp. 86, 2017).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -296,6 +302,12 @@ class PcGroup:
         return self._inv(x)
 
     def power(self, x: Element, m: int) -> Element:
+        """x^m; for x = g_i and m = p, the power relation w_i, read off the
+        presentation with no product."""
+        if m == self.p:
+            i = _pc_index(x)
+            if i is not None:
+                return self._power_rel[i]
         if m < 0:
             return self._pow(self._inv(x), -m)
         return self._pow(x, m)
@@ -324,11 +336,25 @@ class PcGroup:
         return True
 
     def commutator(self, x: Element, y: Element) -> Element:
-        """[x, y] = x^-1 y^-1 x y = (yx)^-1 (xy), with one inverse; 1,
-        with no product, when supports_commute(x, y)."""
+        """[x, y] = x^-1 y^-1 x y.  For pc generators x = g_j, y = g_i it
+        is read off the presentation with no product: the relation word
+        [g_j, g_i] for j > i, its inverse for j < i, and 1 for j = i.
+        Otherwise it is 1, with no product, when supports_commute(x, y);
+        else xy and yx are formed once, and it is 1 when they are equal,
+        (yx)^-1 (xy) with one inverse when they are not."""
+        j, i = _pc_index(x), _pc_index(y)
+        if j is not None and i is not None:
+            if j > i:
+                return self.commutator_relation(j, i)
+            if j < i:
+                return self._inv(self.commutator_relation(i, j))
+            return self.identity
         if self.supports_commute(x, y):
             return self.identity
-        return self._mul(self._inv(self._mul(y, x)), self._mul(x, y))
+        xy, yx = self._mul(x, y), self._mul(y, x)
+        if xy == yx:
+            return self.identity
+        return self._mul(self._inv(yx), xy)
 
     def conjugate(self, x: Element, g: Element) -> Element:
         """x^g = g^-1 x g; x itself, with no product, when
@@ -387,11 +413,12 @@ class PcGroup:
           position, so both are w_j + e_j.
         - g_k g_j^p, k > j, is skipped when g_k is not a partner of g_j,
           w_j has exponent 0 at k, and no relation links g_k to a generator
-          of w_j.  The left side g_k w_j collects each syllable of w_j with
-          no conjugation into a tuple whose only other entries lie below
-          it or at k: e_k + w_j.  The right side (g_k g_j) g_j^(p-1) =
-          (e_j + e_k) g_j^(p-1) conjugates nothing, and the exponent at j
-          reaches p, which leaves w_j g_k = w_j + e_k, since w_j avoids g_k.
+          of w_j (supports_commute(g_k, w_j)).  The left side g_k w_j
+          collects each syllable of w_j with no conjugation into a tuple
+          whose only other entries lie below it or at k: e_k + w_j.  The
+          right side (g_k g_j) g_j^(p-1) = (e_j + e_k) g_j^(p-1) conjugates
+          nothing, and the exponent at j reaches p, which leaves
+          w_j g_k = w_j + e_k, since w_j avoids g_k.
         - (g_k g_j) g_i, k > j > i, is also skipped when [g_k, g_j] has no
           relation and the overlap collects inside an abelian support.
           Write phi_m = g_m^(g_i), read off the relation [g_m, g_i] (e_m
@@ -470,15 +497,13 @@ class PcGroup:
         for j in range(n):
             below = self.identity[:j] + (self.p - 1,) + self.identity[j + 1:]
             pj = self._power_rel[j]
-            support = [m for m, e in enumerate(pj) if e]
             for i in range(j):
                 if (((j, i) in linked or moves(pj, i))
                         and mul(pj, g[i]) != mul(below, pairs[j, i])):
                     raise PresentationError(
                         f"inconsistent presentation: overlap g{j+1}^p g{i+1}")
             for kk in range(j + 1, n):
-                if (((kk, j) in linked or pj[kk]
-                     or any((kk, m) in linked or (m, kk) in linked for m in support))
+                if (((kk, j) in linked or pj[kk] or not self.supports_commute(g[kk], pj))
                         and mul(g[kk], pj) != mul(pairs[kk, j], below)):
                     raise PresentationError(
                         f"inconsistent presentation: overlap g{kk+1} g{j+1}^p")

@@ -22,9 +22,10 @@ The whole group W = whole_group(G) keeps only the pc generators that do
 not lie in the subgroup of those before them (2 of 10 for the dihedral
 group of order 1024), and they generate G.  So W's series (derived
 subgroup, lower central series, normal closures) bracket with and
-conjugate by W's kept generators, not by all n pc generators, and a
-bracket of two pc generators is read off the presentation
-(_commutator), not collected.
+conjugate by W's kept generators, not by all n pc generators.  Every
+bracket and p-th power comes from PcGroup.commutator and PcGroup.power,
+which read those of pc generators off the presentation, so this module
+holds no copy of the relations.
 
 Nor is a product formed only to compare or bracket two elements x, y
 whose supports commute (PcGroup.supports_commute: no generator of x has
@@ -132,24 +133,23 @@ class _PcSequence:
 
     def add(self, r: Element) -> list[Element]:
         """Enter a sifted r != 1 at its depth; return the new entry's p-th
-        power and its commutators with the other entries, which lie in S
-        and still need sifting."""
+        power and its non-trivial commutators with the other entries,
+        deeper entry first, which lie in S and still need sifting.  Both
+        come from PcGroup.power and PcGroup.commutator: on a pc-generator
+        entry g_d the power is the relation word w_d, and on two such
+        entries, deeper first, the commutator is the relation word itself,
+        so neither is collected."""
         G = self.group
         d = _depth(r)
         t = r if r[d] == 1 else G.power(r, pow(r[d], -1, G.p))
         self._set(d, t)
-        found = [self._power(d, G.p) if d in self._powers else G.power_relation(d)]
+        found = [G.power(t, G.p)]
         for c, s in enumerate(self.entries):
             if s is None or c == d:
                 continue
-            if d not in self._powers and c not in self._powers:
-                found.append(G.commutator_relation(max(c, d), min(c, d)))
-                continue
-            if G.supports_commute(t, s):
-                continue
-            ts, st = G.multiply(t, s), G.multiply(s, t)
-            if ts != st:
-                found.append(G.multiply(G.inverse(st), ts))  # [t, s]
+            u = G.commutator(s, t) if c > d else G.commutator(t, s)
+            if u != G.identity:
+                found.append(u)
         return found
 
     def reduce(self) -> None:
@@ -328,37 +328,11 @@ def closure(G: PcGroup, gens: Iterable[Element]) -> Subgroup:
     return _grow(trivial_subgroup(G), gens)
 
 
-def _pc_index(x: Element) -> Optional[int]:
-    """i when x is the pc generator g_i, else None."""
-    return x.index(1) if 1 in x and x.count(0) == len(x) - 1 else None
-
-
-def _commutator(G: PcGroup, x: Element, i: Optional[int],
-                y: Element, j: Optional[int]) -> Element:
-    """[x, y], given i = _pc_index(x) and j = _pc_index(y).  For pc
-    generators g_i, g_j it is read off the presentation, not collected:
-    the relation word for i > j, its inverse for i < j, and 1 for i = j."""
-    if i is None or j is None:
-        return G.commutator(x, y)
-    if i > j:
-        return G.commutator_relation(i, j)
-    if i < j:
-        return G.inverse(G.commutator_relation(j, i))
-    return G.identity
-
-
-def _pth_power(G: PcGroup, x: Element) -> Element:
-    """x^p, read off the power relation when x is a pc generator."""
-    i = _pc_index(x)
-    return G.power(x, G.p) if i is None else G.power_relation(i)
-
-
 def _generator_commutators(G: PcGroup, gens: Sequence[Element]) -> Iterator[Element]:
     """The non-identity brackets [gens[b], gens[a]] for a < b."""
-    pc = [_pc_index(g) for g in gens]
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
-            c = _commutator(G, gens[b], pc[b], gens[a], pc[a])
+            c = G.commutator(gens[b], gens[a])
             if c != G.identity:
                 yield c
 
@@ -544,7 +518,7 @@ def power_series(H: Subgroup) -> list[Subgroup]:
             while not series[-1].is_trivial():
                 images = frozenset(y for y in (G.power(x, G.p) for x in images)
                                    if y != G.identity)
-                central = [_pth_power(G, z) for z in central]
+                central = [G.power(z, G.p) for z in central]
                 series.append(closure(G, sorted(images) + central))
             H._power_series = memo[H.entries] = series
     return H._power_series
@@ -554,16 +528,16 @@ def _abelian_power_series(H: Subgroup, memo: dict) -> None:
     """power_series(H) for abelian H: H^(p^(j+1)) is the closure of the
     p-th powers of a generating set of H^(p^j), until a term is trivial
     or already starts a memoized series.  That set is the term's entries
-    when they are all pc generators, whose p-th powers are the power
-    relations, else its kept generators, which are fewer.  Every new term
-    is abelian, and is memoized as the start of the rest of the series."""
+    when they are all pc generators (its sequence keeps no power memo),
+    whose p-th powers are the power relations, else its kept generators,
+    which are fewer.  Every new term is abelian, and is memoized as the
+    start of the rest of the series."""
     G = H.group
     series = [H]
     term = H
     while not term.is_trivial():
-        gens = (term.entries if all(_pc_index(t) is not None for t in term.entries)
-                else term.generators)
-        term = closure(G, [_pth_power(G, g) for g in gens])
+        gens = term.generators if term._seq._powers else term.entries
+        term = closure(G, [G.power(g, G.p) for g in gens])
         shared = memo.get(term.entries)
         if shared is not None:
             series += shared
@@ -637,15 +611,9 @@ def lower_central_series(W: Subgroup) -> list[Subgroup]:
         assert W.order == G.order, "lower central series of a proper subgroup"
         current = derived_subgroup(W)
         series = [W, current]
-        pc = [_pc_index(g) for g in W.generators]
         while not current.is_trivial():
-            brackets = []
-            for x in current.generators:
-                i = _pc_index(x)
-                for g, j in zip(W.generators, pc):
-                    c = _commutator(G, x, i, g, j)
-                    if c != G.identity:
-                        brackets.append(c)
+            brackets = [c for x in current.generators for g in W.generators
+                        if (c := G.commutator(x, g)) != G.identity]
             nxt = normal_closure(W, brackets)
             assert nxt <= current, "lower central series not descending"
             series.append(nxt)

@@ -445,6 +445,12 @@ def _calls(monkeypatch, run):
     ("free_class2:5", 2, (170, 235)),
     # relation-free: only the g_k g_j collections, each a plain write
     ("gens 40", 2, (0, 780)),
+    # phi_2 = g2 and phi_3 = g3 g4 (conjugates by g1) have link-free
+    # supports, but w_2 = g5 g6 links to g3, so the overlap (g3 g2) g1 is
+    # collected only because the abelian-support skip closes supports
+    # under the power relations: (57, 62) without that closure
+    pytest.param("gens 7\npow 2 : g5^1 g6^1\ncomm 3 1 : g4^1\ncomm 5 3 : g7^1\n"
+                 "comm 6 3 : g7^1", 2, (61, 68), id="power-closed-support"),
 ])
 def test_check_work_is_pinned(monkeypatch, spec, p, work):
     """The check collects only the overlaps whose sides can differ, so it

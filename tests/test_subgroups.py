@@ -43,7 +43,7 @@ from lienil.subgroups import (
 from lienil import subgroups
 from lienil.dimension import lie_dimension_chain
 from lienil.pcgroup import PcGroup, parse_presentation
-from test_pcgroup import collected_commutator, collected_conjugate
+from test_pcgroup import _calls, collected_commutator, collected_conjugate
 
 
 def _order_counts(H):
@@ -839,56 +839,95 @@ def test_normal_closure_and_series_match_every_generator_reference(drawn):
 @pytest.fixture
 def bracket_calls(monkeypatch):
     """Calls of PcGroup.commutator and .conjugate, and of the collected
-    references that stand for them in the slow reference series."""
+    references that stand for them in the slow reference series; and the
+    collector calls, under "_mul" and "_collect", with those made inside
+    PcGroup.commutator counted again under "_mul in commutator" and
+    "_collect in commutator"."""
     calls = Counter()
     module = sys.modules[__name__]
+    inside = []  # one flag per open bracket call: is it PcGroup.commutator?
     for owner, attr, name in ((PcGroup, "commutator", "commutator"),
                               (PcGroup, "conjugate", "conjugate"),
                               (module, "collected_commutator", "commutator"),
                               (module, "collected_conjugate", "conjugate")):
-        def counted(G, x, y, _name=name, _f=getattr(owner, attr)):
+        def counted(G, x, y, _name=name, _f=getattr(owner, attr),
+                    _pc=owner is PcGroup and attr == "commutator"):
             calls[_name] += 1
-            return _f(G, x, y)
+            inside.append(_pc)
+            try:
+                return _f(G, x, y)
+            finally:
+                inside.pop()
         monkeypatch.setattr(owner, attr, counted)
+    for name in ("_mul", "_collect"):
+        def collected(G, *args, _name=name, _f=getattr(PcGroup, name)):
+            calls[_name] += 1
+            if any(inside):
+                calls[f"{_name} in commutator"] += 1
+            return _f(G, *args)
+        monkeypatch.setattr(PcGroup, name, collected)
     return calls
 
 
 @pytest.mark.parametrize("name, work", [
-    # 2 of 10 pc generators kept; 8 brackets of non-pc terms with them
-    ("dihedral:1024", {"commutator": 8, "conjugate": 16}),
+    # 2 of 10 pc generators kept; the brackets of the terms' non-pc
+    # generators with them are collected
+    ("dihedral:1024", {"collector": (437, 545), "conjugate": 16}),
     # 5 of 15 kept; every bracket is a relation word, the 50 conjugations
     # are gamma_2's 10 generators by the 5 kept ones
-    ("free_class2:5 -p 2", {"conjugate": 50}),
+    ("free_class2:5 -p 2", {"collector": (0, 0), "conjugate": 50}),
 ])
 def test_lower_central_series_bracket_work_is_pinned(name, work, bracket_calls):
-    G = _presented_group(name)
+    """(_mul, _collect) calls and conjugations of the series, on a group
+    built afresh, so that no earlier test has filled its collector's
+    memos; both fewer than the every-pc-generator reference makes."""
+    G = build_named(*BUILDER_SPECS[name]).group
     W = whole_group(G)
     bracket_calls.clear()
     lower_central_series(W)
-    assert bracket_calls == work
+    fast = bracket_calls.copy()
+    assert (fast["_mul"], fast["_collect"]) == work["collector"]
+    assert fast["conjugate"] == work["conjugate"]
     bracket_calls.clear()
     _reference_lower_central_series(G)
-    assert work.get("commutator", 0) < bracket_calls["commutator"]
-    assert work["conjugate"] < bracket_calls["conjugate"]
+    assert fast["_mul"] < bracket_calls["_mul"] and fast["_collect"] < bracket_calls["_collect"]
+    assert fast["conjugate"] < bracket_calls["conjugate"]
 
 
 @pytest.mark.parametrize("name", sorted(BUILDER_SPECS))
 def test_derived_subgroup_of_the_whole_group_collects_no_bracket(name, bracket_calls):
+    """W's kept generators are pc generators, so every bracket of
+    derived_subgroup(W) and is_abelian(W) is read off the relations, or
+    skipped on commuting supports: PcGroup.commutator collects nothing."""
     W = whole_group(_presented_group(name))
     bracket_calls.clear()
     derived_subgroup(W)
     is_abelian(W)
-    assert bracket_calls["commutator"] == 0
+    assert bracket_calls["commutator"] > 0
+    assert bracket_calls["_mul in commutator"] == bracket_calls["_collect in commutator"] == 0
 
 
 @pytest.mark.parametrize("name", PRESENTED_NAMES)
-def test_brackets_read_off_the_relations_equal_collected_ones(name):
+def test_brackets_read_off_the_relations_equal_collected_ones(name, monkeypatch):
+    """On every ordered pair of pc generators g_j, g_i, PcGroup.commutator
+    equals the collected bracket, and makes no collector call for j >= i,
+    where it is the relation word or 1; PcGroup.power(g_i, p) equals the
+    collected p-th power with no collector call."""
     G = _presented_group(name)
     gens = G.generators()
-    for i, x in enumerate(gens):
-        assert subgroups._pc_index(x) == i
-        for j, y in enumerate(gens):
-            assert subgroups._commutator(G, x, i, y, j) == collected_commutator(G, x, y)
+    for j, x in enumerate(gens):
+        for i, y in enumerate(gens):
+            got = []
+            work = _calls(monkeypatch, lambda: got.append(G.commutator(x, y)))
+            assert got == [collected_commutator(G, x, y)]
+            if j >= i:
+                assert work == (0, 0)
+        got = []
+        assert _calls(monkeypatch, lambda: got.append(G.power(x, G.p))) == (0, 0)
+        collected = G.identity
+        for _ in range(G.p):
+            collected = G.multiply(collected, x)
+        assert got == [collected]
     collected = [c for a, y in enumerate(gens) for x in gens[a + 1:]
                  if (c := collected_commutator(G, x, y)) != G.identity]
     assert list(subgroups._generator_commutators(G, gens)) == collected

@@ -31,6 +31,12 @@ The argv list is fixed:
   the abelian recursion and read from the per-group memo, the
   lower central terms' in `index`, and those of the subgroups
   `classify` fingerprints;
+- `index` on presentation files written to one temporary directory
+  that both checkouts read: the four hand-made inconsistent
+  presentations of `tests/test_pcgroup.py`, one per overlap test of the
+  consistency check, each refused with exit 2 and the overlap named,
+  and a consistent group whose overlap (g3 g2) g1 is collected only
+  because the check closes supports under the power relations;
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
@@ -43,6 +49,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -83,6 +90,22 @@ POWER_ARGVS = (
     ["classify", "--json", "--builder", "abelian:27x9x3", "-p", "3"],
 )
 
+# name -> presentation text, for `index` on a file
+PRESENTATIONS = {
+    "overlap-g1p-g1": "p 2\ngens 3\npow 1 : g2^1\npow 2 : g3^1\ncomm 2 1 : g3^1\n",
+    "overlap-g3-g2-g1": (
+        "p 2\ngens 5\npow 1 : g4^1\npow 2 : g4^1\npow 4 : g5^1\ncomm 2 1 : g3^1\n"
+        "comm 3 1 : g4^1 g5^1\ncomm 3 2 : g4^1\ncomm 4 2 : g5^1\ncomm 4 3 : g5^1\n"),
+    "overlap-g2p-g1": (
+        "p 2\ngens 4\npow 2 : g3^1\npow 3 : g4^1\ncomm 2 1 : g4^1\ncomm 3 1 : g4^1\n"),
+    "overlap-g2-g1p": (
+        "p 2\ngens 4\npow 1 : g3^1\npow 2 : g3^1\npow 3 : g4^1\n"
+        "comm 2 1 : g3^1 g4^1\ncomm 3 1 : g4^1\ncomm 3 2 : g4^1\n"),
+    "power-closed-support": (
+        "p 2\ngens 7\npow 2 : g5^1 g6^1\ncomm 3 1 : g4^1\ncomm 5 3 : g7^1\n"
+        "comm 6 3 : g7^1\n"),
+}
+
 BAD_SPECS = (
     ["abelian:1", "-p", "2"], ["abelian:6", "-p", "2"], ["abelian:4x2"],
     ["abelian:2xq", "-p", "2"], ["abelian:", "-p", "2"], ["free_class2:3"],
@@ -100,13 +123,24 @@ def benchmark_argvs() -> list[list[str]]:
             for argv in workloads.all_invocations(name)]
 
 
-def default_argvs() -> list[list[str]]:
+def presentation_argvs(directory: Path) -> list[list[str]]:
+    """Write PRESENTATIONS into directory; `index` on each file."""
+    argvs = []
+    for name, text in PRESENTATIONS.items():
+        path = directory / f"{name}.pres"
+        path.write_text(text)
+        argvs.append(["index", str(path)])
+    return argvs
+
+
+def default_argvs(directory: Path) -> list[list[str]]:
     argvs = benchmark_argvs()
     argvs += ORACLE_ARGVS
     argvs += COLLECTOR_ARGVS
     argvs += SERIES_ARGVS
     argvs += CENTRE_ARGVS
     argvs += POWER_ARGVS
+    argvs += presentation_argvs(directory)
     argvs.append(["verify-tables", "--json"])
     argvs += [["catalog", "list"], ["catalog", "list", "--json"]]
     for spec in GOOD_SPECS:
@@ -128,15 +162,16 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout under test")
     args = parser.parse_args(argv)
     base, change = args.base.resolve(), args.change.resolve()
-    calls = default_argvs()
     differ = 0
-    for call in calls:
-        a, b = run(base, call), run(change, call)
-        diffs = [what for what, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
-        if diffs:
-            differ += 1
-        status = "DIFF " + ",".join(diffs) if diffs else "same"
-        print(f"{status:<24} exit {b[0]}  {' '.join(call)}", flush=True)
+    with tempfile.TemporaryDirectory() as directory:
+        calls = default_argvs(Path(directory))
+        for call in calls:
+            a, b = run(base, call), run(change, call)
+            diffs = [what for what, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+            if diffs:
+                differ += 1
+            status = "DIFF " + ",".join(diffs) if diffs else "same"
+            print(f"{status:<24} exit {b[0]}  {' '.join(call)}", flush=True)
     print(f"{differ} of {len(calls)} calls differ")
     return 1 if differ else 0
 
