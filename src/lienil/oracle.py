@@ -15,30 +15,38 @@ the first zero term, so the nilpotency indices are the lists' lengths.
 The lower chain's terms are the spans V_n, not the ideals they generate;
 the two vanish together, so t_L is the same either way.  Both chains
 use a minimal generating set S of G, d(G) = log_p [G : Phi(G)] elements
-by the Burnside basis theorem, often far fewer than the pc generators.  The
-upper chain brackets against S alone and closes the brackets' span
-under right multiplication by S: the ideal is the right ideal
-[M^(n), F_p[G]] F_p[G] (`upper_lie_chain` gives the argument).  The
-lower chain brackets the basis of V_n, and the brackets' span is
-V_(n+1) itself.  Its first step brackets against S, since
-[a, bc] = [ab, c] + [ca, b] makes [F_p[G], F_p[G]] the span of
-[F_p[G], S]; later steps bracket against one element per orbit of the
-non-central elements under conjugation and central translation
-(x -> h^-1 x h z) (`lower_lie_chain` gives the argument).  S, the
-orbits and the centre are all found from the multiplication table
-alone, and both products of an element with a basis element are column
-gathers through it.
+by the Burnside basis theorem, often far fewer than the pc generators.
 
 Both chains are graded by G/G': every term is spanned by elements each
 supported on one coset of G', and so is each row of its reduced
 row-echelon basis (`_lie_chain` gives the argument).  `build_algebra`
-lists the basis coset by coset of G', so a term is |G : G'| echelon
-blocks of width |G'|, one per coset, eliminated together as one stack
-(fp_linalg.EchelonAccumulator with one grade per coset), which does
-about |G : G'| times fewer flops than one dense basis of width |G|.  The
-blocks are the only form a term takes: its dimension is the number of
-pivots in its blocks, and block 0, the coset G', gives the Lie dimension
+lists the basis coset by coset of G'.
+
+The upper chain is computed inside F_p[G'] alone.  M^(n) is a two-sided
+ideal, so its part in the coset c = x G' is I_n x, with I_n the
+intersection of M^(n) and F_p[G'], and dim M^(n) = |G : G'| dim I_n.
+I_(n+1) is the span of v - g v g^-1 and v - v h over a basis of I_n, g
+in S and h in a minimal generating set H of G', closed under right
+multiplication by H (`_upper_ideals` gives the argument).  Both moves
+are gathers within G', so each step is one echelon basis of width
+|G'|, and no element is bracketed.  I_m also gives the Lie dimension
 subgroups (`lie_dimension_orders`).
+
+The lower chain brackets the basis of V_n, and the brackets' span is
+V_(n+1) itself.  Its first step brackets against S, since
+[a, bc] = [ab, c] + [ca, b] makes [F_p[G], F_p[G]] the span of
+[F_p[G], S]; later steps bracket against one element per orbit of the
+non-central elements under conjugation and central translation
+(x -> h^-1 x h z) (`lower_lie_chain` gives the argument).  A lower term
+is |G : G'| echelon blocks of width |G'|, one per coset, eliminated
+together as one stack (fp_linalg.EchelonAccumulator with one grade per
+coset), which does about |G : G'| times fewer flops than one dense
+basis of width |G|.  The blocks are the only form a lower term takes:
+its dimension is the number of pivots in its blocks.
+
+S, H, the orbits and the centre are all found from the multiplication
+table alone, and both products of an element with a basis element are
+column gathers through it.
 
 The multiplication table itself is read off G's pc relations by array
 gathers, and no product is collected (`_pc_table` gives the
@@ -106,36 +114,26 @@ class GroupAlgebra:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A minimal generating set of G: the pc generators, in order,
-        that lie outside the subgroup H generated by Phi(G) and the ones
-        kept before them.
+        """A minimal generating set S of G, read off the table by
+        `_burnside_basis` from the pc generators, in order: by the
+        Burnside basis theorem it has log_p [G : Phi(G)] elements."""
+        return _burnside_basis(self.table, self.p, self.cosets[0], self.generator_indices)
 
-        Phi(G) = G' G^p, and G/G' is abelian, so the cosets x^p G' make
-        up (G/G')^p and Phi(G) is the set of products G' x^p.  Every H
-        that contains Phi(G) is normal in G, so <H, g> is the union of
-        the cosets H g^k, and the loop adds them until one is H again.
-        The kept generators are a basis of G/Phi(G), so by the Burnside
-        basis theorem they generate G, and there are log_p [G : Phi(G)]
-        of them.
+    @cached_property
+    def derived_generators(self) -> tuple[int, ...]:
+        """A minimal generating set H of G', read off the table alone.
+
+        G' is the indices below m = |G'|, and the top-left m x m corner of
+        the table is its multiplication table.  The commutators [x, g]
+        over x in G and g in S generate G' (`_derived_subgroup`), so
+        `_burnside_basis` picks H from them, ascending, against the
+        derived subgroup G'' that they give on that corner.
         """
-        xs = np.arange(self.dim)
-        powers = xs
-        for _ in range(self.p - 1):
-            powers = self.table[powers, xs]
-        members = np.zeros(self.dim, dtype=bool)
-        members[self.table[np.ix_(self.cosets[0], powers)]] = True
-        kept: list[int] = []
-        for g in self.generator_indices:
-            if members[g]:
-                continue
-            kept.append(g)
-            coset = np.flatnonzero(members)
-            while True:
-                coset = self.table[coset, g]
-                if members[coset[0]]:
-                    break
-                members[coset] = True
-        return tuple(kept)
+        m = self.cosets.shape[1]
+        comms = _commutators(self.table, self.generators)
+        corner = self.table[:m, :m]
+        second = np.flatnonzero(_derived_subgroup(corner, comms))
+        return _burnside_basis(corner, self.p, second, comms.tolist())
 
     @cached_property
     def inverse_indices(self) -> np.ndarray:
@@ -169,21 +167,27 @@ class GroupAlgebra:
         return out.reshape(-1, self.dim)
 
 
+def _commutators(table: np.ndarray, generators: Sequence[int]) -> np.ndarray:
+    """The indices of the commutators [x, g] = x^-1 g^-1 x g over every x
+    and the generators g, ascending."""
+    inv = np.argmin(table, axis=1)
+    is_comm = np.zeros(len(table), dtype=bool)
+    for g in generators:
+        is_comm[table[table[inv, inv[g]], table[:, g]]] = True
+    return np.flatnonzero(is_comm)
+
+
 def _derived_subgroup(table: np.ndarray, generators: Sequence[int]) -> np.ndarray:
     """Boolean mask of G', closed off a multiplication table whose
     generators generate G.
 
     G' is generated by the commutators [x, g] over x in G and the
-    generators g: the subgroup N they generate is normal, as
-    [x, g]^y = [xy, g] [y, g]^-1, and modulo N every x commutes with
-    every generator.  In a finite group, closing {1} under right
-    multiplication by them gives N.
+    generators g (`_commutators`): the subgroup N they generate is
+    normal, as [x, g]^y = [xy, g] [y, g]^-1, and modulo N every x
+    commutes with every generator.  In a finite group, closing {1} under
+    right multiplication by them gives N.
     """
-    inv = np.argmin(table, axis=1)
-    is_comm = np.zeros(len(table), dtype=bool)
-    for g in generators:
-        is_comm[table[table[inv, inv[g]], table[:, g]]] = True
-    comms = np.flatnonzero(is_comm)
+    comms = _commutators(table, generators)
     members = np.zeros(len(table), dtype=bool)
     members[0] = True
     size = 0
@@ -191,6 +195,40 @@ def _derived_subgroup(table: np.ndarray, generators: Sequence[int]) -> np.ndarra
         size = grown
         members[table[np.ix_(np.flatnonzero(members), comms)]] = True
     return members
+
+
+def _burnside_basis(table: np.ndarray, p: int, derived: np.ndarray,
+                    candidates: Sequence[int]) -> tuple[int, ...]:
+    """A minimal generating set of a p-group K, given its multiplication
+    table, the indices of K' and candidates that generate K: the
+    candidates, in order, that lie outside the subgroup H generated by
+    Phi(K) and the ones kept before them.
+
+    Phi(K) = K' K^p, and K/K' is abelian, so the cosets x^p K' make up
+    (K/K')^p and Phi(K) is the set of products K' x^p.  Every H that
+    contains Phi(K) is normal in K, so <H, g> is the union of the cosets
+    H g^k, and the loop adds them until one is H again.  The kept
+    candidates are a basis of K/Phi(K), so by the Burnside basis theorem
+    they generate K, and there are log_p [K : Phi(K)] of them.
+    """
+    xs = np.arange(len(table))
+    powers = xs
+    for _ in range(p - 1):
+        powers = table[powers, xs]
+    members = np.zeros(len(table), dtype=bool)
+    members[table[np.ix_(derived, powers)]] = True
+    kept: list[int] = []
+    for g in candidates:
+        if members[g]:
+            continue
+        kept.append(g)
+        coset = np.flatnonzero(members)
+        while True:
+            coset = table[coset, g]
+            if members[coset[0]]:
+                break
+            members[coset] = True
+    return tuple(kept)
 
 
 def _pc_table(G: PcGroup) -> np.ndarray:
@@ -310,16 +348,34 @@ def build_algebra(G: PcGroup, cap: int = DEFAULT_ORACLE_CAP) -> GroupAlgebra:
                         cosets=np.arange(dim).reshape(-1, len(derived)))
 
 
-def _right_gathers(A: GroupAlgebra, indices: Sequence[int]) -> np.ndarray:
-    """Right multiplication by each e_g as a column gather: coordinate y
-    of v * e_g is v[y * g^-1]."""
-    return A.table[:, A.inverse_indices[list(indices)]].T
+def _guard(A: GroupAlgebra, kind: str, rank: int, nxt_rank: int, length: int) -> None:
+    """Refuse a step of the `kind` chain from a term of dimension `rank`
+    to one of `nxt_rank` that makes the chain `length` terms long.
+
+    Every term lies in the one before it (see `_lie_chain` and
+    `_upper_ideals`), so a term of the previous term's rank is the
+    previous term itself, and the chain would repeat it for ever.
+
+    Raises:
+        NotLieNilpotentDetected: the rank repeats, or the chain runs past
+            A.chain_bound terms.
+    """
+    if nxt_rank == rank:
+        raise NotLieNilpotentDetected(
+            f"{kind} chain went stationary at nonzero dimension "
+            f"{rank}: not Lie nilpotent (or a bug)"
+        )
+    if length > A.chain_bound + 1:
+        raise NotLieNilpotentDetected(
+            f"{kind} chain exceeded {A.chain_bound} terms without "
+            "vanishing: not Lie nilpotent (or a bug)"
+        )
 
 
-def _lie_chain(A: GroupAlgebra, against: Sequence[int], ideals: bool) -> list[np.ndarray]:
-    """The terms from F_p[G] down to the first zero term, each as the
-    (k, m, m) square stack of its echelon blocks, so the index is the
-    length of the list.
+def _lie_chain(A: GroupAlgebra, against: Sequence[int]) -> list[np.ndarray]:
+    """The lower chain's terms V_n, from F_p[G] down to the first zero
+    term, each as the (k, m, m) square stack of its echelon blocks, so
+    the index is the length of the list.
 
     The grading: for x, b in G, bx = b(xb)b^-1, so xb and bx lie in one
     coset of G', and [e_x, e_b] = e_(xb) - e_(bx) lies in F_p[cG'] with
@@ -337,31 +393,25 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int], ideals: bool) -> list[np
 
     Each step brackets every basis row v of the previous term against a
     set of basis indices b: the first step against the minimal generating
-    set A.generators, and every later step against `against`.  W is the
-    span of the [v, e_b].  The lower chain's term is W; the upper chain's
-    (`ideals`) is W closed under right multiplication by A.generators.  The
-    basis is listed coset by coset, so the grades are the cosets, and a
-    layer (fp_linalg.to_layers), one homogeneous row per coset side by
-    side, is an element of the algebra: one gather brackets every coset's
-    rows at once and moves each to its new coset.
+    set A.generators, and every later step against `against`.  The term
+    is the span of the [v, e_b].  The basis is listed coset by coset, so
+    the grades are the cosets, and a layer (fp_linalg.to_layers), one
+    homogeneous row per coset side by side, is an element of the
+    algebra: one gather brackets every coset's rows at once and moves
+    each to its new coset.
 
     The brackets are fed to the accumulator in blocks of at most A.dim
     layers.
 
-    Every term lies in the one before it: M^(n+1) lies in M^(n) because
-    M^(n) is an ideal, and V_(n+1) = [V_n, F_p[G]] lies in
-    [V_(n-1), F_p[G]] = V_n by induction from V_2 in V_1 = F_p[G].  So a
-    term of the previous term's rank is the previous term itself.
+    V_(n+1) = [V_n, F_p[G]] lies in [V_(n-1), F_p[G]] = V_n by induction
+    from V_2 in V_1 = F_p[G], so `_guard` applies.
 
     Raises:
-        NotLieNilpotentDetected: a nonzero term repeats, or the chain
-            runs past A.chain_bound terms.
+        NotLieNilpotentDetected: see `_guard`.
     """
-    kind = "upper" if ideals else "lower"
     k, m = A.cosets.shape
     terms = [np.tile(np.eye(m), (k, 1, 1))]
     spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
-    gathers = _right_gathers(A, A.generators) if ideals else None
     bracketing = np.asarray(A.generators)
     rank = A.dim
     while rank:
@@ -369,28 +419,114 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int], ideals: bool) -> list[np
         per_block = max(1, A.dim // len(spanning))
         for lo in range(0, len(bracketing), per_block):
             acc.add_block(A.bracket_with_basis(spanning, bracketing[lo:lo + per_block]))
-        spanning = close_under(acc, gathers) if ideals else acc.basis
-        if (nxt_rank := acc.dim) == rank:
-            raise NotLieNilpotentDetected(
-                f"{kind} chain went stationary at nonzero dimension "
-                f"{rank}: not Lie nilpotent (or a bug)"
-            )
+        _guard(A, "lower", rank, acc.dim, len(terms) + 1)
         terms.append(acc.square)
-        if len(terms) > A.chain_bound + 1:
-            raise NotLieNilpotentDetected(
-                f"{kind} chain exceeded {A.chain_bound} terms without "
-                "vanishing: not Lie nilpotent (or a bug)"
-            )
-        bracketing = np.asarray(against)
-        rank = nxt_rank
+        spanning, bracketing, rank = acc.basis, np.asarray(against), acc.dim
     return terms
 
 
 def _dimensions(squares: list[np.ndarray]) -> list[int]:
-    """The dimension of each term: the number of its blocks' pivots, the
-    1s on their diagonals."""
-    return [int(np.count_nonzero(np.diagonal(square, axis1=1, axis2=2)))
+    """The number of pivots of each square form or stack of them, the 1s
+    on their diagonals."""
+    return [int(np.count_nonzero(np.diagonal(square, axis1=-2, axis2=-1)))
             for square in squares]
+
+
+def _upper_moves(A: GroupAlgebra) -> np.ndarray:
+    """The gathers of an upper step, as rows of an (|S| + |H|, m) array
+    of indices into G', the indices below m = |G'|: first conjugation
+    v -> g v g^-1 by each g in S = A.generators, whose coordinate y is
+    v[g^-1 y g], then right multiplication v -> v h by each h in
+    H = A.derived_generators, whose coordinate y is v[y h^-1].  G' is
+    normal, so every entry is below m."""
+    m = A.cosets.shape[1]
+    table, inv, ys = A.table, A.inverse_indices, np.arange(m)
+    conjugations = [table[table[inv[g], ys], g] for g in A.generators]
+    translations = [table[ys, inv[h]] for h in A.derived_generators]
+    return np.array(conjugations + translations, dtype=np.intp).reshape(-1, m)
+
+
+def _upper_step(A: GroupAlgebra, ideal: np.ndarray, moves: np.ndarray) -> EchelonAccumulator:
+    """I_(n+1), as an accumulator of width m = |G'| with one grade, from
+    the basis rows of I_n, int64 residues over G' (see `_upper_ideals`).
+
+    The rows v - v^t, over the basis rows v and the gathers t of
+    `_upper_moves`, are fed as one block of at most m (|S| + |H|) rows,
+    and their span is closed under the right multiplications by H, the
+    last |H| of the moves.
+    """
+    m = A.cosets.shape[1]
+    acc = EchelonAccumulator(A.p, m)
+    block = ideal[:, None, :] - ideal[:, moves]
+    # residues in, so the block lies in (-p, p): one conditional add reduces it
+    np.add(block, A.p, out=block, where=block < 0)
+    acc.add_block(block.reshape(-1, m))
+    close_under(acc, moves[len(A.generators):])
+    return acc
+
+
+def _upper_ideals(A: GroupAlgebra) -> list[np.ndarray]:
+    """The intersections I_n of the upper chain's terms M^(n) with
+    F_p[G'], from I_1 = F_p[G'] down to the first zero term, each as the
+    (m, m) square form of its RREF (see fp_linalg.EchelonAccumulator),
+    m = |G'|.
+
+    M^(n) is a two-sided ideal graded by G/G': products and brackets of
+    homogeneous elements are homogeneous (`_lie_chain` gives the
+    grading), so M^(n) is spanned by homogeneous elements.  Its component in the coset c = x_c G' is I_n x_c, for any
+    x_c in c: right multiplication by x_c and by x_c^-1 moves M^(n) into
+    itself and F_p[G'] onto F_p[c] and back.  So M^(n) is the direct sum
+    of the I_n x_c over the cosets, dim M^(n) = |G : G'| dim I_n, and the
+    chain, from M^(1) = F_p[G] down to the first zero term, is the
+    chain of the I_n.
+
+    Write v^g = g v g^-1.  I_n is an ideal of F_p[G'], and I_n^g = I_n
+    for g in G, as M^(n) is an ideal.  With S = A.generators and
+    H = A.derived_generators, generating G and G':
+
+        I_(n+1) = span of v - v^g and v - v h, over v in a basis of I_n,
+                  g in S and h in H, times F_p[G'].
+
+    1. By `upper_lie_chain`, M^(n+1) = T F_p[G], where T is the span of
+       the [v x_c, g] over v in a basis of I_n, the cosets c and g in S:
+       the v x_c are a basis of M^(n).  [v x_c, g] lies in coset
+       c' = x_c g G', so the part of T F_p[G] in G' is the sum of the
+       [v x_c, g] (x_c g)^-1 F_p[G'], and
+       [v x_c, g] (x_c g)^-1 = v - v^g d, with d = g x_c g^-1 x_c^-1 in
+       G', which is v - v^g + v^g (1 - d).
+    2. With x_c = 1, d = 1: v - v^g lies in I_(n+1).
+    3. For v in I_n and a, b in G, va lies in M^(n), and
+       v (1 - [b, a]) = ([va, b] - [v, b] a)(ab)^-1 with
+       [b, a] = b a b^-1 a^-1, so it lies in M^(n+1), and in F_p[G'].
+       v (1 - d e) = v (1 - d) + (v d)(1 - e) with v d in I_n, so the
+       d in G' with every v (1 - d) in I_(n+1) form a subgroup, which
+       holds the commutators, so is G'.  So I_n w(G') lies in I_(n+1),
+       w(G') the augmentation ideal, and v^g (1 - d) lies in it.  By the
+       same identity, I_n w(G') is the span of the v - v h over v in I_n
+       and h in H, and it is a right ideal.
+    4. So I_(n+1) is the span of the v - v^g and v - v h, times F_p[G'],
+       and that span closed under right multiplication by H is the
+       product, as H generates G' and G' is finite.
+
+    Both moves are gathers within G' (`_upper_moves`), so a step works
+    on |G'| columns and rows only, and never brackets.
+    M^(n+1) lies in the ideal M^(n), so I_(n+1) lies in I_n, and
+    `_guard` applies, to the dimensions of the M^(n).
+
+    Raises:
+        NotLieNilpotentDetected: see `_guard`.
+    """
+    k, m = A.cosets.shape
+    moves = _upper_moves(A)
+    terms = [np.eye(m)]
+    ideal = np.eye(m, dtype=np.int64)
+    rank = A.dim
+    while rank:
+        acc = _upper_step(A, ideal, moves)
+        _guard(A, "upper", rank, k * acc.dim, len(terms) + 1)
+        terms.append(acc.square[0])
+        ideal, rank = acc.basis, k * acc.dim
+    return terms
 
 
 def upper_lie_chain(A: GroupAlgebra) -> list[int]:
@@ -410,8 +546,13 @@ def upper_lie_chain(A: GroupAlgebra) -> list[int]:
     2. L is a Lie ideal: for l in L and x in F_p[G], x l = l x - [l, x]
        with [l, x] in L, since l lies in M^(n).  So F_p[G] L lies in
        L * F_p[G], and F_p[G] L F_p[G] = L * F_p[G] = T * F_p[G].
+
+    The terms are computed inside F_p[G'] alone: dim M^(n) is
+    |G : G'| dim I_n, with I_n the intersection of M^(n) and F_p[G']
+    (`_upper_ideals`).
     """
-    return _dimensions(_lie_chain(A, A.generators, ideals=True))
+    k = A.cosets.shape[0]
+    return [k * d for d in _dimensions(_upper_ideals(A))]
 
 
 def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
@@ -428,27 +569,28 @@ def _orbit_representatives(A: GroupAlgebra) -> tuple[int, ...]:
     g is x -> g^-1 (x g), and the minimal generating set A.generators
     generates G, so its conjugations reach every conjugate of x.
     Conjugation permutes the cosets xZ, so the orbit of x is the union of
-    the cosets yZ over the conjugates y of x.
+    the cosets yZ over the conjugates y of x.  Each element starts with
+    the least index of its coset xZ as its label, and takes the least of
+    its own label and that of its conjugate by each generator, until no
+    label changes.  Conjugation by a generator is a permutation of
+    finite order, so then every label is the least index of its orbit,
+    and the representatives are the non-central x labelled x.
     """
     table, inv = A.table, A.inverse_indices
-    centre = A.centre
     conj = [table[inv[g], table[:, g]] for g in A.generators]
-    seen = np.zeros(A.dim, dtype=bool)
-    seen[centre] = True
-    reps: list[int] = []
-    for x in range(A.dim):
-        if seen[x]:
-            continue
-        reps.append(x)
-        cls = {x}
-        frontier = [x]
-        while frontier:
-            frontier = [y for c in conj for y in c[frontier].tolist()
-                        if y not in cls]
-            cls.update(frontier)
-        seen[table[np.fromiter(cls, dtype=np.int64)][:, centre]] = True
+    label = table[:, A.centre].min(axis=1)
+    while True:
+        before = label
+        for c in conj:
+            label = np.minimum(label, label[c])
+        if np.array_equal(label, before):
+            break
+    xs = np.arange(A.dim)
+    least = label == xs
+    least[A.centre] = False
+    reps = xs[least]
     m = A.cosets.shape[1]
-    return tuple(sorted(reps, key=lambda x: (x % m, x // m)))
+    return tuple(reps[np.lexsort((reps // m, reps % m))].tolist())
 
 
 def lower_lie_chain(A: GroupAlgebra) -> list[int]:
@@ -485,7 +627,7 @@ def lower_lie_chain(A: GroupAlgebra) -> list[int]:
     4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
        hence V_{n+1} is in W, and W is in V_{n+1} trivially.
     """
-    return _dimensions(_lie_chain(A, _orbit_representatives(A), ideals=False))
+    return _dimensions(_lie_chain(A, _orbit_representatives(A)))
 
 
 def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
@@ -494,20 +636,21 @@ def lie_dimension_orders(A: GroupAlgebra) -> list[int]:
 
     The Lie dimension subgroup D_(m) is the set of g in G with
     e_g - e_1 in M^(m) (Passi and Sehgal, Comm. Algebra 3, 1975), and for
-    m >= 2 it lies in G', the coset of the identity, block 0 of each
-    upper term.  So g lies in D_(m) exactly when e_g - e_1 reduces to 0
-    against that block: v - v @ square[0] is v reduced (see
-    fp_linalg.EchelonAccumulator), one product per term for all of G' at
-    once, exact in float64 for the widths the accumulator admits.  The
-    last term is 0, where only the identity passes, so the list ends.
+    m >= 2 it lies in G', so g lies in D_(m) exactly when e_g - e_1 lies
+    in I_m, the intersection of M^(m) and F_p[G'] (`_upper_ideals`), that
+    is, reduces to 0 against I_m's square form: v - v @ square is v
+    reduced (see fp_linalg.EchelonAccumulator), one product per term for
+    all of G' at once, exact in float64 for the widths the accumulator
+    admits.  The last term is 0, where only the identity passes, so the
+    list ends.
     """
     m = A.cosets.shape[1]
     differences = np.eye(m)
     differences[:, 0] -= 1  # row g: e_g - e_1, the identity at column 0
     differences %= A.p
     orders = []
-    for square in _lie_chain(A, A.generators, ideals=True)[1:]:
-        residual = np.mod(differences - differences @ square[0], A.p)
+    for square in _upper_ideals(A)[1:]:
+        residual = np.mod(differences - differences @ square, A.p)
         orders.append(m - int(residual.any(axis=1).sum()))
         if orders[-1] == 1:
             break

@@ -8,13 +8,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lienil import cli, dvectors, oracle, subgroups
 from lienil.catalog import DATA_DIR
 from lienil.cli import main
-from lienil.oracle import GroupAlgebra
+from lienil.fp_linalg import EchelonAccumulator
 from lienil.pcgroup import PcGroup, PresentationError, parse_presentation_with_meta
 
 
@@ -553,13 +554,20 @@ def test_oracle_cap_is_checked_before_the_formula(monkeypatch, capsys):
     assert "oracle cap 8" in err
 
 
-def _identity_brackets(self, layers, bs):
-    return layers.repeat(len(bs), axis=0)
+def _ideal_step(A, rows):
+    # an upper step's result holding exactly the given rows over G'
+    acc = EchelonAccumulator(A.p, A.cosets.shape[1])
+    acc.add_block(rows)
+    return acc
+
+
+def _stationary_step(A, ideal, moves):
+    # a step that returns I_n keeps every term
+    return _ideal_step(A, ideal)
 
 
 def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, capsys):
-    # a bracket that returns its rows keeps every term
-    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", _identity_brackets)
+    monkeypatch.setattr(oracle, "_upper_step", _stationary_step)
     code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain went stationary at nonzero "
@@ -568,7 +576,7 @@ def test_oracle_reports_a_stationary_chain_as_an_inconsistency(monkeypatch, caps
 
 def test_classify_with_oracle_reports_a_stationary_chain_as_an_inconsistency(
         monkeypatch, capsys):
-    monkeypatch.setattr(GroupAlgebra, "bracket_with_basis", _identity_brackets)
+    monkeypatch.setattr(oracle, "_upper_step", _stationary_step)
     code, out, err = run(capsys, ["classify", "--builder", "dihedral:16", "--with-oracle"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain went stationary at nonzero "
@@ -576,6 +584,8 @@ def test_classify_with_oracle_reports_a_stationary_chain_as_an_inconsistency(
 
 
 def test_oracle_reports_a_chain_past_its_bound_as_an_inconsistency(monkeypatch, capsys):
+    # a step that drops a row of the whole of F_p[G'] and restores it
+    # otherwise never vanishes, and no step keeps its term's dimension
     build_algebra = oracle.build_algebra
 
     def small_bound(G, cap):
@@ -583,7 +593,12 @@ def test_oracle_reports_a_chain_past_its_bound_as_an_inconsistency(monkeypatch, 
         A.__dict__["chain_bound"] = 2  # the true bound of D16 is |G'| + 2 = 6
         return A
 
+    def endless_step(A, ideal, moves):
+        m = A.cosets.shape[1]
+        return _ideal_step(A, ideal[1:] if len(ideal) == m else np.eye(m, dtype=np.int64))
+
     monkeypatch.setattr(oracle, "build_algebra", small_bound)
+    monkeypatch.setattr(oracle, "_upper_step", endless_step)
     code, out, err = run(capsys, ["oracle", "--builder", "dihedral:16"])
     assert code == 1 and out == ""
     assert err == ("inconsistency: upper chain exceeded 2 terms without "

@@ -17,11 +17,13 @@ from lienil.catalog import (
     build_dihedral,
     build_free_class2,
     build_heisenberg,
+    build_named,
     build_quaternion,
     import_presentation,
     standard_catalog,
 )
 import lienil.fp_linalg
+import lienil.oracle
 from lienil.dimension import lie_dimension_chain, upper_index
 from lienil.fp_linalg import EchelonAccumulator, close_under
 from lienil.oracle import (
@@ -32,6 +34,8 @@ from lienil.oracle import (
     _lie_chain,
     _orbit_representatives,
     _pc_table,
+    _upper_ideals,
+    _upper_step,
     build_algebra,
     lie_dimension_orders,
     lower_lie_chain,
@@ -76,14 +80,30 @@ def _dense(A, squares):
     return np.split(dense, ends[:-1])
 
 
+def _rows(square):
+    # the basis rows of a square form, int64, in pivot order
+    return square[np.diagonal(square) != 0].astype(np.int64)
+
+
 def _dense_upper(A):
-    # the terms of upper_lie_chain as dense arrays
-    return _dense(A, _lie_chain(A, A.generators, ideals=True))
+    # The terms of upper_lie_chain as dense arrays, rebuilt from the parts
+    # I_n of M^(n) in F_p[G'] that the chain computes: M^(n) is the sum
+    # of the translates I_n x_c to every coset c, x_c its first element.
+    # Coordinate y of v x_c is v[y x_c^-1], so one gather moves a row of
+    # I_n to every coset at once, a layer of a graded accumulator.
+    k, m = A.cosets.shape
+    home = A.table[np.arange(A.dim), A.inverse_indices[np.repeat(A.cosets[:, 0], m)]]
+    squares = []
+    for square in _upper_ideals(A):
+        acc = EchelonAccumulator(A.p, A.dim, grades=k)
+        acc.add_block(_rows(square)[:, home])
+        squares.append(acc.square)
+    return _dense(A, squares)
 
 
 def _dense_lower(A):
     # the terms of lower_lie_chain as dense arrays
-    return _dense(A, _lie_chain(A, _orbit_representatives(A), ideals=False))
+    return _dense(A, _lie_chain(A, _orbit_representatives(A)))
 
 
 def _scatter(dest):
@@ -556,7 +576,7 @@ CENTRE_CASES = {
 
 
 @pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
-def test_centre_module_seeding_spans_the_same_lower_terms(make):
+def test_lower_terms_equal_dense_brackets_against_the_representatives(make):
     # the graded chain, bracketing V_n's layers in blocks, gives the terms
     # that bracketing every dense basis row of V_n against the same
     # representatives, one block per representative, gives
@@ -581,7 +601,7 @@ def _closure(A, gens):
 
 
 @pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
-def test_centre_generators_and_transversal_match_the_centre(make):
+def test_centre_matches_the_subgroup_centre(make):
     # A.centre, the one centre set the oracle keeps, against the subgroup
     # code's centre
     G = make()
@@ -650,25 +670,90 @@ def test_lower_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
     assert max(blocks) <= A.dim
 
 
+def _moved_by_the_collector(A, row, move):
+    # row, over G', moved by a pc element: ("conjugate", g) sends the
+    # coordinate of d to g d g^-1, ("translate", h) to d h, each product
+    # collected
+    G, index = A.group, _index(A)
+    kind, x = move
+    out = np.zeros_like(row)
+    for d in range(len(row)):
+        y = A.elements[d]
+        if kind == "conjugate":
+            y = G.multiply(G.multiply(x, y), G.inverse(x))
+        else:
+            y = G.multiply(y, x)
+        out[index[y]] = row[d]
+    return out
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_condition_quotient(66, 3).group,
     lambda: build_dihedral(64).group,
     lambda: build_free_class2(3, 2).group,
 ], ids=["cond66-quotient", "D64", "free_class2-3-p2"])
-def test_upper_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
-    # each step brackets the whole previous ideal, not only the span of
-    # the previous step's brackets, against the minimal generating set
+def test_upper_chain_moves_every_row_of_the_previous_ideal(monkeypatch, make):
+    # each step feeds v - g v g^-1 and v - v h for every basis row v of
+    # I_n, the whole previous ideal, every g in the minimal generating set
+    # S of G and every h in H, the minimal generating set of G', each
+    # product collected here, as one block, and then closes under right
+    # multiplication by H
     A = build_algebra(make())
-    chain, bracketed, _ = _counted_chain(monkeypatch, _dense_upper, A)
-    want = [(term, g) for term in chain[:-1] for g in A.generators]
-    assert [b for _, b in bracketed] == [g for _, g in want]
-    assert all(np.array_equal(got, term) for (got, _), (term, _) in zip(bracketed, want))
+    ideals = _upper_ideals(A)
+    translations = [("translate", A.elements[h]) for h in A.derived_generators]
+    moves = [("conjugate", A.elements[g]) for g in A.generators] + translations
+    steps = []
+    step, add_block = _upper_step, EchelonAccumulator.add_block
+
+    def recorded_step(A, ideal, gathers):
+        steps.append({"ideal": ideal, "fed": [], "closed": None})
+        return step(A, ideal, gathers)
+
+    def recorded_add(self, block):
+        if steps[-1]["closed"] is None:
+            steps[-1]["fed"].append(np.asarray(block))
+        return add_block(self, block)
+
+    def recorded_close(acc, gathers):
+        steps[-1]["closed"] = np.asarray(gathers)
+        return close_under(acc, gathers)
+
+    monkeypatch.setattr(lienil.oracle, "_upper_step", recorded_step)
+    monkeypatch.setattr(lienil.oracle, "close_under", recorded_close)
+    monkeypatch.setattr(EchelonAccumulator, "add_block", recorded_add)
+    assert [t.tobytes() for t in _upper_ideals(A)] == [t.tobytes() for t in ideals]
+    assert len(steps) == len(ideals) - 1
+    for term, got in zip(ideals, steps):
+        rows = _rows(term)
+        assert np.array_equal(got["ideal"], rows)
+        want = [(v - _moved_by_the_collector(A, v, move)) % A.p for v in rows for move in moves]
+        [fed] = got["fed"]
+        assert sorted(map(tuple, fed.tolist())) == sorted(map(tuple, np.array(want).tolist()))
+        # the closure moves by the translations: v h at coordinate y is v[y h^-1]
+        for gather, move in zip(got["closed"], translations, strict=True):
+            for v in rows:
+                assert np.array_equal(v[gather], _moved_by_the_collector(A, v, move))
+
+
+def test_derived_generators_generate_the_derived_subgroup():
+    # A.derived_generators generates G' with log_p [G' : G''G'^p] elements,
+    # against the subgroup code's G', on every catalog group the default
+    # cap admits and the order-243 table rows
+    groups = [e.group for e in standard_catalog() if e.order <= 256]
+    groups += [_table_group(name) for name in TABLE_243]
+    assert len(groups) == 61
+    for G in groups:
+        A = build_algebra(G)
+        index = _index(A)
+        D = derived_subgroup(whole_group(G))
+        frattini = subgroup_product(derived_subgroup(D), power_subgroup(D, G.p))
+        assert _closure(A, A.derived_generators) == {index[d] for d in D.elements}
+        assert len(A.derived_generators) == _log_p_index(D, frattini, G.p)
 
 
 def _first_step_calls(monkeypatch, A):
-    # bracket gathers, blocks added (one per bracket call and one per
-    # closure round, after its gathers) and elimination calls (every
-    # reduction mod p) in the first step of the upper chain
+    # bracket gathers, blocks added (one per bracket call) and elimination
+    # calls (every reduction mod p) in the first step of the lower chain
     calls = {"brackets": 0, "blocks": 0, "eliminations": 0}
     steps = []
 
@@ -691,17 +776,34 @@ def _first_step_calls(monkeypatch, A):
     monkeypatch.setattr(lienil.fp_linalg, "_residues",
                         counted("eliminations", lienil.fp_linalg._residues))
     monkeypatch.setattr(EchelonAccumulator, "__init__", counted_init)
-    upper_lie_chain(A)
+    lower_lie_chain(A)
     monkeypatch.undo()
     return {key: steps[1][key] - steps[0][key] for key in calls}
 
 
+def _upper_accumulator_shapes(monkeypatch, A):
+    # the (ambient dimension, grades) of every accumulator the upper
+    # chain builds
+    shapes = []
+    init = EchelonAccumulator.__init__
+
+    def recorded_init(self, p, ambient_dim, grades=1):
+        shapes.append((ambient_dim, grades))
+        init(self, p, ambient_dim, grades)
+
+    monkeypatch.setattr(EchelonAccumulator, "__init__", recorded_init)
+    upper_lie_chain(A)
+    monkeypatch.undo()
+    return shapes
+
+
 def test_a_step_on_81_cosets_makes_no_more_numpy_calls_than_on_4(monkeypatch):
-    # the graded elimination works on all cosets at once: the first upper
+    # the graded elimination works on all cosets at once: the first lower
     # step of condition-quotient:66 (81 cosets of width 3) makes no more
     # gathers and eliminations than that of D32 (4 cosets of width 8),
     # though it brackets against twice as many generators; a loop over the
-    # cosets would make about 81 times as many
+    # cosets would make about 81 times as many.  The upper chain works in
+    # G' alone: every accumulator it builds has one grade of width |G'|.
     many = build_algebra(build_condition_quotient(66, 3).group)
     few = build_algebra(build_dihedral(32).group)
     assert many.cosets.shape == (81, 3) and few.cosets.shape == (4, 8)
@@ -710,6 +812,10 @@ def test_a_step_on_81_cosets_makes_no_more_numpy_calls_than_on_4(monkeypatch):
     on_few = _first_step_calls(monkeypatch, few)
     for key in on_many:
         assert 0 < on_many[key] <= on_few[key], (key, on_many, on_few)
+    for A in (many, few):
+        shapes = _upper_accumulator_shapes(monkeypatch, A)
+        assert shapes and set(shapes) == {(A.cosets.shape[1], 1)}
+        assert len(shapes) == len(upper_lie_chain(A)) - 1
 
 
 UPPER_REFERENCE_CASES = {**SEEDING_CASES, **NONABELIAN_ORACLE}
@@ -818,6 +924,78 @@ def test_graded_chains_equal_the_ungraded_reference(make):
         assert [t.shape for t in got] == [t.shape for t in want]
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
         assert not any(t.flags.writeable for t in got)
+
+
+# every shipped table row, at the oracle cap that admits them all
+SHIPPED_ROWS = sorted(f.stem for f in DATA_DIR.glob("*.pres"))
+SHIPPED_CAP = 3125
+
+
+def _orbit_representatives_by_search(A):
+    # _orbit_representatives as it was before the labels, kept as the slow
+    # reference: each element not yet covered is a representative, its
+    # class is searched out by the generators' conjugations one element at
+    # a time, and the cosets yZ of its class are covered
+    table, inv = A.table, A.inverse_indices
+    centre = A.centre
+    conj = [table[inv[g], table[:, g]] for g in A.generators]
+    seen = np.zeros(A.dim, dtype=bool)
+    seen[centre] = True
+    reps = []
+    for x in range(A.dim):
+        if seen[x]:
+            continue
+        reps.append(x)
+        cls = {x}
+        frontier = [x]
+        while frontier:
+            frontier = [y for c in conj for y in c[frontier].tolist()
+                        if y not in cls]
+            cls.update(frontier)
+        seen[table[np.fromiter(cls, dtype=np.int64)][:, centre]] = True
+    m = A.cosets.shape[1]
+    return tuple(sorted(reps, key=lambda x: (x % m, x // m)))
+
+
+ORBIT_REFERENCE_CASES = {
+    **REFERENCE_GROUPS,
+    **{name: (lambda name=name: _table_group(name)) for name in SHIPPED_ROWS},
+}
+
+
+@pytest.mark.parametrize("make", ORBIT_REFERENCE_CASES.values(),
+                         ids=ORBIT_REFERENCE_CASES.keys())
+def test_orbit_labels_give_the_searched_representatives(make):
+    # the reference groups and every shipped row, the order-243 rows among
+    # them
+    assert len(ORBIT_REFERENCE_CASES) == 81
+    A = build_algebra(make(), SHIPPED_CAP)
+    got = _orbit_representatives(A)
+    assert type(got) is tuple and all(type(x) is int for x in got)
+    assert got == _orbit_representatives_by_search(A)
+
+
+GATE_GROUPS = {
+    **{name: (lambda name=name: _table_group(name)) for name in SHIPPED_ROWS},
+    "condition-46-p5": lambda: build_named("condition:46", 5).group,
+    "condition-65-p3": lambda: build_named("condition:65", 3).group,
+    "condition-66-p3": lambda: build_named("condition:66", 3).group,
+}
+
+
+@pytest.mark.parametrize("make", GATE_GROUPS.values(), ids=GATE_GROUPS.keys())
+def test_oracle_agrees_with_the_formula_route_up_to_order_3125(make):
+    # every shipped row and the three condition groups: the direct t^L is
+    # the formula's, t_L <= t^L, and every |D_(m)| read off the upper
+    # chain is the formula's
+    assert len(GATE_GROUPS) == 33
+    G = make()
+    A = build_algebra(G, SHIPPED_CAP)
+    W = whole_group(G)
+    upper = len(upper_lie_chain(A))
+    assert upper == upper_index(W)
+    assert len(lower_lie_chain(A)) <= upper
+    assert lie_dimension_orders(A) == [D.order for D in lie_dimension_chain(W)]
 
 
 # the reference groups, abelian groups at p = 7, 13 and 251, and two

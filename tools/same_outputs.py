@@ -16,6 +16,9 @@ The argv list is fixed:
   bytecode, so nothing is written under `perfbench/`);
 - `oracle --json` at the default cap's order, 256, and
   `classify --with-oracle --json`, the oracle path of `classify`;
+- `oracle --json --cap 3125` on the shipped rows S(2187,5867) and
+  S(3125,40), whose algebras have 729 and 625 cosets of G', where the
+  upper chain's work in F_p[G'] differs most from work in F_p[G];
 - `index --json` at p = 10^18 + 3 and p = 1000003 and on
   `free_class2:8 -p 3`, and `classify --json` on `free_class2:5 -p 3`:
   exponents of 2 and above in the collector's `_conj` and `_pow`, at
@@ -65,6 +68,8 @@ ORACLE_ARGVS = (
     ["oracle", "--json", "--builder", "dihedral:256"],
     ["oracle", "--json", "--builder", "quaternion:256"],
     ["classify", "--with-oracle", "--json", "--builder", "dihedral:16"],
+    ["oracle", "--json", "--cap", "3125", "src/lienil/data/tables/s2187_5867.pres"],
+    ["oracle", "--json", "--cap", "3125", "src/lienil/data/tables/s3125_40.pres"],
 )
 
 COLLECTOR_ARGVS = (
