@@ -3,19 +3,19 @@
 Everything here works on numpy arrays holding least non-negative
 residues, int64 where they go in and out.  A subspace is the read-only
 array of its echelon basis, EchelonAccumulator.basis, so equal subspaces
-of one ambient space have identical arrays.  close_under continues the
-accumulator that holds its seed.
+of one ambient space have identical arrays.
 
 EchelonAccumulator(p, n, grades) splits GF(p)^n into `grades` blocks of
 width m = n / grades and keeps one reduced row-echelon basis per block,
-as the Lie chains of lienil.oracle need: their terms are direct sums of
-one subspace per coset of G'.  The bases are one (grades, m, m) stack,
-and every step runs on the whole stack at once, so the number of numpy
-calls does not grow with the number of grades, while the flops are about
-`grades` times fewer than for one basis of width n.  Rows go in and out
-as layers (to_layers), one row of each grade side by side.  With one
-grade, the default, a layer is a row and the basis is the RREF of every
-row fed.
+as the lower Lie chain of lienil.oracle needs: its terms are direct sums
+of one subspace per coset of G'.  The bases are one (grades, m, m)
+stack, and every step runs on the whole stack at once, so the number of
+numpy calls does not grow with the number of grades, while the flops are
+about `grades` times fewer than for one basis of width n.  Rows go in
+and out as layers (to_layers), one row of each grade side by side.  With
+one grade, the default, a layer is a row and the basis is the RREF of
+every row fed; each step of the upper Lie chain, which works in F_p[G']
+alone, is one block fed to one such accumulator of width |G'|.
 
 All products go through float64 BLAS, exact because every partial sum
 stays below 2**53.  An accumulator therefore refuses fields and widths
@@ -24,8 +24,6 @@ happens only for m above 2 * 10^5, far beyond any dense table.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -209,27 +207,3 @@ class EchelonAccumulator:
             x = _residues(x - x[:, :, cols] @ new, p)
         self._square, self._pivots, self._basis = square, pivots | fresh, None
         return to_layers(square, fresh)
-
-
-def close_under(acc: EchelonAccumulator, gathers: Sequence[np.ndarray]) -> np.ndarray:
-    """Grow acc to the smallest subspace containing its span and stable
-    under every gather; return the closure's basis.
-
-    Each round moves the rows new in the last one by every gather and
-    adds them as one block.
-
-    Args:
-        acc: the accumulator holding the seed; it is continued in place.
-        gathers: a non-empty list of coordinate permutations of the
-            ambient space, each an index array g sending a row block to
-            block[:, g].  Rows are layers, and with several grades each
-            gather must send every grade's columns to one grade's.
-
-    Returns:
-        acc.basis once the closure is reached.
-    """
-    gathers = np.asarray(gathers)
-    fresh = acc.basis
-    while fresh.shape[0] > 0 and acc.dim < acc.ambient_dim:
-        fresh = acc.add_block(fresh[:, gathers].reshape(-1, fresh.shape[1]))
-    return acc.basis

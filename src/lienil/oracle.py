@@ -26,9 +26,9 @@ The upper chain is computed inside F_p[G'] alone.  M^(n) is a two-sided
 ideal, so its part in the coset c = x G' is I_n x, with I_n the
 intersection of M^(n) and F_p[G'], and dim M^(n) = |G : G'| dim I_n.
 I_(n+1) is the span of v - g v g^-1 and v - v h over a basis of I_n, g
-in S and h in a minimal generating set H of G', closed under right
-multiplication by H (`_upper_ideals` gives the argument).  Both moves
-are gathers within G', so each step is one echelon basis of width
+in S and h in a minimal generating set H of G'; that span is already a
+right ideal of F_p[G'] (`_upper_ideals` gives the argument).  Both
+moves are gathers within G', so each step is one elimination of width
 |G'|, and no element is bracketed.  I_m also gives the Lie dimension
 subgroups (`lie_dimension_orders`).
 
@@ -67,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lienil.fp_linalg import EchelonAccumulator, close_under, to_layers
+from lienil.fp_linalg import EchelonAccumulator, to_layers
 from lienil.pcgroup import Element, PcGroup
 
 DEFAULT_ORACLE_CAP = 256
@@ -354,7 +354,10 @@ def _guard(A: GroupAlgebra, kind: str, rank: int, nxt_rank: int, length: int) ->
 
     Every term lies in the one before it (see `_lie_chain` and
     `_upper_ideals`), so a term of the previous term's rank is the
-    previous term itself, and the chain would repeat it for ever.
+    previous term itself, and the chain would repeat it for ever.  The
+    ranks are dimensions in F_p[G]: a lower term's pivots over all its
+    blocks, and |G : G'| dim I_n for the upper term M^(n), whose part
+    I_n in F_p[G'] is one elimination.
 
     Raises:
         NotLieNilpotentDetected: the rank repeats, or the chain runs past
@@ -372,7 +375,7 @@ def _guard(A: GroupAlgebra, kind: str, rank: int, nxt_rank: int, length: int) ->
         )
 
 
-def _lie_chain(A: GroupAlgebra, against: Sequence[int]) -> list[np.ndarray]:
+def _lie_chain(A: GroupAlgebra) -> list[np.ndarray]:
     """The lower chain's terms V_n, from F_p[G] down to the first zero
     term, each as the (k, m, m) square stack of its echelon blocks, so
     the index is the length of the list.
@@ -393,12 +396,13 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int]) -> list[np.ndarray]:
 
     Each step brackets every basis row v of the previous term against a
     set of basis indices b: the first step against the minimal generating
-    set A.generators, and every later step against `against`.  The term
-    is the span of the [v, e_b].  The basis is listed coset by coset, so
-    the grades are the cosets, and a layer (fp_linalg.to_layers), one
-    homogeneous row per coset side by side, is an element of the
-    algebra: one gather brackets every coset's rows at once and moves
-    each to its new coset.
+    set A.generators, and every later step against the orbit
+    representatives `_orbit_representatives(A)` (`lower_lie_chain` gives
+    the argument).  The term is the span of the [v, e_b].  The basis is
+    listed coset by coset, so the grades are the cosets, and a layer
+    (fp_linalg.to_layers), one homogeneous row per coset side by side, is
+    an element of the algebra: one gather brackets every coset's rows at
+    once and moves each to its new coset.
 
     The brackets are fed to the accumulator in blocks of at most A.dim
     layers.
@@ -413,6 +417,7 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int]) -> list[np.ndarray]:
     terms = [np.tile(np.eye(m), (k, 1, 1))]
     spanning = to_layers(terms[0], np.ones((k, m), dtype=bool))
     bracketing = np.asarray(A.generators)
+    representatives = np.asarray(_orbit_representatives(A))
     rank = A.dim
     while rank:
         acc = EchelonAccumulator(A.p, A.dim, grades=k)
@@ -421,7 +426,7 @@ def _lie_chain(A: GroupAlgebra, against: Sequence[int]) -> list[np.ndarray]:
             acc.add_block(A.bracket_with_basis(spanning, bracketing[lo:lo + per_block]))
         _guard(A, "lower", rank, acc.dim, len(terms) + 1)
         terms.append(acc.square)
-        spanning, bracketing, rank = acc.basis, np.asarray(against), acc.dim
+        spanning, bracketing, rank = acc.basis, representatives, acc.dim
     return terms
 
 
@@ -452,8 +457,7 @@ def _upper_step(A: GroupAlgebra, ideal: np.ndarray, moves: np.ndarray) -> Echelo
 
     The rows v - v^t, over the basis rows v and the gathers t of
     `_upper_moves`, are fed as one block of at most m (|S| + |H|) rows,
-    and their span is closed under the right multiplications by H, the
-    last |H| of the moves.
+    and their span is I_(n+1).
     """
     m = A.cosets.shape[1]
     acc = EchelonAccumulator(A.p, m)
@@ -461,7 +465,6 @@ def _upper_step(A: GroupAlgebra, ideal: np.ndarray, moves: np.ndarray) -> Echelo
     # residues in, so the block lies in (-p, p): one conditional add reduces it
     np.add(block, A.p, out=block, where=block < 0)
     acc.add_block(block.reshape(-1, m))
-    close_under(acc, moves[len(A.generators):])
     return acc
 
 
@@ -473,12 +476,13 @@ def _upper_ideals(A: GroupAlgebra) -> list[np.ndarray]:
 
     M^(n) is a two-sided ideal graded by G/G': products and brackets of
     homogeneous elements are homogeneous (`_lie_chain` gives the
-    grading), so M^(n) is spanned by homogeneous elements.  Its component in the coset c = x_c G' is I_n x_c, for any
-    x_c in c: right multiplication by x_c and by x_c^-1 moves M^(n) into
-    itself and F_p[G'] onto F_p[c] and back.  So M^(n) is the direct sum
-    of the I_n x_c over the cosets, dim M^(n) = |G : G'| dim I_n, and the
-    chain, from M^(1) = F_p[G] down to the first zero term, is the
-    chain of the I_n.
+    grading), so M^(n) is spanned by homogeneous elements.  Its
+    component in the coset c = x_c G' is I_n x_c, for any x_c in c: right
+    multiplication by x_c and by x_c^-1 moves M^(n) into itself and
+    F_p[G'] onto F_p[c] and back.  So M^(n) is the direct sum of the
+    I_n x_c over the cosets, dim M^(n) = |G : G'| dim I_n, and the chain,
+    from M^(1) = F_p[G] down to the first zero term, is the chain of the
+    I_n.
 
     Write v^g = g v g^-1.  I_n is an ideal of F_p[G'], and I_n^g = I_n
     for g in G, as M^(n) is an ideal.  With S = A.generators and
@@ -505,8 +509,13 @@ def _upper_ideals(A: GroupAlgebra) -> list[np.ndarray]:
        same identity, I_n w(G') is the span of the v - v h over v in I_n
        and h in H, and it is a right ideal.
     4. So I_(n+1) is the span of the v - v^g and v - v h, times F_p[G'],
-       and that span closed under right multiplication by H is the
-       product, as H generates G' and G' is finite.
+       and that span is already a right ideal of F_p[G'], so it is
+       I_(n+1) itself.  H generates G' and G' is finite, so it is enough
+       that right multiplication by each h in H keeps the span.  With
+       u = v h in I_n, (v - v^g) h = (u - u^g) + v^g h^g (1 - (h^g)^-1 h),
+       whose second term lies in I_n w(G').  And
+       (v - v h') h = (v - v h' h) - (v - v h), with both terms in
+       I_n w(G'), the span of the v - v h by step 3.
 
     Both moves are gathers within G' (`_upper_moves`), so a step works
     on |G'| columns and rows only, and never brackets.
@@ -627,7 +636,7 @@ def lower_lie_chain(A: GroupAlgebra) -> list[int]:
     4. F_p[G] is Lie nilpotent for a finite p-group, so V_N = 0 for some N;
        hence V_{n+1} is in W, and W is in V_{n+1} trivially.
     """
-    return _dimensions(_lie_chain(A, _orbit_representatives(A)))
+    return _dimensions(_lie_chain(A))
 
 
 def lie_dimension_orders(A: GroupAlgebra) -> list[int]:

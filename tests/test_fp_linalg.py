@@ -1,10 +1,10 @@
 """Exact GF(p) linear algebra, cross-checked against a naive oracle.
 
 The oracle below is an independent Gaussian elimination on plain Python
-lists; the accumulator's canonical echelon form and close_under are
-verified against it rather than against themselves.  DenseEchelon, the
-ungraded accumulator the oracle's chains used before they were graded,
-is kept here as the slow reference of tests/test_oracle.py; its
+lists; the accumulator's canonical echelon form is verified against it
+rather than against itself.  DenseEchelon, the ungraded accumulator
+the oracle's chains used before they were graded, is kept here as the
+slow reference of tests/test_oracle.py; its
 batched-pivot elimination is compared with the column-by-column numpy
 loop it replaced, on blocks built to need many rounds.  matmul_mod,
 the exact product mod p those references use, lives and is tested here
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from lienil.fp_linalg import (
     EchelonAccumulator,
     _residues,
-    close_under,
     to_layers,
 )
 from lienil.pcgroup import check_prime
@@ -309,49 +308,6 @@ def test_accumulator_refuses_the_first_inexact_field():
         EchelonAccumulator(208067, 208067)
 
 
-def _naive_closure(p, seed_rows, gathers):
-    rows = naive_rref(seed_rows, p)
-    while True:
-        before = len(rows)
-        for g in gathers:
-            rows = rows + (np.asarray(rows, dtype=np.int64).reshape(-1, len(g))[:, g]).tolist()
-        rows = naive_rref(rows, p)
-        if len(rows) == before:
-            return rows
-
-
-def test_close_under_reaches_orbit_span():
-    # Cyclic shift on GF(2)^4: the orbit of e1 spans everything.
-    p, n = 2, 4
-    gathers = [np.roll(np.arange(n), 1)]
-    acc = _accumulate(p, n, [[1, 0, 0, 0]])
-    closed = close_under(acc, gathers)
-    assert closed.tolist() == _naive_closure(p, [[1, 0, 0, 0]], gathers)
-    assert np.array_equal(closed, np.eye(n, dtype=np.int64))
-    assert closed is acc.basis
-
-
-def test_close_under_respects_invariant_subspace():
-    # Swapping the first two coordinates fixes e3 and e1 + e2.
-    p, n = 3, 3
-    swap = np.array([1, 0, 2])
-    for rows in ([[0, 0, 1]], [[1, 1, 0]], [[1, 1, 2], [0, 0, 1]]):
-        seed = _span(p, n, rows)
-        closed = close_under(_accumulate(p, n, rows), [swap])
-        assert closed.tolist() == _naive_closure(p, rows, [swap])
-        assert closed.tobytes() == seed.tobytes()
-
-
-def test_close_under_is_minimal_against_iteration():
-    rng = np.random.default_rng(7)
-    p, n = 3, 6
-    for _ in range(20):
-        gathers = [rng.permutation(n) for _ in range(2)]
-        seed_rows = rng.integers(0, p, size=(2, n)).tolist()
-        closed = close_under(_accumulate(p, n, seed_rows), gathers)
-        assert closed.tolist() == _naive_closure(p, seed_rows, gathers)
-
-
 def test_basis_is_read_only_and_not_aliased_by_later_blocks():
     acc = EchelonAccumulator(3, 4)
     acc.add_block([[1, 2, 0, 1], [0, 1, 1, 0]])
@@ -551,37 +507,6 @@ def test_layers_hold_one_row_per_grade():
     rows = np.array([[True, False, True], [False, False, True]])
     layers = to_layers(square, rows)
     assert layers.tolist() == [[0, 1, 2, 0, 0, 0], [6, 7, 8, 15, 16, 17]]
-
-
-def test_close_under_a_graded_echelon_is_the_dense_closure():
-    # gathers that send every grade to a grade, acting on rows laid out as
-    # layers, against close_under on the dense homogeneous rows
-    rng = np.random.default_rng(3)
-    for p, grades, width in ((2, 3, 4), (3, 4, 3), (5, 2, 5)):
-        for _ in range(10):
-            gathers = []
-            for _ in range(2):
-                target = rng.permutation(grades)
-                gathers.append(np.concatenate(
-                    [target[c] * width + rng.permutation(width) for c in range(grades)]))
-            gathers = np.array(gathers)
-            seed = rng.integers(0, p, size=(grades, 1, width))
-            acc = EchelonAccumulator(p, grades * width, grades=grades)
-            acc.add_block(seed.reshape(1, -1))
-            assert close_under(acc, list(gathers)).tolist() == acc.basis.tolist()
-            square = acc.square
-            dense = []
-            for c in range(grades):
-                row = np.zeros(grades * width, dtype=np.int64)
-                row[c * width:(c + 1) * width] = seed[c, 0]
-                dense.append(row.tolist())
-            reference = DenseEchelon(p, grades * width)
-            reference.add_block(dense)
-            want = close_under(reference, list(gathers))
-            got = [row for c in range(grades) for row in
-                   np.pad(square[c], ((0, 0), (c * width, (grades - 1 - c) * width)))
-                   [np.diagonal(square[c]) != 0].astype(np.int64).tolist()]
-            assert sorted(got, key=lambda r: np.flatnonzero(r)[0]) == want.tolist()
 
 
 def test_graded_square_is_read_only_and_not_aliased_by_later_blocks():

@@ -25,7 +25,7 @@ from lienil.catalog import (
 import lienil.fp_linalg
 import lienil.oracle
 from lienil.dimension import lie_dimension_chain, upper_index
-from lienil.fp_linalg import EchelonAccumulator, close_under
+from lienil.fp_linalg import EchelonAccumulator
 from lienil.oracle import (
     GroupAlgebra,
     NotLieNilpotentDetected,
@@ -103,7 +103,7 @@ def _dense_upper(A):
 
 def _dense_lower(A):
     # the terms of lower_lie_chain as dense arrays
-    return _dense(A, _lie_chain(A, _orbit_representatives(A)))
+    return _dense(A, _lie_chain(A))
 
 
 def _scatter(dest):
@@ -170,7 +170,13 @@ def _ungraded_lie_chain(A, gens, against, ideals):
         for lo in range(0, len(bracketing), per_block):
             acc.add_block(np.vstack([A.bracket_with_basis(current, b)
                                      for b in bracketing[lo:lo + per_block]]))
-        nxt = close_under(acc, _right_gathers(A, gens)) if ideals else acc.basis
+        if ideals:
+            # each round moves the rows new in the last one by every gather
+            gathers = _right_gathers(A, gens)
+            fresh = acc.basis
+            while len(fresh):
+                fresh = acc.add_block(np.vstack([fresh[:, g] for g in gathers]))
+        nxt = acc.basis
         if len(nxt) == len(current):
             raise NotLieNilpotentDetected(f"{kind} chain went stationary")
         terms.append(nxt)
@@ -696,30 +702,23 @@ def test_upper_chain_moves_every_row_of_the_previous_ideal(monkeypatch, make):
     # each step feeds v - g v g^-1 and v - v h for every basis row v of
     # I_n, the whole previous ideal, every g in the minimal generating set
     # S of G and every h in H, the minimal generating set of G', each
-    # product collected here, as one block, and then closes under right
-    # multiplication by H
+    # product collected here, as one block, and feeds nothing more
     A = build_algebra(make())
     ideals = _upper_ideals(A)
-    translations = [("translate", A.elements[h]) for h in A.derived_generators]
-    moves = [("conjugate", A.elements[g]) for g in A.generators] + translations
+    moves = [("conjugate", A.elements[g]) for g in A.generators]
+    moves += [("translate", A.elements[h]) for h in A.derived_generators]
     steps = []
     step, add_block = _upper_step, EchelonAccumulator.add_block
 
     def recorded_step(A, ideal, gathers):
-        steps.append({"ideal": ideal, "fed": [], "closed": None})
+        steps.append({"ideal": ideal, "fed": []})
         return step(A, ideal, gathers)
 
     def recorded_add(self, block):
-        if steps[-1]["closed"] is None:
-            steps[-1]["fed"].append(np.asarray(block))
+        steps[-1]["fed"].append(np.asarray(block))
         return add_block(self, block)
 
-    def recorded_close(acc, gathers):
-        steps[-1]["closed"] = np.asarray(gathers)
-        return close_under(acc, gathers)
-
     monkeypatch.setattr(lienil.oracle, "_upper_step", recorded_step)
-    monkeypatch.setattr(lienil.oracle, "close_under", recorded_close)
     monkeypatch.setattr(EchelonAccumulator, "add_block", recorded_add)
     assert [t.tobytes() for t in _upper_ideals(A)] == [t.tobytes() for t in ideals]
     assert len(steps) == len(ideals) - 1
@@ -729,10 +728,6 @@ def test_upper_chain_moves_every_row_of_the_previous_ideal(monkeypatch, make):
         want = [(v - _moved_by_the_collector(A, v, move)) % A.p for v in rows for move in moves]
         [fed] = got["fed"]
         assert sorted(map(tuple, fed.tolist())) == sorted(map(tuple, np.array(want).tolist()))
-        # the closure moves by the translations: v h at coordinate y is v[y h^-1]
-        for gather, move in zip(got["closed"], translations, strict=True):
-            for v in rows:
-                assert np.array_equal(v[gather], _moved_by_the_collector(A, v, move))
 
 
 def test_derived_generators_generate_the_derived_subgroup():
@@ -996,6 +991,36 @@ def test_oracle_agrees_with_the_formula_route_up_to_order_3125(make):
     assert upper == upper_index(W)
     assert len(lower_lie_chain(A)) <= upper
     assert lie_dimension_orders(A) == [D.order for D in lie_dimension_chain(W)]
+
+
+CLOSED_SPAN_CASES = {
+    **UPPER_REFERENCE_CASES,
+    **{name: (lambda name=name: _table_group(name)) for name in SHIPPED_ROWS},
+}
+
+
+@pytest.mark.parametrize("make", CLOSED_SPAN_CASES.values(), ids=CLOSED_SPAN_CASES.keys())
+def test_each_upper_step_span_is_closed_under_the_derived_generators(monkeypatch, make):
+    # the span an upper step feeds is already a right ideal of F_p[G']
+    # (`_upper_ideals`, step 4): its basis moved by each h in H adds no
+    # row to the step's accumulator; v h at coordinate y is v[y h^-1]
+    assert len(CLOSED_SPAN_CASES) == 39
+    A = build_algebra(make(), SHIPPED_CAP)
+    accs, step = [], _upper_step
+
+    def recorded_step(*args):
+        accs.append(step(*args))
+        return accs[-1]
+
+    monkeypatch.setattr(lienil.oracle, "_upper_step", recorded_step)
+    assert len(upper_lie_chain(A)) == len(accs) + 1
+    m = A.cosets.shape[1]
+    translations = A.table[:m, A.inverse_indices[list(A.derived_generators)]].T
+    assert len(translations) > 0
+    for acc in accs:
+        dim = acc.dim
+        moved = acc.basis[:, translations].reshape(-1, m)
+        assert acc.add_block(moved).shape[0] == 0 and acc.dim == dim
 
 
 # the reference groups, abelian groups at p = 7, 13 and 251, and two

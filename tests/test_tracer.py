@@ -50,6 +50,6 @@ def test_tracer_records_the_layers_it_wraps_by_name(tmp_path):
     for name in ("subgroups.enumerated", "subgroups.power_subgroup",
                  "dimension.lie_dimension_chain", "oracle.upper_lie_chain",
                  "oracle.lower_lie_chain", "oracle.bracket_with_basis",
-                 "fp_linalg.close_under", "fp_linalg.add_block",
-                 "classify.match_conditions", "classify.evaluate_clause"):
+                 "fp_linalg.add_block", "classify.match_conditions",
+                 "classify.evaluate_clause"):
         assert result["calls"].get(name, 0) > 0, name
