@@ -9,6 +9,7 @@ import pytest
 
 from lienil import subgroups
 from lienil.catalog import (
+    _BUILDERS,
     BUILDER_NAMES,
     DATA_DIR,
     build_abelian,
@@ -29,6 +30,7 @@ from lienil.catalog import (
 )
 from lienil.conditions import get_conditions
 from lienil.subgroups import center, whole_group
+from groups import REGISTRY, group, names
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))
@@ -107,6 +109,24 @@ def test_standard_catalog_shape():
     assert {e.group.p for e in entries} == {2, 3, 5}
 
 
+def test_the_group_registry():
+    # unique names, every group of its declared order, the catalog under
+    # its own names and relations, 30 shipped rows, a builder group of
+    # every family, and each tag's size
+    assert len({e.name for e in REGISTRY}) == len(REGISTRY) == 106
+    assert all(group(e.name).order == e.order for e in REGISTRY)
+    catalog = {e.name: e.group for e in standard_catalog()}
+    assert sorted(names("catalog")) == list(catalog)
+    for name, G in catalog.items():
+        H = group(name)
+        assert (G.p, G._powers, G._comms) == (H.p, H._powers, H._comms), name
+    assert len(names("shipped")) == 30
+    assert {e.spec[0].partition(":")[0] for e in REGISTRY if e.spec} == set(_BUILDERS)
+    sizes = {"catalog": 48, "shipped": 30, "builder": 29, "oracle": 80, "cap3125": 33,
+             "carry": 4, "prime": 4, "nonpc": 7, "scan": 16, "orbit": 2}
+    assert {tag: len(names(tag)) for tag in sizes} == sizes
+
+
 def test_catalog_orders_are_prime_powers():
     for e in standard_catalog():
         assert e.order == e.group.p ** e.group.ngens
@@ -166,7 +186,7 @@ def test_verify_tables_on_a_sample():
 
 
 def test_verify_tables_flags_wrong_expectations():
-    entry = import_presentation(DATA_DIR / "s243_37.pres")
+    entry = {e.name: e for e in table_entries()}["S(243,37)"]
     entry.expected["zeta"] = "C9"  # the true value is C3xC3
     report = verify_tables([entry])
     assert not report.passed

@@ -8,14 +8,11 @@ import pytest
 
 from lienil import classify
 from lienil.catalog import (
-    DATA_DIR,
     build_abelian,
     build_condition_quotient,
     build_dihedral,
     build_free_class2,
     build_heisenberg,
-    build_quaternion,
-    import_presentation,
 )
 from lienil.classify import (
     AmbiguousMatch,
@@ -25,21 +22,15 @@ from lienil.classify import (
 )
 from lienil.conditions import (CONDITIONS, ConditionRecord, ab_lit,
                                corrected_records, eval_abelian, eval_value, lit)
-from lienil.pcgroup import parse_presentation
 from lienil.subgroups import (IsoType, fingerprint, lower_central_series,
                               power_subgroup, whole_group)
+from groups import group, names
 from test_pcgroup import collected_commutator, collected_conjugate
-
-# order 2^7 with G' non-abelian of order 16 (NONABELIAN_DERIVED in
-# test_subgroups.py)
-NONABELIAN_DERIVED = parse_presentation(
-    "p 2\ngens 7\ncomm 2 1 : g4^1\ncomm 3 1 : g5^1\ncomm 4 3 : g6^1 g7^1\n"
-    "comm 5 2 : g6^1\ncomm 5 4 : g7^1\ncomm 6 1 : g7^1\n")
 
 
 @pytest.fixture(scope="module")
 def heis3():
-    return whole_group(build_heisenberg(3).group)
+    return whole_group(group("heisenberg-3"))
 
 
 def test_profile_of_heisenberg(heis3):
@@ -158,7 +149,7 @@ def test_with_oracle_annotates_report():
 @pytest.fixture(scope="module")
 def nonabelian_derived():
     """W of order 2^7 and the fingerprint of its non-abelian G' (order 16)."""
-    W = whole_group(NONABELIAN_DERIVED)
+    W = whole_group(group("nonabelian-derived-128"))
     iso = fingerprint(lower_central_series(W)[1])
     assert iso.kind == "fingerprint" and iso.fingerprint[0] == 16
     return W, iso
@@ -373,22 +364,9 @@ ALL_CLAUSES = sorted({clause for table in (CONDITIONS, corrected_records())
                       for record in table for branch in record.branches
                       for clause in branch}, key=repr)
 
-REFERENCE_GROUPS = {
-    "D64": lambda: build_dihedral(64).group,
-    "Q32": lambda: build_quaternion(32).group,
-    "heisenberg:5": lambda: build_heisenberg(5).group,
-    "free_class2:3 -p 2": lambda: build_free_class2(3, 2).group,
-    "condition-quotient:65 -p 3": lambda: build_condition_quotient(65, 3).group,
-    "condition-quotient:66 -p 3": lambda: build_condition_quotient(66, 3).group,
-    "G' non-abelian": lambda: NONABELIAN_DERIVED,
-    "s243_19": lambda: import_presentation(DATA_DIR / "s243_19.pres").group,
-    "s243_56": lambda: import_presentation(DATA_DIR / "s243_56.pres").group,
-}
-
-
-@pytest.mark.parametrize("name", REFERENCE_GROUPS)
+@pytest.mark.parametrize("name", names("oracle"))
 def test_every_clause_matches_the_element_set_reference(name):
-    G = REFERENCE_GROUPS[name]()
+    G = group(name)
     W = whole_group(G)
     sets = ElementSets(G)
     assert [S.elements for S in lower_central_series(W)] == sets.gamma

@@ -17,6 +17,7 @@ from lienil.catalog import DATA_DIR
 from lienil.cli import main
 from lienil.fp_linalg import EchelonAccumulator
 from lienil.pcgroup import PcGroup, PresentationError, parse_presentation_with_meta
+from groups import NONABELIAN_DERIVED
 
 
 @pytest.fixture(autouse=True)
@@ -473,19 +474,6 @@ def test_group_source_validation(tmp_path, capsys):
     assert code == 2 and "3-group" in err
     code, _, err = run(capsys, ["index", "--builder", "nosuch:1"])
     assert code == 2 and "unknown builder" in err
-
-
-# A group of order 2^7 whose derived subgroup G' (order 16, class 2) is not
-# abelian: its power chain enumerates the 4 coset representatives of Z(G').
-NONABELIAN_DERIVED = """p 2
-gens 7
-comm 2 1 : g4^1
-comm 3 1 : g5^1
-comm 4 3 : g6^1 g7^1
-comm 5 2 : g6^1
-comm 5 4 : g7^1
-comm 6 1 : g7^1
-"""
 
 
 def test_index_refuses_an_enumeration_above_the_cap(tmp_path, monkeypatch, capsys):

@@ -3,14 +3,11 @@
 import pytest
 
 from lienil.catalog import (
-    DATA_DIR,
     build_abelian,
     build_dihedral,
     build_free_class2,
     build_heisenberg,
-    build_named,
     build_quaternion,
-    import_presentation,
 )
 from lienil.dimension import (
     DSequence,
@@ -19,15 +16,17 @@ from lienil.dimension import (
     lie_dimension_chain,
     upper_index,
 )
-from lienil.pcgroup import parse_presentation
 from lienil.subgroups import (
+    derived_subgroup,
     lower_central_series,
     power_series,
     power_subgroup,
     subgroup_product,
     trivial_subgroup,
     whole_group,
+    _log_p,
 )
+from groups import fresh, group, names
 from test_pcgroup import _calls
 
 
@@ -121,25 +120,11 @@ def lie_dimension_subgroup(W, m):
     return result
 
 
-CHAIN_GROUPS = {
-    "D16": lambda: build_dihedral(16).group,
-    "D32": lambda: build_dihedral(32).group,  # D_(4) = D_(5)
-    "Q16": lambda: build_quaternion(16).group,
-    "heisenberg:5": lambda: build_heisenberg(5).group,
-    "free_class2:4 -p 3": lambda: build_free_class2(4, 3).group,
-    # order 2^7 with G' non-abelian (NONABELIAN_DERIVED in test_subgroups.py)
-    "G' non-abelian": lambda: parse_presentation(
-        "p 2\ngens 7\ncomm 2 1 : g4^1\ncomm 3 1 : g5^1\ncomm 4 3 : g6^1 g7^1\n"
-        "comm 5 2 : g6^1\ncomm 5 4 : g7^1\ncomm 6 1 : g7^1\n"),
-    "s3125_41": lambda: import_presentation(DATA_DIR / "s3125_41.pres").group,
-}
-
-
 def test_single_subgroup_matches_chain():
-    for name, build in CHAIN_GROUPS.items():
-        chain = lie_dimension_chain(whole_group(build()))
+    for name in names():
+        chain = lie_dimension_chain(whole_group(group(name)))
         # a separately built group: no memo is shared with the chain
-        reference = whole_group(build())
+        reference = whole_group(fresh(name))
         assert [term.entries for term in chain] == [
             lie_dimension_subgroup(reference, m).entries
             for m in range(2, len(chain) + 2)], name
@@ -149,27 +134,25 @@ def test_single_subgroup_matches_chain():
 
 
 def test_mass_check_equals_derived_order():
-    from lienil.subgroups import derived_subgroup, whole_group, _log_p
-    for entry_group in (build_dihedral(16).group,
-                        build_heisenberg(3).group,
-                        build_free_class2(4, 3).group):
-        seq = d_sequence(whole_group(entry_group))
-        der = derived_subgroup(whole_group(entry_group))
-        assert seq.total() == _log_p(der.order, entry_group.p)
+    for name in names():
+        G = group(name)
+        seq = d_sequence(whole_group(G))
+        der = derived_subgroup(whole_group(G))
+        assert seq.total() == _log_p(der.order, G.p), name
 
 
-@pytest.mark.parametrize("spec, p, work, before", [
+@pytest.mark.parametrize("name, work, before", [
     # before: the counts when every bracket and centre product was collected
-    ("dihedral:1024", None, (437, 545), (2975, 3782)),
-    ("free_class2:5", 2, (0, 0), (450, 360)),
+    ("dihedral-1024", (437, 545), (2975, 3782)),
+    ("free-class2-rank5-p2", (0, 0), (450, 360)),
 ])
-def test_dimension_chain_work_is_pinned(monkeypatch, spec, p, work, before):
+def test_dimension_chain_work_is_pinned(monkeypatch, name, work, before):
     """(_mul, _collect) calls of the chain, whole group included.  Brackets
     and centre products of elements whose supports commute are read off
     the presentation (PcGroup.supports_commute), not collected, nor are
     p-th powers of pc generators, and each distinct subgroup's power
     series is built once."""
-    G = build_named(spec, p).group
+    G = fresh(name)
     assert _calls(monkeypatch, lambda: lie_dimension_chain(whole_group(G))) == work
     assert work[0] < before[0] and work[1] < before[1]
 
@@ -179,7 +162,7 @@ def test_whole_group_work_is_pinned(monkeypatch):
     first, so the sequence fills with pc generators read off the power
     relations, and no product is collected (348 _mul and 418 _collect
     calls when the commutators were sifted first)."""
-    G = build_dihedral(1024).group
+    G = fresh("dihedral-1024")
     assert _calls(monkeypatch, lambda: whole_group(G)) == (0, 0)
 
 
@@ -188,7 +171,7 @@ def test_equal_pieces_share_one_power_series():
     gamma_3's series is [gamma_3] + the later terms of gamma_2's, the
     same objects, and the chain builds one series per distinct subgroup:
     the 9 terms of gamma_2's."""
-    G = build_dihedral(1024).group
+    G = fresh("dihedral-1024")
     W = whole_group(G)
     lie_dimension_chain(W)
     gamma = lower_central_series(W)

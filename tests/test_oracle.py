@@ -10,18 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lienil.catalog import (
-    DATA_DIR,
-    build_abelian,
-    build_condition_quotient,
-    build_dihedral,
-    build_free_class2,
-    build_heisenberg,
-    build_named,
-    build_quaternion,
-    import_presentation,
-    standard_catalog,
-)
 import lienil.fp_linalg
 import lienil.oracle
 from lienil.dimension import lie_dimension_chain, upper_index
@@ -50,12 +38,12 @@ from lienil.subgroups import (
     subgroup_product,
     whole_group,
 )
+from groups import PRIME_FAMILIES, group, names
 from test_fp_linalg import DenseEchelon, naive_rref
 from test_pcgroup import collected_conjugate
 
-
-def _table_group(stem):
-    return import_presentation(DATA_DIR / f"{stem}.pres").group
+# the oracle's cap that admits every shipped row
+SHIPPED_CAP = 3125
 
 
 def _index(A):
@@ -190,12 +178,8 @@ def _reference_chains(A):
             _ungraded_lie_chain(A, A.generators, _orbit_representatives(A), ideals=False))
 
 
-# the order-243 table rows, the largest groups the default oracle cap admits
-TABLE_243 = sorted(f.stem for f in DATA_DIR.glob("s243_*.pres"))
-
-
 def test_algebra_table_is_a_group_table():
-    G = build_dihedral(8).group
+    G = group("dihedral-8")
     A = build_algebra(G)
     assert A.dim == 8
     assert A.elements[0] == G.identity
@@ -217,8 +201,7 @@ def test_algebra_table_is_a_group_table():
 def test_build_algebra_makes_no_collector_product(monkeypatch):
     # the table comes from the pc relations alone: neither the public
     # product nor the collector behind every product is called
-    groups = [build_heisenberg(3).group, build_dihedral(64).group,
-              build_condition_quotient(65, 3).group, build_abelian(251, [251]).group]
+    groups = [group(name) for name in names("oracle")]
     calls = []
     for name in ("multiply", "_mul"):
         method = getattr(PcGroup, name)
@@ -232,7 +215,8 @@ def test_build_algebra_makes_no_collector_product(monkeypatch):
         assert build_algebra(G).dim == G.order
     assert calls == []
     # the counters see a product
-    groups[0].multiply(groups[0].generator(1), groups[0].generator(0))
+    G = group("heisenberg-3")
+    G.multiply(G.generator(1), G.generator(0))
     assert calls[:2] == ["multiply", "_mul"]
 
 
@@ -241,48 +225,14 @@ def _pc_index(G, x):
     return sum(e * G.p ** (G.ngens - 1 - i) for i, e in enumerate(x))
 
 
-def _some_primes(upto):
-    return [q for q in range(2, upto + 1) if all(q % d for d in range(2, int(q**0.5) + 1))]
-
-
-def _semidihedral(k):
-    # SD_(2^k) = <a, b | a^(2^(k-1)) = b^2 = 1, a^b = a^(2^(k-2) - 1)> on
-    # g1 = a, g2 = b and g_(i+2) = a^(2^i): the power relation g1^2 = g3
-    # is not central in G_2 = <g2, ..., gk>, since [g3, g2] = a^-4
-    powers = {0: ((2, 1),), **{j: ((j + 1, 1),) for j in range(2, k - 1)}}
-    comms = {(1, 0): ((2, 1), (k - 1, 1)),
-             **{(j, 1): tuple((i, 1) for i in range(j + 1, k)) for j in range(2, k - 1)}}
-    return PcGroup(2, k, powers, comms)
-
-
 def test_semidihedral_presentation():
-    for k in (4, 6, 8):
-        G = _semidihedral(k)
+    for name in names("carry"):
+        G = group(name)
+        k = G.ngens
         a, b, w = G.generator(0), G.generator(1), G.power_relation(0)
         assert G.element_order(a) == 2 ** (k - 1) and G.element_order(b) == 2
         assert G.conjugate(a, b) == G.power(a, 2 ** (k - 2) - 1)
         assert G.multiply(w, b) != G.multiply(b, w)
-
-
-# builder families at random primes, every group of order at most 1331,
-# and semidihedral groups, whose carry w_1 is not central in G_2
-SMALL_PRIME_FAMILIES = (
-    lambda q: build_free_class2(2, q).group,
-    lambda q: build_abelian(q, [q, q, q]).group,
-    lambda q: build_abelian(q, [q * q, q]).group,
-)
-PRIME_FAMILIES = st.one_of(
-    st.integers(4, 9).map(_semidihedral),
-    st.sampled_from(_some_primes(1000)).map(lambda q: build_abelian(q, [q]).group),
-    st.sampled_from(_some_primes(37)).map(lambda q: build_abelian(q, [q * q]).group),
-    st.sampled_from(_some_primes(11)[1:]).map(lambda q: build_heisenberg(q).group),
-    st.builds(lambda make, q: make(q), st.sampled_from(SMALL_PRIME_FAMILIES),
-              st.sampled_from(_some_primes(11))),
-    st.sampled_from([2, 3]).map(lambda q: build_free_class2(3, q).group),
-    st.sampled_from([65, 66]).map(lambda row: build_condition_quotient(row, 3).group),
-    st.builds(lambda make, k: make(2**k).group,
-              st.sampled_from([build_dihedral, build_quaternion]), st.integers(3, 8)),
-)
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,42 +300,35 @@ def _collector_algebra(G):
 
 
 def test_oracle_refuses_groups_above_cap():
-    big = build_free_class2(5, 2).group
     with pytest.raises(OracleCapExceeded):
-        build_algebra(big)
+        build_algebra(group("free-class2-rank5-p2"))
     with pytest.raises(OracleCapExceeded):
-        t_upper_direct(build_dihedral(16).group, cap=8)
+        t_upper_direct(group("dihedral-16"), cap=8)
 
 
-@pytest.mark.parametrize("make,expected", [
-    (lambda: build_dihedral(8).group, 3),
-    (lambda: build_quaternion(8).group, 3),
-    (lambda: build_dihedral(16).group, 5),
-    (lambda: build_heisenberg(3).group, 4),
-    (lambda: build_heisenberg(5).group, 6),
-], ids=["D8", "Q8", "D16", "H3", "H5"])
-def test_upper_index_known_values(make, expected):
-    G = make()
-    assert t_upper_direct(G) == expected
+KNOWN_INDICES = {"dihedral-8": 3, "quaternion-8": 3, "dihedral-16": 5, "heisenberg-3": 4,
+                 "heisenberg-5": 6}
+
+
+@pytest.mark.parametrize("name", KNOWN_INDICES)
+def test_upper_index_known_values(name):
+    assert t_upper_direct(group(name)) == KNOWN_INDICES[name]
 
 
 def test_lower_indices_match_upper_on_small_groups():
-    for make in (lambda: build_dihedral(8).group,
-                 lambda: build_quaternion(8).group,
-                 lambda: build_heisenberg(3).group,
-                 lambda: build_heisenberg(5).group):
-        G = make()
+    for name in ("dihedral-8", "quaternion-8", "heisenberg-3", "heisenberg-5"):
+        G = group(name)
         assert len(lower_lie_chain(build_algebra(G))) == t_upper_direct(G)
 
 
 def test_abelian_algebra_has_index_two():
-    G = build_abelian(3, [9, 3]).group
+    G = group("abelian-C9xC3-p3")
     assert t_upper_direct(G) == 2
     assert len(lower_lie_chain(build_algebra(G))) == 2
 
 
 def test_chain_dimensions_decrease_strictly():
-    G = build_dihedral(16).group
+    G = group("dihedral-16")
     A = build_algebra(G)
     up = upper_lie_chain(A)
     low = lower_lie_chain(A)
@@ -396,30 +339,19 @@ def test_chain_dimensions_decrease_strictly():
     assert len(low) <= len(up)
 
 
-SEEDING_CASES = {
-    "D16": lambda: build_dihedral(16).group,
-    "H3": lambda: build_heisenberg(3).group,
-    "Q16": lambda: build_quaternion(16).group,
-    "H5": lambda: build_heisenberg(5).group,
-    "free_class2-3-p2": lambda: build_free_class2(3, 2).group,
-}
-
-
 def test_generator_seeding_spans_the_same_ideals():
-    for make in SEEDING_CASES.values():
-        A = build_algebra(make())
+    # every-element seeding costs |G|^3 per step: the small builder groups
+    for name in names("scan", "builder", most=128):
+        A = build_algebra(group(name))
         full = _ungraded_lie_chain(A, range(A.dim), range(A.dim), ideals=True)
         reduced = _dense_upper(A)
         assert len(full) == len(reduced)
         assert [s.tobytes() for s in full] == [s.tobytes() for s in reduced]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_dihedral(16).group,
-    lambda: build_heisenberg(3).group,
-], ids=["D16", "H3"])
-def test_bracket_gathers_match_multiplication_scatters(make):
-    A = build_algebra(make())
+@pytest.mark.parametrize("name", names("scan", "builder", most=128))
+def test_bracket_gathers_match_multiplication_scatters(name):
+    A = build_algebra(group(name))
     rng = np.random.default_rng(5)
     block = rng.integers(0, A.p, size=(7, A.dim)).astype(np.int64)
     for b in range(A.dim):
@@ -427,54 +359,6 @@ def test_bracket_gathers_match_multiplication_scatters(make):
         got = A.bracket_with_basis(block, b)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
-
-
-def test_direct_and_formula_routes_agree_on_small_corpus():
-    groups = [
-        build_dihedral(8).group,
-        build_dihedral(16).group,
-        build_dihedral(32).group,
-        build_quaternion(8).group,
-        build_quaternion(16).group,
-        build_heisenberg(3).group,
-        build_abelian(2, [8, 2]).group,
-        build_abelian(5, [25]).group,
-        build_free_class2(2, 2).group,
-        build_free_class2(3, 2).group,
-    ]
-    for G in groups:
-        assert t_upper_direct(G) == upper_index(whole_group(G))
-
-
-def test_index_bounds_on_nonabelian_groups():
-    # p + 1 <= t_L <= t^L <= |G'| + 1, with equality of the two indices
-    # guaranteed for p > 3.
-    for make in (lambda: build_dihedral(32).group,
-                 lambda: build_quaternion(16).group,
-                 lambda: build_heisenberg(3).group,
-                 lambda: build_heisenberg(5).group):
-        G = make()
-        lower = len(lower_lie_chain(build_algebra(G)))
-        upper = t_upper_direct(G)
-        dorder = derived_subgroup(whole_group(G)).order
-        assert G.p + 1 <= lower <= upper <= dorder + 1
-        if G.p > 3:
-            assert lower == upper
-
-
-ORBIT_CASES = {
-    "D16": lambda: build_dihedral(16).group,
-    "Q16": lambda: build_quaternion(16).group,
-    "H3": lambda: build_heisenberg(3).group,
-    "H5": lambda: build_heisenberg(5).group,
-    "free_class2-3-p2": lambda: build_free_class2(3, 2).group,
-    # large centre: 8 representatives for 243 elements
-    "cond65-quotient": lambda: build_condition_quotient(65, 3).group,
-    # every element central: no representatives, t = 2
-    "C9xC3": lambda: build_abelian(3, [9, 3]).group,
-    # the longest lower chain of the table rows, t = 10
-    "s243_22": lambda: _table_group("s243_22"),
-}
 
 
 def _lower_chain_without_centre(A, against):
@@ -490,9 +374,14 @@ def _lower_chain_without_centre(A, against):
     return terms
 
 
-@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
-def test_orbit_seeding_spans_the_same_lower_terms(make):
-    A = build_algebra(make())
+# every-element brackets cost about |G|^3: the small scan groups and the
+# orbit edge cases
+ORBIT = names("scan", most=128) + names("orbit")
+
+
+@pytest.mark.parametrize("name", ORBIT)
+def test_orbit_seeding_spans_the_same_lower_terms(name):
+    A = build_algebra(group(name))
     full = _lower_chain_without_centre(A, range(A.dim))
     reduced = _dense_lower(A)
     assert len(full) == len(reduced)
@@ -516,24 +405,23 @@ def _naive_lower_spans(A):
     return spaces
 
 
-@pytest.mark.parametrize("make,dims", [
-    (lambda: build_dihedral(8).group, [8, 3, 0]),
-    (lambda: build_quaternion(8).group, [8, 3, 0]),
-    (lambda: build_heisenberg(3).group, [27, 16, 8, 0]),
-    (lambda: build_free_class2(3, 2).group, [64, 42, 28, 7, 0]),
-], ids=["D8", "Q8", "H3", "free_class2-3-p2"])
-def test_lower_chain_terms_are_the_bracket_spans(make, dims):
+SPAN_DIMS = {"dihedral-8": [8, 3, 0], "quaternion-8": [8, 3, 0],
+             "heisenberg-3": [27, 16, 8, 0], "free-class2-rank3-p2": [64, 42, 28, 7, 0]}
+
+
+@pytest.mark.parametrize("name", SPAN_DIMS)
+def test_lower_chain_terms_are_the_bracket_spans(name):
     # the terms are the spans V_n themselves, not the ideals they generate
-    A = build_algebra(make())
+    A = build_algebra(group(name))
     naive = _naive_lower_spans(A)
     chain = _dense_lower(A)
     assert [s.tolist() for s in chain] == naive
-    assert [len(s) for s in chain] == dims
+    assert [len(s) for s in chain] == SPAN_DIMS[name]
 
 
-@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
-def test_orbit_representatives_match_pc_orbits(make):
-    G = make()
+@pytest.mark.parametrize("name", ORBIT)
+def test_orbit_representatives_match_pc_orbits(name):
+    G = group(name)
     A = build_algebra(G)
     index = _index(A)
     Z = center(whole_group(G)).elements
@@ -552,41 +440,17 @@ def test_orbit_representatives_match_pc_orbits(make):
     assert len(reps) == len(orbits)
 
 
-NONABELIAN_ORACLE = {
-    **{name: (lambda name=name: _table_group(name)) for name in TABLE_243},
-    "D64": lambda: build_dihedral(64).group,
-    "Q64": lambda: build_quaternion(64).group,
-    "D128": lambda: build_dihedral(128).group,
-    "Q128": lambda: build_quaternion(128).group,
-}
+# The dense references of the three tests below take about 2 s a group at
+# order 256, so they stop at 243.
+DENSE = names({"scan", "shipped", "builder"}, most=243)
 
 
-@pytest.mark.parametrize("make", NONABELIAN_ORACLE.values(),
-                         ids=NONABELIAN_ORACLE.keys())
-def test_both_chains_on_larger_nonabelian_groups(make):
-    # the two routes agree on t^L, and p + 1 <= t_L <= t^L <= |G'| + 1
-    G = make()
-    A = build_algebra(G)
-    upper = len(upper_lie_chain(A))
-    lower = len(lower_lie_chain(A))
-    assert upper == upper_index(whole_group(G))
-    dorder = derived_subgroup(whole_group(G)).order
-    assert G.p + 1 <= lower <= upper <= dorder + 1
-
-
-CENTRE_CASES = {
-    **ORBIT_CASES,
-    **NONABELIAN_ORACLE,
-    "cond66-quotient": lambda: build_condition_quotient(66, 3).group,
-}
-
-
-@pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
-def test_lower_terms_equal_dense_brackets_against_the_representatives(make):
+@pytest.mark.parametrize("name", DENSE)
+def test_lower_terms_equal_dense_brackets_against_the_representatives(name):
     # the graded chain, bracketing V_n's layers in blocks, gives the terms
     # that bracketing every dense basis row of V_n against the same
     # representatives, one block per representative, gives
-    A = build_algebra(make())
+    A = build_algebra(group(name))
     want = _lower_chain_without_centre(A, _orbit_representatives(A))
     got = _dense_lower(A)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
@@ -606,11 +470,11 @@ def _closure(A, gens):
     return closed
 
 
-@pytest.mark.parametrize("make", ORBIT_CASES.values(), ids=ORBIT_CASES.keys())
-def test_centre_matches_the_subgroup_centre(make):
+@pytest.mark.parametrize("name", ORBIT)
+def test_centre_matches_the_subgroup_centre(name):
     # A.centre, the one centre set the oracle keeps, against the subgroup
     # code's centre
-    G = make()
+    G = group(name)
     A = build_algebra(G)
     index = _index(A)
     Z = {index[z] for z in center(whole_group(G)).elements}
@@ -655,17 +519,13 @@ def _counted_chain(monkeypatch, chain, A):
     return chain(A), bracketed, blocks
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_condition_quotient(65, 3).group,
-    lambda: build_condition_quotient(66, 3).group,
-    lambda: build_dihedral(64).group,
-], ids=["cond65-quotient", "cond66-quotient", "D64"])
-def test_lower_chain_brackets_every_row_of_the_previous_term(monkeypatch, make):
+@pytest.mark.parametrize("name", ["cond65-quotient-p3", "cond66-quotient-p3", "dihedral-64"])
+def test_lower_chain_brackets_every_row_of_the_previous_term(monkeypatch, name):
     # the first step brackets all |G| rows against the minimal generating
     # set, each later step brackets exactly the previous term's rows
     # against the orbit representatives, and no block fed to the
     # accumulator exceeds A.dim layers
-    A = build_algebra(make())
+    A = build_algebra(group(name))
     reps, gens = _orbit_representatives(A), A.generators
     chain, bracketed, blocks = _counted_chain(monkeypatch, _dense_lower, A)
     want = [(chain[0], g) for g in gens]
@@ -693,17 +553,13 @@ def _moved_by_the_collector(A, row, move):
     return out
 
 
-@pytest.mark.parametrize("make", [
-    lambda: build_condition_quotient(66, 3).group,
-    lambda: build_dihedral(64).group,
-    lambda: build_free_class2(3, 2).group,
-], ids=["cond66-quotient", "D64", "free_class2-3-p2"])
-def test_upper_chain_moves_every_row_of_the_previous_ideal(monkeypatch, make):
+@pytest.mark.parametrize("name", ["cond66-quotient-p3", "dihedral-64", "free-class2-rank3-p2"])
+def test_upper_chain_moves_every_row_of_the_previous_ideal(monkeypatch, name):
     # each step feeds v - g v g^-1 and v - v h for every basis row v of
     # I_n, the whole previous ideal, every g in the minimal generating set
     # S of G and every h in H, the minimal generating set of G', each
     # product collected here, as one block, and feeds nothing more
-    A = build_algebra(make())
+    A = build_algebra(group(name))
     ideals = _upper_ideals(A)
     moves = [("conjugate", A.elements[g]) for g in A.generators]
     moves += [("translate", A.elements[h]) for h in A.derived_generators]
@@ -732,12 +588,9 @@ def test_upper_chain_moves_every_row_of_the_previous_ideal(monkeypatch, make):
 
 def test_derived_generators_generate_the_derived_subgroup():
     # A.derived_generators generates G' with log_p [G' : G''G'^p] elements,
-    # against the subgroup code's G', on every catalog group the default
-    # cap admits and the order-243 table rows
-    groups = [e.group for e in standard_catalog() if e.order <= 256]
-    groups += [_table_group(name) for name in TABLE_243]
-    assert len(groups) == 61
-    for G in groups:
+    # against the subgroup code's G', on every group the default cap admits
+    for name in names("oracle"):
+        G = group(name)
         A = build_algebra(G)
         index = _index(A)
         D = derived_subgroup(whole_group(G))
@@ -799,8 +652,8 @@ def test_a_step_on_81_cosets_makes_no_more_numpy_calls_than_on_4(monkeypatch):
     # though it brackets against twice as many generators; a loop over the
     # cosets would make about 81 times as many.  The upper chain works in
     # G' alone: every accumulator it builds has one grade of width |G'|.
-    many = build_algebra(build_condition_quotient(66, 3).group)
-    few = build_algebra(build_dihedral(32).group)
+    many = build_algebra(group("cond66-quotient-p3"))
+    few = build_algebra(group("dihedral-32"))
     assert many.cosets.shape == (81, 3) and few.cosets.shape == (4, 8)
     assert len(many.generators) == 2 * len(few.generators)
     on_many = _first_step_calls(monkeypatch, many)
@@ -813,38 +666,29 @@ def test_a_step_on_81_cosets_makes_no_more_numpy_calls_than_on_4(monkeypatch):
         assert len(shapes) == len(upper_lie_chain(A)) - 1
 
 
-UPPER_REFERENCE_CASES = {**SEEDING_CASES, **NONABELIAN_ORACLE}
-
-
-@pytest.mark.parametrize("make", UPPER_REFERENCE_CASES.values(),
-                         ids=UPPER_REFERENCE_CASES.keys())
-def test_upper_terms_are_the_two_sided_ideals(make):
+@pytest.mark.parametrize("name", DENSE)
+def test_upper_terms_are_the_two_sided_ideals(name):
     # closing under right multiplication alone reaches the two-sided ideal
-    A = build_algebra(make())
+    A = build_algebra(group(name))
     want = _two_sided_upper_chain(A)
     got = _dense_upper(A)
     assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
 
 
 def test_chain_bound_reads_the_derived_subgroup_off_the_table():
-    # the oracle's |G'| against the subgroup code's, on every catalog
-    # group the default cap admits and the order-243 table rows
-    groups = [e.group for e in standard_catalog() if e.order <= 256]
-    groups += [build_dihedral(256).group, build_quaternion(256).group]
-    groups += [_table_group(name) for name in TABLE_243]
-    assert len(groups) == 63
-    for G in groups:
+    # the oracle's |G'| against the subgroup code's, on every group the
+    # default cap admits
+    for name in names("oracle"):
+        G = group(name)
         want = derived_subgroup(whole_group(G)).order + 2
         assert build_algebra(G).chain_bound == want
 
 
 def test_generating_sets_are_minimal():
     # A.generators generates G with log_p [G : G'G^p] elements, on every
-    # catalog group the default cap admits and the order-243 table rows
-    groups = [e.group for e in standard_catalog() if e.order <= 256]
-    groups += [_table_group(name) for name in TABLE_243]
-    assert len(groups) == 61
-    for G in groups:
+    # group the default cap admits
+    for name in names("oracle"):
+        G = group(name)
         A = build_algebra(G)
         W = whole_group(G)
         frattini = subgroup_product(derived_subgroup(W), power_subgroup(W, G.p))
@@ -872,7 +716,7 @@ def test_oracle_runs_both_chains_without_the_subgroup_code():
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     lengths, modules = done.stdout.splitlines()
-    G = _table_group("s243_22")
+    G = group("s243_22")
     assert lengths == f"{upper_index(whole_group(G))} 10 " \
                       f"{derived_subgroup(whole_group(G)).order + 2}"
     assert "lienil.subgroups" not in modules
@@ -883,34 +727,17 @@ def test_lower_chain_stationary_guard(monkeypatch):
     # a bracket that returns its rows keeps every term
     monkeypatch.setattr(GroupAlgebra, "bracket_with_basis",
                         lambda self, layers, bs: np.vstack([layers] * len(bs)))
-    A = build_algebra(build_dihedral(16).group)
+    A = build_algebra(group("dihedral-16"))
     with pytest.raises(NotLieNilpotentDetected,
                        match="lower chain went stationary at nonzero dimension 16"):
         lower_lie_chain(A)
 
 
-# the catalog groups the default cap admits, among them both condition
-# quotients at p = 3 and heisenberg-5, and the dihedral and quaternion
-# groups of order 128 and 256
-REFERENCE_GROUPS = {
-    **{e.name: (lambda e=e: e.group) for e in standard_catalog() if e.order <= 256},
-    "D128": lambda: build_dihedral(128).group,
-    "Q128": lambda: build_quaternion(128).group,
-    "D256": lambda: build_dihedral(256).group,
-    "Q256": lambda: build_quaternion(256).group,
-}
-
-
-def test_reference_groups_are_the_catalog_and_four_more():
-    assert len(REFERENCE_GROUPS) == 51
-    assert {"cond65-quotient-p3", "cond66-quotient-p3", "heisenberg-5"} <= set(REFERENCE_GROUPS)
-
-
-@pytest.mark.parametrize("make", REFERENCE_GROUPS.values(), ids=REFERENCE_GROUPS.keys())
-def test_graded_chains_equal_the_ungraded_reference(make):
+@pytest.mark.parametrize("name", names({"catalog", "builder"}, "oracle"))
+def test_graded_chains_equal_the_ungraded_reference(name):
     # every term of both chains, byte for byte, dtype and shape included,
     # and the public chains' dimensions
-    A = build_algebra(make())
+    A = build_algebra(group(name))
     want_upper, want_lower = _reference_chains(A)
     assert upper_lie_chain(A) == [len(t) for t in want_upper]
     assert lower_lie_chain(A) == [len(t) for t in want_lower]
@@ -919,11 +746,6 @@ def test_graded_chains_equal_the_ungraded_reference(make):
         assert [t.shape for t in got] == [t.shape for t in want]
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
         assert not any(t.flags.writeable for t in got)
-
-
-# every shipped table row, at the oracle cap that admits them all
-SHIPPED_ROWS = sorted(f.stem for f in DATA_DIR.glob("*.pres"))
-SHIPPED_CAP = 3125
 
 
 def _orbit_representatives_by_search(A):
@@ -952,60 +774,38 @@ def _orbit_representatives_by_search(A):
     return tuple(sorted(reps, key=lambda x: (x % m, x // m)))
 
 
-ORBIT_REFERENCE_CASES = {
-    **REFERENCE_GROUPS,
-    **{name: (lambda name=name: _table_group(name)) for name in SHIPPED_ROWS},
-}
-
-
-@pytest.mark.parametrize("make", ORBIT_REFERENCE_CASES.values(),
-                         ids=ORBIT_REFERENCE_CASES.keys())
-def test_orbit_labels_give_the_searched_representatives(make):
-    # the reference groups and every shipped row, the order-243 rows among
-    # them
-    assert len(ORBIT_REFERENCE_CASES) == 81
-    A = build_algebra(make(), SHIPPED_CAP)
+@pytest.mark.parametrize("name", names({"oracle", "cap3125"}))
+def test_orbit_labels_give_the_searched_representatives(name):
+    A = build_algebra(group(name), SHIPPED_CAP)
     got = _orbit_representatives(A)
     assert type(got) is tuple and all(type(x) is int for x in got)
     assert got == _orbit_representatives_by_search(A)
 
 
-GATE_GROUPS = {
-    **{name: (lambda name=name: _table_group(name)) for name in SHIPPED_ROWS},
-    "condition-46-p5": lambda: build_named("condition:46", 5).group,
-    "condition-65-p3": lambda: build_named("condition:65", 3).group,
-    "condition-66-p3": lambda: build_named("condition:66", 3).group,
-}
-
-
-@pytest.mark.parametrize("make", GATE_GROUPS.values(), ids=GATE_GROUPS.keys())
-def test_oracle_agrees_with_the_formula_route_up_to_order_3125(make):
-    # every shipped row and the three condition groups: the direct t^L is
-    # the formula's, t_L <= t^L, and every |D_(m)| read off the upper
-    # chain is the formula's
-    assert len(GATE_GROUPS) == 33
-    G = make()
+@pytest.mark.parametrize("name", names("cap3125") + names(most=128))
+def test_oracle_agrees_with_the_formula_route_up_to_order_3125(name):
+    # every group the oracle checks at cap 3125 and every group of order at
+    # most 128: the direct t^L is the formula's, every |D_(m)| read off the
+    # upper chain is the formula's, t_L <= t^L <= |G'| + 1, p + 1 <= t_L
+    # when G is not abelian, and t_L = t^L when p > 3
+    G = group(name)
     A = build_algebra(G, SHIPPED_CAP)
     W = whole_group(G)
-    upper = len(upper_lie_chain(A))
+    upper, lower = len(upper_lie_chain(A)), len(lower_lie_chain(A))
     assert upper == upper_index(W)
-    assert len(lower_lie_chain(A)) <= upper
     assert lie_dimension_orders(A) == [D.order for D in lie_dimension_chain(W)]
+    dorder = derived_subgroup(W).order
+    assert lower <= upper <= dorder + 1
+    assert G.p + 1 <= lower or dorder == 1
+    assert lower == upper or G.p <= 3
 
 
-CLOSED_SPAN_CASES = {
-    **UPPER_REFERENCE_CASES,
-    **{name: (lambda name=name: _table_group(name)) for name in SHIPPED_ROWS},
-}
-
-
-@pytest.mark.parametrize("make", CLOSED_SPAN_CASES.values(), ids=CLOSED_SPAN_CASES.keys())
-def test_each_upper_step_span_is_closed_under_the_derived_generators(monkeypatch, make):
+@pytest.mark.parametrize("name", names({"oracle", "cap3125"}))
+def test_each_upper_step_span_is_closed_under_the_derived_generators(monkeypatch, name):
     # the span an upper step feeds is already a right ideal of F_p[G']
     # (`_upper_ideals`, step 4): its basis moved by each h in H adds no
     # row to the step's accumulator; v h at coordinate y is v[y h^-1]
-    assert len(CLOSED_SPAN_CASES) == 39
-    A = build_algebra(make(), SHIPPED_CAP)
+    A = build_algebra(group(name), SHIPPED_CAP)
     accs, step = [], _upper_step
 
     def recorded_step(*args):
@@ -1016,29 +816,17 @@ def test_each_upper_step_span_is_closed_under_the_derived_generators(monkeypatch
     assert len(upper_lie_chain(A)) == len(accs) + 1
     m = A.cosets.shape[1]
     translations = A.table[:m, A.inverse_indices[list(A.derived_generators)]].T
-    assert len(translations) > 0
+    assert len(translations) > 0 or m == 1  # G' = 1 moves nothing
     for acc in accs:
         dim = acc.dim
         moved = acc.basis[:, translations].reshape(-1, m)
         assert acc.add_block(moved).shape[0] == 0 and acc.dim == dim
 
 
-# the reference groups, abelian groups at p = 7, 13 and 251, and two
-# semidihedral groups
-ALGEBRA_CASES = {
-    **REFERENCE_GROUPS,
-    "abelian-49-p7": lambda: build_abelian(7, [49]).group,
-    "abelian-13x13-p13": lambda: build_abelian(13, [13, 13]).group,
-    "abelian-251-p251": lambda: build_abelian(251, [251]).group,
-    "SD16": lambda: _semidihedral(4),
-    "SD256": lambda: _semidihedral(8),
-}
-
-
-@pytest.mark.parametrize("make", ALGEBRA_CASES.values(), ids=ALGEBRA_CASES.keys())
-def test_build_algebra_equals_the_collector_reference(make):
+@pytest.mark.parametrize("name", names("oracle"))
+def test_build_algebra_equals_the_collector_reference(name):
     # every field, the table's dtype and bytes included
-    G = make()
+    G = group(name)
     got, want = build_algebra(G), _collector_algebra(G)
     assert got.group is want.group and got.p == want.p
     assert got.elements == want.elements
@@ -1052,10 +840,10 @@ def test_build_algebra_equals_the_collector_reference(make):
     assert got.cosets.shape == want.cosets.shape
 
 
-@pytest.mark.parametrize("make", CENTRE_CASES.values(), ids=CENTRE_CASES.keys())
-def test_every_term_row_lies_in_one_coset_of_the_derived_subgroup(make):
+@pytest.mark.parametrize("name", DENSE)
+def test_every_term_row_lies_in_one_coset_of_the_derived_subgroup(name):
     # the cosets read off the subgroup code, not off the algebra's table
-    G = make()
+    G = group(name)
     A = build_algebra(G)
     index = _index(A)
     derived = [index[d] for d in derived_subgroup(whole_group(G)).elements]
@@ -1067,7 +855,7 @@ def test_every_term_row_lies_in_one_coset_of_the_derived_subgroup(make):
 
 def test_cosets_partition_the_group_in_ascending_rows():
     # the basis is listed coset by coset of G', read off the subgroup code
-    G = build_condition_quotient(66, 3).group
+    G = group("cond66-quotient-p3")
     A = build_algebra(G)
     assert A.cosets.shape == (81, 3)
     assert np.array_equal(A.cosets.ravel(), np.arange(A.dim))
@@ -1080,13 +868,3 @@ def test_cosets_partition_the_group_in_ascending_rows():
         x = A.elements[row[0]]
         assert set(row.tolist()) == {index[G.multiply(x, d)] for d in derived}
 
-
-def test_lie_dimension_orders_equal_the_product_formula_chain():
-    # D_(m) read off the upper chain against the Passi product formula,
-    # term by term, on the non-abelian groups beyond the catalog (the
-    # catalog groups are acceptance check 1)
-    assert len(NONABELIAN_ORACLE) == 18
-    for name, make in NONABELIAN_ORACLE.items():
-        G = make()
-        want = [D.order for D in lie_dimension_chain(whole_group(G))]
-        assert lie_dimension_orders(build_algebra(G)) == want, name

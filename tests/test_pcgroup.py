@@ -22,6 +22,7 @@ from lienil.pcgroup import (
     parse_presentation,
     parse_presentation_with_meta,
 )
+from groups import fresh, group, names
 
 
 def heisenberg(p):
@@ -233,15 +234,8 @@ class LetterCollector:
 
 @functools.lru_cache(maxsize=None)
 def _collector_cases():
-    from lienil.catalog import (DATA_DIR, build_dihedral, build_free_class2,
-                                build_heisenberg, build_quaternion,
-                                import_presentation)
-    groups = [import_presentation(f).group
-              for f in sorted(DATA_DIR.glob("*.pres"))]
-    groups += [build_dihedral(64).group, build_quaternion(32).group,
-               build_heisenberg(7).group, build_free_class2(4, 3).group,
-               build_free_class2(3, 5).group]
-    return tuple((G, LetterCollector(G)) for G in groups)
+    return tuple((group(name), LetterCollector(group(name)))
+                 for name in names({"shipped", "builder"}))
 
 
 def _assert_matches_reference(G, ref, x, y, m):
@@ -254,9 +248,7 @@ def _assert_matches_reference(G, ref, x, y, m):
 
 def test_collector_matches_the_letter_collector():
     rng = np.random.default_rng(3)
-    cases = _collector_cases()
-    assert len(cases) == 35
-    for G, ref in cases:
+    for G, ref in _collector_cases():
         for _ in range(20):
             x, y = (G.element(rng.integers(0, G.p, size=G.ngens)) for _ in "xy")
             _assert_matches_reference(G, ref, x, y, int(rng.integers(-2 * G.p, 2 * G.p)))
@@ -372,26 +364,9 @@ def _relation_dicts(G):
     return G.p, G.ngens, dict(enumerate(G._powers)), G._comms
 
 
-# one group per builder family
-FAMILY_SPECS = {"dihedral": ("dihedral:64", None), "quaternion": ("quaternion:32", None),
-                "heisenberg": ("heisenberg:5", None), "abelian": ("abelian:9x3", 3),
-                "free_class2": ("free_class2:4", 3), "condition": ("condition:46", 5),
-                "condition-quotient": ("condition-quotient:66", 3)}
-
-
-@functools.lru_cache(maxsize=None)
-def _shipped_and_family_groups():
-    """The 30 shipped table rows, then one group per builder family."""
-    from lienil.catalog import DATA_DIR, _BUILDERS, build_named, import_presentation
-    groups = [import_presentation(f).group for f in sorted(DATA_DIR.glob("*.pres"))]
-    assert len(groups) == 30
-    assert set(FAMILY_SPECS) == set(_BUILDERS)
-    return tuple(groups + [build_named(*spec).group for spec in FAMILY_SPECS.values()])
-
-
 def test_shipped_and_built_groups_pass_both_checks():
-    for G in _shipped_and_family_groups():
-        assert _verdicts(*_relation_dicts(G)) == [None, None]
+    for name in names():
+        assert _verdicts(*_relation_dicts(group(name))) == [None, None], name
 
 
 @st.composite
@@ -410,7 +385,8 @@ def test_support_test_commutes_and_is_exact_on_pc_generators(data):
     holds exactly when their collected bracket is 1, in either order; and
     commutator and conjugate, which skip the products when it holds,
     equal the collected values."""
-    G = data.draw(st.sampled_from(_shipped_and_family_groups()) | _consistent_groups())
+    G = data.draw(st.sampled_from(names({"shipped", "builder"})).map(group)
+                  | _consistent_groups())
     gens = G.generators()
     for x in gens:
         for y in gens:
@@ -438,28 +414,24 @@ def _calls(monkeypatch, run):
     return counts["_mul"], counts["_collect"]
 
 
-@pytest.mark.parametrize("spec, p, work", [
+@pytest.mark.parametrize("name, work", [
     # (707, 977) and (490, 735) when the overlaps that collect inside an
     # abelian support were collected too
-    ("dihedral:1024", None, (303, 377)),
-    ("free_class2:5", 2, (170, 235)),
+    ("dihedral-1024", (303, 377)),
+    ("free-class2-rank5-p2", (170, 235)),
     # relation-free: only the g_k g_j collections, each a plain write
-    ("gens 40", 2, (0, 780)),
+    pytest.param("p 2\ngens 40", (0, 780), id="gens-40"),
     # phi_2 = g2 and phi_3 = g3 g4 (conjugates by g1) have link-free
     # supports, but w_2 = g5 g6 links to g3, so the overlap (g3 g2) g1 is
     # collected only because the abelian-support skip closes supports
     # under the power relations: (57, 62) without that closure
-    pytest.param("gens 7\npow 2 : g5^1 g6^1\ncomm 3 1 : g4^1\ncomm 5 3 : g7^1\n"
-                 "comm 6 3 : g7^1", 2, (61, 68), id="power-closed-support"),
+    pytest.param("p 2\ngens 7\npow 2 : g5^1 g6^1\ncomm 3 1 : g4^1\ncomm 5 3 : g7^1\n"
+                 "comm 6 3 : g7^1", (61, 68), id="power-closed-support"),
 ])
-def test_check_work_is_pinned(monkeypatch, spec, p, work):
+def test_check_work_is_pinned(monkeypatch, name, work):
     """The check collects only the overlaps whose sides can differ, so it
     makes fewer products than the every-overlap reference."""
-    from lienil.catalog import build_named
-    if spec.startswith("gens"):
-        G = parse_presentation(f"p {p}\n{spec}\n")
-    else:
-        G = build_named(spec, p).group
+    G = parse_presentation(name) if name.startswith("p ") else fresh(name)
     fast, ref = _Unchecked(*_relation_dicts(G)), _Unchecked(*_relation_dicts(G))
     assert _calls(monkeypatch, lambda: PcGroup._consistency_check(fast)) == work
     ref_mul, ref_collect = _calls(monkeypatch, lambda: every_overlap_check(ref))

@@ -10,16 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lienil.catalog import (
-    DATA_DIR,
-    _BUILDERS,
     build_abelian,
     build_dihedral,
     build_free_class2,
-    build_heisenberg,
-    build_named,
     build_quaternion,
-    import_presentation,
-    standard_catalog,
 )
 from lienil.subgroups import (
     CapExceeded,
@@ -43,6 +37,7 @@ from lienil.subgroups import (
 from lienil import subgroups
 from lienil.dimension import lie_dimension_chain
 from lienil.pcgroup import PcGroup, parse_presentation
+from groups import fresh, group, names
 from test_pcgroup import _calls, collected_commutator, collected_conjugate
 
 
@@ -51,14 +46,14 @@ def _order_counts(H):
     return Counter(H.group.element_order(x) for x in H.elements)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def d16():
-    return build_dihedral(16).group
+    return group("dihedral-16")
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def heis3():
-    return build_heisenberg(3).group
+    return group("heisenberg-3")
 
 
 def test_closure_of_rotation_in_dihedral(d16):
@@ -80,17 +75,14 @@ def _naive_closure(G, gens):
         elements = grown
 
 
-CONTRACT_GROUPS = {
-    "D16": build_dihedral(16).group,
-    "heisenberg-3": build_heisenberg(3).group,
-    "free_class2(3,3)": build_free_class2(3, 3).group,
-}
+# the builder groups whose closures are checked from generating
+# sequences that are not pc generators
+CLOSURE_GROUPS = st.sampled_from(names("nonpc", "builder")).map(group)
 
 
 @st.composite
 def group_and_generators(draw):
-    name = draw(st.sampled_from(sorted(CONTRACT_GROUPS)))
-    G = CONTRACT_GROUPS[name]
+    G = draw(CLOSURE_GROUPS)
     element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
                        max_size=G.ngens).map(G.element)
     return G, draw(st.lists(element, max_size=5))
@@ -166,8 +158,7 @@ def test_closure_matches_naive_fixpoint_with_few_generators(drawn):
 
 @st.composite
 def two_closures(draw):
-    name = draw(st.sampled_from(sorted(CONTRACT_GROUPS)))
-    G = CONTRACT_GROUPS[name]
+    G = draw(CLOSURE_GROUPS)
     element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
                        max_size=G.ngens).map(G.element)
     H, K = (closure(G, draw(st.lists(element, max_size=4))) for _ in range(2))
@@ -195,7 +186,8 @@ def test_canonical_sequence_decides_equality_inclusion_and_membership(drawn):
 
 
 def test_whole_group_entries_are_the_pc_generators():
-    for G in CONTRACT_GROUPS.values():
+    for name in names():
+        G = group(name)
         W = whole_group(G)
         assert W == closure(G, G.generators())
         assert W.entries == tuple(G.generators())
@@ -209,36 +201,28 @@ def _word(G, *letters):
     return x
 
 
-def _non_pc_sequences():
-    """Generating sequences that are not pc generators, so the sequence
-    has entries with a non-zero tail: diagonals, products of letters."""
-    d16 = build_dihedral(16).group
-    h5 = build_heisenberg(5).group
-    f33 = build_free_class2(3, 3).group
-    s3125 = import_presentation(DATA_DIR / "s3125_41.pres").group
-    return {
-        "D16 <g1 g2>": (d16, [_word(d16, (0, 1), (1, 1))]),
-        "D16 <g2 g3>": (d16, [_word(d16, (1, 1), (2, 1))]),
-        "H5 <g1 g2, g3>": (h5, [_word(h5, (0, 1), (1, 1)), h5.generator(2)]),
-        "H5 <g1 g2^2, g2 g3>": (h5, [_word(h5, (0, 1), (1, 2)), _word(h5, (1, 1), (2, 1))]),
-        "free_class2(3,3) <g1 g2, g2 g3>": (
-            f33, [_word(f33, (0, 1), (1, 1)), _word(f33, (1, 1), (2, 1))]),
-        "s3125_41 <g1 g2^3, g2 g5>": (
-            s3125, [_word(s3125, (0, 1), (1, 3)), _word(s3125, (1, 1), (4, 1))]),
-    }
+# Generating sequences that are not pc generators, so the sequence has
+# entries with a non-zero tail: diagonals, products of letters.  Each
+# entry is a word, its (generator index, exponent) letters left to right.
+NON_PC_WORDS = {
+    "dihedral-16": [[((0, 1), (1, 1))], [((1, 1), (2, 1))]],
+    "heisenberg-5": [[((0, 1), (1, 1)), ((2, 1),)], [((0, 1), (1, 2)), ((1, 1), (2, 1))]],
+    "free-class2-rank3-p3": [[((0, 1), (1, 1)), ((1, 1), (2, 1))]],
+    "s3125_41": [[((0, 1), (1, 3)), ((1, 1), (4, 1))]],
+}
 
 
-NON_PC_SEQUENCES = _non_pc_sequences()
+def _non_pc_sequence(name, k):
+    G = group(name)
+    return G, [_word(G, *word) for word in NON_PC_WORDS[name][k]]
 
 
-@pytest.mark.parametrize("name", sorted(NON_PC_SEQUENCES))
-def test_closure_of_non_pc_sequences_matches_breadth_first_reference(name):
-    _assert_closure_matches_bfs(*NON_PC_SEQUENCES[name])
-
-
-@pytest.mark.parametrize("stem", ["s3125_41", "s2187_5868", "s243_13"])
-def test_closure_matches_breadth_first_reference_on_table_groups(stem):
-    G = import_presentation(DATA_DIR / f"{stem}.pres").group
+@pytest.mark.parametrize("name", names("nonpc"))
+def test_closure_matches_breadth_first_reference_on_non_pc_sequences(name):
+    # the words above, and each subgroup's elements in both orders
+    G = group(name)
+    for k in range(len(NON_PC_WORDS.get(name, ()))):
+        _assert_closure_matches_bfs(*_non_pc_sequence(name, k))
     _assert_closure_matches_bfs(G, G.generators())
     W = whole_group(G)
     der, zc = derived_subgroup(W), center(W)
@@ -264,7 +248,7 @@ def multiply_calls(monkeypatch):
 
 def test_whole_group_enumeration_makes_no_products(multiply_calls):
     # every entry of the sequence is a pc generator: elements are spliced
-    G = import_presentation(DATA_DIR / "s3125_41.pres").group
+    G = group("s3125_41")
     multiply_calls.clear()
     assert len(whole_group(G).elements) == 3125
     assert multiply_calls == []
@@ -278,10 +262,10 @@ def test_derived_subgroup_of_free_class2_closes_without_products(multiply_calls)
     assert der.order == 5**6 and multiply_calls == []
 
 
-@pytest.mark.parametrize("name", ["H5 <g1 g2^2, g2 g3>", "s3125_41 <g1 g2^3, g2 g5>"])
-def test_non_pc_closure_makes_one_product_per_element_plus_sifting(name, multiply_calls):
+@pytest.mark.parametrize("name, k", [("heisenberg-5", 1), ("s3125_41", 0)])
+def test_non_pc_closure_makes_one_product_per_element_plus_sifting(name, k, multiply_calls):
     # breadth-first closure makes |H| * len(generators) products here
-    G, gens = NON_PC_SEQUENCES[name]
+    G, gens = _non_pc_sequence(name, k)
     multiply_calls.clear()
     H = closure(G, gens)
     k = round(math.log(H.order, G.p))
@@ -289,9 +273,9 @@ def test_non_pc_closure_makes_one_product_per_element_plus_sifting(name, multipl
     assert len(multiply_calls) <= H.order + G.p * k * k
 
 
-@pytest.mark.parametrize("stem", ["s3125_76", "s2187_5868", "s243_13", "s243_55"])
+@pytest.mark.parametrize("stem", names("shipped"))
 def test_derived_constructions_keep_a_short_generating_sequence(stem):
-    G = import_presentation(DATA_DIR / f"{stem}.pres").group
+    G = group(stem)
     W = whole_group(G)
     der, zc = derived_subgroup(W), center(W)
     built = [zc, power_subgroup(W, G.p), power_subgroup(der, G.p),
@@ -300,33 +284,6 @@ def test_derived_constructions_keep_a_short_generating_sequence(stem):
     for H in built:
         assert G.p ** len(H.generators) <= H.order, H
         assert closure(G, H.generators) == H
-
-
-# D8 x C8 with the C8 letters first.  Every coset of the centre
-# Z = <r^2> x C8 has a representative in D8, and those representatives
-# have squares in <r^2> and orders at most 4: the factor Z^2 ~ C4 and
-# exp(Z) = 8 must come from the centre itself.
-D8_X_C8 = parse_presentation(
-    "p 2\ngens 6\npow 1 : g2^1\npow 2 : g3^1\npow 3 : 1\npow 4 : 1\n"
-    "pow 5 : g6^1\npow 6 : 1\ncomm 5 4 : g6^1\n")
-
-# Order 2^7, class 4, with a non-abelian derived subgroup G' of order 16:
-# Z(G') has order 4, larger than [G', G'], the last non-trivial term of
-# G''s own lower central series.
-NONABELIAN_DERIVED = parse_presentation(
-    "p 2\ngens 7\ncomm 2 1 : g4^1\ncomm 3 1 : g5^1\ncomm 4 3 : g6^1 g7^1\n"
-    "comm 5 2 : g6^1\ncomm 5 4 : g7^1\ncomm 6 1 : g7^1\n")
-
-DIFFERENTIAL_GROUPS = {
-    **CONTRACT_GROUPS,
-    "D8xC8": D8_X_C8,
-    "G' non-abelian": NONABELIAN_DERIVED,
-    "s3125_41": import_presentation(DATA_DIR / "s3125_41.pres").group,  # |Z| = 125
-    "s243_19": import_presentation(DATA_DIR / "s243_19.pres").group,
-    # abelian: Z(H) = H, so the power rule reduces to generator powers
-    "C8xC4xC2": build_abelian(2, [8, 4, 2]).group,
-    "C25xC5": build_abelian(5, [25, 5]).group,
-}
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,14 +382,14 @@ def _assert_powers_match_element_scan(H):
             assert killed == math.prod(min(f, q) for f in factors), q
 
 
-@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPS))
+@pytest.mark.parametrize("name", names("scan"))
 def test_power_subgroups_of_whole_groups_match_element_scan(name):
-    _assert_powers_match_element_scan(whole_group(DIFFERENTIAL_GROUPS[name]))
+    _assert_powers_match_element_scan(whole_group(group(name)))
 
 
 @st.composite
 def random_subgroup(draw):
-    G = DIFFERENTIAL_GROUPS[draw(st.sampled_from(sorted(DIFFERENTIAL_GROUPS)))]
+    G = group(draw(st.sampled_from(names("scan"))))
     element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
                        max_size=G.ngens).map(G.element)
     return closure(G, draw(st.lists(element, min_size=1, max_size=3)))
@@ -611,7 +568,7 @@ def test_intersection_refuses_a_subgroup_that_is_not_normal(d16):
 
 
 def test_centre_of_a_subgroup_above_its_last_lower_central_term():
-    der = derived_subgroup(whole_group(NONABELIAN_DERIVED))
+    der = derived_subgroup(whole_group(group("nonabelian-derived-128")))
     last = derived_subgroup(der)
     assert (der.order, last.order) == (16, 2)
     assert derived_subgroup(last).is_trivial()  # der has class 2
@@ -623,17 +580,14 @@ def test_non_abelian_iso_type_prints_its_fingerprint():
     # G' is D8 x C2 (Q8 x C2 has the same invariants, but G' is generated
     # by the involutions g4..g7): exponent 4, centre C2xC2, derived C2,
     # G'/G'' = C2^3, and (G')^2 of order 2
-    iso = fingerprint(derived_subgroup(whole_group(NONABELIAN_DERIVED)))
+    iso = fingerprint(derived_subgroup(whole_group(group("nonabelian-derived-128"))))
     assert iso.kind == "fingerprint"
     assert str(iso) == "fp[o=16,e=4,z=4:C2xC2,d=2:C2,ab=C2xC2xC2,pow=2.1]"
 
 
-TABLE_GROUPS = sorted(f.stem for f in DATA_DIR.glob("*.pres"))
-
-
-@pytest.mark.parametrize("stem", TABLE_GROUPS)
+@pytest.mark.parametrize("stem", names("shipped"))
 def test_intersections_of_normal_subgroups_match_element_sets(stem):
-    G = import_presentation(DATA_DIR / f"{stem}.pres").group
+    G = group(stem)
     W = whole_group(G)
     normal = [*lower_central_series(W)[1:], center(W),
               power_subgroup(W, G.p), power_subgroup(W, G.p**2)]
@@ -735,8 +689,8 @@ def test_series_works_above_enumeration_cap(monkeypatch):
 
 
 def test_exponent_values():
-    assert whole_group(build_heisenberg(5).group).exponent() == 5
-    assert whole_group(build_dihedral(16).group).exponent() == 8
+    assert whole_group(group("heisenberg-5")).exponent() == 5
+    assert whole_group(group("dihedral-16")).exponent() == 8
 
 
 def _reference_normal_closure(G, gens):
@@ -772,59 +726,20 @@ def _reference_lower_central_series(G):
     return series
 
 
-def _assert_series_matches_reference(G, label=None):
+def _assert_series_matches_reference(G):
     series = lower_central_series(whole_group(G))
     assert ([S.entries for S in series]
-            == [S.entries for S in _reference_lower_central_series(G)]), label
+            == [S.entries for S in _reference_lower_central_series(G)])
 
 
-# every builder family, with at least one large member whose whole group
-# keeps few of its pc generators
-BUILDER_SPECS = {
-    "dihedral:64": ("dihedral:64", None), "dihedral:1024": ("dihedral:1024", None),
-    "quaternion:32": ("quaternion:32", None), "quaternion:512": ("quaternion:512", None),
-    "heisenberg:5": ("heisenberg:5", None), "abelian:9x3 -p 3": ("abelian:9x3", 3),
-    "free_class2:4 -p 3": ("free_class2:4", 3), "free_class2:5 -p 2": ("free_class2:5", 2),
-    "condition:46 -p 5": ("condition:46", 5), "condition:65 -p 3": ("condition:65", 3),
-    "condition:66 -p 3": ("condition:66", 3),
-    "condition-quotient:65 -p 3": ("condition-quotient:65", 3),
-    "condition-quotient:66 -p 3": ("condition-quotient:66", 3),
-}
-PRESENTED_NAMES = sorted([*TABLE_GROUPS, *BUILDER_SPECS])
+@pytest.mark.parametrize("name", names())
+def test_lower_central_series_matches_the_reference(name):
+    _assert_series_matches_reference(group(name))
 
 
-@functools.lru_cache(maxsize=None)
-def _presented_group(name):
-    """A builder group by its BUILDER_SPECS name, else a shipped row by
-    its stem; built on first use, so a bad build fails only its own tests."""
-    if name in BUILDER_SPECS:
-        return build_named(*BUILDER_SPECS[name]).group
-    return import_presentation(DATA_DIR / f"{name}.pres").group
-
-
-def test_builder_groups_cover_every_family():
-    assert {spec.partition(":")[0] for spec, _ in BUILDER_SPECS.values()} == set(_BUILDERS)
-    assert len(TABLE_GROUPS) == 30
-
-
-def test_lower_central_series_of_catalog_groups_matches_reference():
-    for entry in standard_catalog():
-        _assert_series_matches_reference(entry.group, entry.name)
-
-
-@pytest.mark.parametrize("name", PRESENTED_NAMES)
-def test_lower_central_series_of_shipped_and_builder_groups_matches_reference(name):
-    _assert_series_matches_reference(_presented_group(name))
-
-
-def test_memoized_power_series_of_catalog_groups_match_a_rebuilt_group():
-    for entry in standard_catalog():
-        _assert_memo_matches_a_rebuilt_group(entry.group)
-
-
-@pytest.mark.parametrize("name", PRESENTED_NAMES)
-def test_memoized_power_series_of_shipped_and_builder_groups_match_a_rebuilt_group(name):
-    _assert_memo_matches_a_rebuilt_group(_presented_group(name))
+@pytest.mark.parametrize("name", names())
+def test_memoized_power_series_match_a_rebuilt_group(name):
+    _assert_memo_matches_a_rebuilt_group(group(name))
 
 
 @settings(max_examples=40, deadline=None)
@@ -872,16 +787,16 @@ def bracket_calls(monkeypatch):
 @pytest.mark.parametrize("name, work", [
     # 2 of 10 pc generators kept; the brackets of the terms' non-pc
     # generators with them are collected
-    ("dihedral:1024", {"collector": (437, 545), "conjugate": 16}),
+    ("dihedral-1024", {"collector": (437, 545), "conjugate": 16}),
     # 5 of 15 kept; every bracket is a relation word, the 50 conjugations
     # are gamma_2's 10 generators by the 5 kept ones
-    ("free_class2:5 -p 2", {"collector": (0, 0), "conjugate": 50}),
+    ("free-class2-rank5-p2", {"collector": (0, 0), "conjugate": 50}),
 ])
 def test_lower_central_series_bracket_work_is_pinned(name, work, bracket_calls):
     """(_mul, _collect) calls and conjugations of the series, on a group
     built afresh, so that no earlier test has filled its collector's
     memos; both fewer than the every-pc-generator reference makes."""
-    G = build_named(*BUILDER_SPECS[name]).group
+    G = fresh(name)
     W = whole_group(G)
     bracket_calls.clear()
     lower_central_series(W)
@@ -894,12 +809,12 @@ def test_lower_central_series_bracket_work_is_pinned(name, work, bracket_calls):
     assert fast["conjugate"] < bracket_calls["conjugate"]
 
 
-@pytest.mark.parametrize("name", sorted(BUILDER_SPECS))
+@pytest.mark.parametrize("name", names("builder"))
 def test_derived_subgroup_of_the_whole_group_collects_no_bracket(name, bracket_calls):
     """W's kept generators are pc generators, so every bracket of
     derived_subgroup(W) and is_abelian(W) is read off the relations, or
     skipped on commuting supports: PcGroup.commutator collects nothing."""
-    W = whole_group(_presented_group(name))
+    W = whole_group(group(name))
     bracket_calls.clear()
     derived_subgroup(W)
     is_abelian(W)
@@ -907,13 +822,13 @@ def test_derived_subgroup_of_the_whole_group_collects_no_bracket(name, bracket_c
     assert bracket_calls["_mul in commutator"] == bracket_calls["_collect in commutator"] == 0
 
 
-@pytest.mark.parametrize("name", PRESENTED_NAMES)
+@pytest.mark.parametrize("name", names())
 def test_brackets_read_off_the_relations_equal_collected_ones(name, monkeypatch):
     """On every ordered pair of pc generators g_j, g_i, PcGroup.commutator
     equals the collected bracket, and makes no collector call for j >= i,
     where it is the relation word or 1; PcGroup.power(g_i, p) equals the
     collected p-th power with no collector call."""
-    G = _presented_group(name)
+    G = group(name)
     gens = G.generators()
     for j, x in enumerate(gens):
         for i, y in enumerate(gens):
