@@ -22,13 +22,13 @@ are sorted and the report order is by entry name.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .catalog import (
     BUILDER_NAMES,
@@ -45,6 +45,9 @@ from .dimension import d_sequence_of_chain, jennings_index, lie_dimension_chain,
 from .dvectors import REPORT_PRIMES, enumerate_admissible
 from .pcgroup import PresentationError, check_prime
 from .subgroups import CapExceeded, whole_group
+
+if TYPE_CHECKING:
+    import argparse
 
 ORACLE_CAP_ENV = "LIENIL_ORACLE_CAP"
 
@@ -336,6 +339,8 @@ def _add_group_args(sub) -> None:
 
 @functools.cache  # built once per process: main may run many times in one
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here, so the plain argv _read_argv reads never loads argparse
+    import argparse
     parser = argparse.ArgumentParser(
         prog="lienil",
         description="Lie nilpotency indices of modular group algebras "
@@ -386,12 +391,84 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What each command of _build_parser() declares, for _read_argv: its
+# positionals in order as (dest, nargs, choices), and each option string's
+# (dest, kind, default), where the kind is int or str for an option taking
+# one value and bool for a store_true flag.  The help and the errors stay
+# with argparse; tests/test_cli.py checks these against _build_parser().
+_FILE = ("file", "?", None)
+_GROUP = {"--builder": ("builder", str, None), "-p": ("p", int, None)}
+_JSON = {"--json": ("json", bool, False)}
+_PLAIN = {
+    "index": ((_FILE,), {**_GROUP, **_JSON}),
+    "oracle": ((_FILE,), {**_GROUP, "--cap": ("cap", int, None), **_JSON}),
+    "classify": ((_FILE,), {**_GROUP, **_JSON,
+                            "--corrected-conditions": ("corrected_conditions", bool, False),
+                            "--with-oracle": ("with_oracle", bool, False)}),
+    "enumerate-d": ((), {"-p": ("p", int, None), "--weight": ("weight", int, 10),
+                         "--all-p": ("all_p", bool, False), **_JSON}),
+    "verify-tables": ((("dir", "?", None),), _JSON),
+    "catalog": ((("action", None, ("list", "build")), ("spec", "?", None)),
+                {"-p": ("p", int, None), **_JSON}),
+}
+
+
+def _read_argv(argv) -> Optional[types.SimpleNamespace]:
+    """The namespace `_build_parser().parse_args(argv)` returns, read
+    without argparse, when argv is plain: a command, then exact option
+    strings, each value in the next token, and the positionals as one run
+    of tokens.  None for any other argv, which argparse then reads, so
+    help, usage errors and exit codes are its own."""
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    positionals, options = _PLAIN[argv[0]]
+    values = {dest: default for dest, _, default in options.values()}
+    run, ended = [], False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if ended:  # argparse has taken every positional by now
+                return None
+            run.append(token)
+            continue
+        if token not in options:
+            return None
+        ended = bool(run)
+        dest, kind, _ = options[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = kind(value)
+        except ValueError:
+            return None
+    if len(run) > len(positionals):
+        return None
+    for i, (dest, nargs, choices) in enumerate(positionals):
+        if i < len(run):
+            if choices is not None and run[i] not in choices:
+                return None
+            values[dest] = run[i]
+        elif nargs is None:
+            return None
+        else:
+            values[dest] = None
+    # looked up now, not at import, so a rebound cmd_* is the one called
+    func = globals()["cmd_" + argv[0].replace("-", "_")]
+    return types.SimpleNamespace(command=argv[0], **values, func=func)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -1,7 +1,10 @@
 """End-to-end checks of the command-line interface, run in process."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -630,27 +633,120 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-NUMPY_AFTER = """
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _action_row(action):
+    return (tuple(action.option_strings), action.dest, action.type, action.default,
+            action.nargs, action.const, action.choices)
+
+
+def _reader_rows(command):
+    """_read_argv's declarations of one command, as _action_row reads an
+    argparse action: positionals in order, then options sorted."""
+    positionals, options = cli._PLAIN[command]
+    rows = [((), dest, None, None, nargs, None, choices) for dest, nargs, choices in positionals]
+    for string, (dest, kind, default) in sorted(options.items()):
+        if kind is bool:
+            rows.append(((string,), dest, None, default, 0, True, None))
+        else:
+            rows.append(((string,), dest, None if kind is str else kind, default,
+                         None, None, None))
+    return rows
+
+
+def test_argv_reader_declares_what_argparse_declares():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(commands.choices) == list(cli._PLAIN)
+    for command, sub in commands.choices.items():
+        actions = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        positionals = [a for a in actions if not a.option_strings]
+        options = sorted((a for a in actions if a.option_strings), key=lambda a: a.option_strings)
+        assert [_action_row(a) for a in positionals + options] == _reader_rows(command)
+        assert sub._defaults == {"func": getattr(cli, "cmd_" + command.replace("-", "_"))}
+
+
+README_ARGVS = [line.partition("|")[0].split() for line in re.findall(
+    r"^\$ lienil (.*)$", (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    flags=re.MULTILINE)]
+
+
+@pytest.mark.parametrize("argv", [cmd.split() for cmd in REPLAYED] + README_ARGVS,
+                         ids=" ".join)
+def test_benchmark_and_readme_argvs_are_read_without_argparse(argv):
+    read = cli._read_argv(argv)
+    assert read is not None and vars(read) == _argparse_vars(argv)
+
+
+READER_OPTIONS = sorted({s for _, options in cli._PLAIN.values() for s in options})
+READER_TOKENS = [*READER_OPTIONS, "--js", "--with", "--builder=x", "-p3", "-h", "--help",
+                 "--", "", "-3", "3", "0", "x", "dihedral:8", "list", "build"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command=st.sampled_from([*cli._PLAIN, "bogus", "-h", "Index", ""]),
+       tokens=st.lists(st.sampled_from(READER_TOKENS), max_size=6))
+def test_argv_reader_agrees_with_argparse(command, tokens):
+    argv = [command, *tokens]
+    read, want = cli._read_argv(argv), _argparse_vars(argv)
+    if read is not None:
+        assert vars(read) == want
+        assert read.func is want["func"]
+
+
+@pytest.mark.parametrize("argv,p", [
+    # argparse gives `spec` nothing before --json, then refuses dihedral:8
+    (["catalog", "build", "--json", "dihedral:8"], None),
+    (["index", "a", "b"], None),
+    # argparse reads -3 as a value; the reader leaves every leading - to it
+    (["index", "-p", "-3", "--builder", "dihedral:8"], -3),
+], ids=["catalog-split-positionals", "index-two-files", "index-negative-p"])
+def test_argv_reader_leaves_argparse_quirks_to_argparse(argv, p):
+    assert cli._read_argv(argv) is None
+    want = _argparse_vars(argv)
+    assert (want and want["p"]) == p
+
+
+def test_argv_reader_calls_the_command_bound_at_call_time(monkeypatch):
+    # a tracer rebinds cmd_* after import; the plain path must reach it
+    monkeypatch.setattr(cli, "cmd_index", lambda args: 7)
+    assert main(["index", "--json"]) == 7
+
+
+MODULES_AFTER = """
 import contextlib, io, json, sys
 from lienil.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes,
-                  "numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy")}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def _numpy_modules_after(argvs):
-    """Exit codes of the invocations in a fresh interpreter, and the numpy
+def _run_fresh(argvs):
+    """Exit codes of the invocations in a fresh interpreter, and the
     modules imported by then."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", NUMPY_AFTER, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-c", MODULES_AFTER, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["codes"] == [0] * len(argvs)
-    return result["numpy"]
+    return result["codes"], result["modules"]
+
+
+def _numpy_modules_after(argvs):
+    """The numpy modules imported by the invocations, each of which succeeds,
+    in a fresh interpreter."""
+    codes, modules = _run_fresh(argvs)
+    assert codes == [0] * len(argvs)
+    return [m for m in modules if m.split(".")[0] == "numpy"]
 
 
 def test_commands_without_the_oracle_never_import_numpy():
@@ -662,6 +758,29 @@ def test_commands_without_the_oracle_never_import_numpy():
         ["catalog", "list"],
         ["catalog", "build", "dihedral:16"],
     ]) == []
+
+
+def test_plain_argvs_never_import_argparse():
+    codes, modules = _run_fresh([
+        ["index", "--builder", "dihedral:16", "--json"],
+        ["oracle", "--builder", "dihedral:8", "--cap", "16"],
+        ["classify", "--builder", "dihedral:16", "--with-oracle", "--corrected-conditions"],
+        ["verify-tables", "--json"],
+        ["enumerate-d", "-p", "3", "--weight", "4"],
+        ["enumerate-d", "--all-p"],
+        ["catalog", "list"],
+        ["catalog", "build", "dihedral:16", "-p", "2"],
+    ])
+    assert codes == [0] * 8
+    assert "argparse" not in modules
+
+
+@pytest.mark.parametrize("argv,code", [([], 2), (["bogus"], 2), (["index", "-h"], 0)],
+                         ids=["none", "bogus", "index-help"])
+def test_other_argvs_go_through_argparse(argv, code):
+    codes, modules = _run_fresh([argv])
+    assert codes == [code]
+    assert "argparse" in modules
 
 
 def test_oracle_does_not_import_numpy_ma():

@@ -25,7 +25,7 @@ def test_every_test_the_fast_path_ledger_names_exists():
     ledger = (REPO / "README.md").read_text().partition(
         "### Fast-path ledger")[2].partition("\n## ")[0]
     named = re.findall(r"`(tests/\w+\.py)::(\w+)`", ledger)
-    assert len(named) == 12
+    assert len(named) == 14
     for path, name in named:
         assert re.search(rf"^def {name}\(", (REPO / path).read_text(),
                          flags=re.MULTILINE), (path, name)

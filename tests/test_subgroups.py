@@ -389,7 +389,9 @@ def test_power_subgroups_of_whole_groups_match_element_scan(name):
 
 @st.composite
 def random_subgroup(draw):
-    G = group(draw(st.sampled_from(names("scan"))))
+    # s3125_41 is scanned whole by the test above; drawn here, a few large
+    # subgroups of it cost seconds
+    G = group(draw(st.sampled_from(names("scan", most=729))))
     element = st.lists(st.integers(0, G.p - 1), min_size=G.ngens,
                        max_size=G.ngens).map(G.element)
     return closure(G, draw(st.lists(element, min_size=1, max_size=3)))

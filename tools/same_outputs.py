@@ -43,7 +43,13 @@ The argv list is fixed:
 - `verify-tables --json` on the packaged data;
 - `catalog list`, in text and `--json`;
 - `catalog build`, in text and `--json`, for every builder family;
-- `catalog build` on bad specs, whose exit code and stderr must agree.
+- `catalog build` on bad specs, whose exit code and stderr must agree;
+- argvs that argparse reads, not the plain-argv reader: help at the top
+  level and for each command, no argv, an unknown command, an unknown
+  option, a value `int` refuses, an abbreviated option, `--opt=value`,
+  `-p3`, a missing option value, and `catalog build --json dihedral:8`,
+  which argparse refuses because it hands `spec` nothing before
+  `--json`.
 """
 
 from __future__ import annotations
@@ -118,6 +124,16 @@ BAD_SPECS = (
     ["dihedral:12"], ["quaternion:4"], ["heisenberg:x"],
 )
 
+COMMANDS = ("index", "oracle", "classify", "enumerate-d", "verify-tables", "catalog")
+
+PARSER_ARGVS = (
+    ["-h"], *([command, "-h"] for command in COMMANDS), [], ["bogus"],
+    ["index", "--bogus"], ["index", "-p", "x", "--builder", "dihedral:8"],
+    ["index", "--js", "--builder", "dihedral:8"], ["index", "--builder=dihedral:8"],
+    ["index", "--builder", "dihedral:8", "-p2"], ["index", "--builder"],
+    ["catalog", "build", "--json", "dihedral:8"],
+)
+
 
 def benchmark_argvs() -> list[list[str]]:
     """The benchmark's index, classify and oracle invocations."""
@@ -151,6 +167,7 @@ def default_argvs(directory: Path) -> list[list[str]]:
     for spec in GOOD_SPECS:
         argvs += [["catalog", "build", *spec], ["catalog", "build", *spec, "--json"]]
     argvs += [["catalog", "build", *spec] for spec in BAD_SPECS]
+    argvs += PARSER_ARGVS
     return argvs
 
 
